@@ -2,10 +2,15 @@
 
 The engine is deliberately small: a Tensor wraps one contiguous float
 array, every operation records a backward closure on its output, and
-``Tensor.backward()`` walks the tape in reverse topological order.  Only
-the operations the detection pipeline needs exist; there is no
-broadcasting and no GPU path.  Training runs in float32; gradient-check
-tests rebuild the same graphs in float64.
+``Tensor.backward()`` walks the tape in reverse topological order.
+``backward()`` consumes the graph: afterwards every node it walked has no
+parents and no closure left, so a graph can be backpropagated once, and
+its tensors are freed by reference counting as soon as the caller drops
+them (each closure holds its own output, so a kept tape would be a
+reference cycle that only the cyclic garbage collector frees).  Only the
+operations the detection pipeline needs exist; there is no broadcasting
+and no GPU path.  Training runs in float32; gradient-check tests rebuild
+the same graphs in float64.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad) and _grad_enabled
@@ -71,7 +76,13 @@ class Tensor:
         self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded graph."""
+        """Backpropagate from this scalar through the recorded graph.
+
+        The graph is consumed: every node walked loses its parents and its
+        backward closure, so calling ``backward()`` again on this graph
+        only resets this scalar's own gradient.  Gradients stay on the
+        tensors that received them.
+        """
         if self.data.size != 1:
             raise GraphError(f"backward() requires a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -93,6 +104,9 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+        for node in topo:
+            node._parents = ()
+            node._backward = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -323,6 +337,37 @@ def sum_all(x: Tensor) -> Tensor:
     return _result(x.data.sum(), (x,), make_backward)
 
 
+def sum_rows(x: Tensor) -> Tensor:
+    """Per-row sums, (N, ...) -> (N,); row i equals ``sum_all`` of x[i]."""
+    n = x.shape[0]
+
+    def make_backward(out: Tensor):
+        def _backward():
+            x._accumulate(np.broadcast_to(out.grad.reshape((n,) + (1,) * (x.data.ndim - 1)), x.shape))
+
+        return _backward
+
+    return _result(x.data.reshape(n, -1).sum(axis=1), (x,), make_backward)
+
+
+def sum_in_order(x: Tensor) -> Tensor:
+    """Left-to-right sum of a 1-d tensor to a 0-d scalar.
+
+    Rounds exactly like a chain of ``add`` over the entries, which the
+    pairwise summation of ``sum_all`` does not.
+    """
+    if x.data.ndim != 1 or x.shape[0] < 1:
+        raise ShapeError(f"sum_in_order expects a non-empty 1-d tensor, got {x.shape}")
+
+    def make_backward(out: Tensor):
+        def _backward():
+            x._accumulate(np.broadcast_to(out.grad, x.shape))
+
+        return _backward
+
+    return _result(np.asarray(np.add.accumulate(x.data)[-1]), (x,), make_backward)
+
+
 def mean_all(x: Tensor) -> Tensor:
     return scale(sum_all(x), 1.0 / x.data.size)
 
@@ -378,10 +423,15 @@ def replicate_pad(x: Tensor, p: int) -> Tensor:
 
     def make_backward(out: Tensor):
         def _backward():
-            g = np.zeros_like(x.data)
-            yi, xi = np.meshgrid(ys, xs, indexing="ij")
-            np.add.at(g, (slice(None), slice(None), yi, xi), out.grad)
-            x._accumulate(g)
+            # fold the border rows, then the border columns, onto the edge
+            # they replicate (one edge row serves both sides when h == 1)
+            g = out.grad[:, :, p : p + h].copy()
+            g[:, :, 0] += out.grad[:, :, :p].sum(axis=2)
+            g[:, :, h - 1] += out.grad[:, :, p + h :].sum(axis=2)
+            gx = g[:, :, :, p : p + w].copy()
+            gx[:, :, :, 0] += g[:, :, :, :p].sum(axis=3)
+            gx[:, :, :, w - 1] += g[:, :, :, p + w :].sum(axis=3)
+            x._accumulate(gx)
 
         return _backward
 
@@ -454,8 +504,10 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     n, c, h, w = d.shape
     y0, y1, fy = _resample_axis(h, out_h, d.dtype)
     x0, x1, fx = _resample_axis(w, out_w, d.dtype)
-    top = d[:, :, y0][:, :, :, x0] * (1 - fx) + d[:, :, y0][:, :, :, x1] * fx
-    bot = d[:, :, y1][:, :, :, x0] * (1 - fx) + d[:, :, y1][:, :, :, x1] * fx
+    r0 = d[:, :, y0]
+    r1 = d[:, :, y1]
+    top = r0[:, :, :, x0] * (1 - fx) + r0[:, :, :, x1] * fx
+    bot = r1[:, :, :, x0] * (1 - fx) + r1[:, :, :, x1] * fx
     out = top * (1 - fy)[:, None] + bot * fy[:, None]
     return Tensor(out)
 

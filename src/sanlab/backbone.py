@@ -8,8 +8,10 @@ scale, run the backbone, pool globally).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -151,52 +153,42 @@ def _roi_cell_span(lo: float, hi: float, stride: int, limit: int) -> tuple[int, 
     return c_lo, c_hi
 
 
-def roi_pool(feat: Tensor, roi: RoI, out: int = 7, mode: str = "avg", stride: int = 8) -> Tensor:
-    """Pool an RoI's feature-map region to a fixed out x out grid.
-
-    Feature-cell mapping: coordinates divided by stride, then floor(x1) /
-    ceil(x2), clamped to the map.  Each output bin covers the cells whose
-    index range [floor(b*span/out), ceil((b+1)*span/out)) intersects the
-    bin's fractional span; bins are never empty.  Average mode distributes
-    gradient uniformly over a bin's cells, max mode routes it to the
-    first-in-row-major-order maximum of each channel.
-    """
-    if mode not in ("avg", "max"):
-        raise ShapeError(f"roi_pool mode must be 'avg' or 'max', got {mode!r}")
+def _roi_cells(feat: Tensor, roi: RoI, stride: int) -> tuple[int, int, int, int]:
+    """(y_lo, y_hi, x_lo, x_hi): the feature cells an RoI reads."""
     if feat.data.ndim != 4 or feat.shape[0] != 1:
         raise ShapeError(f"roi_pool expects a 1xCxhxw feature map, got {feat.shape}")
-    _, c, fh, fw = feat.shape
+    _, _, fh, fw = feat.shape
     x_lo, x_hi = _roi_cell_span(roi.x1, roi.x2, stride, fw)
     y_lo, y_hi = _roi_cell_span(roi.y1, roi.y2, stride, fh)
     if x_hi <= x_lo or y_hi <= y_lo:
         raise RoiError(
             f"RoI ({roi.x1},{roi.y1},{roi.x2},{roi.y2}) degenerate on {fh}x{fw} map at stride {stride}"
         )
+    return y_lo, y_hi, x_lo, x_hi
+
+
+def roi_pool(feat: Tensor, roi: RoI, out: int = 7, mode: str = "avg", stride: int = 8) -> Tensor:
+    """Pool an RoI's feature-map region to a fixed out x out grid.
+
+    Feature-cell mapping: coordinates divided by stride, then floor(x1) /
+    ceil(x2), clamped to the map.  Each output bin covers the cells whose
+    index range [floor(b*span/out), ceil((b+1)*span/out)) intersects the
+    bin's fractional span; bins are never empty.  Average mode is
+    `roi_avg_pool` of this one RoI and distributes gradient uniformly over
+    a bin's cells; max mode routes it to the first-in-row-major-order
+    maximum of each channel.
+    """
+    if mode not in ("avg", "max"):
+        raise ShapeError(f"roi_pool mode must be 'avg' or 'max', got {mode!r}")
+    if mode == "avg":
+        return roi_avg_pool(feat, [roi], out=out, stride=stride)
+    y_lo, y_hi, x_lo, x_hi = _roi_cells(feat, roi, stride)
+    c = feat.shape[1]
     w_span = x_hi - x_lo
     h_span = y_hi - y_lo
-
     cells = feat.data[0, :, y_lo:y_hi, x_lo:x_hi]
-    if mode == "avg":
-        # Bins factor into independent row and column spans, so the whole
-        # grid is two 0/1 matmuls; exact on integer-valued data.
-        rows = _bin_matrix(h_span, out, feat.data.dtype)
-        cols = _bin_matrix(w_span, out, feat.data.dtype)
-        counts = rows.sum(axis=1)[:, None] * cols.sum(axis=1)[None, :]
-        sums = np.matmul(np.matmul(rows, cells), cols.T)
-        out_data = (sums / counts)[None]
 
-        def make_backward(out_t: Tensor):
-            def _backward():
-                g = np.zeros_like(feat.data)
-                gbin = out_t.grad[0] / counts
-                g[0, :, y_lo:y_hi, x_lo:x_hi] += np.matmul(rows.T, np.matmul(gbin, cols))
-                feat._accumulate(g)
-
-            return _backward
-
-        return ag._result(out_data, (feat,), make_backward)
-
-    # max mode: per-bin arg tracking for winner-only gradients
+    # per-bin arg tracking for winner-only gradients
     out_data = np.empty((1, c, out, out), dtype=feat.dtype)
     spans: list[tuple[int, int, int, int]] = []
     winners: list[np.ndarray] = []
@@ -228,14 +220,54 @@ def roi_pool(feat: Tensor, roi: RoI, out: int = 7, mode: str = "avg", stride: in
     return ag._result(out_data, (feat,), make_backward)
 
 
-def _bin_matrix(span: int, out: int, dtype) -> np.ndarray:
-    """0/1 matrix mapping span cells to out bins by fractional coverage."""
+def roi_avg_pool(feat: Tensor, rois: Sequence[RoI], out: int = 7, stride: int = 8) -> Tensor:
+    """Average-pool many RoIs of one 1xCxhxw feature map: (N, C, out, out).
+
+    Binning as in `roi_pool`.  Bins factor into independent row and column
+    spans, so each RoI's grid is two 0/1 matmuls, exact on integer-valued
+    data; row n is bitwise the pooling of rois[n] alone.  The batch is one
+    tape node, whose backward sums every RoI's bin gradients into a single
+    map-sized buffer.
+    """
+    if not rois:
+        raise RoiError("roi_avg_pool needs at least one RoI")
+    dtype = feat.data.dtype
+    plans = []
+    for roi in rois:
+        y_lo, y_hi, x_lo, x_hi = _roi_cells(feat, roi, stride)
+        rows, row_sizes = _bin_matrix(y_hi - y_lo, out, dtype)
+        cols, col_sizes = _bin_matrix(x_hi - x_lo, out, dtype)
+        plans.append((y_lo, y_hi, x_lo, x_hi, rows, cols, row_sizes[:, None] * col_sizes[None, :]))
+    out_data = np.empty((len(rois), feat.shape[1], out, out), dtype=dtype)
+    for n, (y_lo, y_hi, x_lo, x_hi, rows, cols, counts) in enumerate(plans):
+        sums = np.matmul(np.matmul(rows, feat.data[0, :, y_lo:y_hi, x_lo:x_hi]), cols.T)
+        out_data[n] = sums / counts
+
+    def make_backward(out_t: Tensor):
+        def _backward():
+            g = np.zeros_like(feat.data)
+            for gn, (y_lo, y_hi, x_lo, x_hi, rows, cols, counts) in zip(out_t.grad, plans):
+                g[0, :, y_lo:y_hi, x_lo:x_hi] += np.matmul(rows.T, np.matmul(gn / counts, cols))
+            feat._accumulate(g)
+
+        return _backward
+
+    return ag._result(out_data, (feat,), make_backward)
+
+
+@functools.lru_cache(maxsize=None)
+def _bin_matrix(span: int, out: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 matrix mapping span cells to out bins by fractional coverage,
+    and its row sums (cells per bin).  Cached, so both are read-only."""
     m = np.zeros((out, span), dtype=dtype)
     for b in range(out):
         lo = math.floor(b * span / out)
         hi = math.ceil((b + 1) * span / out)
         m[b, lo:hi] = 1
-    return m
+    sizes = m.sum(axis=1)
+    m.flags.writeable = False
+    sizes.flags.writeable = False
+    return m, sizes
 
 
 def crop_pixels(img: Image, roi: RoI) -> np.ndarray:

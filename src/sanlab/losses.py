@@ -166,17 +166,17 @@ def multi_task_loss(
 ) -> LossParts:
     """Classification + gated box regression + averaged scale-aware loss.
 
-    ``san_terms`` holds one scalar per sampled RoI branch; the scale-aware
-    component is their mean, or exactly zero when disabled or empty.
+    ``san_terms`` holds the per-RoI branch losses in sampling order, as
+    scalars or 1-d tensors of several; the scale-aware component is their
+    mean, summed left to right, or exactly zero when disabled or empty.
     """
     l_cls = ag.softmax_cross_entropy(logits, labels)
     l_reg = regression_loss(deltas, labels, targets, num_classes)
     total = ag.add(l_cls, l_reg)
     if san_loss_enabled and san_terms:
-        acc = san_terms[0]
-        for t in san_terms[1:]:
-            acc = ag.add(acc, t)
-        l_san = ag.scale(acc, 1.0 / len(san_terms))
+        rows = [ag.reshape(t, (t.data.size,)) for t in san_terms]
+        terms = rows[0] if len(rows) == 1 else ag.concat0(rows)
+        l_san = ag.scale(ag.sum_in_order(terms), 1.0 / terms.shape[0])
         total = ag.add(total, ag.scale(l_san, san_loss_weight))
         l_san_val = l_san.item()
     else:

@@ -149,18 +149,20 @@ def fuse(original: Tensor, san_out: Tensor, alpha: Parameter | None = None) -> T
     return ag.add(original, ag.scale_by(san_out, alpha.tensor))
 
 
-def san_loss_branch(feat_roi: Tensor, i: int, m: SanModule, r_tilde: Tensor) -> Tensor:
-    """Scale-aware loss for one RoI: channel-wise robust difference.
+def san_loss_branch(feat_rois: Tensor, i: int, m: SanModule, r_tilde: Tensor) -> Tensor:
+    """Scale-aware loss of N RoIs of partition i: one term per RoI, shape (N,).
 
-    The pooled RoI feature is detached at entry and collapsed to its
-    channel-activation vector; the sub-network then routes that vector
-    toward the reference-scale activation.  Only the sub-network weights
-    receive gradient; the reference feature must already be constant.
+    Each term is the channel-wise robust difference between the corrected
+    and the reference-scale activation vectors.  The pooled RoI features
+    (N, C, h, w) are detached at entry and collapsed to their channel
+    vectors; the sub-network routes them toward the reference activations
+    r_tilde (N, C, 1, 1).  Only the sub-network weights receive gradient;
+    the reference features must already be constant.
     """
     if r_tilde.requires_grad:
         raise ShapeError("reference feature must not carry a gradient")
-    if feat_roi.shape[1] != r_tilde.shape[1]:
-        raise ShapeError(f"channel mismatch: features {feat_roi.shape[1]} vs reference {r_tilde.shape[1]}")
-    z = ag.global_avg_pool(ag.detach(feat_roi))
+    if feat_rois.shape[1] != r_tilde.shape[1]:
+        raise ShapeError(f"channel mismatch: features {feat_rois.shape[1]} vs reference {r_tilde.shape[1]}")
+    z = ag.global_avg_pool(ag.detach(feat_rois))
     r = san_forward(z, i, m)
-    return ag.sum_all(ag.smooth_l1(ag.sub(r, r_tilde)))
+    return ag.sum_rows(ag.smooth_l1(ag.sub(r, r_tilde)))

@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from .analysis import ApResult, Detection, RmseRow, evaluate_ap, rmse_with_san, rmse_without_san
 from .autograd import Parameter, Tensor
-from .backbone import BACKBONE_BLOCKS, Backbone, Image, RoI, crop_pixels, extract_reference_feature, roi_pool
+from .backbone import BACKBONE_BLOCKS, Backbone, Image, RoI, crop_pixels, extract_reference_feature, roi_avg_pool, roi_pool
 from .data import Annotation, make_proposals, proposal_rng
 from .errors import CheckpointError, ConfigError, GraphError, SanlabError
 from .losses import (
@@ -207,29 +207,51 @@ def build_step_batch(
 # forward graph
 
 
+def _group_rows(keys: list[int]) -> tuple[list[tuple[int, list[int]]], np.ndarray | None]:
+    """Row indices per distinct key, in ascending key order, and the
+    permutation that takes the concatenated groups back to row order
+    (None when the groups already are in row order)."""
+    groups: dict[int, list[int]] = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
+    ordered = sorted(groups.items())
+    order = [i for _, idx in ordered for i in idx]
+    if order == list(range(len(keys))):
+        return ordered, None
+    return ordered, np.argsort(np.asarray(order, dtype=np.intp))
+
+
+def _merge_rows(parts: list[Tensor], inverse: np.ndarray | None) -> Tensor:
+    """Concatenate per-group results and restore row order (see _group_rows)."""
+    merged = parts[0] if len(parts) == 1 else ag.concat0(parts)
+    return merged if inverse is None else ag.take0(merged, inverse)
+
+
+def pool_rois(feats: list[Tensor], rois: list[RoI], slots: list[int], stride: int, mode: str = "avg") -> Tensor:
+    """Pool every RoI on its image's feature map to (N, C, 7, 7), in RoI order.
+
+    Average pooling is one `roi_avg_pool` per image, max pooling one
+    `roi_pool` per RoI.
+    """
+    by_image, inverse = _group_rows(slots)
+    if mode == "avg":
+        pooled = [roi_avg_pool(feats[s], [rois[i] for i in idx], out=7, stride=stride) for s, idx in by_image]
+    else:
+        pooled = [roi_pool(feats[s], rois[i], out=7, mode=mode, stride=stride) for s, idx in by_image for i in idx]
+    return _merge_rows(pooled, inverse)
+
+
 def forward_roi_features(model: DetectionModel, feats: list[Tensor], batch_rois: list[RoI], slots: list[int]) -> Tensor:
     """Pool every RoI and run the split / correct-per-partition / merge path."""
-    stride = model.backbone.total_stride
-    pooled = [roi_pool(feats[s], r, out=7, mode="avg", stride=stride) for r, s in zip(batch_rois, slots)]
-    batch = ag.concat0(pooled)
+    batch = pool_rois(feats, batch_rois, slots, model.backbone.total_stride)
     if model.san is None:
         return batch
-    parts = [partition_index(r, model.scheme) for r in batch_rois]
-    groups: dict[int, list[int]] = {}
-    for i, p in enumerate(parts):
-        groups.setdefault(p, []).append(i)
-    corrected: list[Tensor] = []
-    order: list[int] = []
-    for p in sorted(groups):
-        idx = groups[p]
-        part_in = ag.take0(batch, idx) if len(idx) != len(batch_rois) else batch
-        corrected.append(san_forward(part_in, p, model.san))
-        order += idx
-    merged = corrected[0] if len(corrected) == 1 else ag.concat0(corrected)
-    if order != list(range(len(batch_rois))):
-        inverse = np.argsort(np.asarray(order, dtype=np.intp))
-        merged = ag.take0(merged, inverse)
-    return fuse(batch, merged, alpha=model.san.fusion_alpha)
+    by_part, inverse = _group_rows([partition_index(r, model.scheme) for r in batch_rois])
+    corrected = [
+        san_forward(batch if len(idx) == len(batch_rois) else ag.take0(batch, idx), p, model.san)
+        for p, idx in by_part
+    ]
+    return fuse(batch, _merge_rows(corrected, inverse), alpha=model.san.fusion_alpha)
 
 
 def cell_aligned_roi(roi: RoI, stride: int, width: int, height: int) -> RoI:
@@ -282,17 +304,18 @@ def compute_step_losses(
     roi_feats = forward_roi_features(model, feats, batch.rois, batch.image_slot)
     logits, deltas = model.head.forward(roi_feats)
     san_terms: list[Tensor] = []
-    if include_san_loss and model.san is not None:
-        stride = model.backbone.total_stride
+    if include_san_loss and model.san is not None and batch.san_indices:
+        rois = [batch.rois[j] for j in batch.san_indices]
+        slots = [batch.image_slot[j] for j in batch.san_indices]
         r_tildes = batched_reference_features(
-            [(batch.images[batch.image_slot[j]], batch.rois[j]) for j in batch.san_indices],
-            model.scheme.ref_scale,
-            model.backbone,
+            [(batch.images[s], roi) for roi, s in zip(rois, slots)], model.scheme.ref_scale, model.backbone
         )
-        for j, r_tilde in zip(batch.san_indices, r_tildes):
-            roi = batch.rois[j]
-            feat_roi = roi_pool(feats[batch.image_slot[j]], roi, out=7, mode=cfg.san_pool, stride=stride)
-            san_terms.append(san_loss_branch(feat_roi, partition_index(roi, model.scheme), model.san, r_tilde))
+        r_tilde = np.concatenate([r.data for r in r_tildes])
+        # pooled from detached maps: the branch records no tape below its entry
+        pooled = pool_rois([ag.detach(f) for f in feats], rois, slots, model.backbone.total_stride, mode=cfg.san_pool).data
+        by_part, inverse = _group_rows([partition_index(r, model.scheme) for r in rois])
+        terms = [san_loss_branch(Tensor(pooled[idx]), p, model.san, Tensor(r_tilde[idx])) for p, idx in by_part]
+        san_terms.append(_merge_rows(terms, inverse))
     return multi_task_loss(
         logits,
         deltas,
@@ -432,6 +455,8 @@ def read_checkpoint_entries(path: Path) -> dict[str, np.ndarray]:
             head = f.read(4)
             if not head:
                 break
+            if len(head) != 4:
+                raise CheckpointError(f"{path}: {len(head)} trailing bytes after the last entry")
             (name_len,) = struct.unpack("<I", head)
             name = _read_exact(f, name_len, "name").decode()
             (rank,) = struct.unpack("<I", _read_exact(f, 4, "rank"))
@@ -634,7 +659,7 @@ def rendered_roi_feature(img: Image, box: RoI, scale: int, bb: Backbone) -> Tens
             y2=(box.y2 - wy1) * fy,
             image_id=box.image_id,
         )
-        return ag.global_avg_pool(roi_pool(feat, mapped, out=7, mode="avg", stride=bb.total_stride))
+        return ag.global_avg_pool(roi_avg_pool(feat, [mapped], out=7, stride=bb.total_stride))
 
 
 def rmse_report(

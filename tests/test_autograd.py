@@ -31,6 +31,16 @@ class TestTensorBasics:
         with pytest.raises(GraphError):
             t.backward()
 
+    def test_backward_frees_the_graph(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        hidden = ag.relu(x)
+        loss = ag.sum_all(ag.mul(hidden, hidden))
+        loss.backward()
+        assert np.array_equal(x.grad, [2.0, 0.0, 6.0])
+        for node in (loss, hidden):
+            assert node._parents == () and node._backward is None
+        assert hidden.grad is not None
+
     def test_no_grad_blocks_taping(self):
         t = Tensor(np.ones(3), requires_grad=True)
         with ag.no_grad():
@@ -187,10 +197,36 @@ class TestPointwiseOps:
             {"x": x},
             context="replicate_pad",
         )
+        # wider pads, and 1-pixel-high / -wide maps whose one edge row or
+        # column collects the border gradient of both sides
+        for shape, p in (((1, 2, 3, 4), 2), ((1, 2, 3, 4), 3), ((1, 2, 1, 4), 2), ((1, 2, 3, 1), 3), ((1, 1, 1, 1), 2)):
+            weights = Tensor(r.normal(size=(shape[0], shape[1], shape[2] + 2 * p, shape[3] + 2 * p)))
+            check_op_gradients(
+                lambda t, p=p, w=weights: ag.sum_all(
+                    ag.mul(ag.mul(ag.replicate_pad(t["x"], p), ag.replicate_pad(t["x"], p)), w)
+                ),
+                {"x": r.normal(size=shape)},
+                context=f"replicate_pad p={p} {shape}",
+            )
 
     def test_replicate_pad_constant_stays_constant(self):
         out = ag.replicate_pad(Tensor(np.full((1, 1, 3, 3), 0.7)), 3)
         assert np.all(out.data == 0.7)
+
+    def test_row_and_ordered_sums(self):
+        r = rng_for(22)
+        check_op_gradients(
+            lambda t: ag.sum_in_order(ag.mul(ag.sum_rows(t["x"]), ag.sum_rows(t["x"]))),
+            {"x": r.normal(size=(3, 2, 2, 1))},
+            context="sum_rows/sum_in_order",
+        )
+        values = (r.normal(size=16) * 10.0 ** r.integers(-3, 4, size=16)).astype(np.float32)
+        chain = Tensor(values[0])
+        for v in values[1:]:
+            chain = ag.add(chain, Tensor(v))
+        assert ag.sum_in_order(Tensor(values)).data == chain.data  # same rounding as the add chain
+        rows = r.normal(size=(5, 32, 1, 1)).astype(np.float32)
+        assert all(ag.sum_rows(Tensor(rows)).data[i] == ag.sum_all(Tensor(rows[i : i + 1])).data for i in range(5))
 
     def test_take0_concat_slice_gradients(self):
         r = rng_for(7)

@@ -17,6 +17,7 @@ from sanlab.backbone import (
     cam_scale_sweep,
     crop_pixels,
     extract_reference_feature,
+    roi_avg_pool,
     roi_pool,
 )
 from sanlab.errors import RoiError, ShapeError
@@ -124,6 +125,43 @@ class TestRoiPool:
         # permuted evenly spaced values: random but far from max-pool ties
         feat = r.permutation(np.arange(200, dtype=np.float64) * 0.05 - 5.0).reshape(1, 2, 10, 10)
         check_op_gradients(build, {"feat": feat}, context=f"roi_pool {mode}")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_avg_matches_naive_oracle_per_roi(self, seed):
+        """Each row of one batched pool is the oracle's pooling of its RoI,
+        for RoIs clamped at the map edges and for a batch of one; on
+        real-valued maps each row is bitwise the RoI pooled alone."""
+        r = np.random.default_rng(100 + seed)
+        rois = []
+        for _ in range(6):
+            x1, y1 = r.uniform(-20, 110, 2)
+            rois.append(RoI(x1=x1, y1=y1, x2=x1 + r.uniform(24, 120), y2=y1 + r.uniform(24, 120)))
+        rois.append(RoI(x1=-30.0, y1=100.0, x2=20.0, y2=400.0))  # clamped at two edges
+        feat_arr = r.integers(0, 256, size=(1, 5, 16, 16)).astype(np.float32)
+        batched = roi_avg_pool(Tensor(feat_arr), rois, out=7, stride=8).data
+        assert batched.shape == (len(rois), 5, 7, 7)
+        for n, roi in enumerate(rois):
+            assert np.array_equal(batched[n : n + 1], naive_roi_pool(feat_arr, roi, out=7, mode="avg", stride=8))
+        real = Tensor(r.normal(size=(1, 5, 16, 16)).astype(np.float32))
+        batched = roi_avg_pool(real, rois, out=7, stride=8).data
+        for n, roi in enumerate(rois):
+            assert np.array_equal(batched[n : n + 1], roi_avg_pool(real, [roi], out=7, stride=8).data)
+            assert np.array_equal(batched[n : n + 1], roi_pool(real, roi, out=7, mode="avg", stride=8).data)
+
+    def test_batched_avg_gradients_match_fd(self):
+        r = np.random.default_rng(43)
+        rois = [
+            RoI(x1=10.3, y1=4.7, x2=70.2, y2=60.1),
+            RoI(x1=0.0, y1=30.0, x2=33.0, y2=80.0),  # overlaps the first
+            RoI(x1=-5.0, y1=-5.0, x2=200.0, y2=24.0),  # clamped
+        ]
+        weights = Tensor(r.normal(size=(3, 2, 3, 3)))
+
+        def build(t):
+            pooled = roi_avg_pool(t["feat"], rois, out=3, stride=8)
+            return ag.sum_all(ag.mul(ag.mul(pooled, pooled), weights))
+
+        check_op_gradients(build, {"feat": r.normal(size=(1, 2, 10, 10))}, context="roi_avg_pool")
 
     def test_degenerate_roi_errors(self):
         feat = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))

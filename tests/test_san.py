@@ -251,8 +251,8 @@ class TestSiameseSharing:
         r_tilde = Tensor(np.random.default_rng(17).normal(size=(1, 4, 1, 1)).astype(np.float32))
 
         detect_out = san_forward(feat, 0, m)  # detection path
-        branch = san_loss_branch(feat, 0, m, r_tilde)  # siamese loss path
-        total = ag.add(ag.sum_all(detect_out), branch)
+        branch = san_loss_branch(feat, 0, m, r_tilde)  # siamese loss path, one term per RoI
+        total = ag.add(ag.sum_all(detect_out), ag.sum_all(branch))
         total.backward()
         sn = m.subnets[0]
         assert sn.w.tensor.grad is not None

@@ -1,7 +1,10 @@
 """Trainer: step construction, losses, SGD loop, checkpoints, inference."""
 
+import gc
+
 import numpy as np
 import pytest
+from test_backbone import naive_roi_pool
 
 from sanlab import autograd as ag
 from sanlab.autograd import Tensor
@@ -24,6 +27,7 @@ from sanlab.training import (
     forward_roi_features,
     learning_rate,
     load_checkpoint,
+    pool_rois,
     nms,
     predict_rois,
     reference_feature_for_roi,
@@ -148,6 +152,22 @@ class TestSplitCorrectMerge:
             part = partition_index(roi, model.scheme)
             single = fuse(pooled, san_forward(pooled, part, model.san), alpha=model.san.fusion_alpha)
             assert np.array_equal(merged.data[row], single.data[0])
+
+    @pytest.mark.parametrize("mode", ["avg", "max"])
+    def test_pooling_reads_each_rois_own_image_in_any_order(self, mode):
+        r = np.random.default_rng(5)
+        maps = [r.integers(0, 256, size=(1, 4, 12, 12)).astype(np.float32) for _ in range(2)]
+        rois = [
+            RoI(x1=3.0, y1=5.0, x2=60.0, y2=41.0),
+            RoI(x1=20.5, y1=0.0, x2=96.0, y2=96.0),
+            RoI(x1=-8.0, y1=30.0, x2=17.0, y2=90.0),
+            RoI(x1=40.0, y1=40.0, x2=57.0, y2=50.0),
+            RoI(x1=0.0, y1=0.0, x2=96.0, y2=96.0),
+        ]
+        slots = [1, 0, 1, 1, 0]
+        pooled = pool_rois([Tensor(m) for m in maps], rois, slots, stride=8, mode=mode).data
+        for n, (roi, s) in enumerate(zip(rois, slots)):
+            assert np.array_equal(pooled[n : n + 1], naive_roi_pool(maps[s], roi, out=7, mode=mode, stride=8))
 
     def test_without_san_is_plain_pooling(self, tiny_dataset):
         cfg = tiny_config(san_mode="off")
@@ -275,6 +295,23 @@ class TestTrainLoop:
         save_checkpoint(tmp_path / "checked.san", checked.model)
         assert (tmp_path / "plain.san").read_bytes() == (tmp_path / "checked.san").read_bytes()
 
+    def test_training_leaves_no_tensor_for_the_cycle_collector(self, tiny_dataset):
+        """backward() frees each step's tape, so reference counting reclaims it."""
+        gc.collect()
+        enabled, flags, kept = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+        gc.disable()
+        try:
+            train(tiny_dataset, tiny_config(iterations=3))
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [type(o).__name__ for o in gc.garbage[kept:] if isinstance(o, Tensor)]
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[kept:]
+            if enabled:
+                gc.enable()
+        assert leaked == []
+
     def test_missing_grads_filled_with_zeros(self, tiny_dataset):
         cfg = tiny_config()
         model = build_model(cfg)
@@ -325,6 +362,13 @@ class TestCheckpoint:
         raw = (tmp_path / "m.san").read_bytes()
         (tmp_path / "t.san").write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / "t.san")
+
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        save_checkpoint(tmp_path / "m.san", build_model(tiny_config()))
+        (tmp_path / "t.san").write_bytes((tmp_path / "m.san").read_bytes() + b"\x01" * extra)
+        with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(tmp_path / "t.san")
 
     def test_missing_file_rejected(self, tmp_path):
