@@ -16,6 +16,7 @@ the same graphs in float64.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -417,9 +418,15 @@ def replicate_pad(x: Tensor, p: int) -> Tensor:
     if p == 0:
         return x
     n, c, h, w = x.shape
-    ys = np.clip(np.arange(-p, h + p), 0, h - 1)
-    xs = np.clip(np.arange(-p, w + p), 0, w - 1)
-    out_data = x.data[:, :, ys][:, :, :, xs]
+    # interior once, then border columns from the edge columns, then border
+    # rows from the padded edge rows: each output element is written once
+    out_data = np.empty((n, c, h + 2 * p, w + 2 * p), dtype=x.data.dtype)
+    body = out_data[:, :, p : p + h]
+    body[:, :, :, p : p + w] = x.data
+    body[:, :, :, :p] = x.data[:, :, :, :1]
+    body[:, :, :, p + w :] = x.data[:, :, :, w - 1 :]
+    out_data[:, :, :p] = out_data[:, :, p : p + 1]
+    out_data[:, :, p + h :] = out_data[:, :, p + h - 1 : p + h]
 
     def make_backward(out: Tensor):
         def _backward():
@@ -438,8 +445,31 @@ def replicate_pad(x: Tensor, p: int) -> Tensor:
     return _result(out_data, (x,), make_backward)
 
 
+def _occurrence_passes(idx: np.ndarray) -> list:
+    """Split the positions of ``idx`` into passes of distinct indices.
+
+    Pass k holds, in position order, the k-th occurrence of every index
+    that occurs more than k times.  A pass that holds every position is
+    the full slice.
+    """
+    passes: list[list[int]] = []
+    seen: dict[int, int] = {}
+    for pos, i in enumerate(idx.tolist()):
+        k = seen.get(i, 0)
+        seen[i] = k + 1
+        if k == len(passes):
+            passes.append([])
+        passes[k].append(pos)
+    return [slice(None) if len(sel) == len(idx) else sel for sel in passes]
+
+
 def take0(x: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows along axis 0; gradient scatter-adds back."""
+    """Gather rows along axis 0; gradient scatter-adds back.
+
+    The scatter adds each row's gradients in occurrence order, one pass of
+    distinct indices per occurrence (a single pass when the indices are
+    unique), so the gradient is bitwise that of ``np.add.at``.
+    """
     idx = np.asarray(indices, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeError(f"take0 index out of range for axis of size {x.shape[0]}")
@@ -447,7 +477,8 @@ def take0(x: Tensor, indices: Sequence[int]) -> Tensor:
     def make_backward(out: Tensor):
         def _backward():
             g = np.zeros_like(x.data)
-            np.add.at(g, idx, out.grad)
+            for sel in _occurrence_passes(idx):
+                g[idx[sel]] += out.grad[sel]
             x._accumulate(g)
 
         return _backward
@@ -480,13 +511,22 @@ def detach(x: Tensor) -> Tensor:
 # resizing (forward only)
 
 
+@functools.lru_cache(maxsize=256)
 def _resample_axis(size: int, out_size: int, dtype):
+    """Source rows (lo, hi) and weights of hi for each output row.
+
+    Cached, so all three are read-only.  Training uses a dozen sizes (crops
+    snap to the backbone stride); analysis renders windows of arbitrary
+    size, hence the bound.
+    """
     # align-corners-false convention: sample source at (i + 0.5) * size/out - 0.5
     pos = (np.arange(out_size, dtype=np.float64) + 0.5) * (size / out_size) - 0.5
     pos = np.clip(pos, 0.0, size - 1.0)
     lo = np.floor(pos).astype(np.intp)
     hi = np.minimum(lo + 1, size - 1)
     frac = (pos - lo).astype(dtype)
+    for a in (lo, hi, frac):
+        a.flags.writeable = False
     return lo, hi, frac
 
 

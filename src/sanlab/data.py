@@ -14,6 +14,7 @@ per object; `#` starts a comment, used to note skipped placements).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -250,8 +251,11 @@ def write_ppm(path: Path, img: Image) -> None:
 
 def read_ppm(path: Path) -> np.ndarray:
     """Read a binary PPM into a 1x3xHxW float32 array in [0,1]."""
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as exc:
+        raise SanlabError(f"cannot read {path}: {exc}") from exc
     if not raw.startswith(b"P6"):
         raise SanlabError(f"{path} is not a binary PPM file")
     fields: list[bytes] = []
@@ -268,11 +272,18 @@ def read_ppm(path: Path) -> np.ndarray:
             pos += 1
         fields.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
+    if not all(f.isdigit() for f in fields):
+        raise SanlabError(f"{path}: PPM header fields must be non-negative integers, got {fields}")
     w, h, maxval = (int(x) for x in fields)
     if maxval != 255:
         raise SanlabError(f"{path}: only maxval 255 supported, got {maxval}")
+    if len(raw) - pos < w * h * 3:
+        raise SanlabError(f"{path}: truncated PPM, {w}x{h} needs {w * h * 3} bytes of pixels, found {max(0, len(raw) - pos)}")
     arr = np.frombuffer(raw, dtype=np.uint8, count=w * h * 3, offset=pos).reshape(h, w, 3)
     return (arr.astype(np.float32) / 255.0).transpose(2, 0, 1)[None]
+
+
+_IMAGE_NAME = re.compile(r"img_(\d+)\.ppm")
 
 
 def image_file_name(image_id: int) -> str:
@@ -313,20 +324,24 @@ def load_dataset(data_dir: Path) -> list[tuple[Image, list[Annotation]]]:
             continue
         parts = line.split()
         if len(parts) == 1:
-            image_id = int(parts[0].split("_")[1].split(".")[0])
+            name = _IMAGE_NAME.fullmatch(parts[0])
+            if name is None:
+                raise SanlabError(f"{manifest}: image name {parts[0]!r} does not match img_NNNNN.ppm")
+            image_id = int(name.group(1))
             px = read_ppm(data_dir / parts[0])
             current = []
             dataset.append((Image(pixels=Tensor(px), id=image_id), current))
         else:
             if current is None:
                 raise SanlabError(f"manifest annotation before any image line: {line!r}")
-            c, x1, y1, x2, y2 = parts
-            current.append(
-                Annotation(
-                    box=RoI(x1=float(x1), y1=float(y1), x2=float(x2), y2=float(y2), image_id=image_id),
-                    class_id=int(c),
-                )
-            )
+            if len(parts) != 5:
+                raise SanlabError(f"{manifest}: expected 'class x1 y1 x2 y2', got {line!r}")
+            try:
+                class_id, coords = int(parts[0]), [float(v) for v in parts[1:]]
+            except ValueError as exc:
+                raise SanlabError(f"{manifest}: bad annotation {line!r}: {exc}") from exc
+            x1, y1, x2, y2 = coords
+            current.append(Annotation(box=RoI(x1=x1, y1=y1, x2=x2, y2=y2, image_id=image_id), class_id=class_id))
     return dataset
 
 

@@ -231,7 +231,9 @@ def pool_rois(feats: list[Tensor], rois: list[RoI], slots: list[int], stride: in
     """Pool every RoI on its image's feature map to (N, C, 7, 7), in RoI order.
 
     Average pooling is one `roi_avg_pool` per image, max pooling one
-    `roi_pool` per RoI.
+    `roi_pool` per RoI.  Row n is bitwise the pooling of rois[n] alone, so
+    rows of an average-pooled batch serve any subset of its RoIs (the
+    scale-aware loss branch reuses them instead of pooling again).
     """
     by_image, inverse = _group_rows(slots)
     if mode == "avg":
@@ -241,17 +243,24 @@ def pool_rois(feats: list[Tensor], rois: list[RoI], slots: list[int], stride: in
     return _merge_rows(pooled, inverse)
 
 
-def forward_roi_features(model: DetectionModel, feats: list[Tensor], batch_rois: list[RoI], slots: list[int]) -> Tensor:
-    """Pool every RoI and run the split / correct-per-partition / merge path."""
+def forward_roi_features(
+    model: DetectionModel, feats: list[Tensor], batch_rois: list[RoI], slots: list[int]
+) -> tuple[Tensor, Tensor]:
+    """Pool every RoI and run the split / correct-per-partition / merge path.
+
+    Returns the RoI features and the average-pooled batch they start from
+    (the same tensor when the model has no correction module); the
+    scale-aware loss branch takes its rows from the latter.
+    """
     batch = pool_rois(feats, batch_rois, slots, model.backbone.total_stride)
     if model.san is None:
-        return batch
+        return batch, batch
     by_part, inverse = _group_rows([partition_index(r, model.scheme) for r in batch_rois])
     corrected = [
         san_forward(batch if len(idx) == len(batch_rois) else ag.take0(batch, idx), p, model.san)
         for p, idx in by_part
     ]
-    return fuse(batch, _merge_rows(corrected, inverse), alpha=model.san.fusion_alpha)
+    return fuse(batch, _merge_rows(corrected, inverse), alpha=model.san.fusion_alpha), batch
 
 
 def cell_aligned_roi(roi: RoI, stride: int, width: int, height: int) -> RoI:
@@ -301,7 +310,7 @@ def compute_step_losses(
 ) -> LossParts:
     """Assemble the full objective graph for one sampled step."""
     feats = [model.backbone.forward(img.pixels) for img in batch.images]
-    roi_feats = forward_roi_features(model, feats, batch.rois, batch.image_slot)
+    roi_feats, batch_pooled = forward_roi_features(model, feats, batch.rois, batch.image_slot)
     logits, deltas = model.head.forward(roi_feats)
     san_terms: list[Tensor] = []
     if include_san_loss and model.san is not None and batch.san_indices:
@@ -311,8 +320,11 @@ def compute_step_losses(
             [(batch.images[s], roi) for roi, s in zip(rois, slots)], model.scheme.ref_scale, model.backbone
         )
         r_tilde = np.concatenate([r.data for r in r_tildes])
-        # pooled from detached maps: the branch records no tape below its entry
-        pooled = pool_rois([ag.detach(f) for f in feats], rois, slots, model.backbone.total_stride, mode=cfg.san_pool).data
+        # plain arrays: the branch records no tape below its entry
+        if cfg.san_pool == "avg":
+            pooled = batch_pooled.data[batch.san_indices]
+        else:
+            pooled = pool_rois([ag.detach(f) for f in feats], rois, slots, model.backbone.total_stride, mode=cfg.san_pool).data
         by_part, inverse = _group_rows([partition_index(r, model.scheme) for r in rois])
         terms = [san_loss_branch(Tensor(pooled[idx]), p, model.san, Tensor(r_tilde[idx])) for p, idx in by_part]
         san_terms.append(_merge_rows(terms, inverse))
@@ -424,9 +436,15 @@ def _checkpoint_entries(model: DetectionModel) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(path: Path, model: DetectionModel) -> None:
+    write_checkpoint_entries(path, _checkpoint_entries(model))
+
+
+def write_checkpoint_entries(path: Path, entries: list[tuple[str, np.ndarray]]) -> None:
+    """Write named arrays in the checkpoint format (the inverse of
+    `read_checkpoint_entries`); no check that they form a model."""
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        for name, arr in _checkpoint_entries(model):
+        for name, arr in entries:
             nb = name.encode()
             f.write(struct.pack("<I", len(nb)))
             f.write(nb)
@@ -469,30 +487,45 @@ def read_checkpoint_entries(path: Path) -> dict[str, np.ndarray]:
     return entries
 
 
+def _entry(entries: dict[str, np.ndarray], key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The checkpoint entry ``key``, which must have exactly ``shape``."""
+    if key not in entries:
+        raise CheckpointError(f"checkpoint missing required entry {key}")
+    arr = entries[key]
+    if arr.shape != shape:
+        raise CheckpointError(f"checkpoint entry {key} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 def load_checkpoint(path: Path) -> DetectionModel:
+    """Rebuild a model from a checkpoint; every parameter's shape must fit
+    the fixed backbone, ``meta.num_classes`` and the feature width."""
     entries = read_checkpoint_entries(path)
-    for key in ("meta.num_classes", "meta.ref_scale", "meta.boundaries"):
-        if key not in entries:
-            raise CheckpointError(f"checkpoint missing required entry {key}")
-    num_classes = int(entries["meta.num_classes"][0])
+    if "meta.boundaries" not in entries:
+        raise CheckpointError("checkpoint missing required entry meta.boundaries")
+    meta_classes = float(_entry(entries, "meta.num_classes", (1,))[0])
+    if not (meta_classes.is_integer() and meta_classes >= 1):
+        raise CheckpointError(f"meta.num_classes must be a positive integer, got {meta_classes}")
+    num_classes = int(meta_classes)
     scheme = ScalePartitionScheme(
-        ref_scale=int(entries["meta.ref_scale"][0]),
-        boundaries=tuple(float(b) for b in entries["meta.boundaries"]),
+        ref_scale=int(_entry(entries, "meta.ref_scale", (1,))[0]),
+        boundaries=tuple(float(b) for b in entries["meta.boundaries"].reshape(-1)),
     )
 
     params: list[tuple[Parameter, Parameter]] = []
     strides, pads = [], []
+    c_in = 3  # `Image` pixels are RGB
     i = 0
     while f"backbone.block{i}.w" in entries:
-        w = entries[f"backbone.block{i}.w"]
-        b = entries[f"backbone.block{i}.b"]
-        _, _, k, _ = w.shape
-        spec_k = BACKBONE_BLOCKS[i][1] if i < len(BACKBONE_BLOCKS) else None
-        if spec_k != k:
-            raise CheckpointError(f"backbone block {i} kernel {k} does not match the fixed architecture")
+        if i == len(BACKBONE_BLOCKS):
+            raise CheckpointError(f"checkpoint has more than the {i} backbone blocks of the fixed architecture")
+        c_out, k, stride, pad = BACKBONE_BLOCKS[i]
+        w = _entry(entries, f"backbone.block{i}.w", (c_out, c_in, k, k))
+        b = _entry(entries, f"backbone.block{i}.b", (c_out,))
         params.append((Parameter(w.copy(), name=f"backbone.block{i}.w"), Parameter(b.copy(), name=f"backbone.block{i}.b")))
-        strides.append(BACKBONE_BLOCKS[i][2])
-        pads.append(BACKBONE_BLOCKS[i][3])
+        strides.append(stride)
+        pads.append(pad)
+        c_in = c_out
         i += 1
     if not params:
         raise CheckpointError("checkpoint has no backbone parameters")
@@ -518,19 +551,18 @@ def load_checkpoint(path: Path) -> DetectionModel:
             raise CheckpointError(f"checkpoint has {n_parts} sub-networks but the scheme implies {scheme.num_partitions}")
         san = SanModule.create(scheme, c_feat, zero_fusion="san.fusion_alpha" in entries)
         for p_i, sn in enumerate(san.subnets):
-            sn.w.data[:] = entries[f"san.part{p_i}.w"]
-            sn.b.data[:] = entries[f"san.part{p_i}.b"]
+            sn.w.data[:] = _entry(entries, f"san.part{p_i}.w", (c_feat, c_feat, 1, 1))
+            sn.b.data[:] = _entry(entries, f"san.part{p_i}.b", (c_feat,))
         if san.fusion_alpha is not None:
-            san.fusion_alpha.data[...] = entries["san.fusion_alpha"]
+            san.fusion_alpha.data[...] = _entry(entries, "san.fusion_alpha", ())
 
-    for key in ("head.cls.w", "head.cls.b", "head.reg.w", "head.reg.b"):
-        if key not in entries:
-            raise CheckpointError(f"checkpoint missing required entry {key}")
+    k1 = num_classes + 1
+    k4 = 4 * num_classes
     head = DetectionHead(
-        cls_w=Parameter(entries["head.cls.w"].copy(), name="head.cls.w"),
-        cls_b=Parameter(entries["head.cls.b"].copy(), name="head.cls.b"),
-        reg_w=Parameter(entries["head.reg.w"].copy(), name="head.reg.w"),
-        reg_b=Parameter(entries["head.reg.b"].copy(), name="head.reg.b"),
+        cls_w=Parameter(_entry(entries, "head.cls.w", (k1, c_feat, 1, 1)).copy(), name="head.cls.w"),
+        cls_b=Parameter(_entry(entries, "head.cls.b", (k1,)).copy(), name="head.cls.b"),
+        reg_w=Parameter(_entry(entries, "head.reg.w", (k4, c_feat, 1, 1)).copy(), name="head.reg.w"),
+        reg_b=Parameter(_entry(entries, "head.reg.b", (k4,)).copy(), name="head.reg.b"),
         num_classes=num_classes,
     )
     return DetectionModel(backbone=bb, head=head, san=san, scheme=scheme, num_classes=num_classes)
@@ -550,7 +582,7 @@ def predict_rois(model: DetectionModel, img: Image, rois: list[RoI]) -> tuple[np
     """Class probabilities (N, K+1) and box deltas (N, 4K) for proposals."""
     with ag.no_grad():
         feat = model.backbone.forward(img.pixels)
-        roi_feats = forward_roi_features(model, [feat], rois, [0] * len(rois))
+        roi_feats, _ = forward_roi_features(model, [feat], rois, [0] * len(rois))
         logits, deltas = model.head.forward(roi_feats)
     return _softmax(logits.data), deltas.data.copy()
 

@@ -201,11 +201,13 @@ class TestPointwiseOps:
         # column collects the border gradient of both sides
         for shape, p in (((1, 2, 3, 4), 2), ((1, 2, 3, 4), 3), ((1, 2, 1, 4), 2), ((1, 2, 3, 1), 3), ((1, 1, 1, 1), 2)):
             weights = Tensor(r.normal(size=(shape[0], shape[1], shape[2] + 2 * p, shape[3] + 2 * p)))
+            x = r.normal(size=shape)
+            assert np.array_equal(ag.replicate_pad(Tensor(x), p).data, np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), mode="edge"))
             check_op_gradients(
                 lambda t, p=p, w=weights: ag.sum_all(
                     ag.mul(ag.mul(ag.replicate_pad(t["x"], p), ag.replicate_pad(t["x"], p)), w)
                 ),
-                {"x": r.normal(size=shape)},
+                {"x": x},
                 context=f"replicate_pad p={p} {shape}",
             )
 
@@ -238,6 +240,24 @@ class TestPointwiseOps:
             return ag.sum_all(ag.mul(ag.slice1d(flat, 3, 11), ag.slice1d(flat, 0, 8)))
 
         check_op_gradients(build, {"x": r.normal(size=(3, 4))}, context="take0/concat/slice")
+
+    def test_take0_gradient_is_bitwise_add_at(self):
+        """The scatter sums each row in occurrence order, as np.add.at does,
+        then accumulates onto the gradient already present."""
+        r = rng_for(23)
+        for trial in range(40):
+            rows = int(r.integers(1, 6))
+            idx = r.integers(0, rows, size=int(r.integers(0, 12))) if trial else np.zeros(0, dtype=np.intp)
+            x = Tensor(r.normal(size=(rows, 3, 2)).astype(np.float32), requires_grad=True)
+            x.grad = r.normal(size=x.shape).astype(np.float32)
+            expected = np.zeros_like(x.data)
+            out = ag.take0(x, idx.tolist())
+            # spread magnitudes so a different summation order would round differently
+            out.grad = (r.normal(size=out.shape) * 10.0 ** r.integers(-4, 5, size=out.shape)).astype(np.float32)
+            np.add.at(expected, idx, out.grad)
+            expected = x.grad + expected
+            out._backward()
+            assert np.array_equal(x.grad, expected), (trial, idx)
 
 
 class TestDetach:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,48 @@ class TestEval:
         bad.write_bytes(b"GARBAGE!")
         rc = main(["eval", "--out-dir", str(tmp_path / "e"), "--data-dir", str(data), "--checkpoint", str(bad)])
         assert rc == 2
+
+    @staticmethod
+    def _eval_mangled(small_run, tmp_path, capsys, mangle) -> str:
+        """Copy the data split, let `mangle(dir, first_image)` break it, run
+        eval, and return its stderr; eval must exit 2 without a traceback."""
+        data, run = small_run
+        broken = tmp_path / "broken"
+        shutil.copytree(data, broken)
+        mangle(broken, sorted(broken.glob("*.ppm"))[0])
+        capsys.readouterr()
+        rc = main(["eval", "--out-dir", str(tmp_path / "e"), "--data-dir", str(broken), "--checkpoint", str(run / "checkpoint.san")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:")
+        return err
+
+    def test_truncated_ppm_errors(self, small_run, tmp_path, capsys):
+        def mangle(root, img):
+            img.write_bytes(img.read_bytes()[:-10])
+
+        assert "truncated" in self._eval_mangled(small_run, tmp_path, capsys, mangle)
+
+    def test_non_integer_ppm_header_errors(self, small_run, tmp_path, capsys):
+        def mangle(root, img):
+            img.write_bytes(img.read_bytes().replace(b"P6\n96 96\n", b"P6\n96 9x\n", 1))
+
+        assert "header" in self._eval_mangled(small_run, tmp_path, capsys, mangle)
+
+    def test_short_manifest_line_errors(self, small_run, tmp_path, capsys):
+        def mangle(root, img):
+            manifest = root / "manifest.txt"
+            manifest.write_text(manifest.read_text().replace(f"{img.name}\n", f"{img.name}\n1 2 3\n", 1))
+
+        assert "1 2 3" in self._eval_mangled(small_run, tmp_path, capsys, mangle)
+
+    def test_unexpected_image_name_errors(self, small_run, tmp_path, capsys):
+        def mangle(root, img):
+            manifest = root / "manifest.txt"
+            img.rename(root / "picture.ppm")
+            manifest.write_text(manifest.read_text().replace(img.name, "picture.ppm", 1))
+
+        assert "picture.ppm" in self._eval_mangled(small_run, tmp_path, capsys, mangle)
 
 
 class TestCam:

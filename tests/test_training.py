@@ -30,11 +30,13 @@ from sanlab.training import (
     pool_rois,
     nms,
     predict_rois,
+    read_checkpoint_entries,
     reference_feature_for_roi,
     rmse_report,
     sample_san_rois,
     save_checkpoint,
     train,
+    write_checkpoint_entries,
     write_log_csv,
 )
 
@@ -145,7 +147,7 @@ class TestSplitCorrectMerge:
         model = build_model(cfg)
         batch = build_step_batch(tiny_dataset, cfg, step=1)
         feats = [model.backbone.forward(img.pixels) for img in batch.images]
-        merged = forward_roi_features(model, feats, batch.rois, batch.image_slot)
+        merged, _ = forward_roi_features(model, feats, batch.rois, batch.image_slot)
         stride = model.backbone.total_stride
         for row, (roi, slot) in enumerate(zip(batch.rois, batch.image_slot)):
             pooled = roi_pool(feats[slot], roi, out=7, mode="avg", stride=stride)
@@ -174,7 +176,7 @@ class TestSplitCorrectMerge:
         model = build_model(cfg)
         batch = build_step_batch(tiny_dataset, cfg, step=0)
         feats = [model.backbone.forward(img.pixels) for img in batch.images]
-        merged = forward_roi_features(model, feats, batch.rois, batch.image_slot)
+        merged, _ = forward_roi_features(model, feats, batch.rois, batch.image_slot)
         stride = model.backbone.total_stride
         for row, (roi, slot) in enumerate(zip(batch.rois, batch.image_slot)):
             pooled = roi_pool(feats[slot], roi, out=7, mode="avg", stride=stride)
@@ -204,24 +206,27 @@ class TestGradientBlocking:
         assert differs
 
     def test_step_zero_scale_loss_equals_raw_discrepancy(self, tiny_dataset):
-        """Identity-initialized correction is transparent in the loss branch."""
-        cfg = tiny_config()
-        model = build_model(cfg)
-        batch = build_step_batch(tiny_dataset, cfg, step=0)
-        parts = compute_step_losses(model, batch, cfg, include_san_loss=True)
+        """Identity-initialized correction is transparent in the loss branch,
+        whether its rows come from the detection batch (avg) or are pooled
+        again (max)."""
+        for san_pool in ("avg", "max"):
+            cfg = tiny_config(san_pool=san_pool)
+            model = build_model(cfg)
+            batch = build_step_batch(tiny_dataset, cfg, step=0)
+            parts = compute_step_losses(model, batch, cfg, include_san_loss=True)
 
-        stride = model.backbone.total_stride
-        feats = [model.backbone.forward(img.pixels) for img in batch.images]
-        acc = None
-        for j in batch.san_indices:
-            roi = batch.rois[j]
-            img = batch.images[batch.image_slot[j]]
-            r_tilde = reference_feature_for_roi(img, roi, model.scheme.ref_scale, model.backbone)
-            pooled = ag.global_avg_pool(roi_pool(feats[batch.image_slot[j]], roi, out=7, mode=cfg.san_pool, stride=stride))
-            term = ag.sum_all(ag.smooth_l1(ag.sub(pooled, r_tilde)))
-            acc = term if acc is None else ag.add(acc, term)
-        expected = ag.scale(acc, 1.0 / len(batch.san_indices)).item()
-        assert parts.l_san == expected
+            stride = model.backbone.total_stride
+            feats = [model.backbone.forward(img.pixels) for img in batch.images]
+            acc = None
+            for j in batch.san_indices:
+                roi = batch.rois[j]
+                img = batch.images[batch.image_slot[j]]
+                r_tilde = reference_feature_for_roi(img, roi, model.scheme.ref_scale, model.backbone)
+                pooled = ag.global_avg_pool(roi_pool(feats[batch.image_slot[j]], roi, out=7, mode=cfg.san_pool, stride=stride))
+                term = ag.sum_all(ag.smooth_l1(ag.sub(pooled, r_tilde)))
+                acc = term if acc is None else ag.add(acc, term)
+            expected = ag.scale(acc, 1.0 / len(batch.san_indices)).item()
+            assert parts.l_san == expected, san_pool
 
 
 class TestTrainLoop:
@@ -374,6 +379,31 @@ class TestCheckpoint:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="exist"):
             load_checkpoint(tmp_path / "nope.san")
+
+    @staticmethod
+    def _resaved(tmp_path, **changed):
+        """A fresh model's checkpoint with some entries replaced."""
+        save_checkpoint(tmp_path / "m.san", build_model(tiny_config()))
+        entries = read_checkpoint_entries(tmp_path / "m.san")
+        entries.update(changed)
+        write_checkpoint_entries(tmp_path / "x.san", list(entries.items()))
+        return tmp_path / "x.san"
+
+    def test_broadcastable_san_weight_rejected(self, tmp_path):
+        # a (1,1,1,1) kernel would broadcast into every weight of the sub-network
+        path = self._resaved(tmp_path, **{"san.part0.w": np.full((1, 1, 1, 1), 0.5, dtype=np.float32)})
+        with pytest.raises(CheckpointError, match="san.part0.w"):
+            load_checkpoint(path)
+
+    def test_wrong_width_san_weight_rejected(self, tmp_path):
+        path = self._resaved(tmp_path, **{"san.part0.w": np.zeros((16, 16, 1, 1), dtype=np.float32)})
+        with pytest.raises(CheckpointError, match="san.part0.w"):
+            load_checkpoint(path)
+
+    def test_head_must_match_class_count(self, tmp_path):
+        path = self._resaved(tmp_path, **{"meta.num_classes": np.array([2.0], dtype=np.float32)})
+        with pytest.raises(CheckpointError, match="head.cls.w"):
+            load_checkpoint(path)
 
 
 class TestInference:
