@@ -85,18 +85,16 @@ BACKBONE_BLOCKS: tuple[tuple[int, int, int, int], ...] = (
 
 @dataclass
 class Backbone:
-    """Ordered conv+ReLU blocks with bookkeeping for stride and channels."""
+    """The conv+ReLU blocks of BACKBONE_BLOCKS, which fix all its geometry."""
 
     params: list[tuple[Parameter, Parameter]]  # (weights, bias) per block
-    strides: list[int]
-    pads: list[int]
-    total_stride: int
-    c_feat: int
-    in_channels: int = 3
+
+    total_stride = math.prod(s for _, _, s, _ in BACKBONE_BLOCKS)
+    c_feat = BACKBONE_BLOCKS[-1][0]
 
     @classmethod
-    def small(cls, seed: int, in_channels: int = 3) -> "Backbone":
-        """Miniature backbone (stride 8, 32 feature channels).
+    def small(cls, seed: int) -> "Backbone":
+        """Miniature backbone (stride 8, 32 feature channels) on RGB input.
 
         Init is He-scaled with gain 1.5 so features start near their
         trained magnitude; the scale-aware loss then measures a roughly
@@ -104,21 +102,14 @@ class Backbone:
         """
         rng = derive(seed, STREAM_WEIGHTS, 0)
         params = []
-        strides = []
-        pads = []
-        c_in = in_channels
-        for i, (c_out, k, s, p) in enumerate(BACKBONE_BLOCKS):
+        c_in = 3
+        for i, (c_out, k, _, _) in enumerate(BACKBONE_BLOCKS):
             std = 1.5 * math.sqrt(2.0 / (c_in * k * k))
             w = Parameter(rng.normal(0.0, std, size=(c_out, c_in, k, k)).astype(np.float32), name=f"backbone.block{i}.w")
             b = Parameter(np.zeros(c_out, dtype=np.float32), name=f"backbone.block{i}.b")
             params.append((w, b))
-            strides.append(s)
-            pads.append(p)
             c_in = c_out
-        total = 1
-        for s in strides:
-            total *= s
-        return cls(params=params, strides=strides, pads=pads, total_stride=total, c_feat=c_in, in_channels=in_channels)
+        return cls(params=params)
 
     def named_parameters(self) -> list[Parameter]:
         out = []
@@ -136,15 +127,11 @@ class Backbone:
             raise ShapeError(
                 f"input {x.shape[2]}x{x.shape[3]} smaller than backbone stride {self.total_stride}"
             )
-        for (w, b), s, p in zip(self.params, self.strides, self.pads):
+        for (w, b), (_, _, s, p) in zip(self.params, BACKBONE_BLOCKS):
             if p:
                 x = ag.replicate_pad(x, p)
             x = ag.relu(ag.conv2d(x, w.tensor, b.tensor, stride=s, pad=0))
         return x
-
-
-def backbone_forward(img: Image, bb: Backbone) -> Tensor:
-    return bb.forward(img.pixels)
 
 
 def _roi_cell_span(lo: float, hi: float, stride: int, limit: int) -> tuple[int, int]:

@@ -3,8 +3,11 @@ two analysis instruments (channel-activation matrix, scale-space RMSE).
 
 Configuration comes from flat `key = value` files (# comments allowed)
 overridden by command-line flags; the seed falls back to the SANLAB_SEED
-environment variable.  Every command writes run-meta.json with the fully
-resolved configuration and exits 0 only if all outputs were written.
+environment variable.  `train` takes one flag and config key per
+TrainingConfig field (see `training.front_end_fields`), plus the scheme
+preset and its overrides; `rmse` routes with the checkpoint's own scheme.
+Every command writes run-meta.json with the fully resolved configuration
+and exits 0 only if all outputs were written.
 """
 
 from __future__ import annotations
@@ -31,9 +34,12 @@ from .detector import resolve_scheme
 from .errors import SanlabError
 from .san import SCHEME_PRESETS, ScalePartitionScheme
 from .training import (
-    TrainingConfig,
+    FIELD_CHOICES,
+    config_from_front_end,
     default_rmse_scales,
     evaluate_detector,
+    front_end_defaults,
+    front_end_fields,
     load_checkpoint,
     rmse_report,
     save_checkpoint,
@@ -42,41 +48,6 @@ from .training import (
 )
 
 SEED_ENV_VAR = "SANLAB_SEED"
-
-# every key a config file may set, with its parser
-_CONFIG_KEYS = {
-    "seed": int,
-    "num_images": int,
-    "image_size": int,
-    "num_classes": int,
-    "scale_min": float,
-    "scale_max": float,
-    "objects_min": int,
-    "objects_max": int,
-    "background_amplitude": float,
-    "iterations": int,
-    "base_lr": float,
-    "lr_decay_step": int,
-    "lr_decay_factor": float,
-    "momentum": float,
-    "weight_decay": float,
-    "rois_per_image": int,
-    "n_pos_jitter": int,
-    "n_neg": int,
-    "san": str,
-    "init": str,
-    "gaussian_std": float,
-    "san_pool": str,
-    "san_samples": int,
-    "san_loss_weight": float,
-    "scheme": str,
-    "ref_scale": int,
-    "partitions": int,
-    "boundaries": str,
-    "scales": str,
-    "cam_k": int,
-    "normalize_rois": int,
-}
 
 
 def parse_config_file(path: Path) -> dict:
@@ -137,12 +108,8 @@ def _parse_scales(text: str) -> list[int]:
 
 
 def _scheme_from(resolved: dict) -> "ScalePartitionScheme":
-    scheme = resolve_scheme(
-        resolved.get("scheme", "toy"),
-        resolved.get("ref_scale"),
-        _parse_boundaries(resolved.get("boundaries")),
-    )
-    n = resolved.get("partitions")
+    scheme = resolve_scheme(resolved["scheme"], resolved["ref_scale"], _parse_boundaries(resolved["boundaries"]))
+    n = resolved["partitions"]
     if n is not None and n != scheme.num_partitions:
         raise SanlabError(
             f"--partitions {n} contradicts the {scheme.num_partitions}-partition scheme "
@@ -175,6 +142,7 @@ _GEN_DEFAULTS = {
     "objects_max": 3,
     "background_amplitude": 0.2,
 }
+_GEN_TYPES = {key: type(value) for key, value in _GEN_DEFAULTS.items()}
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
@@ -192,54 +160,16 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-_TRAIN_DEFAULTS = {
-    "seed": 0,
-    "iterations": 2000,
-    "base_lr": 0.02,
-    "lr_decay_step": 1500,
-    "lr_decay_factor": 0.1,
-    "momentum": 0.9,
-    "weight_decay": 0.0005,
-    "rois_per_image": 32,
-    "n_pos_jitter": 6,
-    "n_neg": 30,
-    "num_classes": 3,
-    "san": "full",
-    "init": "identity",
-    "gaussian_std": 0.05,
-    "san_pool": "avg",
-    "san_samples": 16,
-    "san_loss_weight": 1.0,
-    "scheme": "toy",
-    "ref_scale": None,
-    "partitions": None,
-    "boundaries": None,
-}
+# one flag and config key per TrainingConfig field, then the scheme preset
+# and its overrides
+_TRAIN_FIELDS = front_end_fields()
+_TRAIN_TYPES = {name: type(f.default) for name, f in _TRAIN_FIELDS.items()}
+_TRAIN_CHOICES = {name: FIELD_CHOICES[f.name] for name, f in _TRAIN_FIELDS.items() if f.name in FIELD_CHOICES}
+_TRAIN_DEFAULTS = front_end_defaults() | {"partitions": None}
 
-
-def _training_config(resolved: dict) -> TrainingConfig:
-    if resolved["san"] == "off" and resolved["init"] == "gaussian":
-        raise SanlabError("--init gaussian has no effect with --san off; remove one of the flags")
-    return TrainingConfig(
-        iterations=resolved["iterations"],
-        base_lr=resolved["base_lr"],
-        lr_decay_step=resolved["lr_decay_step"],
-        lr_decay_factor=resolved["lr_decay_factor"],
-        momentum=resolved["momentum"],
-        weight_decay=resolved["weight_decay"],
-        rois_per_image=resolved["rois_per_image"],
-        n_pos_jitter=resolved["n_pos_jitter"],
-        n_neg=resolved["n_neg"],
-        num_classes=resolved["num_classes"],
-        san_mode=resolved["san"],
-        init_mode=resolved["init"],
-        gaussian_std=resolved["gaussian_std"],
-        san_pool=resolved["san_pool"],
-        san_samples=resolved["san_samples"],
-        san_loss_weight=resolved["san_loss_weight"],
-        scheme=_scheme_from(resolved),
-        seed=resolved["seed"],
-    )
+# every key a config file may set, with its parser
+_SCHEME_TYPES = {"scheme": str, "ref_scale": int, "partitions": int, "boundaries": str}
+_CONFIG_KEYS = _GEN_TYPES | _TRAIN_TYPES | _SCHEME_TYPES | {"scales": str, "cam_k": int, "normalize_rois": int}
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -247,8 +177,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(Path(args.data_dir))
-    cfg = _training_config(resolved)
-    result = train(dataset, cfg)
+    result = train(dataset, config_from_front_end(resolved, _scheme_from(resolved)))
     save_checkpoint(out_dir / "checkpoint.san", result.model)
     write_log_csv(out_dir / "train_log.csv", result.log_rows)
     _write_meta(out_dir, "train", resolved, {"data_dir": str(args.data_dir)})
@@ -291,7 +220,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-_CAM_DEFAULTS = {"seed": 0, "scales": "16,24,32,48,64,96", "cam_k": 10, "normalize_rois": 0, "ref_scale": None, "scheme": "toy"}
+_CAM_DEFAULTS = {"seed": 0, "scales": "16,24,32,48,64,96", "cam_k": 10, "normalize_rois": 0, "ref_scale": None}
 
 
 def cmd_cam(args: argparse.Namespace) -> int:
@@ -322,7 +251,7 @@ def cmd_cam(args: argparse.Namespace) -> int:
     return 0
 
 
-_RMSE_DEFAULTS = {"seed": 0, "scales": "", "scheme": "toy", "ref_scale": None, "partitions": None, "boundaries": None}
+_RMSE_DEFAULTS = {"seed": 0, "scales": ""}
 
 
 def cmd_rmse(args: argparse.Namespace) -> int:
@@ -364,35 +293,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help=f"RNG seed (falls back to ${SEED_ENV_VAR})")
         p.add_argument("--out-dir", type=Path, required=True)
 
+    def add_flags(p, types: dict, choices: dict | None = None):
+        """One --kebab-case flag per key except the common seed."""
+        for key, parse in types.items():
+            if key != "seed":
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, choices=(choices or {}).get(key))
+
     g = sub.add_parser("gen-data", help="generate the synthetic multi-scale dataset")
     add_common(g)
-    g.add_argument("--num-images", dest="num_images", type=int)
-    g.add_argument("--image-size", dest="image_size", type=int)
-    g.add_argument("--num-classes", dest="num_classes", type=int)
-    g.add_argument("--scale-min", dest="scale_min", type=float)
-    g.add_argument("--scale-max", dest="scale_max", type=float)
-    g.add_argument("--objects-min", dest="objects_min", type=int)
-    g.add_argument("--objects-max", dest="objects_max", type=int)
-    g.add_argument("--background-amplitude", dest="background_amplitude", type=float)
+    add_flags(g, _GEN_TYPES)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a detector")
     add_common(t)
     t.add_argument("--data-dir", type=Path, required=True)
-    t.add_argument("--iterations", type=int)
-    t.add_argument("--base-lr", dest="base_lr", type=float)
-    t.add_argument("--lr-decay-step", dest="lr_decay_step", type=int)
-    t.add_argument("--lr-decay-factor", dest="lr_decay_factor", type=float)
-    t.add_argument("--momentum", type=float)
-    t.add_argument("--weight-decay", dest="weight_decay", type=float)
-    t.add_argument("--rois-per-image", dest="rois_per_image", type=int)
-    t.add_argument("--num-classes", dest="num_classes", type=int)
-    t.add_argument("--san", choices=["off", "no-loss", "full"])
-    t.add_argument("--init", choices=["identity", "gaussian", "identity-zero-fusion"])
-    t.add_argument("--gaussian-std", dest="gaussian_std", type=float)
-    t.add_argument("--san-pool", dest="san_pool", choices=["avg", "max"])
-    t.add_argument("--san-samples", dest="san_samples", type=int)
-    t.add_argument("--san-loss-weight", dest="san_loss_weight", type=float)
+    add_flags(t, _TRAIN_TYPES, _TRAIN_CHOICES)
     t.add_argument("--scheme", choices=sorted(SCHEME_PRESETS))
     t.add_argument("--ref-scale", dest="ref_scale", type=int)
     t.add_argument("--partitions", type=int)
@@ -424,9 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--data-dir", type=Path, required=True)
     r.add_argument("--checkpoint", type=Path, required=True)
     r.add_argument("--scales", type=str)
-    r.add_argument("--scheme", choices=sorted(SCHEME_PRESETS))
-    r.add_argument("--ref-scale", dest="ref_scale", type=int)
-    r.add_argument("--boundaries", type=str)
     r.set_defaults(func=cmd_rmse)
 
     return parser

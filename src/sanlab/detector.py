@@ -4,13 +4,14 @@
 arguments are plain hyperparameters stored verbatim, ``fit`` trains on a
 dataset of (image, annotations) pairs, ``predict`` scores proposal boxes,
 and ``get_params`` / ``set_params`` make it composable with tooling that
-expects that protocol.  Fitted state lives in trailing-underscore
-attributes.
+expects that protocol.  The parameters are derived from TrainingConfig: one
+per field, named as on the command line (see `training.front_end_fields`),
+plus the scheme preset and its overrides.  Fitted state lives in
+trailing-underscore attributes.
 """
 
 from __future__ import annotations
 
-import inspect
 from pathlib import Path
 
 from .analysis import ApResult, Detection
@@ -22,8 +23,10 @@ from .training import (
     DetectionModel,
     TrainingConfig,
     TrainResult,
+    config_from_front_end,
     detect,
     evaluate_detector,
+    front_end_defaults,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -55,67 +58,22 @@ def resolve_scheme(scheme, ref_scale=None, boundaries=None) -> ScalePartitionSch
 class SanDetector:
     """Trainable multi-scale shape detector with scale-aware correction.
 
-    Parameters mirror TrainingConfig; ``scheme`` may be a preset name
-    ("toy", "voc", "coco") optionally overridden by ``ref_scale`` /
-    ``boundaries``.
+    Parameters are the TrainingConfig fields under their front-end names
+    (``san``, ``init`` for ``san_mode``, ``init_mode``), with the same
+    defaults; ``scheme`` may be a preset name ("toy", "voc", "coco")
+    optionally overridden by ``ref_scale`` / ``boundaries``.
     """
 
-    def __init__(
-        self,
-        num_classes: int = 3,
-        iterations: int = 2000,
-        base_lr: float = 0.02,
-        lr_decay_step: int = 1500,
-        lr_decay_factor: float = 0.1,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0005,
-        rois_per_image: int = 32,
-        n_pos_jitter: int = 6,
-        n_neg: int = 30,
-        san: str = "full",
-        init: str = "identity",
-        gaussian_std: float = 0.05,
-        san_pool: str = "avg",
-        san_samples: int = 16,
-        san_loss_weight: float = 1.0,
-        scheme: str | ScalePartitionScheme = "toy",
-        ref_scale: int | None = None,
-        boundaries: tuple[float, ...] | None = None,
-        seed: int = 0,
-    ):
-        self.num_classes = num_classes
-        self.iterations = iterations
-        self.base_lr = base_lr
-        self.lr_decay_step = lr_decay_step
-        self.lr_decay_factor = lr_decay_factor
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.rois_per_image = rois_per_image
-        self.n_pos_jitter = n_pos_jitter
-        self.n_neg = n_neg
-        self.san = san
-        self.init = init
-        self.gaussian_std = gaussian_std
-        self.san_pool = san_pool
-        self.san_samples = san_samples
-        self.san_loss_weight = san_loss_weight
-        self.scheme = scheme
-        self.ref_scale = ref_scale
-        self.boundaries = boundaries
-        self.seed = seed
+    def __init__(self, **params):
+        self.set_params(**(front_end_defaults() | params))
 
     # -- sklearn-style parameter plumbing ---------------------------------
 
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
-
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name) for name in front_end_defaults()}
 
     def set_params(self, **params) -> "SanDetector":
-        valid = set(self._param_names())
+        valid = front_end_defaults()
         for k, v in params.items():
             if k not in valid:
                 raise ConfigError(f"unknown parameter {k!r} for SanDetector")
@@ -125,26 +83,7 @@ class SanDetector:
     # -- training ----------------------------------------------------------
 
     def training_config(self) -> TrainingConfig:
-        return TrainingConfig(
-            iterations=self.iterations,
-            base_lr=self.base_lr,
-            lr_decay_step=self.lr_decay_step,
-            lr_decay_factor=self.lr_decay_factor,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            rois_per_image=self.rois_per_image,
-            n_pos_jitter=self.n_pos_jitter,
-            n_neg=self.n_neg,
-            num_classes=self.num_classes,
-            san_mode=self.san,
-            init_mode=self.init,
-            gaussian_std=self.gaussian_std,
-            san_pool=self.san_pool,
-            san_samples=self.san_samples,
-            san_loss_weight=self.san_loss_weight,
-            scheme=resolve_scheme(self.scheme, self.ref_scale, self.boundaries),
-            seed=self.seed,
-        )
+        return config_from_front_end(self.get_params(), resolve_scheme(self.scheme, self.ref_scale, self.boundaries))
 
     def fit(self, dataset: list[tuple[Image, list[Annotation]]]) -> "SanDetector":
         result: TrainResult = train(dataset, self.training_config())

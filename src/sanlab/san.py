@@ -10,6 +10,7 @@ its error never reaches the backbone.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter, Tensor
-from .backbone import RoI
 from .errors import ConfigError, ShapeError
 from .rng import STREAM_WEIGHTS, derive
 
@@ -36,9 +36,12 @@ class ScalePartitionScheme:
     def __post_init__(self):
         if self.ref_scale < 1:
             raise ConfigError(f"ref_scale must be positive, got {self.ref_scale}")
-        bs = tuple(float(b) for b in self.boundaries)
-        if any(b <= 0 for b in bs):
-            raise ConfigError(f"boundaries must be positive, got {bs}")
+        # rounded to float32, the precision a checkpoint stores them in, so
+        # that a scheme reloads equal to the one saved
+        with np.errstate(over="ignore"):
+            bs = tuple(float(np.float32(b)) for b in self.boundaries)
+        if not all(0 < b < math.inf for b in bs):
+            raise ConfigError(f"boundaries must be positive and finite in float32, got {tuple(self.boundaries)}")
         if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
             raise ConfigError(f"boundaries must be strictly increasing, got {bs}")
         object.__setattr__(self, "boundaries", bs)
@@ -55,13 +58,9 @@ TOY_SCHEME = ScalePartitionScheme(ref_scale=48, boundaries=(24.0**2, 48.0**2))
 SCHEME_PRESETS = {"voc": VOC_SCHEME, "coco": COCO_SCHEME, "toy": TOY_SCHEME}
 
 
-def partition_index(roi: RoI, scheme: ScalePartitionScheme) -> int:
-    """Partition of an RoI by its pixel area; thresholds go to the lower side."""
-    return bisect_left(scheme.boundaries, roi.area)
-
-
-def partition_index_for_area(area: float, scheme: ScalePartitionScheme) -> int:
-    return bisect_left(scheme.boundaries, float(area))
+def partition_index(area: float, scheme: ScalePartitionScheme) -> int:
+    """Partition of a pixel area (an RoI's `area`); thresholds go to the lower side."""
+    return bisect_left(scheme.boundaries, area)
 
 
 @dataclass

@@ -9,6 +9,7 @@ checkpoints replay bit-for-bit under a fixed seed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 from . import autograd as ag
 from .analysis import ApResult, Detection, RmseRow, evaluate_ap, rmse_with_san, rmse_without_san
 from .autograd import Parameter, Tensor
-from .backbone import BACKBONE_BLOCKS, Backbone, Image, RoI, crop_pixels, extract_reference_feature, roi_avg_pool, roi_pool
+from .backbone import Backbone, Image, RoI, crop_pixels, extract_reference_feature, roi_avg_pool, roi_pool
 from .data import Annotation, make_proposals, proposal_rng
 from .errors import CheckpointError, ConfigError, GraphError, SanlabError
 from .losses import (
@@ -40,7 +41,6 @@ from .san import (
     init_gaussian,
     init_identity,
     partition_index,
-    partition_index_for_area,
     san_forward,
     san_loss_branch,
 )
@@ -48,6 +48,8 @@ from .san import (
 SAN_MODES = ("off", "no-loss", "full")
 INIT_MODES = ("identity", "gaussian", "identity-zero-fusion")
 POOL_MODES = ("avg", "max")
+# the TrainingConfig fields that take one of a fixed set of values
+FIELD_CHOICES = {"san_mode": SAN_MODES, "init_mode": INIT_MODES, "san_pool": POOL_MODES}
 
 CHECKPOINT_MAGIC = b"SANLAB01"
 LOG_HEADER = "iter,l_cls,l_reg,l_san,lr"
@@ -81,12 +83,11 @@ class TrainingConfig:
     debug_gradient_checks: bool = False
 
     def validate(self) -> None:
-        if self.san_mode not in SAN_MODES:
-            raise ConfigError(f"san_mode must be one of {SAN_MODES}, got {self.san_mode!r}")
-        if self.init_mode not in INIT_MODES:
-            raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
-        if self.san_pool not in POOL_MODES:
-            raise ConfigError(f"san_pool must be one of {POOL_MODES}, got {self.san_pool!r}")
+        for name, choices in FIELD_CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+        if self.san_mode == "off" and self.init_mode == "gaussian":
+            raise ConfigError("init_mode 'gaussian' has no effect with san_mode 'off'; change one of them")
         for name in ("base_lr", "lr_decay_factor", "momentum", "weight_decay", "pos_fraction", "san_loss_weight"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
@@ -103,6 +104,33 @@ class TrainingConfig:
                 f"san_samples={self.san_samples} exceeds the mini-batch RoI budget "
                 f"{self.images_per_step * self.rois_per_image}"
             )
+
+
+# The front ends (the `train` command's flags and config keys, SanDetector's
+# parameters) take one setting per TrainingConfig field, renamed as in
+# FRONT_END_NAMES.  Both spell `scheme` as a preset name plus overrides.
+# `debug_gradient_checks` stays library-only: it is a debug hook, and
+# bool("0") is True.
+FRONT_END_NAMES = {"san_mode": "san", "init_mode": "init"}
+
+
+def front_end_fields() -> dict[str, dataclasses.Field]:
+    """Front-end name -> TrainingConfig field, in field order."""
+    return {
+        FRONT_END_NAMES.get(f.name, f.name): f
+        for f in dataclasses.fields(TrainingConfig)
+        if f.name not in ("scheme", "debug_gradient_checks")
+    }
+
+
+def front_end_defaults() -> dict:
+    """Every front-end setting with its default (the preset is TrainingConfig's scheme)."""
+    return {name: f.default for name, f in front_end_fields().items()} | {"scheme": "toy", "ref_scale": None, "boundaries": None}
+
+
+def config_from_front_end(values: dict, scheme: ScalePartitionScheme) -> TrainingConfig:
+    """The TrainingConfig of front-end values, keyed as by `front_end_fields`."""
+    return TrainingConfig(scheme=scheme, **{f.name: values[name] for name, f in front_end_fields().items()})
 
 
 @dataclass
@@ -255,7 +283,7 @@ def forward_roi_features(
     batch = pool_rois(feats, batch_rois, slots, model.backbone.total_stride)
     if model.san is None:
         return batch, batch
-    by_part, inverse = _group_rows([partition_index(r, model.scheme) for r in batch_rois])
+    by_part, inverse = _group_rows([partition_index(r.area, model.scheme) for r in batch_rois])
     corrected = [
         san_forward(batch if len(idx) == len(batch_rois) else ag.take0(batch, idx), p, model.san)
         for p, idx in by_part
@@ -325,7 +353,7 @@ def compute_step_losses(
             pooled = batch_pooled.data[batch.san_indices]
         else:
             pooled = pool_rois([ag.detach(f) for f in feats], rois, slots, model.backbone.total_stride, mode=cfg.san_pool).data
-        by_part, inverse = _group_rows([partition_index(r, model.scheme) for r in rois])
+        by_part, inverse = _group_rows([partition_index(r.area, model.scheme) for r in rois])
         terms = [san_loss_branch(Tensor(pooled[idx]), p, model.san, Tensor(r_tilde[idx])) for p, idx in by_part]
         san_terms.append(_merge_rows(terms, inverse))
     return multi_task_loss(
@@ -497,75 +525,49 @@ def _entry(entries: dict[str, np.ndarray], key: str, shape: tuple[int, ...]) -> 
     return arr
 
 
+def _meta_count(entries: dict[str, np.ndarray], key: str) -> int:
+    """The positive integer stored in the one-element entry ``key``."""
+    value = float(_entry(entries, key, (1,))[0])
+    if not (value.is_integer() and value >= 1):
+        raise CheckpointError(f"{key} must be a positive integer, got {value}")
+    return int(value)
+
+
 def load_checkpoint(path: Path) -> DetectionModel:
-    """Rebuild a model from a checkpoint; every parameter's shape must fit
-    the fixed backbone, ``meta.num_classes`` and the feature width."""
+    """Rebuild a model from a checkpoint through `build_model`.
+
+    The entries decide the skeleton: ``meta.*`` the scheme and class count,
+    ``san.part0.w`` the correction module, ``san.fusion_alpha`` its gate.
+    Every parameter is copied from its entry, of exactly its shape; missing
+    and unknown entries are errors.  The head and the last sub-network are
+    checked first, so a corrupt ``meta`` entry cannot ask for a huge model.
+    """
     entries = read_checkpoint_entries(path)
     if "meta.boundaries" not in entries:
         raise CheckpointError("checkpoint missing required entry meta.boundaries")
-    meta_classes = float(_entry(entries, "meta.num_classes", (1,))[0])
-    if not (meta_classes.is_integer() and meta_classes >= 1):
-        raise CheckpointError(f"meta.num_classes must be a positive integer, got {meta_classes}")
-    num_classes = int(meta_classes)
+    num_classes = _meta_count(entries, "meta.num_classes")
+    _entry(entries, "head.cls.w", (num_classes + 1, Backbone.c_feat, 1, 1))
     scheme = ScalePartitionScheme(
-        ref_scale=int(_entry(entries, "meta.ref_scale", (1,))[0]),
+        ref_scale=_meta_count(entries, "meta.ref_scale"),
         boundaries=tuple(float(b) for b in entries["meta.boundaries"].reshape(-1)),
     )
-
-    params: list[tuple[Parameter, Parameter]] = []
-    strides, pads = [], []
-    c_in = 3  # `Image` pixels are RGB
-    i = 0
-    while f"backbone.block{i}.w" in entries:
-        if i == len(BACKBONE_BLOCKS):
-            raise CheckpointError(f"checkpoint has more than the {i} backbone blocks of the fixed architecture")
-        c_out, k, stride, pad = BACKBONE_BLOCKS[i]
-        w = _entry(entries, f"backbone.block{i}.w", (c_out, c_in, k, k))
-        b = _entry(entries, f"backbone.block{i}.b", (c_out,))
-        params.append((Parameter(w.copy(), name=f"backbone.block{i}.w"), Parameter(b.copy(), name=f"backbone.block{i}.b")))
-        strides.append(stride)
-        pads.append(pad)
-        c_in = c_out
-        i += 1
-    if not params:
-        raise CheckpointError("checkpoint has no backbone parameters")
-    total = 1
-    for s in strides:
-        total *= s
-    c_feat = params[-1][0].data.shape[0]
-    bb = Backbone(
-        params=params,
-        strides=strides,
-        pads=pads,
-        total_stride=total,
-        c_feat=c_feat,
-        in_channels=params[0][0].data.shape[1],
+    with_san = "san.part0.w" in entries
+    if with_san and f"san.part{scheme.num_partitions - 1}.w" not in entries:
+        raise CheckpointError(f"checkpoint has fewer sub-networks than the {scheme.num_partitions} its scheme implies")
+    model = build_model(
+        TrainingConfig(
+            num_classes=num_classes,
+            scheme=scheme,
+            san_mode="full" if with_san else "off",
+            init_mode="identity-zero-fusion" if "san.fusion_alpha" in entries else "identity",
+        )
     )
-
-    san = None
-    if "san.part0.w" in entries:
-        n_parts = 0
-        while f"san.part{n_parts}.w" in entries:
-            n_parts += 1
-        if n_parts != scheme.num_partitions:
-            raise CheckpointError(f"checkpoint has {n_parts} sub-networks but the scheme implies {scheme.num_partitions}")
-        san = SanModule.create(scheme, c_feat, zero_fusion="san.fusion_alpha" in entries)
-        for p_i, sn in enumerate(san.subnets):
-            sn.w.data[:] = _entry(entries, f"san.part{p_i}.w", (c_feat, c_feat, 1, 1))
-            sn.b.data[:] = _entry(entries, f"san.part{p_i}.b", (c_feat,))
-        if san.fusion_alpha is not None:
-            san.fusion_alpha.data[...] = _entry(entries, "san.fusion_alpha", ())
-
-    k1 = num_classes + 1
-    k4 = 4 * num_classes
-    head = DetectionHead(
-        cls_w=Parameter(_entry(entries, "head.cls.w", (k1, c_feat, 1, 1)).copy(), name="head.cls.w"),
-        cls_b=Parameter(_entry(entries, "head.cls.b", (k1,)).copy(), name="head.cls.b"),
-        reg_w=Parameter(_entry(entries, "head.reg.w", (k4, c_feat, 1, 1)).copy(), name="head.reg.w"),
-        reg_b=Parameter(_entry(entries, "head.reg.b", (k4,)).copy(), name="head.reg.b"),
-        num_classes=num_classes,
-    )
-    return DetectionModel(backbone=bb, head=head, san=san, scheme=scheme, num_classes=num_classes)
+    unknown = sorted(set(entries) - {name for name, _ in _checkpoint_entries(model)})
+    if unknown:
+        raise CheckpointError(f"checkpoint has entries the model does not: {', '.join(unknown)}")
+    for p in model.named_parameters():
+        p.data[...] = _entry(entries, p.name, p.data.shape)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +722,7 @@ def rmse_report(
                 if s < bb.total_stride:
                     continue
                 z_s = rendered_roi_feature(img, ann.box, s, bb)
-                part = partition_index_for_area(float(s * s), model.scheme)
+                part = partition_index(float(s * s), model.scheme)
                 rows.append(
                     RmseRow(
                         sample_id=sample_id,

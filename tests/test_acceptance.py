@@ -28,7 +28,7 @@ from sanlab.san import (
     VOC_SCHEME,
     SanModule,
     init_identity,
-    partition_index_for_area,
+    partition_index,
     san_forward,
 )
 from sanlab.training import (
@@ -260,7 +260,7 @@ class TestCriterion3GradientBlocking:
 class TestCriterion4Partitions:
     def test_partition_closure_and_oracle(self):
         pinned = {120.0**2: 0, 160.0**2: 0, 200.0**2: 1, 288.0**2: 1, 300.0**2: 2}
-        pinned_ok = all(partition_index_for_area(a, VOC_SCHEME) == p for a, p in pinned.items())
+        pinned_ok = all(partition_index(a, VOC_SCHEME) == p for a, p in pinned.items())
 
         def scan_oracle(area, boundaries):
             for i, b in enumerate(boundaries):
@@ -271,7 +271,7 @@ class TestCriterion4Partitions:
         r = np.random.default_rng(4242)
         areas = np.exp(r.uniform(np.log(1.0), np.log(700.0**2), size=10_000))
         oracle_ok = all(
-            partition_index_for_area(float(a), VOC_SCHEME) == scan_oracle(float(a), VOC_SCHEME.boundaries)
+            partition_index(float(a), VOC_SCHEME) == scan_oracle(float(a), VOC_SCHEME.boundaries)
             for a in areas
         )
         report(4, pinned_ok and oracle_ok, f"pinned closure cases ok={pinned_ok}; 10^4 random areas match scan oracle={oracle_ok}")

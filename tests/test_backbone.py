@@ -13,7 +13,6 @@ from sanlab.backbone import (
     Backbone,
     Image,
     RoI,
-    backbone_forward,
     cam_scale_sweep,
     crop_pixels,
     extract_reference_feature,
@@ -62,19 +61,19 @@ class TestBackboneForward:
     def test_stride_eight_geometry(self):
         bb = Backbone.small(seed=0)
         img = make_image(size=96)
-        feat = backbone_forward(img, bb)
+        feat = bb.forward(img.pixels)
         assert feat.shape == (1, 32, 12, 12)
         assert bb.total_stride == 8
 
     def test_zero_image_zero_biases_zero_features(self):
         bb = Backbone.small(seed=0)
         img = Image(pixels=Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32)), id=0)
-        assert np.array_equal(backbone_forward(img, bb).data, np.zeros((1, 32, 4, 4), dtype=np.float32))
+        assert np.array_equal(bb.forward(img.pixels).data, np.zeros((1, 32, 4, 4), dtype=np.float32))
 
     def test_deterministic_replay(self):
         img = make_image(seed=5, size=64)
-        a = backbone_forward(img, Backbone.small(seed=9)).data
-        b = backbone_forward(img, Backbone.small(seed=9)).data
+        a = Backbone.small(seed=9).forward(img.pixels).data
+        b = Backbone.small(seed=9).forward(img.pixels).data
         assert np.array_equal(a, b)
 
     def test_too_small_input_errors(self):
@@ -83,7 +82,7 @@ class TestBackboneForward:
             bb.forward(Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32)))
 
     def test_features_nonnegative(self):
-        feat = backbone_forward(make_image(seed=3), Backbone.small(seed=1))
+        feat = Backbone.small(seed=1).forward(make_image(seed=3).pixels)
         assert feat.data.min() >= 0
 
 

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from sanlab.cli import main, parse_config_file
+from sanlab.data import load_dataset
+from sanlab.training import TrainingConfig, front_end_fields, save_checkpoint, train
 
 
 def tree_digest(root: Path) -> dict:
@@ -119,6 +121,47 @@ class TestTrain:
         assert len(log) == 1 + 4
         meta = json.loads((run / "run-meta.json").read_text())
         assert meta["command"] == "train"
+
+    SAMPLING = {"pos_iou": 0.4, "pos_fraction": 0.5, "images_per_step": 3, "n_pos_jitter": 4, "n_neg": 12}
+    BASE = {"iterations": 3, "seed": 4, "rois_per_image": 10, "san_samples": 4}
+
+    def test_sampling_flags_match_library_training(self, small_run, tmp_path):
+        data, _ = small_run
+        out = tmp_path / "flags"
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in {**self.BASE, **self.SAMPLING}.items()]
+        assert main(["train", "--out-dir", str(out), "--data-dir", str(data)] + flags) == 0
+        meta = json.loads((out / "run-meta.json").read_text())
+        assert {k: meta["config"][k] for k in self.SAMPLING} == self.SAMPLING
+        result = train(load_dataset(data), TrainingConfig(**self.BASE, **self.SAMPLING))
+        save_checkpoint(tmp_path / "lib.san", result.model)
+        assert (out / "checkpoint.san").read_bytes() == (tmp_path / "lib.san").read_bytes()
+
+    def test_sampling_config_keys_match_flags(self, small_run, tmp_path):
+        data, _ = small_run
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**self.BASE, **self.SAMPLING}.items()))
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in {**self.BASE, **self.SAMPLING}.items()]
+        outs = {"file": ["--config", str(cfg)], "flags": flags}
+        for tag, extra in outs.items():
+            assert main(["train", "--out-dir", str(tmp_path / tag), "--data-dir", str(data)] + extra) == 0
+        metas = [json.loads((tmp_path / tag / "run-meta.json").read_text())["config"] for tag in outs]
+        assert metas[0] == metas[1]
+        assert {k: metas[0][k] for k in self.SAMPLING} == self.SAMPLING
+        assert (tmp_path / "file" / "checkpoint.san").read_bytes() == (tmp_path / "flags" / "checkpoint.san").read_bytes()
+
+    def test_one_flag_per_training_field(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        help_text = capsys.readouterr().out
+        for name in front_end_fields():
+            assert f"--{name.replace('_', '-')}" in help_text
+        assert "--debug-gradient-checks" not in help_text
+
+    def test_debug_hook_is_not_a_config_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("debug_gradient_checks = 0\n")
+        with pytest.raises(Exception, match="unknown configuration key"):
+            parse_config_file(cfg)
 
     def test_invalid_switch_combination_rejected(self, small_run, tmp_path):
         data, _ = small_run
@@ -324,6 +367,13 @@ class TestRmse:
         for line in (out / "rmse.csv").read_text().splitlines()[1:]:
             _, _, _, wo, wi = line.split(",")
             assert wo == wi
+
+    @pytest.mark.parametrize("flag", ["--scheme=voc", "--ref-scale=64", "--boundaries=100"])
+    def test_scheme_flags_not_accepted(self, small_run, tmp_path, flag):
+        """rmse routes with the checkpoint's scheme; it takes no scheme flags."""
+        data, run = small_run
+        with pytest.raises(SystemExit):
+            main(["rmse", "--out-dir", str(tmp_path / "r"), "--data-dir", str(data), "--checkpoint", str(run / "checkpoint.san"), flag])
 
     def test_missing_checkpoint_errors(self, small_run, tmp_path):
         data, _ = small_run

@@ -82,7 +82,7 @@ class TestGeneration:
         counts = [0, 0, 0]
         for _, anns in dataset:
             for a in anns:
-                counts[partition_index(a.box, TOY_SCHEME)] += 1
+                counts[partition_index(a.box.area, TOY_SCHEME)] += 1
         total = sum(counts)
         assert total > 0
         for i, c in enumerate(counts):

@@ -1,5 +1,7 @@
 """Estimator front end: parameter plumbing, fit/predict/score, persistence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from sanlab.data import DatasetConfig, generate_dataset
 from sanlab.detector import NotFittedError, SanDetector, resolve_scheme
 from sanlab.errors import ConfigError
 from sanlab.san import COCO_SCHEME, TOY_SCHEME, VOC_SCHEME, ScalePartitionScheme
+from sanlab.training import FRONT_END_NAMES, TrainingConfig
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +40,22 @@ class TestParams:
     def test_set_params_rejects_unknown(self):
         with pytest.raises(ConfigError, match="unknown parameter"):
             SanDetector().set_params(learning_rate=0.1)
+
+    def test_params_cover_every_training_field(self):
+        params = SanDetector().get_params()
+        for f in dataclasses.fields(TrainingConfig):
+            if f.name not in ("scheme", "debug_gradient_checks"):
+                assert params[FRONT_END_NAMES.get(f.name, f.name)] == f.default
+        assert {"scheme", "ref_scale", "boundaries"} <= set(params)
+        assert SanDetector().training_config() == TrainingConfig()
+
+    def test_sampling_params_reach_the_training_config(self):
+        cfg = SanDetector(images_per_step=3, pos_fraction=0.5, pos_iou=0.4, n_pos_jitter=4, n_neg=12).training_config()
+        assert (cfg.images_per_step, cfg.pos_fraction, cfg.pos_iou, cfg.n_pos_jitter, cfg.n_neg) == (3, 0.5, 0.4, 4, 12)
+
+    def test_constructor_rejects_unknown(self):
+        with pytest.raises(ConfigError, match="unknown parameter"):
+            SanDetector(learning_rate=0.1)
 
     def test_params_stored_verbatim(self):
         det = SanDetector(boundaries=(100.0, 400.0), ref_scale=20)
@@ -99,6 +118,10 @@ class TestFitPredict:
         first = det.model_
         det.set_params(seed=3).fit(tiny_dataset)
         assert det.model_ is not first
+
+    def test_gaussian_init_without_san_rejected(self, tiny_dataset):
+        with pytest.raises(ConfigError, match="gaussian"):
+            tiny_detector(san="off", init="gaussian").fit(tiny_dataset)
 
     def test_off_mode_trains_without_correction(self, tiny_dataset):
         det = tiny_detector(san="off").fit(tiny_dataset)

@@ -18,7 +18,6 @@ from sanlab.san import (
     init_gaussian,
     init_identity,
     partition_index,
-    partition_index_for_area,
     san_forward,
     san_loss_branch,
 )
@@ -45,14 +44,24 @@ class TestSchemes:
     def test_single_partition_degenerate(self):
         scheme = ScalePartitionScheme(ref_scale=100)
         assert scheme.num_partitions == 1
-        assert partition_index(square_roi(5), scheme) == 0
-        assert partition_index(square_roi(5000), scheme) == 0
+        assert partition_index(square_roi(5).area, scheme) == 0
+        assert partition_index(square_roi(5000).area, scheme) == 0
 
     def test_invalid_boundaries(self):
         with pytest.raises(ConfigError):
             ScalePartitionScheme(ref_scale=10, boundaries=(100.0, 100.0))
         with pytest.raises(ConfigError):
             ScalePartitionScheme(ref_scale=10, boundaries=(-4.0,))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e39, 1e-50])
+    def test_boundaries_not_positive_and_finite_in_float32(self, bad):
+        with pytest.raises(ConfigError):
+            ScalePartitionScheme(ref_scale=10, boundaries=(bad,))
+
+    def test_boundaries_rounded_to_float32(self):
+        scheme = ScalePartitionScheme(ref_scale=10, boundaries=(100.3, 2000.7))
+        assert scheme.boundaries == (float(np.float32(100.3)), float(np.float32(2000.7)))
+        assert scheme == ScalePartitionScheme(ref_scale=10, boundaries=scheme.boundaries)
 
 
 class TestPartitionIndex:
@@ -61,7 +70,7 @@ class TestPartitionIndex:
         [(120.0, 0), (160.0, 0), (200.0, 1), (288.0, 1), (300.0, 2)],
     )
     def test_voc_interval_closure(self, side, expected):
-        assert partition_index(square_roi(side), VOC_SCHEME) == expected
+        assert partition_index(square_roi(side).area, VOC_SCHEME) == expected
 
     def test_ten_thousand_random_areas_match_scan_oracle(self):
         r = np.random.default_rng(1234)
@@ -70,7 +79,7 @@ class TestPartitionIndex:
         areas[:4] = [160.0**2, 288.0**2, 24.0**2, 48.0**2]
         for area in areas:
             for scheme in (VOC_SCHEME, COCO_SCHEME, TOY_SCHEME):
-                assert partition_index_for_area(float(area), scheme) == interval_scan_oracle(
+                assert partition_index(float(area), scheme) == interval_scan_oracle(
                     float(area), scheme.boundaries
                 )
 
@@ -81,7 +90,7 @@ class TestPartitionIndex:
     @settings(max_examples=300, deadline=None)
     def test_monotone_in_area(self, a1, a2):
         lo, hi = sorted((a1, a2))
-        assert partition_index_for_area(lo, VOC_SCHEME) <= partition_index_for_area(hi, VOC_SCHEME)
+        assert partition_index(lo, VOC_SCHEME) <= partition_index(hi, VOC_SCHEME)
 
 
 class TestInitialization:

@@ -1,6 +1,7 @@
 """Trainer: step construction, losses, SGD loop, checkpoints, inference."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ class TestConfigValidation:
     def test_san_samples_exceeding_budget(self):
         with pytest.raises(ConfigError):
             TrainingConfig(rois_per_image=4, images_per_step=2, san_samples=64).validate()
+
+    def test_gaussian_init_without_san_rejected(self, tiny_dataset):
+        cfg = tiny_config(san_mode="off", init_mode="gaussian")
+        with pytest.raises(ConfigError, match="gaussian"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="gaussian"):
+            train(tiny_dataset, cfg)
 
     def test_learning_rate_schedule(self):
         cfg = TrainingConfig(base_lr=0.1, lr_decay_step=10, lr_decay_factor=0.1)
@@ -151,7 +159,7 @@ class TestSplitCorrectMerge:
         stride = model.backbone.total_stride
         for row, (roi, slot) in enumerate(zip(batch.rois, batch.image_slot)):
             pooled = roi_pool(feats[slot], roi, out=7, mode="avg", stride=stride)
-            part = partition_index(roi, model.scheme)
+            part = partition_index(roi.area, model.scheme)
             single = fuse(pooled, san_forward(pooled, part, model.san), alpha=model.san.fusion_alpha)
             assert np.array_equal(merged.data[row], single.data[0])
 
@@ -404,6 +412,44 @@ class TestCheckpoint:
         path = self._resaved(tmp_path, **{"meta.num_classes": np.array([2.0], dtype=np.float32)})
         with pytest.raises(CheckpointError, match="head.cls.w"):
             load_checkpoint(path)
+
+    def test_unknown_entry_rejected(self, tmp_path):
+        path = self._resaved(tmp_path, **{"head.extra": np.zeros(3, dtype=np.float32)})
+        with pytest.raises(CheckpointError, match="head.extra"):
+            load_checkpoint(path)
+
+    def test_fusion_gate_without_sub_networks_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "m.san", build_model(tiny_config(san_mode="off")))
+        entries = read_checkpoint_entries(tmp_path / "m.san")
+        entries["san.fusion_alpha"] = np.zeros((), dtype=np.float32)
+        write_checkpoint_entries(tmp_path / "x.san", list(entries.items()))
+        with pytest.raises(CheckpointError, match="san.fusion_alpha"):
+            load_checkpoint(tmp_path / "x.san")
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {"meta.num_classes": np.array([100000.0], dtype=np.float32)},
+            {"meta.boundaries": np.arange(1, 5001, dtype=np.float32)},
+        ],
+        ids=["num_classes", "boundaries"],
+    )
+    def test_corrupt_meta_rejected_before_building_the_model(self, tmp_path, changed):
+        # a model of that size would need hundreds of MB; the checks come first
+        path = self._resaved(tmp_path, **changed)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+    def test_scheme_round_trips_exactly(self, tmp_path):
+        scheme = ScalePartitionScheme(ref_scale=40, boundaries=(100.3, 2000.7))
+        save_checkpoint(tmp_path / "m.san", build_model(tiny_config(scheme=scheme)))
+        assert load_checkpoint(tmp_path / "m.san").scheme == scheme
 
 
 class TestInference:
