@@ -1,16 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The engine is deliberately small: a Tensor wraps one contiguous float
-array, every operation records a backward closure on its output, and
-``Tensor.backward()`` walks the tape in reverse topological order.
-``backward()`` consumes the graph: afterwards every node it walked has no
-parents and no closure left, so a graph can be backpropagated once, and
-its tensors are freed by reference counting as soon as the caller drops
-them (each closure holds its own output, so a kept tape would be a
-reference cycle that only the cyclic garbage collector frees).  Only the
-operations the detection pipeline needs exist; there is no broadcasting
-and no GPU path.  Training runs in float32; gradient-check tests rebuild
-the same graphs in float64.
+array, every operation records on its output a backward closure that
+takes the output's gradient, and ``Tensor.backward()`` walks the tape in
+reverse topological order.  A closure holds the op's inputs and the
+buffers its gradient needs, never its own output, so a dropped graph is
+freed by reference counting.  ``backward()`` still consumes the graph:
+every node it walked drops its parents and its closure, so intermediate
+tensors and captured buffers are freed as soon as backpropagation ends,
+even while the caller holds the loss.  Only the operations the detection
+pipeline needs exist; there is no broadcasting and no GPU path.  Training
+runs in float32; gradient-check tests rebuild the same graphs in float64.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad) and _grad_enabled
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -68,9 +68,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return detach(self)
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -80,9 +77,11 @@ class Tensor:
         """Backpropagate from this scalar through the recorded graph.
 
         The graph is consumed: every node walked loses its parents and its
-        backward closure, so calling ``backward()`` again on this graph
-        only resets this scalar's own gradient.  Gradients stay on the
-        tensors that received them.
+        backward closure, so intermediate tensors and the buffers the
+        closures captured are freed now, not when the caller drops the
+        loss.  Calling ``backward()`` again on this graph only resets
+        this scalar's own gradient.  Gradients stay on the tensors that
+        received them.
         """
         if self.data.size != 1:
             raise GraphError(f"backward() requires a scalar, got shape {self.shape}")
@@ -104,7 +103,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
         for node in topo:
             node._parents = ()
             node._backward = None
@@ -113,31 +112,27 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-class Parameter:
+class Parameter(Tensor):
     """A trainable tensor plus its SGD momentum buffer."""
 
-    __slots__ = ("tensor", "momentum", "name")
+    __slots__ = ("momentum", "name")
 
     def __init__(self, data, name: str = ""):
-        self.tensor = Tensor(data)
-        self.tensor.requires_grad = True  # independent of any no_grad scope
-        self.momentum = np.zeros_like(self.tensor.data)
+        super().__init__(data)
+        self.requires_grad = True  # independent of any no_grad scope
+        self.momentum = np.zeros_like(self.data)
         self.name = name
 
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Parameter({self.name or '<anon>'}, shape={self.tensor.shape})"
+        return f"Parameter({self.name or '<anon>'}, shape={self.shape})"
 
 
-def _result(data: np.ndarray, parents: Sequence[Tensor], make_backward) -> Tensor:
+def _result(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op result; records the tape only when a parent needs grad."""
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = tuple(parents)
-        out._backward = make_backward(out)
+        out._backward = backward
     return out
 
 
@@ -196,21 +191,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     wm = w.data.reshape(k, c * kh * kw)
     out_data = np.matmul(wm, cols).reshape(n, k, ho, wo) + b.data.reshape(1, k, 1, 1)
 
-    def make_backward(out: Tensor):
-        def _backward():
-            g = out.grad.reshape(n, k, ho * wo)
-            if b.requires_grad:
-                b._accumulate(g.sum(axis=(0, 2)))
-            if w.requires_grad:
-                dwm = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-                w._accumulate(dwm.reshape(w.shape))
-            if x.requires_grad:
-                dcols = np.matmul(wm.T, g)
-                x._accumulate(_col2im(dcols, x.shape, kh, kw, stride, pad))
+    def backward(grad_out: np.ndarray):
+        g = grad_out.reshape(n, k, ho * wo)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=(0, 2)))
+        if w.requires_grad:
+            dwm = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+            w._accumulate(dwm.reshape(w.shape))
+        if x.requires_grad:
+            dcols = np.matmul(wm.T, g)
+            x._accumulate(_col2im(dcols, x.shape, kh, kw, stride, pad))
 
-        return _backward
-
-    return _result(out_data, (x, w, b), make_backward)
+    return _result(out_data, (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +212,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient at 0 is 0."""
 
-    def make_backward(out: Tensor):
-        def _backward():
-            x._accumulate(out.grad * (x.data > 0))
+    def backward(grad_out: np.ndarray):
+        x._accumulate(grad_out * (x.data > 0))
 
-        return _backward
-
-    return _result(np.maximum(x.data, 0), (x,), make_backward)
+    return _result(np.maximum(x.data, 0), (x,), backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -235,13 +224,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ShapeError(f"global_avg_pool expects NCHW, got {x.shape}")
     n, c, h, w = x.shape
 
-    def make_backward(out: Tensor):
-        def _backward():
-            x._accumulate(np.broadcast_to(out.grad / (h * w), x.shape))
+    def backward(grad_out: np.ndarray):
+        x._accumulate(np.broadcast_to(grad_out / (h * w), x.shape))
 
-        return _backward
-
-    return _result(x.data.mean(axis=(2, 3), keepdims=True), (x,), make_backward)
+    return _result(x.data.mean(axis=(2, 3), keepdims=True), (x,), backward)
 
 
 def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -253,59 +239,47 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two identically shaped tensors."""
     _require_same_shape("add", a, b)
 
-    def make_backward(out: Tensor):
-        def _backward():
-            if a.requires_grad:
-                a._accumulate(out.grad)
-            if b.requires_grad:
-                b._accumulate(out.grad)
+    def backward(grad_out: np.ndarray):
+        if a.requires_grad:
+            a._accumulate(grad_out)
+        if b.requires_grad:
+            b._accumulate(grad_out)
 
-        return _backward
-
-    return _result(a.data + b.data, (a, b), make_backward)
+    return _result(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("sub", a, b)
 
-    def make_backward(out: Tensor):
-        def _backward():
-            if a.requires_grad:
-                a._accumulate(out.grad)
-            if b.requires_grad:
-                b._accumulate(-out.grad)
+    def backward(grad_out: np.ndarray):
+        if a.requires_grad:
+            a._accumulate(grad_out)
+        if b.requires_grad:
+            b._accumulate(-grad_out)
 
-        return _backward
-
-    return _result(a.data - b.data, (a, b), make_backward)
+    return _result(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product (used for constant loss masks)."""
     _require_same_shape("mul", a, b)
 
-    def make_backward(out: Tensor):
-        def _backward():
-            if a.requires_grad:
-                a._accumulate(out.grad * b.data)
-            if b.requires_grad:
-                b._accumulate(out.grad * a.data)
+    def backward(grad_out: np.ndarray):
+        if a.requires_grad:
+            a._accumulate(grad_out * b.data)
+        if b.requires_grad:
+            b._accumulate(grad_out * a.data)
 
-        return _backward
-
-    return _result(a.data * b.data, (a, b), make_backward)
+    return _result(a.data * b.data, (a, b), backward)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python constant."""
 
-    def make_backward(out: Tensor):
-        def _backward():
-            x._accumulate(out.grad * c)
+    def backward(grad_out: np.ndarray):
+        x._accumulate(grad_out * c)
 
-        return _backward
-
-    return _result(x.data * x.data.dtype.type(c), (x,), make_backward)
+    return _result(x.data * x.data.dtype.type(c), (x,), backward)
 
 
 def scale_by(x: Tensor, alpha: Tensor) -> Tensor:
@@ -314,41 +288,32 @@ def scale_by(x: Tensor, alpha: Tensor) -> Tensor:
         raise ShapeError(f"scale_by expects a scalar multiplier, got shape {alpha.shape}")
     a = alpha.data.reshape(())
 
-    def make_backward(out: Tensor):
-        def _backward():
-            if x.requires_grad:
-                x._accumulate(out.grad * a)
-            if alpha.requires_grad:
-                alpha._accumulate(np.sum(out.grad * x.data).reshape(alpha.shape).astype(alpha.dtype))
+    def backward(grad_out: np.ndarray):
+        if x.requires_grad:
+            x._accumulate(grad_out * a)
+        if alpha.requires_grad:
+            alpha._accumulate(np.sum(grad_out * x.data).reshape(alpha.shape).astype(alpha.dtype))
 
-        return _backward
-
-    return _result(x.data * a, (x, alpha), make_backward)
+    return _result(x.data * a, (x, alpha), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Reduce to a 0-d scalar tensor."""
 
-    def make_backward(out: Tensor):
-        def _backward():
-            x._accumulate(np.broadcast_to(out.grad, x.shape))
+    def backward(grad_out: np.ndarray):
+        x._accumulate(np.broadcast_to(grad_out, x.shape))
 
-        return _backward
-
-    return _result(x.data.sum(), (x,), make_backward)
+    return _result(x.data.sum(), (x,), backward)
 
 
 def sum_rows(x: Tensor) -> Tensor:
     """Per-row sums, (N, ...) -> (N,); row i equals ``sum_all`` of x[i]."""
     n = x.shape[0]
 
-    def make_backward(out: Tensor):
-        def _backward():
-            x._accumulate(np.broadcast_to(out.grad.reshape((n,) + (1,) * (x.data.ndim - 1)), x.shape))
+    def backward(grad_out: np.ndarray):
+        x._accumulate(np.broadcast_to(grad_out.reshape((n,) + (1,) * (x.data.ndim - 1)), x.shape))
 
-        return _backward
-
-    return _result(x.data.reshape(n, -1).sum(axis=1), (x,), make_backward)
+    return _result(x.data.reshape(n, -1).sum(axis=1), (x,), backward)
 
 
 def sum_in_order(x: Tensor) -> Tensor:
@@ -360,13 +325,10 @@ def sum_in_order(x: Tensor) -> Tensor:
     if x.data.ndim != 1 or x.shape[0] < 1:
         raise ShapeError(f"sum_in_order expects a non-empty 1-d tensor, got {x.shape}")
 
-    def make_backward(out: Tensor):
-        def _backward():
-            x._accumulate(np.broadcast_to(out.grad, x.shape))
+    def backward(grad_out: np.ndarray):
+        x._accumulate(np.broadcast_to(grad_out, x.shape))
 
-        return _backward
-
-    return _result(np.asarray(np.add.accumulate(x.data)[-1]), (x,), make_backward)
+    return _result(np.asarray(np.add.accumulate(x.data)[-1]), (x,), backward)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -374,13 +336,10 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    def make_backward(out: Tensor):
-        def _backward():
-            x._accumulate(out.grad.reshape(x.shape))
+    def backward(grad_out: np.ndarray):
+        x._accumulate(grad_out.reshape(x.shape))
 
-        return _backward
-
-    return _result(x.data.reshape(shape), (x,), make_backward)
+    return _result(x.data.reshape(shape), (x,), backward)
 
 
 def concat0(tensors: Sequence[Tensor]) -> Tensor:
@@ -394,15 +353,12 @@ def concat0(tensors: Sequence[Tensor]) -> Tensor:
     sizes = [t.shape[0] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def make_backward(out: Tensor):
-        def _backward():
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    t._accumulate(out.grad[lo:hi])
+    def backward(grad_out: np.ndarray):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                t._accumulate(grad_out[lo:hi])
 
-        return _backward
-
-    return _result(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors), make_backward)
+    return _result(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors), backward)
 
 
 def replicate_pad(x: Tensor, p: int) -> Tensor:
@@ -428,21 +384,18 @@ def replicate_pad(x: Tensor, p: int) -> Tensor:
     out_data[:, :, :p] = out_data[:, :, p : p + 1]
     out_data[:, :, p + h :] = out_data[:, :, p + h - 1 : p + h]
 
-    def make_backward(out: Tensor):
-        def _backward():
-            # fold the border rows, then the border columns, onto the edge
-            # they replicate (one edge row serves both sides when h == 1)
-            g = out.grad[:, :, p : p + h].copy()
-            g[:, :, 0] += out.grad[:, :, :p].sum(axis=2)
-            g[:, :, h - 1] += out.grad[:, :, p + h :].sum(axis=2)
-            gx = g[:, :, :, p : p + w].copy()
-            gx[:, :, :, 0] += g[:, :, :, :p].sum(axis=3)
-            gx[:, :, :, w - 1] += g[:, :, :, p + w :].sum(axis=3)
-            x._accumulate(gx)
+    def backward(grad_out: np.ndarray):
+        # fold the border rows, then the border columns, onto the edge
+        # they replicate (one edge row serves both sides when h == 1)
+        g = grad_out[:, :, p : p + h].copy()
+        g[:, :, 0] += grad_out[:, :, :p].sum(axis=2)
+        g[:, :, h - 1] += grad_out[:, :, p + h :].sum(axis=2)
+        gx = g[:, :, :, p : p + w].copy()
+        gx[:, :, :, 0] += g[:, :, :, :p].sum(axis=3)
+        gx[:, :, :, w - 1] += g[:, :, :, p + w :].sum(axis=3)
+        x._accumulate(gx)
 
-        return _backward
-
-    return _result(out_data, (x,), make_backward)
+    return _result(out_data, (x,), backward)
 
 
 def _occurrence_passes(idx: np.ndarray) -> list:
@@ -474,16 +427,13 @@ def take0(x: Tensor, indices: Sequence[int]) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeError(f"take0 index out of range for axis of size {x.shape[0]}")
 
-    def make_backward(out: Tensor):
-        def _backward():
-            g = np.zeros_like(x.data)
-            for sel in _occurrence_passes(idx):
-                g[idx[sel]] += out.grad[sel]
-            x._accumulate(g)
+    def backward(grad_out: np.ndarray):
+        g = np.zeros_like(x.data)
+        for sel in _occurrence_passes(idx):
+            g[idx[sel]] += grad_out[sel]
+        x._accumulate(g)
 
-        return _backward
-
-    return _result(x.data[idx], (x,), make_backward)
+    return _result(x.data[idx], (x,), backward)
 
 
 def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
@@ -491,15 +441,12 @@ def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 1:
         raise ShapeError(f"slice1d expects a 1-d tensor, got {x.shape}")
 
-    def make_backward(out: Tensor):
-        def _backward():
-            g = np.zeros_like(x.data)
-            g[start:stop] = out.grad
-            x._accumulate(g)
+    def backward(grad_out: np.ndarray):
+        g = np.zeros_like(x.data)
+        g[start:stop] = grad_out
+        x._accumulate(g)
 
-        return _backward
-
-    return _result(x.data[start:stop].copy(), (x,), make_backward)
+    return _result(x.data[start:stop].copy(), (x,), backward)
 
 
 def detach(x: Tensor) -> Tensor:
@@ -573,15 +520,12 @@ def softmax_cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
     log_p = z - np.log(sez)
     loss = -log_p[np.arange(n), idx].mean()
 
-    def make_backward(out: Tensor):
-        def _backward():
-            p = ez / sez
-            p[np.arange(n), idx] -= 1
-            logits._accumulate(out.grad * p / n)
+    def backward(grad_out: np.ndarray):
+        p = ez / sez
+        p[np.arange(n), idx] -= 1
+        logits._accumulate(grad_out * p / n)
 
-        return _backward
-
-    return _result(np.asarray(loss, dtype=logits.dtype), (logits,), make_backward)
+    return _result(np.asarray(loss, dtype=logits.dtype), (logits,), backward)
 
 
 def smooth_l1(x: Tensor) -> Tensor:
@@ -589,13 +533,10 @@ def smooth_l1(x: Tensor) -> Tensor:
     a = np.abs(x.data)
     out_data = np.where(a < 1, 0.5 * x.data * x.data, a - 0.5)
 
-    def make_backward(out: Tensor):
-        def _backward():
-            x._accumulate(out.grad * np.clip(x.data, -1, 1))
+    def backward(grad_out: np.ndarray):
+        x._accumulate(grad_out * np.clip(x.data, -1, 1))
 
-        return _backward
-
-    return _result(out_data.astype(x.dtype), (x,), make_backward)
+    return _result(out_data.astype(x.dtype), (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -610,13 +551,13 @@ def sgd_step(params: Iterable[Parameter], lr: float, momentum: float = 0.0, weig
     """
     params = list(params)
     for p in params:
-        if p.tensor.grad is None:
+        if p.grad is None:
             raise GraphError(f"sgd_step: parameter {p.name or '<anon>'} has no gradient")
     for p in params:
-        g = p.tensor.grad
+        g = p.grad
         if weight_decay:
-            g = g + weight_decay * p.tensor.data
+            g = g + weight_decay * p.data
         p.momentum *= momentum
         p.momentum += g
-        p.tensor.data -= lr * p.momentum
-        p.tensor.grad = None
+        p.data -= lr * p.momentum
+        p.grad = None

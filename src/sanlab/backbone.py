@@ -130,7 +130,7 @@ class Backbone:
         for (w, b), (_, _, s, p) in zip(self.params, BACKBONE_BLOCKS):
             if p:
                 x = ag.replicate_pad(x, p)
-            x = ag.relu(ag.conv2d(x, w.tensor, b.tensor, stride=s, pad=0))
+            x = ag.relu(ag.conv2d(x, w, b, stride=s, pad=0))
         return x
 
 
@@ -192,19 +192,16 @@ def roi_pool(feat: Tensor, roi: RoI, out: int = 7, mode: str = "avg", stride: in
             out_data[0, :, by, bx] = bin_cells[ch_idx, idx]
             spans.append((ys, ye, xs, xe))
 
-    def make_backward(out_t: Tensor):
-        def _backward():
-            g = np.zeros_like(feat.data)
-            gout = out_t.grad[0]
-            for i, (ys, ye, xs, xe) in enumerate(spans):
-                by, bx = divmod(i, out)
-                r, col = np.divmod(winners[i], xe - xs)
-                g[0, ch_idx, y_lo + ys + r, x_lo + xs + col] += gout[:, by, bx]
-            feat._accumulate(g)
+    def backward(grad_out: np.ndarray):
+        g = np.zeros_like(feat.data)
+        gout = grad_out[0]
+        for i, (ys, ye, xs, xe) in enumerate(spans):
+            by, bx = divmod(i, out)
+            r, col = np.divmod(winners[i], xe - xs)
+            g[0, ch_idx, y_lo + ys + r, x_lo + xs + col] += gout[:, by, bx]
+        feat._accumulate(g)
 
-        return _backward
-
-    return ag._result(out_data, (feat,), make_backward)
+    return ag._result(out_data, (feat,), backward)
 
 
 def roi_avg_pool(feat: Tensor, rois: Sequence[RoI], out: int = 7, stride: int = 8) -> Tensor:
@@ -230,16 +227,13 @@ def roi_avg_pool(feat: Tensor, rois: Sequence[RoI], out: int = 7, stride: int = 
         sums = np.matmul(np.matmul(rows, feat.data[0, :, y_lo:y_hi, x_lo:x_hi]), cols.T)
         out_data[n] = sums / counts
 
-    def make_backward(out_t: Tensor):
-        def _backward():
-            g = np.zeros_like(feat.data)
-            for gn, (y_lo, y_hi, x_lo, x_hi, rows, cols, counts) in zip(out_t.grad, plans):
-                g[0, :, y_lo:y_hi, x_lo:x_hi] += np.matmul(rows.T, np.matmul(gn / counts, cols))
-            feat._accumulate(g)
+    def backward(grad_out: np.ndarray):
+        g = np.zeros_like(feat.data)
+        for gn, (y_lo, y_hi, x_lo, x_hi, rows, cols, counts) in zip(grad_out, plans):
+            g[0, :, y_lo:y_hi, x_lo:x_hi] += np.matmul(rows.T, np.matmul(gn / counts, cols))
+        feat._accumulate(g)
 
-        return _backward
-
-    return ag._result(out_data, (feat,), make_backward)
+    return ag._result(out_data, (feat,), backward)
 
 
 @functools.lru_cache(maxsize=None)

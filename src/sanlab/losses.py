@@ -59,8 +59,8 @@ class DetectionHead:
     def forward(self, feats: Tensor) -> tuple[Tensor, Tensor]:
         """Score a batch of pooled RoI features: (N,K+1) logits, (N,4K) deltas."""
         n = feats.shape[0]
-        logits = ag.reshape(ag.global_avg_pool(ag.conv2d(feats, self.cls_w.tensor, self.cls_b.tensor)), (n, self.num_classes + 1))
-        deltas = ag.reshape(ag.global_avg_pool(ag.conv2d(feats, self.reg_w.tensor, self.reg_b.tensor)), (n, 4 * self.num_classes))
+        logits = ag.reshape(ag.global_avg_pool(ag.conv2d(feats, self.cls_w, self.cls_b)), (n, self.num_classes + 1))
+        deltas = ag.reshape(ag.global_avg_pool(ag.conv2d(feats, self.reg_w, self.reg_b)), (n, 4 * self.num_classes))
         return logits, deltas
 
 

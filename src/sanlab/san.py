@@ -133,7 +133,7 @@ def san_forward(feat: Tensor, i: int, m: SanModule) -> Tensor:
     if feat.shape[1] != m.c_feat:
         raise ShapeError(f"san_forward expects {m.c_feat} channels, got {feat.shape[1]}")
     sn = m.subnets[i]
-    return ag.relu(ag.conv2d(feat, sn.w.tensor, sn.b.tensor, stride=1, pad=0))
+    return ag.relu(ag.conv2d(feat, sn.w, sn.b, stride=1, pad=0))
 
 
 def fuse(original: Tensor, san_out: Tensor, alpha: Parameter | None = None) -> Tensor:
@@ -145,7 +145,7 @@ def fuse(original: Tensor, san_out: Tensor, alpha: Parameter | None = None) -> T
         raise ShapeError(f"fuse shape mismatch: {original.shape} vs {san_out.shape}")
     if alpha is None:
         return ag.add(original, san_out)
-    return ag.add(original, ag.scale_by(san_out, alpha.tensor))
+    return ag.add(original, ag.scale_by(san_out, alpha))
 
 
 def san_loss_branch(feat_rois: Tensor, i: int, m: SanModule, r_tilde: Tensor) -> Tensor:

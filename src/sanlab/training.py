@@ -148,10 +148,6 @@ class DetectionModel:
         params += self.head.named_parameters()
         return params
 
-    @property
-    def san_enabled(self) -> bool:
-        return self.san is not None
-
 
 def build_model(cfg: TrainingConfig) -> DetectionModel:
     cfg.validate()
@@ -372,8 +368,8 @@ def fill_missing_grads(params: list[Parameter]) -> None:
     """Zero-fill gradients of parameters the step's loss did not touch
     (e.g. partitions with no RoIs this mini-batch)."""
     for p in params:
-        if p.tensor.grad is None:
-            p.tensor.grad = np.zeros_like(p.tensor.data)
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
 
 
 class TrainingDiverged(SanlabError):
@@ -416,9 +412,9 @@ def train(dataset: list[tuple[Image, list[Annotation]]], cfg: TrainingConfig) ->
         blocked_reference = None
         if cfg.debug_gradient_checks and include_san:
             compute_step_losses(model, batch, cfg, include_san_loss=False).total.backward()
-            blocked_reference = [p.tensor.grad.copy() if p.tensor.grad is not None else None for p in backbone_params]
+            blocked_reference = [p.grad.copy() if p.grad is not None else None for p in backbone_params]
             for p in all_params:
-                p.tensor.grad = None
+                p.grad = None
         parts = compute_step_losses(model, batch, cfg, include_san_loss=include_san)
         lr = learning_rate(cfg, step)
         if not all(math.isfinite(v) for v in (parts.l_cls, parts.l_reg, parts.l_san)):
@@ -426,7 +422,7 @@ def train(dataset: list[tuple[Image, list[Annotation]]], cfg: TrainingConfig) ->
         parts.total.backward()
         if blocked_reference is not None:
             for p, ref in zip(backbone_params, blocked_reference):
-                got = p.tensor.grad
+                got = p.grad
                 same = (got is None and ref is None) or (got is not None and ref is not None and np.array_equal(got, ref))
                 if not same:
                     raise GraphError(
@@ -459,7 +455,7 @@ def _checkpoint_entries(model: DetectionModel) -> list[tuple[str, np.ndarray]]:
         ("meta.ref_scale", np.array([model.scheme.ref_scale], dtype=np.float32)),
         ("meta.boundaries", np.asarray(model.scheme.boundaries, dtype=np.float32)),
     ]
-    entries += [(p.name, p.tensor.data) for p in model.named_parameters()]
+    entries += [(p.name, p.data) for p in model.named_parameters()]
     return entries
 
 
@@ -481,37 +477,39 @@ def write_checkpoint_entries(path: Path, entries: list[tuple[str, np.ndarray]]) 
             f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return buf
-
-
 def read_checkpoint_entries(path: Path) -> dict[str, np.ndarray]:
+    """The named arrays of a checkpoint file.  Every length a header
+    declares is checked against the bytes left before anything of that
+    length is read, so a corrupt header cannot ask for a large buffer."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint {path} does not exist")
+    raw = memoryview(path.read_bytes())
+    magic = bytes(raw[: len(CHECKPOINT_MAGIC)])
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic {magic!r}; expected {CHECKPOINT_MAGIC!r}")
+    pos = len(CHECKPOINT_MAGIC)
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if n > len(raw) - pos:
+            raise CheckpointError(f"{path}: truncated checkpoint while reading {what}")
+        pos += n
+        return raw[pos - n : pos]
+
     entries: dict[str, np.ndarray] = {}
-    with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}; expected {CHECKPOINT_MAGIC!r}")
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise CheckpointError(f"{path}: {len(head)} trailing bytes after the last entry")
-            (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(f, name_len, "name").decode()
-            (rank,) = struct.unpack("<I", _read_exact(f, 4, "rank"))
-            dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dims")) if rank else ()
-            count = int(np.prod(dims)) if dims else 1
-            if rank == 1 and dims[0] == 0:
-                count = 0
-            payload = _read_exact(f, 4 * count, f"payload of {name}")
-            entries[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+    while pos < len(raw):
+        if len(raw) - pos < 4:
+            raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes after the last entry")
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        try:
+            name = str(take(name_len, "name"), "utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: entry name at byte {pos - name_len} is not UTF-8") from None
+        (rank,) = struct.unpack("<I", take(4, "rank"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
+        payload = take(4 * math.prod(dims), f"payload of {name}")
+        entries[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
     return entries
 
 

@@ -236,8 +236,8 @@ class TestCriterion3GradientBlocking:
                 parts = compute_step_losses(model, batch, cfg, include_san_loss=include)
                 parts.total.backward()
                 grads[include] = (
-                    [p.tensor.grad.copy() for p in model.backbone.named_parameters()],
-                    [p.tensor.grad.copy() if p.tensor.grad is not None else None for p in model.san.named_parameters()],
+                    [p.grad.copy() for p in model.backbone.named_parameters()],
+                    [p.grad.copy() if p.grad is not None else None for p in model.san.named_parameters()],
                 )
             if all(np.array_equal(a, b) for a, b in zip(grads[True][0], grads[False][0])):
                 identical_steps += 1
@@ -296,6 +296,7 @@ class TestCriterion5CamContrast:
 # -- criterion 6: scale-space RMSE reduction --------------------------------
 
 
+@pytest.mark.slow
 class TestCriterion6RmseReduction:
     def test_trained_correction_reduces_rmse(self, toy_data, trained_matrix):
         _, test_ds = toy_data
@@ -326,6 +327,7 @@ class TestCriterion6RmseReduction:
 # -- criterion 7: detection sanity -------------------------------------------
 
 
+@pytest.mark.slow
 class TestCriterion7Detection:
     def test_detection_not_degraded(self, toy_data, trained_matrix):
         _, test_ds = toy_data

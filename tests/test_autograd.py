@@ -49,8 +49,11 @@ class TestTensorBasics:
 
     def test_parameter_momentum_buffer(self):
         p = Parameter(np.zeros((4, 2), dtype=np.float32))
-        assert p.momentum.shape == p.tensor.data.shape
-        assert p.tensor.requires_grad
+        assert isinstance(p, Tensor)
+        assert p.momentum.shape == p.data.shape
+        assert p.requires_grad
+        with ag.no_grad():
+            assert Parameter(np.zeros(2, dtype=np.float32)).requires_grad
 
 
 class TestConv2d:
@@ -256,7 +259,7 @@ class TestPointwiseOps:
             out.grad = (r.normal(size=out.shape) * 10.0 ** r.integers(-4, 5, size=out.shape)).astype(np.float32)
             np.add.at(expected, idx, out.grad)
             expected = x.grad + expected
-            out._backward()
+            out._backward(out.grad)
             assert np.array_equal(x.grad, expected), (trial, idx)
 
 
@@ -381,17 +384,17 @@ class TestSmoothL1:
 class TestSgdStep:
     def test_plain_gradient_descent(self):
         p = Parameter(np.array([1.0, 2.0], dtype=np.float32))
-        p.tensor.grad = np.array([0.5, -0.5], dtype=np.float32)
+        p.grad = np.array([0.5, -0.5], dtype=np.float32)
         ag.sgd_step([p], lr=1.0, momentum=0.0, weight_decay=0.0)
         assert np.allclose(p.data, [0.5, 2.5])
-        assert p.tensor.grad is None
+        assert p.grad is None
 
     def test_two_momentum_steps_unroll(self):
         p = Parameter(np.zeros(1, dtype=np.float64))
         g = 0.25
         total = 0.0
         for _ in range(2):
-            p.tensor.grad = np.array([g])
+            p.grad = np.array([g])
             ag.sgd_step([p], lr=1.0, momentum=0.9, weight_decay=0.0)
         # buf_1 = g ; buf_2 = 0.9 g + g -> total displacement g + 1.9 g
         assert p.data[0] == pytest.approx(-(g + 1.9 * g), abs=1e-12)
@@ -401,7 +404,7 @@ class TestSgdStep:
         w0 = 3.0
         p = Parameter(np.array([w0]))
         for k in range(1, 26):
-            p.tensor.grad = np.zeros(1)
+            p.grad = np.zeros(1)
             ag.sgd_step([p], lr=lr, momentum=0.0, weight_decay=wd)
             assert p.data[0] == pytest.approx(w0 * (1 - lr * wd) ** k, rel=1e-9)
 

@@ -197,8 +197,8 @@ class TestFuse:
         x = Tensor(np.abs(np.random.default_rng(10).normal(size=(1, 3, 2, 2))).astype(np.float32) + 0.1)
         fused = fuse(x, san_forward(x, 0, m), alpha=m.fusion_alpha)
         ag.sum_all(fused).backward()
-        assert m.fusion_alpha.tensor.grad is not None
-        assert abs(float(m.fusion_alpha.tensor.grad)) > 0
+        assert m.fusion_alpha.grad is not None
+        assert abs(float(m.fusion_alpha.grad)) > 0
 
 
 class TestSanLossBranch:
@@ -239,16 +239,16 @@ class TestSanLossBranch:
         loss = san_loss_branch(feat, 1, m, r_tilde)
         loss.backward()
         assert src.grad is None
-        assert m.subnets[1].w.tensor.grad is not None
-        assert np.abs(m.subnets[1].w.tensor.grad).max() > 0
+        assert m.subnets[1].w.grad is not None
+        assert np.abs(m.subnets[1].w.grad).max() > 0
 
     def test_other_partitions_untouched(self):
         m = self.make_module()
         feat = Tensor(np.abs(np.random.default_rng(14).normal(size=(1, 8, 7, 7))).astype(np.float32) + 0.1)
         r_tilde = Tensor(np.random.default_rng(15).normal(size=(1, 8, 1, 1)).astype(np.float32))
         san_loss_branch(feat, 1, m, r_tilde).backward()
-        assert m.subnets[0].w.tensor.grad is None
-        assert m.subnets[2].w.tensor.grad is None
+        assert m.subnets[0].w.grad is None
+        assert m.subnets[2].w.grad is None
 
 
 class TestSiameseSharing:
@@ -264,7 +264,7 @@ class TestSiameseSharing:
         total = ag.add(ag.sum_all(detect_out), ag.sum_all(branch))
         total.backward()
         sn = m.subnets[0]
-        assert sn.w.tensor.grad is not None
+        assert sn.w.grad is not None
         w_before = sn.w.data.copy()
         ag.sgd_step([sn.w, sn.b], lr=0.1)
         # both application sites read the same storage, so both moved

@@ -1,6 +1,7 @@
 """Trainer: step construction, losses, SGD loop, checkpoints, inference."""
 
 import gc
+import struct
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from sanlab.data import DatasetConfig, generate_dataset
 from sanlab.errors import CheckpointError, ConfigError
 from sanlab.san import TOY_SCHEME, ScalePartitionScheme, partition_index
 from sanlab.training import (
+    CHECKPOINT_MAGIC,
     DetectionModel,
     StepBatch,
     TrainingConfig,
@@ -201,8 +203,8 @@ class TestGradientBlocking:
             parts = compute_step_losses(model, batch, cfg, include_san_loss=include)
             parts.total.backward()
             grads[include] = {
-                "backbone": [p.tensor.grad.copy() for p in model.backbone.named_parameters()],
-                "san": [p.tensor.grad.copy() if p.tensor.grad is not None else None
+                "backbone": [p.grad.copy() for p in model.backbone.named_parameters()],
+                "san": [p.grad.copy() if p.grad is not None else None
                         for p in model.san.named_parameters()],
             }
         for a, b in zip(grads[True]["backbone"], grads[False]["backbone"]):
@@ -308,21 +310,38 @@ class TestTrainLoop:
         save_checkpoint(tmp_path / "checked.san", checked.model)
         assert (tmp_path / "plain.san").read_bytes() == (tmp_path / "checked.san").read_bytes()
 
-    def test_training_leaves_no_tensor_for_the_cycle_collector(self, tiny_dataset):
-        """backward() frees each step's tape, so reference counting reclaims it."""
+    @staticmethod
+    def _tensors_for_the_cycle_collector(run) -> list[str]:
+        """Type names of the Tensors that only the cycle collector would
+        free once ``run()`` has returned."""
         gc.collect()
         enabled, flags, kept = gc.isenabled(), gc.get_debug(), len(gc.garbage)
         gc.disable()
         try:
-            train(tiny_dataset, tiny_config(iterations=3))
+            run()
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()
-            leaked = [type(o).__name__ for o in gc.garbage[kept:] if isinstance(o, Tensor)]
+            return [type(o).__name__ for o in gc.garbage[kept:] if isinstance(o, Tensor)]
         finally:
             gc.set_debug(flags)
             del gc.garbage[kept:]
             if enabled:
                 gc.enable()
+
+    def test_training_leaves_no_tensor_for_the_cycle_collector(self, tiny_dataset):
+        """backward() frees each step's tape, so reference counting reclaims it."""
+        leaked = self._tensors_for_the_cycle_collector(lambda: train(tiny_dataset, tiny_config(iterations=3)))
+        assert leaked == []
+
+    def test_dropped_graph_leaves_no_tensor_for_the_cycle_collector(self, tiny_dataset):
+        """A step's graph dropped without backward() holds no reference
+        cycle: no backward closure refers to the tensor it is stored on."""
+        cfg = tiny_config()
+        model = build_model(cfg)
+        batch = build_step_batch(tiny_dataset, cfg, step=0)
+        leaked = self._tensors_for_the_cycle_collector(
+            lambda: compute_step_losses(model, batch, cfg, include_san_loss=True)
+        )
         assert leaked == []
 
     def test_missing_grads_filled_with_zeros(self, tiny_dataset):
@@ -333,7 +352,7 @@ class TestTrainLoop:
         parts = compute_step_losses(model, batch, cfg, include_san_loss=False)
         parts.total.backward()
         fill_missing_grads(params)
-        assert all(p.tensor.grad is not None for p in params)
+        assert all(p.grad is not None for p in params)
 
 
 class TestCheckpoint:
@@ -445,6 +464,42 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+    @staticmethod
+    def _one_entry_file(tmp_path, name: bytes, dims_header: bytes):
+        """A checkpoint of one entry header (no payload) with the given
+        name bytes and raw rank-and-dims field."""
+        path = tmp_path / "h.san"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(name)) + name + dims_header)
+        return path
+
+    @pytest.mark.parametrize(
+        "dims_header",
+        [struct.pack("<II", 1, 2**24), struct.pack("<I", 2**24)],
+        ids=["dims", "rank"],
+    )
+    def test_declared_length_checked_before_allocating(self, tmp_path, dims_header):
+        # 2**24 float32 values, or 2**24 dims, would be a 64 MiB read
+        path = self._one_entry_file(tmp_path, b"w", dims_header)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated"):
+                read_checkpoint_entries(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_element_count_does_not_wrap(self, tmp_path):
+        # 65536**4 == 2**64 wraps an int64 product to 0 elements
+        path = self._one_entry_file(tmp_path, b"w", struct.pack("<5I", 4, *(65536,) * 4))
+        with pytest.raises(CheckpointError, match="payload of w"):
+            read_checkpoint_entries(path)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        path = self._one_entry_file(tmp_path, b"\xff", struct.pack("<I", 0) + b"\0\0\0\0")
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            read_checkpoint_entries(path)
 
     def test_scheme_round_trips_exactly(self, tmp_path):
         scheme = ScalePartitionScheme(ref_scale=40, boundaries=(100.3, 2000.7))
