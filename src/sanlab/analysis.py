@@ -67,11 +67,7 @@ def cam_stability(cam: CamMatrix, k: int) -> float:
     n = len(cam.scales)
     if n < 2:
         raise SanlabError("cam_stability needs at least two scales")
-    sets = []
-    for j in range(n):
-        col = cam.values[:, j]
-        order = np.argsort(-col, kind="stable")[: min(k, col.size)]
-        sets.append({cam.channel_ids[int(r)] for r in order})
+    sets = [{cam.channel_ids[r] for r in _top_k(cam.values[:, j], k)} for j in range(n)]
     total = 0.0
     pairs = 0
     for i in range(n):

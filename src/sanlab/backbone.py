@@ -2,8 +2,11 @@
 
 A feature map for a whole image comes from a stack of strided conv+ReLU
 blocks; per-object features come either from RoI pooling on that map or
-from the scale-normalized-patch pathway (crop, resize to the reference
-scale, run the backbone, pool globally).
+from the scale-normalized-patch pathway (crop the RoI's cell-aligned
+footprint, resize to the reference scale, run the backbone, pool
+globally), which `batched_reference_features` alone implements.  The
+public `sanlab.extract_reference_feature` is its one-RoI case, so it too
+crops the cell-aligned footprint rather than the RoI itself.
 """
 
 from __future__ import annotations
@@ -262,17 +265,44 @@ def crop_pixels(img: Image, roi: RoI) -> np.ndarray:
     return img.pixels.data[:, :, y_lo:y_hi, x_lo:x_hi]
 
 
+def cell_aligned_roi(roi: RoI, stride: int, width: int, height: int) -> RoI:
+    """The RoI expanded to the feature-cell footprint its pooling reads.
+
+    Reference patches are cropped on this footprint so both siamese
+    pathways see the same image region; at stride 8 on small images the
+    cell snap would otherwise dominate the scale effect being learned.
+    """
+    x1 = max(0.0, math.floor(roi.x1 / stride) * stride)
+    y1 = max(0.0, math.floor(roi.y1 / stride) * stride)
+    x2 = min(float(width), math.ceil(roi.x2 / stride) * stride)
+    y2 = min(float(height), math.ceil(roi.y2 / stride) * stride)
+    return RoI(x1=x1, y1=y1, x2=x2, y2=y2, image_id=roi.image_id)
+
+
+def batched_reference_features(pairs: Sequence[tuple[Image, RoI]], ref_scale: int, bb: Backbone) -> np.ndarray:
+    """Reference-scale channel features of many RoIs: an (N, C, 1, 1) array.
+
+    Each RoI is snapped to its cell footprint (`cell_aligned_roi`), cropped,
+    and resized to ref_scale x ref_scale; the stacked patches make one
+    backbone pass, pooled globally, with no tape.  Row n is bitwise the
+    result for pairs[n] alone: the batch axis never mixes into a reduction.
+    """
+    with ag.no_grad():
+        patches = []
+        for img, roi in pairs:
+            snapped = cell_aligned_roi(roi, bb.total_stride, img.width, img.height)
+            patches.append(ag.bilinear_resize(Tensor(crop_pixels(img, snapped)), ref_scale, ref_scale).data)
+        return ag.global_avg_pool(bb.forward(Tensor(np.concatenate(patches, axis=0)))).data
+
+
 def extract_reference_feature(img: Image, roi: RoI, ref_scale: int, bb: Backbone) -> Tensor:
     """Channel feature of the RoI's scale-normalized patch (constant target).
 
-    Crop, resize to ref_scale x ref_scale, run the backbone, pool globally.
-    The result carries no gradient.
+    The one-pair case of `batched_reference_features`: the crop is the
+    RoI's cell-aligned footprint, not the RoI itself.  Returns a
+    (1, C, 1, 1) tensor that carries no gradient.
     """
-    patch = Tensor(crop_pixels(img, roi))
-    with ag.no_grad():
-        patch = ag.bilinear_resize(patch, ref_scale, ref_scale)
-        feat = bb.forward(patch)
-        return ag.global_avg_pool(feat)
+    return Tensor(batched_reference_features([(img, roi)], ref_scale, bb))
 
 
 def cam_scale_sweep(

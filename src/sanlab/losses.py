@@ -160,25 +160,21 @@ def multi_task_loss(
     labels: list[int],
     targets: list[RegressionTarget | None],
     num_classes: int,
-    san_terms: list[Tensor] | None = None,
-    san_loss_enabled: bool = True,
+    san_terms: Tensor | None = None,
     san_loss_weight: float = 1.0,
 ) -> LossParts:
     """Classification + gated box regression + averaged scale-aware loss.
 
-    ``san_terms`` holds the per-RoI branch losses in sampling order, as
-    scalars or 1-d tensors of several; the scale-aware component is their
-    mean, summed left to right, or exactly zero when disabled or empty.
+    ``san_terms`` is the (N,) tensor of per-RoI branch losses in sampling
+    order; the scale-aware component is their mean, summed left to right,
+    or exactly zero when it is None.
     """
     l_cls = ag.softmax_cross_entropy(logits, labels)
     l_reg = regression_loss(deltas, labels, targets, num_classes)
     total = ag.add(l_cls, l_reg)
-    if san_loss_enabled and san_terms:
-        rows = [ag.reshape(t, (t.data.size,)) for t in san_terms]
-        terms = rows[0] if len(rows) == 1 else ag.concat0(rows)
-        l_san = ag.scale(ag.sum_in_order(terms), 1.0 / terms.shape[0])
+    l_san_val = 0.0
+    if san_terms is not None:
+        l_san = ag.scale(ag.sum_in_order(san_terms), 1.0 / san_terms.shape[0])
         total = ag.add(total, ag.scale(l_san, san_loss_weight))
         l_san_val = l_san.item()
-    else:
-        l_san_val = 0.0
     return LossParts(total=total, l_cls=l_cls.item(), l_reg=l_reg.item(), l_san=l_san_val)

@@ -177,6 +177,22 @@ class TestTrain:
         )
         assert rc == 2
 
+    def test_pos_fraction_above_one_rejected(self, small_run, tmp_path, capsys):
+        data, _ = small_run
+        rc = main(
+            [
+                "train",
+                "--out-dir", str(tmp_path / "x"),
+                "--data-dir", str(data),
+                "--pos-fraction", "2",
+                "--rois-per-image", "4",
+                "--san-samples", "2",
+                "--iterations", "1",
+            ]
+        )
+        assert rc == 2
+        assert "pos_fraction" in capsys.readouterr().err
+
     def test_partitions_flag_must_match_boundaries(self, small_run, tmp_path):
         data, _ = small_run
         rc = main(

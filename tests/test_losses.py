@@ -144,12 +144,9 @@ class TestMultiTaskLoss:
     def test_san_disabled_total_is_cls_plus_reg(self):
         logits, deltas = self._inputs([1, 0], [RegressionTarget(0.1, 0.2, 0.0, -0.1), None])
         t = RegressionTarget(0.1, 0.2, 0.0, -0.1)
-        with_terms = multi_task_loss(
-            logits, deltas, [1, 0], [t, None], num_classes=2,
-            san_terms=[Tensor(np.float32(3.0))], san_loss_enabled=False,
-        )
-        assert with_terms.l_san == 0.0
-        assert with_terms.total.item() == pytest.approx(with_terms.l_cls + with_terms.l_reg, rel=1e-6)
+        parts = multi_task_loss(logits, deltas, [1, 0], [t, None], num_classes=2, san_terms=None)
+        assert parts.l_san == 0.0
+        assert parts.total.item() == pytest.approx(parts.l_cls + parts.l_reg, rel=1e-6)
 
     def test_perfect_predictions_zero_total(self):
         k = 2
@@ -159,19 +156,19 @@ class TestMultiTaskLoss:
         deltas = np.zeros((1, 4 * k), dtype=np.float32)
         parts = multi_task_loss(
             Tensor(logits), Tensor(deltas), [1], [t], num_classes=k,
-            san_terms=[Tensor(np.float32(0.0))], san_loss_enabled=True,
+            san_terms=Tensor(np.zeros(1, dtype=np.float32)),
         )
         assert parts.total.item() == pytest.approx(0.0, abs=1e-6)
 
     def test_san_terms_averaged(self):
         logits, deltas = self._inputs([0], [None])
-        terms = [Tensor(np.float32(1.0)), Tensor(np.float32(3.0))]
+        terms = Tensor([1.0, 3.0])
         parts = multi_task_loss(logits, deltas, [0], [None], num_classes=2, san_terms=terms)
         assert parts.l_san == pytest.approx(2.0)
 
     def test_san_weight_scales_total_only(self):
         logits, deltas = self._inputs([0], [None])
-        terms = [Tensor(np.float32(2.0))]
+        terms = Tensor(np.array([2.0], dtype=np.float32))
         parts = multi_task_loss(
             logits, deltas, [0], [None], num_classes=2, san_terms=terms, san_loss_weight=0.5
         )
@@ -198,7 +195,7 @@ class TestMultiTaskLoss:
                 logits, deltas, [1, 2, 0],
                 [RegressionTarget(*r.normal(size=4)), RegressionTarget(*r.normal(size=4)), None],
                 num_classes=2,
-                san_terms=[Tensor(np.float32(abs(r.normal())))],
+                san_terms=Tensor(np.array([abs(r.normal())], dtype=np.float32)),
             )
             assert parts.total.item() >= 0
 

@@ -10,7 +10,7 @@ from test_backbone import naive_roi_pool
 
 from sanlab import autograd as ag
 from sanlab.autograd import Tensor
-from sanlab.backbone import RoI, extract_reference_feature, roi_pool
+from sanlab.backbone import RoI, cell_aligned_roi, extract_reference_feature, roi_pool
 from sanlab.data import DatasetConfig, generate_dataset
 from sanlab.errors import CheckpointError, ConfigError
 from sanlab.san import TOY_SCHEME, ScalePartitionScheme, partition_index
@@ -22,7 +22,6 @@ from sanlab.training import (
     batched_reference_features,
     build_model,
     build_step_batch,
-    cell_aligned_roi,
     compute_step_losses,
     detect,
     evaluate_detector,
@@ -74,6 +73,15 @@ class TestConfigValidation:
             cfg.validate()
         with pytest.raises(ConfigError, match="gaussian"):
             train(tiny_dataset, cfg)
+
+    @pytest.mark.parametrize("value", [-0.25, 1.5, 2.0, float("nan")])
+    def test_pos_fraction_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ConfigError, match="pos_fraction"):
+            TrainingConfig(pos_fraction=value).validate()
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_pos_fraction_endpoints_accepted(self, value):
+        TrainingConfig(pos_fraction=value).validate()
 
     def test_learning_rate_schedule(self):
         cfg = TrainingConfig(base_lr=0.1, lr_decay_step=10, lr_decay_factor=0.1)
@@ -143,9 +151,20 @@ class TestCellAlignment:
             for a in anns:
                 pairs.append((img, a.box))
         batched = batched_reference_features(pairs, 48, model.backbone)
-        for (img, roi), got in zip(pairs, batched):
+        assert batched.shape == (len(pairs), model.backbone.c_feat, 1, 1)
+        for n, (img, roi) in enumerate(pairs):
             single = reference_feature_for_roi(img, roi, 48, model.backbone)
-            assert np.array_equal(got.data, single.data)
+            assert np.array_equal(batched[n : n + 1], single.data)
+
+    def test_reference_feature_crops_the_cell_aligned_footprint(self, tiny_dataset):
+        bb = build_model(tiny_config()).backbone
+        img = tiny_dataset[0][0]
+        roi = RoI(x1=10.0, y1=17.0, x2=53.5, y2=61.0)
+        snapped = cell_aligned_roi(roi, bb.total_stride, img.width, img.height)
+        assert snapped != roi
+        got = extract_reference_feature(img, roi, 48, bb)
+        assert np.array_equal(got.data, extract_reference_feature(img, snapped, 48, bb).data)
+        assert not got.requires_grad
 
 
 class TestSplitCorrectMerge:
@@ -267,6 +286,11 @@ class TestTrainLoop:
 
     def test_no_loss_mode_logs_zero_san(self, tiny_dataset):
         result = train(tiny_dataset, tiny_config(iterations=3, san_mode="no-loss"))
+        assert all(row[3] == 0.0 for row in result.log_rows)
+
+    def test_full_mode_without_san_samples_logs_zero_san(self, tiny_dataset):
+        result = train(tiny_dataset, tiny_config(iterations=3, san_samples=0))
+        assert result.model.san is not None
         assert all(row[3] == 0.0 for row in result.log_rows)
 
     def test_off_mode_has_no_san_parameters(self, tiny_dataset):
@@ -436,6 +460,14 @@ class TestCheckpoint:
         path = self._resaved(tmp_path, **{"head.extra": np.zeros(3, dtype=np.float32)})
         with pytest.raises(CheckpointError, match="head.extra"):
             load_checkpoint(path)
+
+    def test_duplicate_entry_rejected(self, tmp_path):
+        save_checkpoint(tmp_path / "m.san", build_model(tiny_config()))
+        entries = list(read_checkpoint_entries(tmp_path / "m.san").items())
+        entries.append(("head.cls.b", np.full(4, 7.0, dtype=np.float32)))
+        write_checkpoint_entries(tmp_path / "x.san", entries)
+        with pytest.raises(CheckpointError, match="duplicate entry head.cls.b"):
+            load_checkpoint(tmp_path / "x.san")
 
     def test_fusion_gate_without_sub_networks_rejected(self, tmp_path):
         save_checkpoint(tmp_path / "m.san", build_model(tiny_config(san_mode="off")))
