@@ -9,13 +9,17 @@ freed by reference counting.  ``backward()`` still consumes the graph:
 every node it walked drops its parents and its closure, so intermediate
 tensors and captured buffers are freed as soon as backpropagation ends,
 even while the caller holds the loss.  Only the operations the detection
-pipeline needs exist; there is no broadcasting and no GPU path.  Training
-runs in float32; gradient-check tests rebuild the same graphs in float64.
+pipeline needs exist; there is no broadcasting and no GPU path.  Padding
+always replicates edges (``conv2d``'s ``pad`` and ``replicate_pad``), so
+constant inputs stay constant through every padded convolution.
+``no_grad`` stops recording in the current thread only.  Training runs
+in float32; gradient-check tests rebuild the same graphs in float64.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 from typing import Callable, Iterable, Sequence
 
@@ -23,19 +27,21 @@ import numpy as np
 
 from .errors import GraphError, ShapeError
 
-_grad_enabled = True
+_grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar("sanlab_grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference / constant targets)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording inside the block (inference / constant targets).
+
+    The switch is a context variable, so it holds for this thread (or
+    asyncio task) only; other threads keep recording.
+    """
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -52,7 +58,7 @@ class Tensor:
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float32)
         self.data = arr
-        self.requires_grad = bool(requires_grad) and _grad_enabled
+        self.requires_grad = bool(requires_grad) and _grad_enabled.get()
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -144,34 +150,64 @@ def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+def _edge_pad(x: np.ndarray, p: int) -> np.ndarray:
+    """x with its last two axes padded by p replicated edge elements."""
     n, c, h, w = x.shape
-    ho = _conv_out_size(h, kh, stride, pad)
-    wo = _conv_out_size(w, kw, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    # interior once, then border columns from the edge columns, then border
+    # rows from the padded edge rows: each output element is written once
+    out = np.empty((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    body = out[:, :, p : p + h]
+    body[:, :, :, p : p + w] = x
+    body[:, :, :, :p] = x[:, :, :, :1]
+    body[:, :, :, p + w :] = x[:, :, :, w - 1 :]
+    out[:, :, :p] = out[:, :, p : p + 1]
+    out[:, :, p + h :] = out[:, :, p + h - 1 : p + h]
+    return out
+
+
+def _edge_fold(gp: np.ndarray, p: int) -> np.ndarray:
+    """Gradient of `_edge_pad`: border rows, then border columns, folded
+    onto the edge they copy (one edge row serves both sides when h == 1)."""
+    h = gp.shape[2] - 2 * p
+    w = gp.shape[3] - 2 * p
+    g = gp[:, :, p : p + h].copy()
+    g[:, :, 0] += gp[:, :, :p].sum(axis=2)
+    g[:, :, h - 1] += gp[:, :, p + h :].sum(axis=2)
+    gx = g[:, :, :, p : p + w].copy()
+    gx[:, :, :, 0] += g[:, :, :, :p].sum(axis=3)
+    gx[:, :, :, w - 1] += g[:, :, :, p + w :].sum(axis=3)
+    return gx
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Columns (n, c*kh*kw, ho*wo) of an already padded map."""
+    n, c = xp.shape[:2]
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
     return cols.reshape(n, c * kh * kw, ho * wo)
 
 
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    n, c, h, w = x_shape
-    ho = _conv_out_size(h, kh, stride, pad)
-    wo = _conv_out_size(w, kw, stride, pad)
+def _col2im(cols: np.ndarray, xp_shape, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Sum columns back onto a padded map of shape xp_shape."""
+    n, c = xp_shape[:2]
     cols = cols.reshape(n, c, kh, kw, ho, wo)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    xp = np.zeros(xp_shape, dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
             xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
-    if pad:
-        return xp[:, :, pad : pad + h, pad : pad + w].copy()
     return xp
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of NCHW input with KCkhkw kernels plus bias."""
+    """Cross-correlation of NCHW input with KCkhkw kernels plus bias.
+
+    ``pad`` replicates edges: the result equals `replicate_pad` followed
+    by an unpadded conv, bit for bit, in value and in every gradient, but
+    the padded map is scratch, not a tape tensor.  A 1x1, stride-1,
+    unpadded conv reads x itself as its columns.
+    """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
     n, c, h, wd = x.shape
@@ -187,9 +223,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output would be empty for input {h}x{wd} kernel {kh}x{kw} stride {stride} pad {pad}")
 
-    cols = _im2col(x.data, kh, kw, stride, pad)  # (n, c*kh*kw, ho*wo)
+    pointwise = kh == kw == stride == 1 and pad == 0
+    if pointwise:
+        cols = x.data.reshape(n, c, h * wd)
+    else:
+        xp = _edge_pad(x.data, pad) if pad else x.data
+        cols = _im2col(xp, kh, kw, stride, ho, wo)  # (n, c*kh*kw, ho*wo)
+        xp_shape = xp.shape
     wm = w.data.reshape(k, c * kh * kw)
-    out_data = np.matmul(wm, cols).reshape(n, k, ho, wo) + b.data.reshape(1, k, 1, 1)
+    out_data = np.matmul(wm, cols).reshape(n, k, ho, wo)
+    out_data += b.data.reshape(1, k, 1, 1)
 
     def backward(grad_out: np.ndarray):
         g = grad_out.reshape(n, k, ho * wo)
@@ -200,7 +243,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
             w._accumulate(dwm.reshape(w.shape))
         if x.requires_grad:
             dcols = np.matmul(wm.T, g)
-            x._accumulate(_col2im(dcols, x.shape, kh, kw, stride, pad))
+            if pointwise:
+                x._accumulate(dcols.reshape(x.shape))
+            else:
+                gp = _col2im(dcols, xp_shape, kh, kw, stride, ho, wo)
+                x._accumulate(_edge_fold(gp, pad) if pad else gp)
 
     return _result(out_data, (x, w, b), backward)
 
@@ -365,7 +412,8 @@ def replicate_pad(x: Tensor, p: int) -> Tensor:
     """Edge-replication padding of the two spatial axes of an NCHW tensor.
 
     Keeps constant inputs constant through padded convolutions, so feature
-    vectors of constant images are scale-invariant.
+    vectors of constant images are scale-invariant.  ``conv2d(pad=p)``
+    pads the same way without this tape node.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"replicate_pad expects NCHW, got {x.shape}")
@@ -373,29 +421,11 @@ def replicate_pad(x: Tensor, p: int) -> Tensor:
         raise ShapeError(f"pad must be non-negative, got {p}")
     if p == 0:
         return x
-    n, c, h, w = x.shape
-    # interior once, then border columns from the edge columns, then border
-    # rows from the padded edge rows: each output element is written once
-    out_data = np.empty((n, c, h + 2 * p, w + 2 * p), dtype=x.data.dtype)
-    body = out_data[:, :, p : p + h]
-    body[:, :, :, p : p + w] = x.data
-    body[:, :, :, :p] = x.data[:, :, :, :1]
-    body[:, :, :, p + w :] = x.data[:, :, :, w - 1 :]
-    out_data[:, :, :p] = out_data[:, :, p : p + 1]
-    out_data[:, :, p + h :] = out_data[:, :, p + h - 1 : p + h]
 
     def backward(grad_out: np.ndarray):
-        # fold the border rows, then the border columns, onto the edge
-        # they replicate (one edge row serves both sides when h == 1)
-        g = grad_out[:, :, p : p + h].copy()
-        g[:, :, 0] += grad_out[:, :, :p].sum(axis=2)
-        g[:, :, h - 1] += grad_out[:, :, p + h :].sum(axis=2)
-        gx = g[:, :, :, p : p + w].copy()
-        gx[:, :, :, 0] += g[:, :, :, :p].sum(axis=3)
-        gx[:, :, :, w - 1] += g[:, :, :, p + w :].sum(axis=3)
-        x._accumulate(gx)
+        x._accumulate(_edge_fold(grad_out, p))
 
-    return _result(out_data, (x,), backward)
+    return _result(_edge_pad(x.data, p), (x,), backward)
 
 
 def _occurrence_passes(idx: np.ndarray) -> list:
@@ -481,7 +511,11 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinear interpolation to (out_h, out_w).
 
     Forward-only by design: the result never participates in gradients
-    (it feeds the constant reference-scale pathway).
+    (it feeds the constant reference-scale pathway).  Each output element
+    is (1-fy) * top + fy * bottom, where top and bottom interpolate its
+    two source rows along x; the x pass runs once on every source row and
+    the rows are gathered from its result.  A same-size resize returns a
+    copy, which is what the formula gives on finite inputs.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"bilinear_resize expects NCHW, got {x.shape}")
@@ -489,13 +523,12 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
         raise ShapeError(f"bilinear_resize target must be positive, got {out_h}x{out_w}")
     d = x.data
     n, c, h, w = d.shape
+    if (h, w) == (out_h, out_w):
+        return Tensor(d.copy())
     y0, y1, fy = _resample_axis(h, out_h, d.dtype)
     x0, x1, fx = _resample_axis(w, out_w, d.dtype)
-    r0 = d[:, :, y0]
-    r1 = d[:, :, y1]
-    top = r0[:, :, :, x0] * (1 - fx) + r0[:, :, :, x1] * fx
-    bot = r1[:, :, :, x0] * (1 - fx) + r1[:, :, :, x1] * fx
-    out = top * (1 - fy)[:, None] + bot * fy[:, None]
+    rows = d[:, :, :, x0] * (1 - fx) + d[:, :, :, x1] * fx
+    out = rows[:, :, y0] * (1 - fy)[:, None] + rows[:, :, y1] * fy[:, None]
     return Tensor(out)
 
 

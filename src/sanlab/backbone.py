@@ -131,9 +131,7 @@ class Backbone:
                 f"input {x.shape[2]}x{x.shape[3]} smaller than backbone stride {self.total_stride}"
             )
         for (w, b), (_, _, s, p) in zip(self.params, BACKBONE_BLOCKS):
-            if p:
-                x = ag.replicate_pad(x, p)
-            x = ag.relu(ag.conv2d(x, w, b, stride=s, pad=0))
+            x = ag.relu(ag.conv2d(x, w, b, stride=s, pad=p))
         return x
 
 

@@ -90,8 +90,12 @@ class TrainingConfig:
                 raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.san_mode == "off" and self.init_mode == "gaussian":
             raise ConfigError("init_mode 'gaussian' has no effect with san_mode 'off'; change one of them")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         for name in (
-            "base_lr", "lr_decay_factor", "momentum", "weight_decay", "san_loss_weight",
+            "base_lr", "lr_decay_factor", "momentum", "weight_decay", "san_loss_weight", "gaussian_std",
             "iterations", "san_samples", "n_pos_jitter", "n_neg",
         ):
             if getattr(self, name) < 0:

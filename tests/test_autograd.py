@@ -1,6 +1,7 @@
 """Tensor engine: forward values, backward gradients, optimizer algebra."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -46,6 +47,28 @@ class TestTensorBasics:
         with ag.no_grad():
             out = ag.relu(t)
         assert not out.requires_grad and out._backward is None
+
+    def test_no_grad_holds_only_in_its_own_thread(self):
+        entered, release = threading.Event(), threading.Event()
+        inside = []
+
+        def hold():
+            with ag.no_grad():
+                inside.append(ag.relu(Tensor(np.ones(3), requires_grad=True)).requires_grad)
+                entered.set()
+                release.wait(timeout=10)
+
+        worker = threading.Thread(target=hold)
+        worker.start()
+        try:
+            assert entered.wait(timeout=10)
+            out = ag.relu(Tensor(np.ones(3), requires_grad=True))
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert inside == [False]
+        assert out.requires_grad and out._backward is not None
 
     def test_parameter_momentum_buffer(self):
         p = Parameter(np.zeros((4, 2), dtype=np.float32))
@@ -116,6 +139,82 @@ class TestConv2d:
             arrays,
             context="conv2d strided",
         )
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def conv_case(seed, n, c, k, h, w, kernel):
+    r = rng_for(seed)
+    return (
+        r.normal(size=(n, c, h, w)).astype(np.float32),
+        r.normal(size=(k, c, kernel, kernel)).astype(np.float32),
+        r.normal(size=(k,)).astype(np.float32),
+    )
+
+
+def conv_value_and_grads(build, x, w, b, upstream):
+    """Forward value and x/w/b gradients of sum(build(x, w, b) * upstream)."""
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = build(tx, tw, tb)
+    ag.sum_all(ag.mul(out, Tensor(upstream))).backward()
+    return out.data, tx.grad, tw.grad, tb.grad
+
+
+class TestConvKernelsBitwise:
+    """The fused kernels against the op chains they replace, bit for bit (float32)."""
+
+    @pytest.mark.parametrize(
+        "n, h, w, kernel, stride",
+        [
+            (2, 7, 5, 3, 1),
+            (2, 9, 11, 3, 2),
+            (3, 1, 6, 3, 1),
+            (2, 5, 1, 3, 2),
+            (1, 1, 1, 3, 1),
+            (2, 6, 7, 5, 1),
+            (2, 13, 9, 5, 2),
+        ],
+    )
+    @pytest.mark.parametrize("pad", [1, 2])
+    def test_padded_conv_equals_replicate_pad_then_conv(self, n, h, w, kernel, stride, pad):
+        x, wt, b = conv_case(100 * h + w, n, 3, 4, h, w, kernel)
+        fused = ag.conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, pad=pad)
+        upstream = rng_for(7).normal(size=fused.shape).astype(np.float32)
+        got = conv_value_and_grads(lambda a, k, c: ag.conv2d(a, k, c, stride=stride, pad=pad), x, wt, b, upstream)
+        want = conv_value_and_grads(
+            lambda a, k, c: ag.conv2d(ag.replicate_pad(a, pad), k, c, stride=stride, pad=0), x, wt, b, upstream
+        )
+        for g, e in zip(got, want):
+            assert_same_bits(g, e)
+
+    @pytest.mark.parametrize("n, c, h, w", [(2, 5, 7, 3), (1, 32, 7, 7), (3, 4, 1, 1)])
+    def test_pointwise_conv_equals_im2col_path(self, n, c, h, w):
+        x, wt, b = conv_case(n + c + h, n, c, 6, h, w, 1)
+        k = wt.shape[0]
+        upstream = rng_for(8).normal(size=(n, k, h, w)).astype(np.float32)
+        got = conv_value_and_grads(ag.conv2d, x, wt, b, upstream)
+        # the general path: im2col columns, GEMM plus bias, col2im
+        wm = wt.reshape(k, c)
+        cols = ag._im2col(x, 1, 1, 1, h, w)
+        value = np.matmul(wm, cols).reshape(n, k, h, w) + b.reshape(1, k, 1, 1)
+        g = upstream.reshape(n, k, h * w)
+        gx = np.zeros_like(x)
+        gx += ag._col2im(np.matmul(wm.T, g), x.shape, 1, 1, 1, h, w)
+        gw = np.zeros_like(wt)
+        gw += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wt.shape)
+        gb = np.zeros_like(b)
+        gb += g.sum(axis=(0, 2))
+        for actual, expected in zip(got, (value, gx, gw, gb)):
+            assert_same_bits(actual, expected)
+
+    def test_padded_conv_of_constant_map_is_constant(self):
+        x = np.full((1, 2, 4, 3), 0.5, dtype=np.float32)
+        wt = np.ones((1, 2, 3, 3), dtype=np.float32)
+        out = ag.conv2d(Tensor(x), Tensor(wt), Tensor(np.zeros(1, dtype=np.float32)), stride=2, pad=2)
+        assert np.all(out.data == 9.0)
 
 
 class TestPointwiseOps:
@@ -213,6 +312,24 @@ class TestPointwiseOps:
                 {"x": x},
                 context=f"replicate_pad p={p} {shape}",
             )
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 4), (1, 2, 1, 6), (2, 1, 7, 1), (1, 1, 1, 1)])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_replicate_pad_gradient_folds_rows_then_columns(self, shape, p):
+        """The fold order fixes the rounding of the border sums (and of the
+        corners, which both folds visit); conv2d's padding shares it."""
+        x = Tensor(rng_for(23).normal(size=shape).astype(np.float32), requires_grad=True)
+        out = ag.replicate_pad(x, p)
+        gp = rng_for(24).normal(size=out.shape).astype(np.float32)
+        ag.sum_all(ag.mul(out, Tensor(gp))).backward()
+        h, w = shape[2:]
+        rows = gp[:, :, p : p + h].copy()
+        rows[:, :, 0] += gp[:, :, :p].sum(axis=2)
+        rows[:, :, h - 1] += gp[:, :, p + h :].sum(axis=2)
+        expected = rows[:, :, :, p : p + w].copy()
+        expected[:, :, :, 0] += rows[:, :, :, :p].sum(axis=3)
+        expected[:, :, :, w - 1] += rows[:, :, :, p + w :].sum(axis=3)
+        assert_same_bits(x.grad, expected)
 
     def test_replicate_pad_constant_stays_constant(self):
         out = ag.replicate_pad(Tensor(np.full((1, 1, 3, 3), 0.7)), 3)
@@ -324,6 +441,43 @@ class TestBilinearResize:
 
         expected = np.array([[reference(i, j) for j in range(4)] for i in range(4)])
         assert np.allclose(out, expected, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "h, w, out_h, out_w",
+        [
+            (5, 7, 9, 13),  # up
+            (17, 23, 6, 5),  # down
+            (8, 3, 4, 11),  # down in y, up in x
+            (24, 40, 48, 48),  # a reference crop
+            (5, 7, 5, 7),  # same size
+            (1, 1, 4, 3),  # from one pixel
+            (1, 6, 3, 2),
+            (6, 1, 2, 5),
+            (4, 4, 1, 1),  # to one pixel
+        ],
+    )
+    def test_bitwise_equal_to_row_pair_formula(self, h, w, out_h, out_w):
+        x = rng_for(h * w).normal(size=(2, 3, h, w)).astype(np.float32)
+
+        def axis(size, out_size):
+            pos = (np.arange(out_size, dtype=np.float64) + 0.5) * (size / out_size) - 0.5
+            pos = np.clip(pos, 0.0, size - 1.0)
+            lo = np.floor(pos).astype(np.intp)
+            return lo, np.minimum(lo + 1, size - 1), (pos - lo).astype(np.float32)
+
+        # gather both source rows per output row, interpolate each along x
+        y0, y1, fy = axis(h, out_h)
+        x0, x1, fx = axis(w, out_w)
+        r0, r1 = x[:, :, y0], x[:, :, y1]
+        top = r0[:, :, :, x0] * (1 - fx) + r0[:, :, :, x1] * fx
+        bot = r1[:, :, :, x0] * (1 - fx) + r1[:, :, :, x1] * fx
+        expected = top * (1 - fy)[:, None] + bot * fy[:, None]
+        assert_same_bits(ag.bilinear_resize(Tensor(x), out_h, out_w).data, expected)
+
+    def test_same_size_result_is_a_copy(self):
+        x = rng_for(13).normal(size=(1, 2, 3, 4)).astype(np.float32)
+        out = ag.bilinear_resize(Tensor(x), 3, 4).data
+        assert not np.shares_memory(out, x)
 
     def test_result_carries_no_gradient(self):
         x = Tensor(rng_for(12).normal(size=(1, 1, 4, 4)), requires_grad=True)

@@ -86,6 +86,28 @@ class TestBackboneForward:
         assert feat.data.min() >= 0
 
 
+def tape_ops(out: Tensor) -> list[str]:
+    """Names of the ops recorded on the tape behind ``out``."""
+    ops, seen, stack = [], set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            ops.append(node._backward.__qualname__.split(".")[0])
+        stack.extend(node._parents)
+    return ops
+
+
+class TestBackboneTape:
+    def test_padding_records_no_replicate_pad_node(self):
+        bb = Backbone.small(seed=0)
+        ops = tape_ops(bb.forward(make_image(seed=1, size=40).pixels))
+        assert "replicate_pad" not in ops
+        assert ops.count("conv2d") == len(bb.params)
+
+
 class TestRoiPool:
     def test_exact_region_identity_both_modes(self):
         r = np.random.default_rng(0)

@@ -193,6 +193,14 @@ class TestTrain:
         assert rc == 2
         assert "pos_fraction" in capsys.readouterr().err
 
+    def test_non_finite_learning_rate_rejected(self, small_run, tmp_path, capsys):
+        data, _ = small_run
+        out = tmp_path / "x"
+        rc = main(["train", "--out-dir", str(out), "--data-dir", str(data), "--base-lr", "nan", "--iterations", "1"])
+        assert rc == 2
+        assert "base_lr must be finite" in capsys.readouterr().err
+        assert not (out / "checkpoint.san").exists()
+
     def test_partitions_flag_must_match_boundaries(self, small_run, tmp_path):
         data, _ = small_run
         rc = main(

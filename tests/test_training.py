@@ -1,5 +1,6 @@
 """Trainer: step construction, losses, SGD loop, checkpoints, inference."""
 
+import dataclasses
 import gc
 import struct
 import tracemalloc
@@ -82,6 +83,21 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [0.0, 1.0])
     def test_pos_fraction_endpoints_accepted(self, value):
         TrainingConfig(pos_fraction=value).validate()
+
+    FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainingConfig) if isinstance(f.default, float)]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            TrainingConfig(**{name: value}).validate()
+
+    def test_float_fields_cover_the_hyperparameters(self):
+        assert {"base_lr", "momentum", "weight_decay", "gaussian_std", "san_loss_weight"} <= set(self.FLOAT_FIELDS)
+
+    def test_negative_gaussian_std_rejected(self):
+        with pytest.raises(ConfigError, match="gaussian_std must be non-negative"):
+            TrainingConfig(init_mode="gaussian", gaussian_std=-0.05).validate()
 
     def test_learning_rate_schedule(self):
         cfg = TrainingConfig(base_lr=0.1, lr_decay_step=10, lr_decay_factor=0.1)
