@@ -14,18 +14,52 @@ always replicates edges (``conv2d``'s ``pad`` and ``replicate_pad``), so
 constant inputs stay constant through every padded convolution.
 ``no_grad`` stops recording in the current thread only.  Training runs
 in float32; gradient-check tests rebuild the same graphs in float64.
+
+Importing this module sets two glibc malloc parameters for the whole
+process, and so for every program that imports sanlab: blocks below
+32 MiB come from the heap instead of fresh ``mmap`` regions
+(``M_MMAP_THRESHOLD``), and free heap is handed back to the OS only above
+64 MiB (``M_TRIM_THRESHOLD``).  A training step frees its whole tape at the
+end; with glibc's defaults, whether that memory is returned and then
+faulted in again by the next step depends on the heap's history (about
+900 page faults per ``san=off`` step, or none).  The two values are the
+ceilings glibc's own adaptive thresholds climb to on 64-bit systems, so
+setting them at import only makes the steady state independent of that
+history.  No output changes.  On other C libraries nothing is set.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
 import functools
+import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import GraphError, ShapeError
+
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers from glibc's <malloc.h>
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap_mapped() -> None:
+    """Raise glibc's mmap and trim thresholds to their adaptive ceilings
+    (see the module docstring); a no-op without glibc."""
+    if os.name != "posix":
+        return
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_heap_mapped()
 
 _grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar("sanlab_grad_enabled", default=True)
 

@@ -180,45 +180,57 @@ def make_proposals(
     n_pos_jitter: int,
     n_neg: int,
     rng: np.random.Generator,
-    image_size: int,
+    image_size: int | tuple[int, int],
     jitter: float = 0.25,
 ) -> list[RoI]:
     """Candidate boxes: jittered ground-truth copies plus random negatives.
 
     Each ground truth yields ``n_pos_jitter`` copies with center and size
     perturbed by up to +/-``jitter`` (zero amplitude gives exact copies);
-    ``n_neg`` boxes are sampled uniformly.  All proposals are clamped
-    inside the image.
+    ``n_neg`` boxes are sampled uniformly.  ``image_size`` is the side of a
+    square image or its ``(width, height)``; every proposal is clamped
+    inside the image, each axis by its own extent.
+
+    All draws for an image are taken as arrays, in the order of one
+    scalar ``uniform`` call per value (per jittered copy: x shift, y shift,
+    width and height factors; per negative: width, height, center x,
+    center y), and each box is the float64 result of those scalar formulas.
     """
-    out: list[RoI] = []
-    image_id = gts[0].box.image_id if gts else 0
-    for gt in gts:
-        for _ in range(n_pos_jitter):
-            w, h = gt.box.width, gt.box.height
-            cx = gt.box.x1 + w / 2 + rng.uniform(-jitter, jitter) * w
-            cy = gt.box.y1 + h / 2 + rng.uniform(-jitter, jitter) * h
-            nw = w * (1 + rng.uniform(-jitter, jitter))
-            nh = h * (1 + rng.uniform(-jitter, jitter))
-            out.append(_clamped_roi(cx, cy, nw, nh, image_size, gt.box.image_id))
-    for _ in range(n_neg):
-        w = rng.uniform(6.0, image_size / 2)
-        h = rng.uniform(6.0, image_size / 2)
-        cx = rng.uniform(w / 2, image_size - w / 2)
-        cy = rng.uniform(h / 2, image_size - h / 2)
-        out.append(_clamped_roi(cx, cy, w, h, image_size, image_id))
-    return out
+    width, height = image_size if isinstance(image_size, tuple) else (image_size, image_size)
+    gt_boxes = np.array([(a.box.x1, a.box.y1, a.box.x2, a.box.y2) for a in gts], dtype=np.float64).reshape(-1, 4)
+    g = np.repeat(gt_boxes, n_pos_jitter, axis=0)
+    u = rng.uniform(-jitter, jitter, size=(len(g), 4))
+    w, h = g[:, 2] - g[:, 0], g[:, 3] - g[:, 1]
+    cx = g[:, 0] + w / 2 + u[:, 0] * w
+    cy = g[:, 1] + h / 2 + u[:, 1] * h
+    nw = w * (1 + u[:, 2])
+    nh = h * (1 + u[:, 3])
+    # a negative's center range depends on its own size draw, so the raw
+    # doubles are drawn here and mapped by uniform's low + (high - low) * u
+    r = rng.random((n_neg, 4))
+    neg_w = 6.0 + (width / 2 - 6.0) * r[:, 0]
+    neg_h = 6.0 + (height / 2 - 6.0) * r[:, 1]
+    lo_x, lo_y = neg_w / 2, neg_h / 2
+    neg_cx = lo_x + ((width - lo_x) - lo_x) * r[:, 2]
+    neg_cy = lo_y + ((height - lo_y) - lo_y) * r[:, 3]
+    x1, x2 = _clamp_axis(np.concatenate([cx, neg_cx]), np.concatenate([nw, neg_w]), width)
+    y1, y2 = _clamp_axis(np.concatenate([cy, neg_cy]), np.concatenate([nh, neg_h]), height)
+    neg_id = gts[0].box.image_id if gts else 0
+    ids = [a.box.image_id for a in gts for _ in range(n_pos_jitter)] + [neg_id] * n_neg
+    return [RoI(*box, image_id=i) for box, i in zip(np.stack([x1, y1, x2, y2], axis=1).tolist(), ids)]
 
 
-def _clamped_roi(cx: float, cy: float, w: float, h: float, image_size: int, image_id: int) -> RoI:
-    x1 = max(0.0, cx - w / 2)
-    y1 = max(0.0, cy - h / 2)
-    x2 = min(float(image_size), cx + w / 2)
-    y2 = min(float(image_size), cy + h / 2)
-    if x2 - x1 < 2.0:
-        x1, x2 = max(0.0, min(x1, image_size - 2.0)), max(2.0, min(float(image_size), x1 + 2.0))
-    if y2 - y1 < 2.0:
-        y1, y2 = max(0.0, min(y1, image_size - 2.0)), max(2.0, min(float(image_size), y1 + 2.0))
-    return RoI(x1=x1, y1=y1, x2=x2, y2=y2, image_id=image_id)
+def _clamp_axis(c: np.ndarray, size: np.ndarray, extent: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interval of length ``size`` centred on ``c``, clamped to [0, extent];
+    one narrower than 2 px becomes the 2-px interval at its clamped start
+    (kept inside the image)."""
+    lo = np.maximum(0.0, c - size / 2)
+    hi = np.minimum(float(extent), c + size / 2)
+    thin = hi - lo < 2.0
+    return (
+        np.where(thin, np.maximum(0.0, np.minimum(lo, extent - 2.0)), lo),
+        np.where(thin, np.maximum(2.0, np.minimum(float(extent), lo + 2.0)), hi),
+    )
 
 
 def proposal_rng(seed: int, image_id: int) -> np.random.Generator:

@@ -103,24 +103,28 @@ def assign_roi_labels(rois, gts, pos_iou: float = 0.5) -> list[tuple[int, Regres
     """Label each RoI by its max-IoU ground truth.
 
     Returns (class, regression target) pairs; background RoIs get class 0
-    and no target.  Ties on IoU go to the lowest ground-truth index.
+    and no target.  Ties on IoU go to the lowest ground-truth index.  The
+    RoI x ground-truth IoU matrix is ``box_iou``'s float64 formula applied
+    to all pairs at once.
     """
     if not 0 < pos_iou < 1:
         raise ShapeError(f"pos_iou must lie in (0,1), got {pos_iou}")
-    out: list[tuple[int, RegressionTarget | None]] = []
-    for roi in rois:
-        best_iou = 0.0
-        best = None
-        for gt in gts:
-            iou = box_iou(roi, gt.box)
-            if iou > best_iou:
-                best_iou = iou
-                best = gt
-        if best is not None and best_iou >= pos_iou:
-            out.append((best.class_id, encode_regression(roi, best.box)))
-        else:
-            out.append((0, None))
-    return out
+    if not gts:
+        return [(0, None)] * len(rois)
+    r = np.array([(b.x1, b.y1, b.x2, b.y2) for b in rois], dtype=np.float64).reshape(-1, 1, 4)
+    g = np.array([(a.box.x1, a.box.y1, a.box.x2, a.box.y2) for a in gts], dtype=np.float64)[None]
+    ix = np.maximum(0.0, np.minimum(r[..., 2], g[..., 2]) - np.maximum(r[..., 0], g[..., 0]))
+    iy = np.maximum(0.0, np.minimum(r[..., 3], g[..., 3]) - np.maximum(r[..., 1], g[..., 1]))
+    inter = ix * iy
+    area_r = (r[..., 2] - r[..., 0]) * (r[..., 3] - r[..., 1])
+    area_g = (g[..., 2] - g[..., 0]) * (g[..., 3] - g[..., 1])
+    iou = np.where(inter > 0, inter / (area_r + area_g - inter), 0.0)
+    best = iou.argmax(axis=1)  # first maximum: the lowest index wins a tie
+    positive = iou[np.arange(len(rois)), best] >= pos_iou
+    return [
+        (gts[k].class_id, encode_regression(roi, gts[k].box)) if pos else (0, None)
+        for roi, k, pos in zip(rois, best.tolist(), positive.tolist())
+    ]
 
 
 @dataclass

@@ -213,7 +213,7 @@ def build_step_batch(
     for slot, di in enumerate(picks.tolist()):
         img, anns = dataset[di]
         images.append(img)
-        props = make_proposals(anns, cfg.n_pos_jitter, cfg.n_neg, rng, img.width)
+        props = make_proposals(anns, cfg.n_pos_jitter, cfg.n_neg, rng, (img.width, img.height))
         assigned = assign_roi_labels(props, anns, cfg.pos_iou)
         pos = [i for i, (u, _) in enumerate(assigned) if u >= 1]
         neg = [i for i, (u, _) in enumerate(assigned) if u == 0]
@@ -614,7 +614,7 @@ def evaluate_detector(
     gts: list[Annotation] = []
     for img, anns in dataset:
         gts.extend(anns)
-        props = make_proposals(anns, n_pos_jitter, n_neg, proposal_rng(seed, img.id), img.width)
+        props = make_proposals(anns, n_pos_jitter, n_neg, proposal_rng(seed, img.id), (img.width, img.height))
         detections.extend(detect(model, img, props, score_thresh=score_thresh, nms_iou=nms_iou))
     return evaluate_ap(detections, gts, iou_thresh=iou_thresh), detections
 
