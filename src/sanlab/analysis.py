@@ -37,7 +37,10 @@ def _top_k(vec: np.ndarray, k: int) -> list[int]:
     return [int(i) for i in order[: min(k, vec.size)]]
 
 
-def compute_cam(vectors: list[tuple[int, np.ndarray]], k: int = 10) -> CamMatrix:
+CAM_K = 10  # channels kept per scale: compute_cam's default and the cam command's
+
+
+def compute_cam(vectors: list[tuple[int, np.ndarray]], k: int = CAM_K) -> CamMatrix:
     """Union of each scale's k most-activated channels, with raw values."""
     if not vectors:
         raise SanlabError("compute_cam needs at least one (scale, vector) pair")

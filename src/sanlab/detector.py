@@ -18,15 +18,15 @@ from .analysis import ApResult, Detection
 from .backbone import Image, RoI
 from .data import Annotation
 from .errors import ConfigError
-from .san import SCHEME_PRESETS, ScalePartitionScheme
+from .san import resolve_scheme  # noqa: F401  (re-exported: resolves the `scheme` parameter)
 from .training import (
     DetectionModel,
     TrainingConfig,
-    TrainResult,
     config_from_front_end,
     detect,
     evaluate_detector,
     front_end_defaults,
+    front_end_from_config,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -35,24 +35,6 @@ from .training import (
 
 class NotFittedError(ConfigError):
     """predict/score was called before fit (or loading a checkpoint)."""
-
-
-def resolve_scheme(scheme, ref_scale=None, boundaries=None) -> ScalePartitionScheme:
-    """Accept a preset name, a scheme object, or explicit overrides."""
-    if isinstance(scheme, str):
-        if scheme not in SCHEME_PRESETS:
-            raise ConfigError(f"unknown scheme preset {scheme!r}; choose from {sorted(SCHEME_PRESETS)}")
-        base = SCHEME_PRESETS[scheme]
-    elif isinstance(scheme, ScalePartitionScheme):
-        base = scheme
-    else:
-        raise ConfigError(f"scheme must be a preset name or ScalePartitionScheme, got {type(scheme).__name__}")
-    if ref_scale is None and boundaries is None:
-        return base
-    return ScalePartitionScheme(
-        ref_scale=int(ref_scale) if ref_scale is not None else base.ref_scale,
-        boundaries=tuple(boundaries) if boundaries is not None else base.boundaries,
-    )
 
 
 class SanDetector:
@@ -83,10 +65,10 @@ class SanDetector:
     # -- training ----------------------------------------------------------
 
     def training_config(self) -> TrainingConfig:
-        return config_from_front_end(self.get_params(), resolve_scheme(self.scheme, self.ref_scale, self.boundaries))
+        return config_from_front_end(self.get_params())
 
     def fit(self, dataset: list[tuple[Image, list[Annotation]]]) -> "SanDetector":
-        result: TrainResult = train(dataset, self.training_config())
+        result = train(dataset, self.training_config())
         self.model_ = result.model
         self.log_ = result.log_rows
         return self
@@ -118,12 +100,9 @@ class SanDetector:
 
     @classmethod
     def load(cls, path: Path) -> "SanDetector":
+        """A fitted detector whose parameters are the loaded model's config."""
         model = load_checkpoint(Path(path))
-        det = cls(
-            num_classes=model.num_classes,
-            san="full" if model.san is not None else "off",
-            scheme=model.scheme,
-        )
+        det = cls(**front_end_from_config(model.config))
         det.model_ = model
         det.log_ = []
         return det

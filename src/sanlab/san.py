@@ -58,6 +58,24 @@ TOY_SCHEME = ScalePartitionScheme(ref_scale=48, boundaries=(24.0**2, 48.0**2))
 SCHEME_PRESETS = {"voc": VOC_SCHEME, "coco": COCO_SCHEME, "toy": TOY_SCHEME}
 
 
+def resolve_scheme(scheme, ref_scale=None, boundaries=None) -> ScalePartitionScheme:
+    """Accept a preset name, a scheme object, or explicit overrides."""
+    if isinstance(scheme, str):
+        if scheme not in SCHEME_PRESETS:
+            raise ConfigError(f"unknown scheme preset {scheme!r}; choose from {sorted(SCHEME_PRESETS)}")
+        base = SCHEME_PRESETS[scheme]
+    elif isinstance(scheme, ScalePartitionScheme):
+        base = scheme
+    else:
+        raise ConfigError(f"scheme must be a preset name or ScalePartitionScheme, got {type(scheme).__name__}")
+    if ref_scale is None and boundaries is None:
+        return base
+    return ScalePartitionScheme(
+        ref_scale=int(ref_scale) if ref_scale is not None else base.ref_scale,
+        boundaries=tuple(boundaries) if boundaries is not None else base.boundaries,
+    )
+
+
 def partition_index(area: float, scheme: ScalePartitionScheme) -> int:
     """Partition of a pixel area (an RoI's `area`); thresholds go to the lower side."""
     return bisect_left(scheme.boundaries, area)

@@ -43,6 +43,7 @@ from .san import (
     init_gaussian,
     init_identity,
     partition_index,
+    resolve_scheme,
     san_forward,
     san_loss_branch,
 )
@@ -136,9 +137,17 @@ def front_end_defaults() -> dict:
     return {name: f.default for name, f in front_end_fields().items()} | {"scheme": "toy", "ref_scale": None, "boundaries": None}
 
 
-def config_from_front_end(values: dict, scheme: ScalePartitionScheme) -> TrainingConfig:
-    """The TrainingConfig of front-end values, keyed as by `front_end_fields`."""
+def config_from_front_end(values: dict) -> TrainingConfig:
+    """The TrainingConfig of front-end values, keyed as by `front_end_defaults`;
+    the scheme is `resolve_scheme` of `scheme`, `ref_scale` and `boundaries`."""
+    scheme = resolve_scheme(values["scheme"], values["ref_scale"], values["boundaries"])
     return TrainingConfig(scheme=scheme, **{f.name: values[name] for name, f in front_end_fields().items()})
+
+
+def front_end_from_config(cfg: TrainingConfig) -> dict:
+    """The front-end values that `config_from_front_end` maps to ``cfg``."""
+    values = {name: getattr(cfg, f.name) for name, f in front_end_fields().items()}
+    return values | {"scheme": cfg.scheme, "ref_scale": None, "boundaries": None}
 
 
 @dataclass
@@ -146,8 +155,15 @@ class DetectionModel:
     backbone: Backbone
     head: DetectionHead
     san: SanModule | None
-    scheme: ScalePartitionScheme
-    num_classes: int
+    config: TrainingConfig  # the one `build_model` was given
+
+    @property
+    def scheme(self) -> ScalePartitionScheme:
+        return self.config.scheme
+
+    @property
+    def num_classes(self) -> int:
+        return self.config.num_classes
 
     def named_parameters(self) -> list[Parameter]:
         params = self.backbone.named_parameters()
@@ -168,7 +184,7 @@ def build_model(cfg: TrainingConfig) -> DetectionModel:
             init_gaussian(san, cfg.gaussian_std, cfg.seed)
         else:
             init_identity(san)
-    return DetectionModel(backbone=bb, head=head, san=san, scheme=cfg.scheme, num_classes=cfg.num_classes)
+    return DetectionModel(backbone=bb, head=head, san=san, config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +235,7 @@ def build_step_batch(
         neg = [i for i, (u, _) in enumerate(assigned) if u == 0]
         n_pos = min(len(pos), int(round(cfg.rois_per_image * cfg.pos_fraction)))
         n_neg = min(len(neg), cfg.rois_per_image - n_pos)
-        keep = []
-        if pos:
-            keep += sorted(rng.choice(len(pos), size=n_pos, replace=False).tolist()) if n_pos < len(pos) else list(range(len(pos)))
-            keep = [pos[i] for i in keep]
-        if neg:
-            kn = sorted(rng.choice(len(neg), size=n_neg, replace=False).tolist()) if n_neg < len(neg) else list(range(len(neg)))
-            keep += [neg[i] for i in kn]
-        for i in keep:
+        for i in sample_san_rois(pos, n_pos, rng) + sample_san_rois(neg, n_neg, rng):
             rois.append(props[i])
             slots.append(slot)
             labels.append(assigned[i][0])
@@ -350,7 +359,6 @@ class TrainingDiverged(SanlabError):
 class TrainResult:
     model: DetectionModel
     log_rows: list[tuple[int, float, float, float, float]]
-    config: TrainingConfig
 
 
 def learning_rate(cfg: TrainingConfig, step: int) -> float:
@@ -400,7 +408,7 @@ def train(dataset: list[tuple[Image, list[Annotation]]], cfg: TrainingConfig) ->
         if san_params:
             ag.sgd_step(san_params, lr=lr, momentum=cfg.momentum, weight_decay=0.0)
         rows.append((step, parts.l_cls, parts.l_reg, parts.l_san, lr))
-    return TrainResult(model=model, log_rows=rows, config=cfg)
+    return TrainResult(model=model, log_rows=rows)
 
 
 def write_log_csv(path: Path, rows: list[tuple[int, float, float, float, float]]) -> None:
@@ -599,12 +607,17 @@ def detect(
     return out
 
 
+# evaluate_detector's proposals per image, and the eval command's defaults
+EVAL_N_POS_JITTER = 8
+EVAL_N_NEG = 16
+
+
 def evaluate_detector(
     model: DetectionModel,
     dataset: list[tuple[Image, list[Annotation]]],
     seed: int,
-    n_pos_jitter: int = 8,
-    n_neg: int = 16,
+    n_pos_jitter: int = EVAL_N_POS_JITTER,
+    n_neg: int = EVAL_N_NEG,
     iou_thresh: float = 0.5,
     score_thresh: float = 0.05,
     nms_iou: float = 0.3,

@@ -1,17 +1,21 @@
 """Command-line surface: subcommands, config layering, determinism, errors."""
 
+import dataclasses
 import hashlib
+import inspect
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sanlab.cli import main, parse_config_file
-from sanlab.data import load_dataset
-from sanlab.training import TrainingConfig, front_end_fields, save_checkpoint, train
+from sanlab.analysis import compute_cam
+from sanlab.cli import SETTINGS, main, parse_config_file
+from sanlab.data import DatasetConfig, load_dataset
+from sanlab.training import TrainingConfig, evaluate_detector, front_end_fields, save_checkpoint, train
 
 
 def tree_digest(root: Path) -> dict:
@@ -87,6 +91,43 @@ class TestConfigFile:
         assert main(["gen-data", "--out-dir", str(out), "--num-images", "1", "--seed", "3"]) == 0
         meta = json.loads((out / "run-meta.json").read_text())
         assert meta["config"]["seed"] == 3
+
+
+class TestSettingsTables:
+    # flags outside the settings tables: the path arguments and eval's sanity switch
+    OTHER_FLAGS = {
+        "gen-data": [],
+        "train": ["--data-dir"],
+        "eval": ["--data-dir", "--checkpoint", "--debug-oracle"],
+        "cam": ["--checkpoint", "--image"],
+        "rmse": ["--data-dir", "--checkpoint"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(OTHER_FLAGS))
+    def test_each_setting_is_one_flag_and_one_config_key(self, command, capsys, tmp_path):
+        table = SETTINGS[command]
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        settings = {"--" + key.replace("_", "-") for key in table}
+        assert flags == settings | {"--help", "--config", "--out-dir", *self.OTHER_FLAGS[command]}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {1 if default is None else default}\n" for key, default in table.items()))
+        assert set(parse_config_file(cfg)) == set(table)
+
+    def test_gen_data_defaults_are_the_dataset_config_defaults(self):
+        assert SETTINGS["gen-data"]["num_images"] == 200
+        cfg = DatasetConfig(num_images=200)
+        want = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+        want["scale_min"], want["scale_max"] = want.pop("scale_range")
+        del want["size_bands"]
+        assert SETTINGS["gen-data"] == want
+
+    def test_eval_and_cam_defaults_are_the_library_defaults(self):
+        evaluate = inspect.signature(evaluate_detector).parameters
+        for key in ("n_pos_jitter", "n_neg"):
+            assert SETTINGS["eval"][key] == evaluate[key].default
+        assert SETTINGS["cam"]["cam_k"] == inspect.signature(compute_cam).parameters["k"].default
 
 
 class TestGenData:

@@ -10,7 +10,7 @@ from sanlab.data import DatasetConfig, generate_dataset
 from sanlab.detector import NotFittedError, SanDetector, resolve_scheme
 from sanlab.errors import ConfigError
 from sanlab.san import COCO_SCHEME, TOY_SCHEME, VOC_SCHEME, ScalePartitionScheme
-from sanlab.training import FRONT_END_NAMES, TrainingConfig
+from sanlab.training import FRONT_END_NAMES, TrainingConfig, config_from_front_end, front_end_from_config
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,10 @@ class TestParams:
                 assert params[FRONT_END_NAMES.get(f.name, f.name)] == f.default
         assert {"scheme", "ref_scale", "boundaries"} <= set(params)
         assert SanDetector().training_config() == TrainingConfig()
+
+    def test_front_end_values_of_a_config_map_back_to_it(self):
+        cfg = TrainingConfig(iterations=7, san_mode="no-loss", init_mode="gaussian", scheme=VOC_SCHEME)
+        assert config_from_front_end(front_end_from_config(cfg)) == cfg
 
     def test_sampling_params_reach_the_training_config(self):
         cfg = SanDetector(images_per_step=3, pos_fraction=0.5, pos_iou=0.4, n_pos_jitter=4, n_neg=12).training_config()
@@ -148,3 +152,15 @@ class TestPersistence:
         loaded = SanDetector.load(tmp_path / "det.san")
         assert loaded.san == "off"
         assert loaded.num_classes == det.num_classes
+
+    def test_loaded_detector_reports_the_model_it_loaded(self, tiny_dataset, tmp_path):
+        """The zero-fusion gate survives save -> load -> get_params -> refit."""
+        det = tiny_detector(san="no-loss", init="identity-zero-fusion", iterations=1).fit(tiny_dataset)
+        det.save(tmp_path / "det.san")
+        loaded = SanDetector.load(tmp_path / "det.san")
+        assert loaded.init == "identity-zero-fusion"
+        assert loaded.training_config() == loaded.model_.config
+        names = [p.name for p in loaded.model_.named_parameters()]
+        assert "san.fusion_alpha" in names
+        refit = SanDetector(**loaded.get_params()).set_params(iterations=1).fit(tiny_dataset)
+        assert [p.name for p in refit.model_.named_parameters()] == names

@@ -159,6 +159,36 @@ def test_labels_match_for_ties_and_zero_iou():
     assert assign_roi_labels([], twin, 0.5) == []
 
 
+def test_labels_match_at_the_positive_threshold():
+    """RoIs whose IoU with their ground truth is pos_iou up to rounding.
+
+    A box shifted by a third of its width along one axis overlaps the
+    original with IoU 0.5 in exact arithmetic; in float64 it lands on
+    either side, so the label depends on the last bit of the IoU.  The
+    first pair's IoU is 0.49999999999999994 by `box_iou`, but
+    0.5000000000000001 with the denominator reassociated as
+    ``area_r - inter + area_g``.
+    """
+    pairs = [
+        (
+            RoI(x1=30.285270888375134, y1=24.80853808061511, x2=70.11364857161148, y2=63.0215667034369),
+            RoI(x1=17.00914499396302, y1=24.80853808061511, x2=56.83752267719937, y2=63.0215667034369),
+        )
+    ]
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        x1, y1 = rng.uniform(20.0, 40.0, 2)
+        w, h = rng.uniform(10.0, 50.0, 2)
+        roi = RoI(x1=x1, y1=y1, x2=x1 + w, y2=y1 + h)
+        pairs.append((roi, RoI(x1=x1 - w / 3, y1=y1, x2=x1 - w / 3 + w, y2=y1 + h)))
+    ious = [box_iou(roi, gt) for roi, gt in pairs]
+    assert ious[0] < 0.5
+    assert min(ious) < 0.5 <= max(ious) and max(abs(v - 0.5) for v in ious) < 1e-15
+    for roi, gt in pairs:
+        gts = [Annotation(box=gt, class_id=1)]
+        assert assign_roi_labels([roi], gts, 0.5) == scalar_assign_roi_labels([roi], gts, 0.5)
+
+
 def test_non_square_proposals_stay_inside_their_image():
     """Each axis is sampled and clamped by its own extent."""
     width, height = 160, 48
