@@ -32,6 +32,7 @@ from .san import (
     SanModule,
     SanSubNetwork,
     ScalePartitionScheme,
+    correct,
     fuse,
     init_gaussian,
     init_identity,

@@ -40,7 +40,7 @@ from .data import (
     write_dataset,
     write_scale_statistics_csv,
 )
-from .errors import SanlabError
+from .errors import ConfigError, SanlabError
 from .san import SCHEME_PRESETS
 from .training import (
     EVAL_N_NEG,
@@ -94,6 +94,14 @@ def _flag_options(key: str, default) -> dict:
 _CONFIG_KEYS = {k: _flag_options(k, d).get("type", int) for table in SETTINGS.values() for k, d in table.items()}
 
 
+def _parse(parse, text: str, what: str):
+    """``parse(text)``; text it rejects is a ConfigError that names ``what``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {text!r}") from exc
+
+
 def parse_config_file(path: Path) -> dict:
     """Flat key = value lines; '#' starts a comment; unknown keys rejected."""
     values: dict = {}
@@ -108,10 +116,7 @@ def parse_config_file(path: Path) -> dict:
         val = val.strip()
         if key not in _CONFIG_KEYS:
             raise SanlabError(f"{path}:{lineno}: unknown configuration key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](val)
-        except ValueError as exc:
-            raise SanlabError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
+        values[key] = _parse(_CONFIG_KEYS[key], val, f"value for {key} at {path}:{lineno}")
     return values
 
 
@@ -124,15 +129,12 @@ def _resolve(args: argparse.Namespace) -> dict:
     if args.seed is None and "seed" not in file_vals:
         env = os.environ.get(SEED_ENV_VAR)
         if env is not None:
-            resolved["seed"] = int(env)
+            resolved["seed"] = _parse(int, env, SEED_ENV_VAR)
     return resolved
 
 
 def _parse_scales(text: str) -> list[int]:
-    try:
-        return [int(s) for s in text.split(",") if s.strip()]
-    except ValueError as exc:
-        raise SanlabError(f"bad scale list {text!r}; expected comma-separated integers") from exc
+    return _parse(lambda t: [int(s) for s in t.split(",") if s.strip()], text, "scale list")
 
 
 # Each command takes the parsed arguments, the resolved settings and the
@@ -154,7 +156,7 @@ def cmd_gen_data(args: argparse.Namespace, settings: dict, out_dir: Path) -> dic
 def cmd_train(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
     dataset = load_dataset(Path(args.data_dir))
     text = settings["boundaries"]
-    boundaries = tuple(float(b) for b in text.split(",")) if text else None
+    boundaries = _parse(lambda t: tuple(float(b) for b in t.split(",")), text, "boundaries") if text else None
     cfg = config_from_front_end(settings | {"boundaries": boundaries})
     n = settings["partitions"]
     if n is not None and n != cfg.scheme.num_partitions:

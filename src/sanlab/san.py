@@ -2,10 +2,11 @@
 
 RoIs are routed by area to one of several 1x1 channel-mixing sub-networks;
 each corrects features toward what the backbone would produce at the
-reference scale.  The same sub-network weights serve two roles: the
-detection path (corrected features are fused back into the originals) and
-the scale-aware loss branch, which sees a detached copy of the features so
-its error never reaches the backbone.
+reference scale.  `correct` runs every row through its own partition's
+sub-network as one tape node.  Through `san_forward` it serves both roles
+of the shared weights: the detection path (corrected features are fused
+back into the originals) and the scale-aware loss branch, which sees a
+detached copy of the features so its error never reaches the backbone.
 """
 
 from __future__ import annotations
@@ -144,14 +145,50 @@ def init_gaussian(m: SanModule, std: float, seed: int) -> None:
         sn.b.data[:] = 0.0
 
 
-def san_forward(feat: Tensor, i: int, m: SanModule) -> Tensor:
-    """Apply partition i's corrector: 1x1 channel mix then ReLU."""
-    if not 0 <= i < len(m.subnets):
-        raise ShapeError(f"partition index {i} out of range for {len(m.subnets)} sub-networks")
-    if feat.shape[1] != m.c_feat:
-        raise ShapeError(f"san_forward expects {m.c_feat} channels, got {feat.shape[1]}")
-    sn = m.subnets[i]
-    return ag.relu(ag.conv2d(feat, sn.w, sn.b, stride=1, pad=0))
+def correct(x: Tensor, parts: list[int], m: SanModule) -> Tensor:
+    """Row n through partition parts[n]'s corrector, relu(W_p x_n + b_p), as
+    one tape node.  Per partition, in ascending order, its rows (in row
+    order) pass one pointwise conv; the backward takes db_p, dW_p and dx
+    with the numpy calls of `conv2d` and `relu`, so values and gradients
+    equal take0 / conv2d / relu per partition, merged back, bit for bit.
+    """
+    if x.data.ndim != 4 or x.shape[1] != m.c_feat:
+        raise ShapeError(f"correct expects NCHW with {m.c_feat} channels, got {x.shape}")
+    n, c, h, w = x.shape
+    ids = np.asarray(parts)
+    if ids.shape != (n,) or (n and ids.dtype.kind not in "iu"):
+        raise ShapeError(f"correct needs one integer partition id per row, got {ids.shape} {ids.dtype} for {n} rows")
+    present = sorted(set(ids.tolist()))
+    if present and not 0 <= present[0] <= present[-1] < len(m.subnets):
+        raise ShapeError(f"partition ids {present} out of range for {len(m.subnets)} sub-networks")
+    out = np.empty_like(x.data)
+    groups = []  # (sub-network, its rows, their columns (n_p, C, H*W), relu mask)
+    for p in present:
+        rows = slice(None) if len(present) == 1 else np.flatnonzero(ids == p)
+        sn, cols = m.subnets[p], x.data[rows].reshape(-1, c, h * w)
+        y = np.matmul(sn.w.data.reshape(c, c), cols)
+        y += sn.b.data.reshape(c, 1)
+        out[rows] = np.maximum(y, 0).reshape(-1, c, h, w)
+        groups.append((sn, rows, cols, y > 0))
+
+    def backward(grad_out: np.ndarray):
+        dx = np.empty_like(x.data)
+        for sn, rows, cols, mask in groups:
+            g = grad_out[rows].reshape(mask.shape) * mask
+            sn.b._accumulate(g.sum(axis=(0, 2)))
+            sn.w._accumulate(np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(sn.w.shape))
+            if x.requires_grad:
+                dx[rows] = np.matmul(sn.w.data.reshape(c, c).T, g).reshape(-1, c, h, w)
+        if x.requires_grad:
+            x._accumulate(dx)
+
+    return ag._result(out, (x, *(t for sn, *_ in groups for t in (sn.w, sn.b))), backward)
+
+
+def san_forward(feat: Tensor, i: int | list[int], m: SanModule) -> Tensor:
+    """The correction module's forward: `correct` with partition i for every
+    row, or with partition i[n] for row n when i holds one id per row."""
+    return correct(feat, [i] * feat.shape[0] if np.ndim(i) == 0 else i, m)
 
 
 def fuse(original: Tensor, san_out: Tensor, alpha: Parameter | None = None) -> Tensor:
@@ -166,20 +203,20 @@ def fuse(original: Tensor, san_out: Tensor, alpha: Parameter | None = None) -> T
     return ag.add(original, ag.scale_by(san_out, alpha))
 
 
-def san_loss_branch(feat_rois: Tensor, i: int, m: SanModule, r_tilde: Tensor) -> Tensor:
-    """Scale-aware loss of N RoIs of partition i: one term per RoI, shape (N,).
+def san_loss_branch(feat_rois: Tensor, parts: list[int], m: SanModule, r_tilde: Tensor) -> Tensor:
+    """Scale-aware loss of N RoIs, row n in partition parts[n]: one term per
+    RoI, shape (N,), in row order.
 
     Each term is the channel-wise robust difference between the corrected
     and the reference-scale activation vectors.  The pooled RoI features
     (N, C, h, w) are detached at entry and collapsed to their channel
-    vectors; the sub-network routes them toward the reference activations
-    r_tilde (N, C, 1, 1).  Only the sub-network weights receive gradient;
-    the reference features must already be constant.
+    vectors; each row's sub-network routes them toward the reference
+    activations r_tilde (N, C, 1, 1).  Only the sub-network weights
+    receive gradient; the reference features must already be constant.
     """
     if r_tilde.requires_grad:
         raise ShapeError("reference feature must not carry a gradient")
     if feat_rois.shape[1] != r_tilde.shape[1]:
         raise ShapeError(f"channel mismatch: features {feat_rois.shape[1]} vs reference {r_tilde.shape[1]}")
     z = ag.global_avg_pool(ag.detach(feat_rois))
-    r = san_forward(z, i, m)
-    return ag.sum_rows(ag.smooth_l1(ag.sub(r, r_tilde)))
+    return ag.sum_rows(ag.smooth_l1(ag.sub(san_forward(z, parts, m), r_tilde)))

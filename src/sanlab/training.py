@@ -262,12 +262,6 @@ def _group_rows(keys: list[int]) -> tuple[list[tuple[int, list[int]]], np.ndarra
     return ordered, np.argsort(np.asarray(order, dtype=np.intp))
 
 
-def _merge_rows(parts: list[Tensor], inverse: np.ndarray | None) -> Tensor:
-    """Concatenate per-group results and restore row order (see _group_rows)."""
-    merged = parts[0] if len(parts) == 1 else ag.concat0(parts)
-    return merged if inverse is None else ag.take0(merged, inverse)
-
-
 def pool_rois(feats: list[Tensor], rois: list[RoI], slots: list[int], stride: int, mode: str = "avg") -> Tensor:
     """Pool every RoI on its image's feature map to (N, C, 7, 7), in RoI order.
 
@@ -281,13 +275,14 @@ def pool_rois(feats: list[Tensor], rois: list[RoI], slots: list[int], stride: in
         pooled = [roi_avg_pool(feats[s], [rois[i] for i in idx], out=7, stride=stride) for s, idx in by_image]
     else:
         pooled = [roi_pool(feats[s], rois[i], out=7, mode=mode, stride=stride) for s, idx in by_image for i in idx]
-    return _merge_rows(pooled, inverse)
+    merged = pooled[0] if len(pooled) == 1 else ag.concat0(pooled)
+    return merged if inverse is None else ag.take0(merged, inverse)
 
 
 def forward_roi_features(
     model: DetectionModel, feats: list[Tensor], batch_rois: list[RoI], slots: list[int]
 ) -> tuple[Tensor, Tensor]:
-    """Pool every RoI and run the split / correct-per-partition / merge path.
+    """Pool every RoI and fuse in its partition's correction (one `correct` node).
 
     Returns the RoI features and the average-pooled batch they start from
     (the same tensor when the model has no correction module); the
@@ -296,12 +291,8 @@ def forward_roi_features(
     batch = pool_rois(feats, batch_rois, slots, model.backbone.total_stride)
     if model.san is None:
         return batch, batch
-    by_part, inverse = _group_rows([partition_index(r.area, model.scheme) for r in batch_rois])
-    corrected = [
-        san_forward(batch if len(idx) == len(batch_rois) else ag.take0(batch, idx), p, model.san)
-        for p, idx in by_part
-    ]
-    return fuse(batch, _merge_rows(corrected, inverse), alpha=model.san.fusion_alpha), batch
+    parts = [partition_index(r.area, model.scheme) for r in batch_rois]
+    return fuse(batch, san_forward(batch, parts, model.san), alpha=model.san.fusion_alpha), batch
 
 
 def compute_step_losses(
@@ -310,7 +301,9 @@ def compute_step_losses(
     cfg: TrainingConfig,
     include_san_loss: bool,
 ) -> LossParts:
-    """Assemble the full objective graph for one sampled step."""
+    """Assemble the full objective graph for one sampled step: one `correct`
+    node on the RoI features, one `san_loss_branch` over the sampled RoIs
+    (a second `correct` node)."""
     feats = [model.backbone.forward(img.pixels) for img in batch.images]
     roi_feats, batch_pooled = forward_roi_features(model, feats, batch.rois, batch.image_slot)
     logits, deltas = model.head.forward(roi_feats)
@@ -326,9 +319,8 @@ def compute_step_losses(
             pooled = batch_pooled.data[batch.san_indices]
         else:
             pooled = pool_rois([ag.detach(f) for f in feats], rois, slots, model.backbone.total_stride, mode=cfg.san_pool).data
-        by_part, inverse = _group_rows([partition_index(r.area, model.scheme) for r in rois])
-        terms = [san_loss_branch(Tensor(pooled[idx]), p, model.san, Tensor(r_tilde[idx])) for p, idx in by_part]
-        san_terms = _merge_rows(terms, inverse)
+        parts = [partition_index(r.area, model.scheme) for r in rois]
+        san_terms = san_loss_branch(Tensor(pooled), parts, model.san, Tensor(r_tilde))
     return multi_task_loss(
         logits,
         deltas,

@@ -1,9 +1,11 @@
-"""Shared test oracles: finite differences and small numeric utilities."""
+"""Shared test oracles: finite differences, the per-partition correction
+path, and small numeric utilities."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from sanlab import autograd as ag
 from sanlab.autograd import Tensor
 
 FD_STEP = 1e-3
@@ -64,3 +66,43 @@ def check_op_gradients(build_loss, arrays: dict[str, np.ndarray], context: str =
         numeric = numerical_gradient(loss_value, arrays[name])
         assert t.grad is not None, f"no gradient for {name} {context}"
         assert_grad_close(t.grad, numeric, context=f"{context}:{name}")
+
+
+def _partition_groups(parts) -> tuple[list[tuple[int, list[int]]], np.ndarray | None]:
+    """Rows per partition, partitions ascending, and the permutation from
+    the concatenated groups back to row order (None when already in order)."""
+    groups: dict[int, list[int]] = {}
+    for row, p in enumerate(parts):
+        groups.setdefault(int(p), []).append(row)
+    ordered = sorted(groups.items())
+    order = [row for _, rows in ordered for row in rows]
+    return ordered, None if order == list(range(len(parts))) else np.argsort(order)
+
+
+def _merge(outs: list[Tensor], inverse: np.ndarray | None) -> Tensor:
+    merged = outs[0] if len(outs) == 1 else ag.concat0(outs)
+    return merged if inverse is None else ag.take0(merged, inverse)
+
+
+def _corrector(x: Tensor, sn) -> Tensor:
+    return ag.relu(ag.conv2d(x, sn.w, sn.b, stride=1, pad=0))
+
+
+def split_correct_merge(x: Tensor, parts, m) -> Tensor:
+    """The correction path composed from engine ops, as the package ran it
+    before `san.correct`: take0 per partition (skipped when one partition
+    holds every row), its 1x1 conv and relu, concat0, then the inverse take0."""
+    ordered, inverse = _partition_groups(parts)
+    outs = [_corrector(x if len(rows) == len(parts) else ag.take0(x, rows), m.subnets[p]) for p, rows in ordered]
+    return _merge(outs, inverse)
+
+
+def per_partition_loss_branch(feat: np.ndarray, parts, m, r_tilde: np.ndarray) -> Tensor:
+    """The scale-aware loss branch run once per partition on that
+    partition's rows, its (n_p,) terms merged back into row order."""
+    ordered, inverse = _partition_groups(parts)
+    terms = []
+    for p, rows in ordered:
+        r = _corrector(ag.global_avg_pool(Tensor(feat[rows])), m.subnets[p])
+        terms.append(ag.sum_rows(ag.smooth_l1(ag.sub(r, Tensor(r_tilde[rows])))))
+    return _merge(terms, inverse)

@@ -85,6 +85,13 @@ class TestConfigFile:
         meta = json.loads((out / "run-meta.json").read_text())
         assert meta["config"]["seed"] == 77
 
+    def test_non_integer_env_seed_is_an_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SANLAB_SEED", "abc")
+        out = tmp_path / "data"
+        assert main(["gen-data", "--out-dir", str(out), "--num-images", "1"]) == 2
+        assert "error: bad SANLAB_SEED: 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_explicit_seed_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SANLAB_SEED", "77")
         out = tmp_path / "data"
@@ -240,6 +247,15 @@ class TestTrain:
         rc = main(["train", "--out-dir", str(out), "--data-dir", str(data), "--base-lr", "nan", "--iterations", "1"])
         assert rc == 2
         assert "base_lr must be finite" in capsys.readouterr().err
+        assert not (out / "checkpoint.san").exists()
+
+    @pytest.mark.parametrize("text", ["a,b", "1,,2"])
+    def test_unparsable_boundaries_rejected(self, small_run, tmp_path, capsys, text):
+        data, _ = small_run
+        out = tmp_path / "x"
+        rc = main(["train", "--out-dir", str(out), "--data-dir", str(data), "--boundaries", text, "--iterations", "1"])
+        assert rc == 2
+        assert f"error: bad boundaries: {text!r}" in capsys.readouterr().err
         assert not (out / "checkpoint.san").exists()
 
     def test_partitions_flag_must_match_boundaries(self, small_run, tmp_path):

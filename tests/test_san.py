@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import check_op_gradients, per_partition_loss_branch, split_correct_merge
 from hypothesis import given, settings, strategies as st
 
 from sanlab import autograd as ag
@@ -13,7 +14,9 @@ from sanlab.san import (
     TOY_SCHEME,
     VOC_SCHEME,
     SanModule,
+    SanSubNetwork,
     ScalePartitionScheme,
+    correct,
     fuse,
     init_gaussian,
     init_identity,
@@ -170,6 +173,100 @@ class TestSanForward:
             san_forward(Tensor(np.zeros((1, 5, 1, 1), dtype=np.float32)), 0, m)
 
 
+# rows out of partition order, with one, two and three of TOY_SCHEME's partitions present
+PART_CASES = {
+    "one": [1, 1, 1, 1, 1],
+    "two": [2, 0, 2, 2, 0],
+    "three": [2, 0, 1, 2, 0, 1],
+}
+
+
+class TestCorrect:
+    @staticmethod
+    def module_from(tensors: dict, c: int) -> SanModule:
+        """TOY_SCHEME module on the given w<p>/b<p> tensors; zero constants elsewhere."""
+        zero = dict(w=Tensor(np.zeros((c, c, 1, 1))), b=Tensor(np.zeros(c)))
+        subnets = [
+            SanSubNetwork(w=tensors.get(f"w{p}", zero["w"]), b=tensors.get(f"b{p}", zero["b"])) for p in range(3)
+        ]
+        return SanModule(scheme=TOY_SCHEME, subnets=subnets)
+
+    @pytest.mark.parametrize("parts", PART_CASES.values(), ids=PART_CASES.keys())
+    def test_finite_difference_gradients(self, parts):
+        r = np.random.default_rng(27)
+        n, c = len(parts), 3
+        arrays = {"x": r.normal(size=(n, c, 2, 2))}
+        for p in sorted(set(parts)):
+            arrays[f"w{p}"] = r.normal(size=(c, c, 1, 1))
+            arrays[f"b{p}"] = r.normal(size=c)
+        upstream = Tensor(r.normal(size=(n, c, 2, 2)))
+        # central differences need every pre-activation clear of the relu kink
+        for row, p in enumerate(parts):
+            pre = np.einsum("kc,chw->khw", arrays[f"w{p}"][:, :, 0, 0], arrays["x"][row]) + arrays[f"b{p}"][:, None, None]
+            assert np.abs(pre).min() > 0.01
+
+        def build(t):
+            return ag.sum_all(ag.mul(correct(t["x"], parts, self.module_from(t, c)), upstream))
+
+        check_op_gradients(build, arrays, context=f"correct{parts}")
+
+    def test_san_forward_takes_one_partition_or_one_id_per_row(self):
+        m = SanModule.create(TOY_SCHEME, c_feat=4)
+        init_gaussian(m, std=0.5, seed=8)
+        x = Tensor(np.random.default_rng(9).normal(size=(3, 4, 2, 2)).astype(np.float32))
+        assert np.array_equal(san_forward(x, 2, m).data, correct(x, [2, 2, 2], m).data)
+        assert np.array_equal(san_forward(x, np.int64(2), m).data, correct(x, [2, 2, 2], m).data)
+        assert np.array_equal(san_forward(x, [1, 0, 1], m).data, correct(x, [1, 0, 1], m).data)
+
+    @pytest.mark.parametrize(
+        "parts", [[0, 1], [0, 1, 2, 0], [0, 3, 1], [0, -1, 1], [0, 1.5, 1]],
+        ids=["short", "long", "above-range", "negative", "non-integer"],
+    )
+    def test_bad_partition_ids(self, parts):
+        m = SanModule.create(TOY_SCHEME, c_feat=4)
+        with pytest.raises(ShapeError):
+            correct(Tensor(np.zeros((3, 4, 1, 1), dtype=np.float32)), parts, m)
+
+    @pytest.mark.parametrize("gate", [False, True], ids=["sum", "identity-zero-fusion"])
+    @pytest.mark.parametrize("parts", PART_CASES.values(), ids=PART_CASES.keys())
+    def test_matches_per_partition_composition_bitwise(self, parts, gate):
+        """Detection path and loss branch against the take0 / conv2d / relu /
+        concat0 / take0 composition: every value and gradient, float32."""
+        r = np.random.default_rng(31)
+        parts = parts * 3
+        n, c = len(parts), 8
+        m = SanModule.create(TOY_SCHEME, c_feat=c, zero_fusion=gate)
+        init_gaussian(m, std=0.4, seed=5)
+        for sn in m.subnets:
+            sn.b.data[:] = r.normal(0.0, 0.1, size=c)
+        if gate:
+            m.fusion_alpha.data[...] = 0.37  # off its zero start, so gradient reaches the sub-networks
+        x_data = r.normal(size=(n, c, 7, 7)).astype(np.float32)
+        upstream = Tensor(r.normal(size=(n, c, 7, 7)).astype(np.float32))
+        feat = np.abs(r.normal(size=(n, c, 7, 7))).astype(np.float32)
+        r_tilde = r.normal(size=(n, c, 1, 1)).astype(np.float32)
+
+        def run(detect, branch):
+            x = Tensor(x_data, requires_grad=True)
+            fused = fuse(x, detect(x), alpha=m.fusion_alpha)
+            terms = branch()
+            ag.add(ag.sum_all(ag.mul(fused, upstream)), ag.sum_in_order(terms)).backward()
+            grads = [x.grad] + [p.grad for p in m.named_parameters()]
+            for p in m.named_parameters():
+                p.grad = None
+            return [fused.data, terms.data] + grads
+
+        got = run(lambda x: correct(x, parts, m), lambda: san_loss_branch(Tensor(feat), parts, m, Tensor(r_tilde)))
+        want = run(
+            lambda x: split_correct_merge(x, parts, m), lambda: per_partition_loss_branch(feat, parts, m, r_tilde)
+        )
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g.dtype == w.dtype == np.float32
+                assert np.array_equal(g, w)
+
+
 class TestFuse:
     def test_zero_san_output_is_baseline(self):
         x = Tensor(np.random.default_rng(7).normal(size=(1, 3, 2, 2)).astype(np.float32))
@@ -211,7 +308,7 @@ class TestSanLossBranch:
         m = self.make_module()
         feat = Tensor(np.abs(np.random.default_rng(11).normal(size=(1, 8, 7, 7))).astype(np.float32))
         r_tilde = ag.global_avg_pool(Tensor(feat.data))
-        loss = san_loss_branch(feat, 0, m, r_tilde)
+        loss = san_loss_branch(feat, [0], m, r_tilde)
         assert loss.item() == 0.0
 
     def test_half_unit_difference_per_channel(self):
@@ -219,7 +316,7 @@ class TestSanLossBranch:
         m = self.make_module(c)
         feat = Tensor(np.full((1, c, 7, 7), 2.0, dtype=np.float32))
         r_tilde = Tensor(np.full((1, c, 1, 1), 1.5, dtype=np.float32))
-        loss = san_loss_branch(feat, 0, m, r_tilde)
+        loss = san_loss_branch(feat, [0], m, r_tilde)
         assert loss.item() == pytest.approx(0.125 * c, abs=1e-6)
 
     def test_rejects_gradient_carrying_reference(self):
@@ -227,7 +324,7 @@ class TestSanLossBranch:
         feat = Tensor(np.zeros((1, 8, 7, 7), dtype=np.float32))
         bad = Tensor(np.zeros((1, 8, 1, 1), dtype=np.float32), requires_grad=True)
         with pytest.raises(ShapeError, match="gradient"):
-            san_loss_branch(feat, 0, m, bad)
+            san_loss_branch(feat, [0], m, bad)
 
     def test_gradient_blocked_below_branch_entry(self):
         """The loss trains sub-network weights but never the feature source."""
@@ -236,7 +333,7 @@ class TestSanLossBranch:
         src.requires_grad = True
         feat = ag.scale(src, 1.0)  # interior node standing in for the backbone
         r_tilde = Tensor(np.random.default_rng(13).normal(size=(1, 8, 1, 1)).astype(np.float32))
-        loss = san_loss_branch(feat, 1, m, r_tilde)
+        loss = san_loss_branch(feat, [1], m, r_tilde)
         loss.backward()
         assert src.grad is None
         assert m.subnets[1].w.grad is not None
@@ -246,7 +343,7 @@ class TestSanLossBranch:
         m = self.make_module()
         feat = Tensor(np.abs(np.random.default_rng(14).normal(size=(1, 8, 7, 7))).astype(np.float32) + 0.1)
         r_tilde = Tensor(np.random.default_rng(15).normal(size=(1, 8, 1, 1)).astype(np.float32))
-        san_loss_branch(feat, 1, m, r_tilde).backward()
+        san_loss_branch(feat, [1], m, r_tilde).backward()
         assert m.subnets[0].w.grad is None
         assert m.subnets[2].w.grad is None
 
@@ -260,7 +357,7 @@ class TestSiameseSharing:
         r_tilde = Tensor(np.random.default_rng(17).normal(size=(1, 4, 1, 1)).astype(np.float32))
 
         detect_out = san_forward(feat, 0, m)  # detection path
-        branch = san_loss_branch(feat, 0, m, r_tilde)  # siamese loss path, one term per RoI
+        branch = san_loss_branch(feat, [0], m, r_tilde)  # siamese loss path, one term per RoI
         total = ag.add(ag.sum_all(detect_out), ag.sum_all(branch))
         total.backward()
         sn = m.subnets[0]

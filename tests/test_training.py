@@ -206,6 +206,19 @@ class TestSplitCorrectMerge:
             single = fuse(pooled, san_forward(pooled, part, model.san), alpha=model.san.fusion_alpha)
             assert np.array_equal(merged.data[row], single.data[0])
 
+    def test_full_step_records_no_row_gather(self, tiny_dataset, monkeypatch):
+        """The correction and its loss branch move rows inside one node each:
+        a san=full step, forward and backward, calls take0 not once."""
+        cfg = tiny_config()
+        model = build_model(cfg)
+        batch = build_step_batch(tiny_dataset, cfg, step=1)
+        assert len({partition_index(r.area, model.scheme) for r in batch.rois}) > 1
+        calls = []
+        take0 = ag.take0
+        monkeypatch.setattr(ag, "take0", lambda *a, **kw: calls.append(1) or take0(*a, **kw))
+        compute_step_losses(model, batch, cfg, include_san_loss=True).total.backward()
+        assert calls == []
+
     @pytest.mark.parametrize("mode", ["avg", "max"])
     def test_pooling_reads_each_rois_own_image_in_any_order(self, mode):
         r = np.random.default_rng(5)
