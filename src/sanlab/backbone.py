@@ -1,7 +1,8 @@
 """Small convolutional backbone and the two feature-extraction pathways.
 
 A feature map for a whole image comes from a stack of strided conv+ReLU
-blocks; per-object features come either from RoI pooling on that map or
+blocks; per-object features come either from RoI pooling on that map
+(`roi_avg_pool`, one tape node for a step's RoIs over all its images) or
 from the scale-normalized-patch pathway (crop the RoI's cell-aligned
 footprint, resize to the reference scale, run the backbone, pool
 globally), which `batched_reference_features` alone implements.  The
@@ -169,72 +170,76 @@ def roi_pool(feat: Tensor, roi: RoI, out: int = 7, mode: str = "avg", stride: in
     if mode not in ("avg", "max"):
         raise ShapeError(f"roi_pool mode must be 'avg' or 'max', got {mode!r}")
     if mode == "avg":
-        return roi_avg_pool(feat, [roi], out=out, stride=stride)
+        return roi_avg_pool([feat], [roi], [0], out=out, stride=stride)
     y_lo, y_hi, x_lo, x_hi = _roi_cells(feat, roi, stride)
     c = feat.shape[1]
-    w_span = x_hi - x_lo
-    h_span = y_hi - y_lo
     cells = feat.data[0, :, y_lo:y_hi, x_lo:x_hi]
+    col_spans = _bin_spans(x_hi - x_lo, out)
 
-    # per-bin arg tracking for winner-only gradients
     out_data = np.empty((1, c, out, out), dtype=feat.dtype)
-    spans: list[tuple[int, int, int, int]] = []
-    winners: list[np.ndarray] = []
+    winners = []  # per bin: by, bx and the map cells of each channel's first maximum
     ch_idx = np.arange(c)
-    for by in range(out):
-        ys = math.floor(by * h_span / out)
-        ye = math.ceil((by + 1) * h_span / out)
-        for bx in range(out):
-            xs = math.floor(bx * w_span / out)
-            xe = math.ceil((bx + 1) * w_span / out)
+    for by, (ys, ye) in enumerate(_bin_spans(y_hi - y_lo, out)):
+        for bx, (xs, xe) in enumerate(col_spans):
             bin_cells = cells[:, ys:ye, xs:xe].reshape(c, -1)
             idx = bin_cells.argmax(axis=1)
-            winners.append(idx)
             out_data[0, :, by, bx] = bin_cells[ch_idx, idx]
-            spans.append((ys, ye, xs, xe))
+            r, col = np.divmod(idx, xe - xs)
+            winners.append((by, bx, y_lo + ys + r, x_lo + xs + col))
 
     def backward(grad_out: np.ndarray):
         g = np.zeros_like(feat.data)
-        gout = grad_out[0]
-        for i, (ys, ye, xs, xe) in enumerate(spans):
-            by, bx = divmod(i, out)
-            r, col = np.divmod(winners[i], xe - xs)
-            g[0, ch_idx, y_lo + ys + r, x_lo + xs + col] += gout[:, by, bx]
+        for by, bx, wy, wx in winners:
+            g[0, ch_idx, wy, wx] += grad_out[0, :, by, bx]
         feat._accumulate(g)
 
     return ag._result(out_data, (feat,), backward)
 
 
-def roi_avg_pool(feat: Tensor, rois: Sequence[RoI], out: int = 7, stride: int = 8) -> Tensor:
-    """Average-pool many RoIs of one 1xCxhxw feature map: (N, C, out, out).
+def roi_avg_pool(
+    maps: Sequence[Tensor], rois: Sequence[RoI], slots: Sequence[int], out: int = 7, stride: int = 8
+) -> Tensor:
+    """Average-pool RoI n on maps[slots[n]], a 1xCxhxw map: (N, C, out, out).
 
     Binning as in `roi_pool`.  Bins factor into independent row and column
     spans, so each RoI's grid is two 0/1 matmuls, exact on integer-valued
-    data; row n is bitwise the pooling of rois[n] alone.  The batch is one
-    tape node, whose backward sums every RoI's bin gradients into a single
-    map-sized buffer.
+    data; row n is bitwise the pooling of rois[n] alone, written in RoI
+    order.  The batch is one tape node whose parents are the maps some RoI
+    reads, in ascending slot order; its backward sums each map's RoI
+    gradients, in RoI order, into one buffer per map.
     """
     if not rois:
         raise RoiError("roi_avg_pool needs at least one RoI")
-    dtype = feat.data.dtype
+    if len(slots) != len(rois) or not 0 <= min(slots) <= max(slots) < len(maps):
+        raise ShapeError(f"roi_avg_pool needs one slot in [0, {len(maps)}) per RoI, got {list(slots)} for {len(rois)} RoIs")
+    inputs = {s: maps[s] for s in sorted(set(slots))}
     plans = []
-    for roi in rois:
-        y_lo, y_hi, x_lo, x_hi = _roi_cells(feat, roi, stride)
-        rows, row_sizes = _bin_matrix(y_hi - y_lo, out, dtype)
-        cols, col_sizes = _bin_matrix(x_hi - x_lo, out, dtype)
-        plans.append((y_lo, y_hi, x_lo, x_hi, rows, cols, row_sizes[:, None] * col_sizes[None, :]))
-    out_data = np.empty((len(rois), feat.shape[1], out, out), dtype=dtype)
-    for n, (y_lo, y_hi, x_lo, x_hi, rows, cols, counts) in enumerate(plans):
-        sums = np.matmul(np.matmul(rows, feat.data[0, :, y_lo:y_hi, x_lo:x_hi]), cols.T)
-        out_data[n] = sums / counts
+    for roi, s in zip(rois, slots):
+        y_lo, y_hi, x_lo, x_hi = _roi_cells(maps[s], roi, stride)
+        rows, row_sizes = _bin_matrix(y_hi - y_lo, out, maps[s].dtype)
+        cols, col_sizes = _bin_matrix(x_hi - x_lo, out, maps[s].dtype)
+        plans.append((s, y_lo, y_hi, x_lo, x_hi, rows, cols, row_sizes[:, None] * col_sizes[None, :]))
+    channels = {t.shape[1] for t in inputs.values()}
+    if len(channels) > 1:
+        raise ShapeError(f"roi_avg_pool maps differ in channel count: {sorted(channels)}")
+    out_data = np.empty((len(rois), channels.pop(), out, out), dtype=np.result_type(*(t.dtype for t in inputs.values())))
+    for n, (s, y_lo, y_hi, x_lo, x_hi, rows, cols, counts) in enumerate(plans):
+        out_data[n] = np.matmul(np.matmul(rows, maps[s].data[0, :, y_lo:y_hi, x_lo:x_hi]), cols.T) / counts
 
     def backward(grad_out: np.ndarray):
-        g = np.zeros_like(feat.data)
-        for gn, (y_lo, y_hi, x_lo, x_hi, rows, cols, counts) in zip(grad_out, plans):
-            g[0, :, y_lo:y_hi, x_lo:x_hi] += np.matmul(rows.T, np.matmul(gn / counts, cols))
-        feat._accumulate(g)
+        grads = {s: np.zeros_like(t.data) for s, t in inputs.items()}
+        for gn, (s, y_lo, y_hi, x_lo, x_hi, rows, cols, counts) in zip(grad_out, plans):
+            grads[s][0, :, y_lo:y_hi, x_lo:x_hi] += np.matmul(rows.T, np.matmul(gn / counts, cols))
+        for s, t in inputs.items():
+            if t.requires_grad:
+                t._accumulate(grads[s])
 
-    return ag._result(out_data, (feat,), backward)
+    return ag._result(out_data, tuple(inputs.values()), backward)
+
+
+def _bin_spans(span: int, out: int) -> list[tuple[int, int]]:
+    """The [lo, hi) cell range of each of out bins over span cells (see `roi_pool`)."""
+    return [(math.floor(b * span / out), math.ceil((b + 1) * span / out)) for b in range(out)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,9 +247,7 @@ def _bin_matrix(span: int, out: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """0/1 matrix mapping span cells to out bins by fractional coverage,
     and its row sums (cells per bin).  Cached, so both are read-only."""
     m = np.zeros((out, span), dtype=dtype)
-    for b in range(out):
-        lo = math.floor(b * span / out)
-        hi = math.ceil((b + 1) * span / out)
+    for b, (lo, hi) in enumerate(_bin_spans(span, out)):
         m[b, lo:hi] = 1
     sizes = m.sum(axis=1)
     m.flags.writeable = False

@@ -92,14 +92,13 @@ class SanSubNetwork:
 
 @dataclass
 class SanModule:
-    """Per-partition sub-networks sharing one routing scheme.
+    """Per-partition sub-networks; the model's scheme routes RoIs to them.
 
     ``fusion_alpha`` is normally None (plain element-wise-sum fusion); the
     identity-zero-fusion variant adds a trainable scalar gate initialized
     to zero so the module starts as an exact no-op.
     """
 
-    scheme: ScalePartitionScheme
     subnets: list[SanSubNetwork]
     fusion_alpha: Parameter | None = None
 
@@ -111,7 +110,7 @@ class SanModule:
             b = Parameter(np.zeros(c_feat, dtype=np.float32), name=f"san.part{i}.b")
             subnets.append(SanSubNetwork(w=w, b=b))
         alpha = Parameter(np.zeros((), dtype=np.float32), name="san.fusion_alpha") if zero_fusion else None
-        return cls(scheme=scheme, subnets=subnets, fusion_alpha=alpha)
+        return cls(subnets=subnets, fusion_alpha=alpha)
 
     @property
     def c_feat(self) -> int:

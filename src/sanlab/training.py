@@ -24,7 +24,7 @@ from .backbone import Backbone, Image, RoI, batched_reference_features, roi_avg_
 # perfbench's tracer looks the reference pathway up under these two names
 from .backbone import extract_reference_feature as reference_feature_for_roi
 from .data import Annotation, make_proposals, proposal_rng
-from .errors import CheckpointError, ConfigError, GraphError, SanlabError
+from .errors import CheckpointError, ConfigError, GraphError, RoiError, SanlabError
 from .losses import (
     DetectionHead,
     LossParts,
@@ -101,6 +101,8 @@ class TrainingConfig:
         ):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        if self.n_pos_jitter == 0 and self.n_neg == 0:
+            raise ConfigError("n_pos_jitter and n_neg are both 0, so a step has no proposals; raise one of them")
         if not 0 <= self.pos_fraction <= 1:
             raise ConfigError(f"pos_fraction must lie in [0,1], got {self.pos_fraction}")
         for name in ("images_per_step", "rois_per_image", "num_classes", "lr_decay_step"):
@@ -240,6 +242,8 @@ def build_step_batch(
             slots.append(slot)
             labels.append(assigned[i][0])
             targets.append(assigned[i][1])
+    if not rois:
+        raise RoiError(f"step {step} sampled no RoI from dataset images {picks.tolist()}")
     san_indices = sample_san_rois(list(range(len(rois))), cfg.san_samples, rng)
     return StepBatch(images=images, rois=rois, image_slot=slots, labels=labels, targets=targets, san_indices=san_indices)
 
@@ -248,47 +252,16 @@ def build_step_batch(
 # forward graph
 
 
-def _group_rows(keys: list[int]) -> tuple[list[tuple[int, list[int]]], np.ndarray | None]:
-    """Row indices per distinct key, in ascending key order, and the
-    permutation that takes the concatenated groups back to row order
-    (None when the groups already are in row order)."""
-    groups: dict[int, list[int]] = {}
-    for i, k in enumerate(keys):
-        groups.setdefault(k, []).append(i)
-    ordered = sorted(groups.items())
-    order = [i for _, idx in ordered for i in idx]
-    if order == list(range(len(keys))):
-        return ordered, None
-    return ordered, np.argsort(np.asarray(order, dtype=np.intp))
-
-
-def pool_rois(feats: list[Tensor], rois: list[RoI], slots: list[int], stride: int, mode: str = "avg") -> Tensor:
-    """Pool every RoI on its image's feature map to (N, C, 7, 7), in RoI order.
-
-    Average pooling is one `roi_avg_pool` per image, max pooling one
-    `roi_pool` per RoI.  Row n is bitwise the pooling of rois[n] alone, so
-    rows of an average-pooled batch serve any subset of its RoIs (the
-    scale-aware loss branch reuses them instead of pooling again).
-    """
-    by_image, inverse = _group_rows(slots)
-    if mode == "avg":
-        pooled = [roi_avg_pool(feats[s], [rois[i] for i in idx], out=7, stride=stride) for s, idx in by_image]
-    else:
-        pooled = [roi_pool(feats[s], rois[i], out=7, mode=mode, stride=stride) for s, idx in by_image for i in idx]
-    merged = pooled[0] if len(pooled) == 1 else ag.concat0(pooled)
-    return merged if inverse is None else ag.take0(merged, inverse)
-
-
 def forward_roi_features(
     model: DetectionModel, feats: list[Tensor], batch_rois: list[RoI], slots: list[int]
 ) -> tuple[Tensor, Tensor]:
-    """Pool every RoI and fuse in its partition's correction (one `correct` node).
+    """Pool every RoI (one `roi_avg_pool` node) and fuse in its correction (one `correct` node).
 
     Returns the RoI features and the average-pooled batch they start from
     (the same tensor when the model has no correction module); the
     scale-aware loss branch takes its rows from the latter.
     """
-    batch = pool_rois(feats, batch_rois, slots, model.backbone.total_stride)
+    batch = roi_avg_pool(feats, batch_rois, slots, out=7, stride=model.backbone.total_stride)
     if model.san is None:
         return batch, batch
     parts = [partition_index(r.area, model.scheme) for r in batch_rois]
@@ -301,9 +274,10 @@ def compute_step_losses(
     cfg: TrainingConfig,
     include_san_loss: bool,
 ) -> LossParts:
-    """Assemble the full objective graph for one sampled step: one `correct`
-    node on the RoI features, one `san_loss_branch` over the sampled RoIs
-    (a second `correct` node)."""
+    """Assemble the full objective graph for one sampled step: one `roi_avg_pool`
+    and one `correct` node on the RoI features, and one `san_loss_branch` (a
+    second `correct` node) on plain arrays: the sampled RoIs' pooled rows, or
+    with ``san_pool="max"`` each sampled RoI max-pooled on its detached map."""
     feats = [model.backbone.forward(img.pixels) for img in batch.images]
     roi_feats, batch_pooled = forward_roi_features(model, feats, batch.rois, batch.image_slot)
     logits, deltas = model.head.forward(roi_feats)
@@ -318,7 +292,11 @@ def compute_step_losses(
         if cfg.san_pool == "avg":
             pooled = batch_pooled.data[batch.san_indices]
         else:
-            pooled = pool_rois([ag.detach(f) for f in feats], rois, slots, model.backbone.total_stride, mode=cfg.san_pool).data
+            maps = [ag.detach(f) for f in feats]
+            stride = model.backbone.total_stride
+            pooled = np.concatenate(
+                [roi_pool(maps[s], roi, out=7, mode=cfg.san_pool, stride=stride).data for roi, s in zip(rois, slots)]
+            )
         parts = [partition_index(r.area, model.scheme) for r in rois]
         san_terms = san_loss_branch(Tensor(pooled), parts, model.san, Tensor(r_tilde))
     return multi_task_loss(
@@ -665,7 +643,7 @@ def rendered_roi_feature(img: Image, box: RoI, scale: int, bb: Backbone) -> Tens
             y2=(box.y2 - wy1) * fy,
             image_id=box.image_id,
         )
-        return ag.global_avg_pool(roi_avg_pool(feat, [mapped], out=7, stride=bb.total_stride))
+        return ag.global_avg_pool(roi_avg_pool([feat], [mapped], [0], out=7, stride=bb.total_stride))
 
 
 def rmse_report(

@@ -1,5 +1,5 @@
 """Shared test oracles: finite differences, the per-partition correction
-path, and small numeric utilities."""
+path, the per-image RoI pooling, and small numeric utilities."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import numpy as np
 
 from sanlab import autograd as ag
 from sanlab.autograd import Tensor
+from sanlab.backbone import _bin_matrix, _roi_cells
 
 FD_STEP = 1e-3
 FD_REL_TOL = 1e-4
@@ -68,15 +69,16 @@ def check_op_gradients(build_loss, arrays: dict[str, np.ndarray], context: str =
         assert_grad_close(t.grad, numeric, context=f"{context}:{name}")
 
 
-def _partition_groups(parts) -> tuple[list[tuple[int, list[int]]], np.ndarray | None]:
-    """Rows per partition, partitions ascending, and the permutation from
-    the concatenated groups back to row order (None when already in order)."""
+def _row_groups(keys) -> tuple[list[tuple[int, list[int]]], np.ndarray | None]:
+    """Rows per key (a partition or an image slot), keys ascending, and the
+    permutation from the concatenated groups back to row order (None when
+    already in order)."""
     groups: dict[int, list[int]] = {}
-    for row, p in enumerate(parts):
-        groups.setdefault(int(p), []).append(row)
+    for row, k in enumerate(keys):
+        groups.setdefault(int(k), []).append(row)
     ordered = sorted(groups.items())
     order = [row for _, rows in ordered for row in rows]
-    return ordered, None if order == list(range(len(parts))) else np.argsort(order)
+    return ordered, None if order == list(range(len(keys))) else np.argsort(order)
 
 
 def _merge(outs: list[Tensor], inverse: np.ndarray | None) -> Tensor:
@@ -92,7 +94,7 @@ def split_correct_merge(x: Tensor, parts, m) -> Tensor:
     """The correction path composed from engine ops, as the package ran it
     before `san.correct`: take0 per partition (skipped when one partition
     holds every row), its 1x1 conv and relu, concat0, then the inverse take0."""
-    ordered, inverse = _partition_groups(parts)
+    ordered, inverse = _row_groups(parts)
     outs = [_corrector(x if len(rows) == len(parts) else ag.take0(x, rows), m.subnets[p]) for p, rows in ordered]
     return _merge(outs, inverse)
 
@@ -100,9 +102,42 @@ def split_correct_merge(x: Tensor, parts, m) -> Tensor:
 def per_partition_loss_branch(feat: np.ndarray, parts, m, r_tilde: np.ndarray) -> Tensor:
     """The scale-aware loss branch run once per partition on that
     partition's rows, its (n_p,) terms merged back into row order."""
-    ordered, inverse = _partition_groups(parts)
+    ordered, inverse = _row_groups(parts)
     terms = []
     for p, rows in ordered:
         r = _corrector(ag.global_avg_pool(Tensor(feat[rows])), m.subnets[p])
         terms.append(ag.sum_rows(ag.smooth_l1(ag.sub(r, Tensor(r_tilde[rows])))))
     return _merge(terms, inverse)
+
+
+def per_image_roi_avg_pool(feat: Tensor, rois, out: int, stride: int) -> Tensor:
+    """The package's former one-map RoI average pooling node: each RoI's
+    two 0/1 matmuls, and a backward that sums the RoIs' gradients, in RoI
+    order, into one map-sized buffer."""
+    plans = []
+    for roi in rois:
+        y_lo, y_hi, x_lo, x_hi = _roi_cells(feat, roi, stride)
+        rows, row_sizes = _bin_matrix(y_hi - y_lo, out, feat.dtype)
+        cols, col_sizes = _bin_matrix(x_hi - x_lo, out, feat.dtype)
+        plans.append((y_lo, y_hi, x_lo, x_hi, rows, cols, row_sizes[:, None] * col_sizes[None, :]))
+    out_data = np.empty((len(rois), feat.shape[1], out, out), dtype=feat.dtype)
+    for n, (y_lo, y_hi, x_lo, x_hi, rows, cols, counts) in enumerate(plans):
+        sums = np.matmul(np.matmul(rows, feat.data[0, :, y_lo:y_hi, x_lo:x_hi]), cols.T)
+        out_data[n] = sums / counts
+
+    def backward(grad_out: np.ndarray):
+        g = np.zeros_like(feat.data)
+        for gn, (y_lo, y_hi, x_lo, x_hi, rows, cols, counts) in zip(grad_out, plans):
+            g[0, :, y_lo:y_hi, x_lo:x_hi] += np.matmul(rows.T, np.matmul(gn / counts, cols))
+        feat._accumulate(g)
+
+    return ag._result(out_data, (feat,), backward)
+
+
+def per_image_pool_merge(maps: list[Tensor], rois, slots, out: int = 7, stride: int = 8) -> Tensor:
+    """RoI pooling as the package ran it before one node served every map:
+    one `per_image_roi_avg_pool` per image, images ascending, concat0, then
+    the inverse take0 (each skipped when it would change nothing)."""
+    ordered, inverse = _row_groups(slots)
+    outs = [per_image_roi_avg_pool(maps[s], [rois[i] for i in rows], out, stride) for s, rows in ordered]
+    return _merge(outs, inverse)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import check_op_gradients
+from helpers import check_op_gradients, per_image_pool_merge
 
 from sanlab import autograd as ag
 from sanlab.autograd import Tensor
@@ -159,14 +159,15 @@ class TestRoiPool:
             rois.append(RoI(x1=x1, y1=y1, x2=x1 + r.uniform(24, 120), y2=y1 + r.uniform(24, 120)))
         rois.append(RoI(x1=-30.0, y1=100.0, x2=20.0, y2=400.0))  # clamped at two edges
         feat_arr = r.integers(0, 256, size=(1, 5, 16, 16)).astype(np.float32)
-        batched = roi_avg_pool(Tensor(feat_arr), rois, out=7, stride=8).data
+        slots = [0] * len(rois)
+        batched = roi_avg_pool([Tensor(feat_arr)], rois, slots, out=7, stride=8).data
         assert batched.shape == (len(rois), 5, 7, 7)
         for n, roi in enumerate(rois):
             assert np.array_equal(batched[n : n + 1], naive_roi_pool(feat_arr, roi, out=7, mode="avg", stride=8))
         real = Tensor(r.normal(size=(1, 5, 16, 16)).astype(np.float32))
-        batched = roi_avg_pool(real, rois, out=7, stride=8).data
+        batched = roi_avg_pool([real], rois, slots, out=7, stride=8).data
         for n, roi in enumerate(rois):
-            assert np.array_equal(batched[n : n + 1], roi_avg_pool(real, [roi], out=7, stride=8).data)
+            assert np.array_equal(batched[n : n + 1], roi_avg_pool([real], [roi], [0], out=7, stride=8).data)
             assert np.array_equal(batched[n : n + 1], roi_pool(real, roi, out=7, mode="avg", stride=8).data)
 
     def test_batched_avg_gradients_match_fd(self):
@@ -179,10 +180,77 @@ class TestRoiPool:
         weights = Tensor(r.normal(size=(3, 2, 3, 3)))
 
         def build(t):
-            pooled = roi_avg_pool(t["feat"], rois, out=3, stride=8)
+            pooled = roi_avg_pool([t["feat"]], rois, [0, 0, 0], out=3, stride=8)
             return ag.sum_all(ag.mul(ag.mul(pooled, pooled), weights))
 
         check_op_gradients(build, {"feat": r.normal(size=(1, 2, 10, 10))}, context="roi_avg_pool")
+
+    # RoIs over maps of different sizes, slots interleaved; map 1 is read by no RoI
+    MULTI_ROIS = [
+        RoI(x1=10.3, y1=4.7, x2=70.2, y2=60.1),
+        RoI(x1=0.0, y1=30.0, x2=33.0, y2=80.0),
+        RoI(x1=-5.0, y1=-5.0, x2=200.0, y2=24.0),  # clamped
+        RoI(x1=8.0, y1=8.0, x2=90.0, y2=50.0),
+        RoI(x1=20.0, y1=1.0, x2=41.0, y2=47.0),  # overlaps the first
+    ]
+    MULTI_SLOTS = [0, 2, 0, 2, 0]
+
+    def test_multi_map_gradients_match_fd(self):
+        r = np.random.default_rng(44)
+        unread = Tensor(r.normal(size=(1, 2, 6, 6)), requires_grad=True)
+        weights = Tensor(r.normal(size=(len(self.MULTI_ROIS), 2, 3, 3)))
+
+        def build(t):
+            pooled = roi_avg_pool([t["a"], unread, t["b"]], self.MULTI_ROIS, self.MULTI_SLOTS, out=3, stride=8)
+            return ag.sum_all(ag.mul(ag.mul(pooled, pooled), weights))
+
+        arrays = {"a": r.normal(size=(1, 2, 10, 10)), "b": r.normal(size=(1, 2, 7, 12))}
+        check_op_gradients(build, arrays, context="multi-map roi_avg_pool")
+        assert unread.grad is None
+        a, b = Tensor(arrays["a"], requires_grad=True), Tensor(arrays["b"], requires_grad=True)
+        node = roi_avg_pool([a, unread, b], self.MULTI_ROIS, self.MULTI_SLOTS, out=3, stride=8)
+        assert len(node._parents) == 2 and node._parents[0] is a and node._parents[1] is b
+
+    @pytest.mark.parametrize(
+        "slots",
+        [[0, 0, 0, 0, 1, 1, 1, 2, 2, 2], [2, 0, 1, 0, 2, 1, 0, 2, 1, 0], [1, 1, 0, 1, 1, 0, 1, 0, 1, 1], [0] * 10],
+        ids=["ordered", "mixed", "two", "one"],
+    )
+    def test_multi_map_is_bitwise_the_per_image_merge(self, slots):
+        """Rows and every map gradient equal those of one pooling node per
+        image, concatenated and put back in RoI order: float32, bit for bit.
+        Three or more RoIs overlap on each map, so a different summation
+        order would show in the last bits."""
+        r = np.random.default_rng(45)
+        shapes = [(1, 4, 12, 12), (1, 4, 9, 14), (1, 4, 16, 10)]
+        arrays = [r.normal(size=shape).astype(np.float32) for shape in shapes]
+        rois = [
+            RoI(x1=float(x), y1=float(y), x2=float(x + w), y2=float(y + h))
+            for x, y, w, h in r.uniform([-10, -10, 50, 50], [30, 30, 100, 100], size=(len(slots), 4))
+        ]
+        weights = Tensor(r.normal(size=(len(rois), 4, 7, 7)).astype(np.float32))
+        results = []
+        for pool in (roi_avg_pool, per_image_pool_merge):
+            maps = [Tensor(a, requires_grad=True) for a in arrays]
+            pooled = pool(maps, rois, slots, 7, 8)
+            ag.sum_all(ag.mul(pooled, weights)).backward()
+            results.append((pooled.data, [m.grad for m in maps]))
+        (got, got_grads), (want, want_grads) = results
+        assert np.array_equal(got, want)
+        for s, (g, w) in enumerate(zip(got_grads, want_grads)):
+            assert (g is None) == (w is None) == (s not in slots)
+            assert g is None or np.array_equal(g, w)
+
+    def test_multi_map_bad_slots_and_maps_rejected(self):
+        maps = [Tensor(np.zeros((1, 2, 8, 8))), Tensor(np.zeros((1, 2, 6, 6)))]
+        roi = RoI(x1=0, y1=0, x2=16, y2=16)
+        for slots in ([0], [0, 1, 0], [2, 0], [-1, 0]):
+            with pytest.raises(ShapeError, match="slot"):
+                roi_avg_pool(maps, [roi, roi], slots, stride=8)
+        with pytest.raises(ShapeError, match="channel"):
+            roi_avg_pool(maps + [Tensor(np.zeros((1, 3, 8, 8)))], [roi, roi], [0, 2], stride=8)
+        with pytest.raises(RoiError):
+            roi_avg_pool(maps, [], [], stride=8)
 
     def test_degenerate_roi_errors(self):
         feat = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))

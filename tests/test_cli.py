@@ -258,6 +258,14 @@ class TestTrain:
         assert f"error: bad boundaries: {text!r}" in capsys.readouterr().err
         assert not (out / "checkpoint.san").exists()
 
+    def test_no_proposal_source_rejected(self, small_run, tmp_path, capsys):
+        data, _ = small_run
+        out = tmp_path / "x"
+        rc = main(["train", "--out-dir", str(out), "--data-dir", str(data), "--n-neg", "0", "--n-pos-jitter", "0"])
+        assert rc == 2
+        assert "error: n_pos_jitter and n_neg are both 0" in capsys.readouterr().err
+        assert not (out / "checkpoint.san").exists()
+
     def test_partitions_flag_must_match_boundaries(self, small_run, tmp_path):
         data, _ = small_run
         rc = main(

@@ -102,7 +102,7 @@ class TestInitialization:
         init_identity(m)
         r = np.random.default_rng(0)
         x = Tensor(r.normal(size=(1, 8, 3, 3)).astype(np.float32))
-        for i in range(m.scheme.num_partitions):
+        for i in range(len(m.subnets)):
             out = san_forward(x, i, m)
             assert np.array_equal(out.data, np.maximum(x.data, 0))
 
@@ -184,12 +184,12 @@ PART_CASES = {
 class TestCorrect:
     @staticmethod
     def module_from(tensors: dict, c: int) -> SanModule:
-        """TOY_SCHEME module on the given w<p>/b<p> tensors; zero constants elsewhere."""
+        """Three-partition module (TOY_SCHEME's) on the given w<p>/b<p> tensors; zero constants elsewhere."""
         zero = dict(w=Tensor(np.zeros((c, c, 1, 1))), b=Tensor(np.zeros(c)))
         subnets = [
             SanSubNetwork(w=tensors.get(f"w{p}", zero["w"]), b=tensors.get(f"b{p}", zero["b"])) for p in range(3)
         ]
-        return SanModule(scheme=TOY_SCHEME, subnets=subnets)
+        return SanModule(subnets=subnets)
 
     @pytest.mark.parametrize("parts", PART_CASES.values(), ids=PART_CASES.keys())
     def test_finite_difference_gradients(self, parts):

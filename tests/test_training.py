@@ -17,9 +17,9 @@ from test_backbone import naive_roi_pool
 import sanlab
 from sanlab import autograd as ag
 from sanlab.autograd import Tensor
-from sanlab.backbone import Image, RoI, cell_aligned_roi, extract_reference_feature, roi_pool
+from sanlab.backbone import Image, RoI, cell_aligned_roi, extract_reference_feature, roi_avg_pool, roi_pool
 from sanlab.data import Annotation, DatasetConfig, generate_dataset, load_dataset, write_dataset
-from sanlab.errors import CheckpointError, ConfigError
+from sanlab.errors import CheckpointError, ConfigError, RoiError
 from sanlab.san import TOY_SCHEME, ScalePartitionScheme, partition_index
 from sanlab.training import (
     CHECKPOINT_MAGIC,
@@ -36,7 +36,6 @@ from sanlab.training import (
     forward_roi_features,
     learning_rate,
     load_checkpoint,
-    pool_rois,
     nms,
     predict_rois,
     read_checkpoint_entries,
@@ -101,6 +100,16 @@ class TestConfigValidation:
     def test_float_fields_cover_the_hyperparameters(self):
         assert {"base_lr", "momentum", "weight_decay", "gaussian_std", "san_loss_weight"} <= set(self.FLOAT_FIELDS)
 
+    def test_no_proposal_source_rejected(self, tiny_dataset):
+        """With neither jittered positives nor negatives no step has an RoI."""
+        cfg = tiny_config(n_pos_jitter=0, n_neg=0, san_samples=0)
+        with pytest.raises(ConfigError, match="n_pos_jitter and n_neg"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="n_pos_jitter and n_neg"):
+            train(tiny_dataset, cfg)
+        tiny_config(n_pos_jitter=0).validate()
+        tiny_config(n_neg=0).validate()
+
     def test_negative_gaussian_std_rejected(self):
         with pytest.raises(ConfigError, match="gaussian_std must be non-negative"):
             TrainingConfig(init_mode="gaussian", gaussian_std=-0.05).validate()
@@ -149,6 +158,15 @@ class TestStepBatch:
             for labels in per_image.values():
                 assert len(labels) <= 8
                 assert sum(1 for u in labels if u >= 1) <= round(8 * cfg.pos_fraction)
+
+    def test_step_without_rois_names_the_step(self, tiny_dataset):
+        """Images without annotations and no negatives leave a step empty."""
+        bare = [(img, []) for img, _ in tiny_dataset]
+        cfg = tiny_config(n_neg=0)
+        with pytest.raises(RoiError, match="step 3 sampled no RoI"):
+            build_step_batch(bare, cfg, step=3)
+        with pytest.raises(RoiError, match="step 0 sampled no RoI"):
+            train(bare, cfg)
 
     def test_san_indices_point_at_rois(self, tiny_dataset):
         batch = build_step_batch(tiny_dataset, tiny_config(), step=0)
@@ -207,20 +225,30 @@ class TestSplitCorrectMerge:
             assert np.array_equal(merged.data[row], single.data[0])
 
     def test_full_step_records_no_row_gather(self, tiny_dataset, monkeypatch):
-        """The correction and its loss branch move rows inside one node each:
-        a san=full step, forward and backward, calls take0 not once."""
-        cfg = tiny_config()
-        model = build_model(cfg)
-        batch = build_step_batch(tiny_dataset, cfg, step=1)
-        assert len({partition_index(r.area, model.scheme) for r in batch.rois}) > 1
+        """RoI pooling, the correction and its loss branch move rows inside
+        one node each: a san=full and a san=off step, forward and backward,
+        call neither take0 nor concat0."""
         calls = []
-        take0 = ag.take0
-        monkeypatch.setattr(ag, "take0", lambda *a, **kw: calls.append(1) or take0(*a, **kw))
-        compute_step_losses(model, batch, cfg, include_san_loss=True).total.backward()
+
+        def counting(name, op):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return op(*args, **kwargs)
+
+            return counted
+
+        for name in ("take0", "concat0"):
+            monkeypatch.setattr(ag, name, counting(name, getattr(ag, name)))
+        for san_mode in ("full", "off"):
+            cfg = tiny_config(san_mode=san_mode)
+            model = build_model(cfg)
+            batch = build_step_batch(tiny_dataset, cfg, step=1)
+            assert len(set(batch.image_slot)) > 1
+            assert len({partition_index(r.area, model.scheme) for r in batch.rois}) > 1
+            compute_step_losses(model, batch, cfg, include_san_loss=san_mode == "full").total.backward()
         assert calls == []
 
-    @pytest.mark.parametrize("mode", ["avg", "max"])
-    def test_pooling_reads_each_rois_own_image_in_any_order(self, mode):
+    def test_pooling_reads_each_rois_own_image_in_any_order(self):
         r = np.random.default_rng(5)
         maps = [r.integers(0, 256, size=(1, 4, 12, 12)).astype(np.float32) for _ in range(2)]
         rois = [
@@ -231,9 +259,9 @@ class TestSplitCorrectMerge:
             RoI(x1=0.0, y1=0.0, x2=96.0, y2=96.0),
         ]
         slots = [1, 0, 1, 1, 0]
-        pooled = pool_rois([Tensor(m) for m in maps], rois, slots, stride=8, mode=mode).data
+        pooled = roi_avg_pool([Tensor(m) for m in maps], rois, slots, out=7, stride=8).data
         for n, (roi, s) in enumerate(zip(rois, slots)):
-            assert np.array_equal(pooled[n : n + 1], naive_roi_pool(maps[s], roi, out=7, mode=mode, stride=8))
+            assert np.array_equal(pooled[n : n + 1], naive_roi_pool(maps[s], roi, out=7, mode="avg", stride=8))
 
     def test_without_san_is_plain_pooling(self, tiny_dataset):
         cfg = tiny_config(san_mode="off")
