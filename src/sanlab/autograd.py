@@ -462,39 +462,16 @@ def replicate_pad(x: Tensor, p: int) -> Tensor:
     return _result(_edge_pad(x.data, p), (x,), backward)
 
 
-def _occurrence_passes(idx: np.ndarray) -> list:
-    """Split the positions of ``idx`` into passes of distinct indices.
-
-    Pass k holds, in position order, the k-th occurrence of every index
-    that occurs more than k times.  A pass that holds every position is
-    the full slice.
-    """
-    passes: list[list[int]] = []
-    seen: dict[int, int] = {}
-    for pos, i in enumerate(idx.tolist()):
-        k = seen.get(i, 0)
-        seen[i] = k + 1
-        if k == len(passes):
-            passes.append([])
-        passes[k].append(pos)
-    return [slice(None) if len(sel) == len(idx) else sel for sel in passes]
-
-
 def take0(x: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows along axis 0; gradient scatter-adds back.
-
-    The scatter adds each row's gradients in occurrence order, one pass of
-    distinct indices per occurrence (a single pass when the indices are
-    unique), so the gradient is bitwise that of ``np.add.at``.
-    """
+    """Gather rows along axis 0; gradient scatter-adds back with ``np.add.at``,
+    each row's gradients in occurrence order."""
     idx = np.asarray(indices, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeError(f"take0 index out of range for axis of size {x.shape[0]}")
 
     def backward(grad_out: np.ndarray):
         g = np.zeros_like(x.data)
-        for sel in _occurrence_passes(idx):
-            g[idx[sel]] += grad_out[sel]
+        np.add.at(g, idx, grad_out)
         x._accumulate(g)
 
     return _result(x.data[idx], (x,), backward)

@@ -2,10 +2,10 @@
 
 A feature map for a whole image comes from a stack of strided conv+ReLU
 blocks; per-object features come either from RoI pooling on that map
-(`roi_avg_pool`, one tape node for a step's RoIs over all its images) or
-from the scale-normalized-patch pathway (crop the RoI's cell-aligned
-footprint, resize to the reference scale, run the backbone, pool
-globally), which `batched_reference_features` alone implements.  The
+(`roi_pool`, average or max, one tape node for a step's RoIs over all its
+images) or from the scale-normalized-patch pathway (crop the RoI's
+cell-aligned footprint, resize to the reference scale, run the backbone,
+pool globally), which `batched_reference_features` alone implements.  The
 public `sanlab.extract_reference_feature` is its one-RoI case, so it too
 crops the cell-aligned footprint rather than the RoI itself.
 """
@@ -156,85 +156,77 @@ def _roi_cells(feat: Tensor, roi: RoI, stride: int) -> tuple[int, int, int, int]
     return y_lo, y_hi, x_lo, x_hi
 
 
-def roi_pool(feat: Tensor, roi: RoI, out: int = 7, mode: str = "avg", stride: int = 8) -> Tensor:
-    """Pool an RoI's feature-map region to a fixed out x out grid.
+def roi_pool(
+    maps: Sequence[Tensor], rois: Sequence[RoI], slots: Sequence[int], out: int = 7, mode: str = "avg", stride: int = 8
+) -> Tensor:
+    """Pool RoI n on maps[slots[n]], a 1xCxhxw map, to an out x out grid: (N, C, out, out).
 
-    Feature-cell mapping: coordinates divided by stride, then floor(x1) /
-    ceil(x2), clamped to the map.  Each output bin covers the cells whose
-    index range [floor(b*span/out), ceil((b+1)*span/out)) intersects the
-    bin's fractional span; bins are never empty.  Average mode is
-    `roi_avg_pool` of this one RoI and distributes gradient uniformly over
-    a bin's cells; max mode routes it to the first-in-row-major-order
-    maximum of each channel.
+    Cells: coordinates divided by stride, floor(x1) / ceil(x2), clamped to
+    the map.  Bin b covers cells [floor(b*span/out), ceil((b+1)*span/out)),
+    so bins are never empty.  Average mode is two 0/1 matmuls per RoI (exact
+    on integer-valued data) and spreads gradient uniformly over a bin; max
+    mode routes it to each channel's first row-major maximum.  Row n is
+    bitwise rois[n] pooled alone.  One tape node: its parents are the maps
+    some RoI reads, in ascending slot order, and its backward sums each
+    map's RoI gradients, in RoI order, into one buffer per map.
     """
     if mode not in ("avg", "max"):
         raise ShapeError(f"roi_pool mode must be 'avg' or 'max', got {mode!r}")
-    if mode == "avg":
-        return roi_avg_pool([feat], [roi], [0], out=out, stride=stride)
-    y_lo, y_hi, x_lo, x_hi = _roi_cells(feat, roi, stride)
-    c = feat.shape[1]
-    cells = feat.data[0, :, y_lo:y_hi, x_lo:x_hi]
-    col_spans = _bin_spans(x_hi - x_lo, out)
-
-    out_data = np.empty((1, c, out, out), dtype=feat.dtype)
-    winners = []  # per bin: by, bx and the map cells of each channel's first maximum
-    ch_idx = np.arange(c)
-    for by, (ys, ye) in enumerate(_bin_spans(y_hi - y_lo, out)):
-        for bx, (xs, xe) in enumerate(col_spans):
-            bin_cells = cells[:, ys:ye, xs:xe].reshape(c, -1)
-            idx = bin_cells.argmax(axis=1)
-            out_data[0, :, by, bx] = bin_cells[ch_idx, idx]
-            r, col = np.divmod(idx, xe - xs)
-            winners.append((by, bx, y_lo + ys + r, x_lo + xs + col))
-
-    def backward(grad_out: np.ndarray):
-        g = np.zeros_like(feat.data)
-        for by, bx, wy, wx in winners:
-            g[0, ch_idx, wy, wx] += grad_out[0, :, by, bx]
-        feat._accumulate(g)
-
-    return ag._result(out_data, (feat,), backward)
-
-
-def roi_avg_pool(
-    maps: Sequence[Tensor], rois: Sequence[RoI], slots: Sequence[int], out: int = 7, stride: int = 8
-) -> Tensor:
-    """Average-pool RoI n on maps[slots[n]], a 1xCxhxw map: (N, C, out, out).
-
-    Binning as in `roi_pool`.  Bins factor into independent row and column
-    spans, so each RoI's grid is two 0/1 matmuls, exact on integer-valued
-    data; row n is bitwise the pooling of rois[n] alone, written in RoI
-    order.  The batch is one tape node whose parents are the maps some RoI
-    reads, in ascending slot order; its backward sums each map's RoI
-    gradients, in RoI order, into one buffer per map.
-    """
     if not rois:
-        raise RoiError("roi_avg_pool needs at least one RoI")
+        raise RoiError("roi_pool needs at least one RoI")
     if len(slots) != len(rois) or not 0 <= min(slots) <= max(slots) < len(maps):
-        raise ShapeError(f"roi_avg_pool needs one slot in [0, {len(maps)}) per RoI, got {list(slots)} for {len(rois)} RoIs")
+        raise ShapeError(f"roi_pool needs one slot in [0, {len(maps)}) per RoI, got {list(slots)} for {len(rois)} RoIs")
     inputs = {s: maps[s] for s in sorted(set(slots))}
-    plans = []
-    for roi, s in zip(rois, slots):
-        y_lo, y_hi, x_lo, x_hi = _roi_cells(maps[s], roi, stride)
-        rows, row_sizes = _bin_matrix(y_hi - y_lo, out, maps[s].dtype)
-        cols, col_sizes = _bin_matrix(x_hi - x_lo, out, maps[s].dtype)
-        plans.append((s, y_lo, y_hi, x_lo, x_hi, rows, cols, row_sizes[:, None] * col_sizes[None, :]))
+    regions = [(s, *_roi_cells(maps[s], roi, stride)) for roi, s in zip(rois, slots)]
     channels = {t.shape[1] for t in inputs.values()}
     if len(channels) > 1:
-        raise ShapeError(f"roi_avg_pool maps differ in channel count: {sorted(channels)}")
+        raise ShapeError(f"roi_pool maps differ in channel count: {sorted(channels)}")
     out_data = np.empty((len(rois), channels.pop(), out, out), dtype=np.result_type(*(t.dtype for t in inputs.values())))
-    for n, (s, y_lo, y_hi, x_lo, x_hi, rows, cols, counts) in enumerate(plans):
-        out_data[n] = np.matmul(np.matmul(rows, maps[s].data[0, :, y_lo:y_hi, x_lo:x_hi]), cols.T) / counts
+    pool_bins = _avg_bins if mode == "avg" else _max_bins
+    scatters = [pool_bins(maps[s].data[0, :, y0:y1, x0:x1], out_data[n]) for n, (s, y0, y1, x0, x1) in enumerate(regions)]
 
     def backward(grad_out: np.ndarray):
         grads = {s: np.zeros_like(t.data) for s, t in inputs.items()}
-        for gn, (s, y_lo, y_hi, x_lo, x_hi, rows, cols, counts) in zip(grad_out, plans):
-            grads[s][0, :, y_lo:y_hi, x_lo:x_hi] += np.matmul(rows.T, np.matmul(gn / counts, cols))
+        for gn, (s, y0, y1, x0, x1), scatter in zip(grad_out, regions, scatters):
+            scatter(gn, grads[s][0, :, y0:y1, x0:x1])
         for s, t in inputs.items():
             if t.requires_grad:
                 t._accumulate(grads[s])
 
     return ag._result(out_data, tuple(inputs.values()), backward)
+
+
+def _avg_bins(cells: np.ndarray, dst: np.ndarray):
+    """Average-pool (C, h, w) cells into dst; return their gradient scatter."""
+    rows, row_sizes = _bin_matrix(cells.shape[1], dst.shape[1], cells.dtype)
+    cols, col_sizes = _bin_matrix(cells.shape[2], dst.shape[2], cells.dtype)
+    counts = row_sizes[:, None] * col_sizes[None, :]
+    dst[...] = np.matmul(np.matmul(rows, cells), cols.T) / counts
+
+    def scatter(gn: np.ndarray, region: np.ndarray):
+        region += np.matmul(rows.T, np.matmul(gn / counts, cols))
+
+    return scatter
+
+
+def _max_bins(cells: np.ndarray, dst: np.ndarray):
+    """Max-pool (C, h, w) cells into dst; return the scatter to each bin's winners."""
+    ch_idx = np.arange(len(cells))
+    col_spans = _bin_spans(cells.shape[2], dst.shape[2])
+    winners = []  # per bin: by, bx and the cells of each channel's first maximum
+    for by, (ys, ye) in enumerate(_bin_spans(cells.shape[1], dst.shape[1])):
+        for bx, (xs, xe) in enumerate(col_spans):
+            bin_cells = cells[:, ys:ye, xs:xe].reshape(len(cells), -1)
+            idx = bin_cells.argmax(axis=1)
+            dst[:, by, bx] = bin_cells[ch_idx, idx]
+            r, col = np.divmod(idx, xe - xs)
+            winners.append((by, bx, ys + r, xs + col))
+
+    def scatter(gn: np.ndarray, region: np.ndarray):
+        for by, bx, wy, wx in winners:
+            region[ch_idx, wy, wx] += gn[:, by, bx]
+
+    return scatter
 
 
 def _bin_spans(span: int, out: int) -> list[tuple[int, int]]:

@@ -30,7 +30,7 @@ from .analysis import (
     write_rmse_csv,
 )
 from .autograd import Tensor
-from .backbone import Image, cam_scale_sweep
+from .backbone import Backbone, Image, cam_scale_sweep
 from .data import (
     DatasetConfig,
     generate_dataset_with_stats,
@@ -134,7 +134,14 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _parse_scales(text: str) -> list[int]:
-    return _parse(lambda t: [int(s) for s in t.split(",") if s.strip()], text, "scale list")
+    """The comma-separated scales; an empty list, or one whose every scale is
+    below the backbone stride, leaves nothing to measure."""
+    scales = _parse(lambda t: [int(s) for s in t.split(",") if s.strip()], text, "scale list")
+    if not scales:
+        raise SanlabError("scale list is empty")
+    if max(scales) < Backbone.total_stride:
+        raise SanlabError(f"all scales {scales} are below the backbone stride {Backbone.total_stride}")
+    return scales
 
 
 # Each command takes the parsed arguments, the resolved settings and the
@@ -196,16 +203,12 @@ def cmd_eval(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
 
 def cmd_cam(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
     scales = _parse_scales(settings["scales"])
-    if not scales:
-        raise SanlabError("scale list is empty")
     model = load_checkpoint(Path(args.checkpoint))
     img = Image(pixels=Tensor(read_ppm(Path(args.image))), id=0)
     normalize_to = None
     if settings["normalize_rois"]:
         normalize_to = settings["ref_scale"] or model.scheme.ref_scale
     vectors, skipped = cam_scale_sweep(img, model.backbone, scales, normalize_to=normalize_to)
-    if not vectors:
-        raise SanlabError(f"all scales {scales} are below the backbone stride {model.backbone.total_stride}")
     cam = compute_cam(vectors, k=settings["cam_k"])
     write_cam_csv(out_dir / "cam.csv", cam)
     write_cam_pgm(out_dir / "cam.pgm", cam)
@@ -216,9 +219,8 @@ def cmd_cam(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
 def cmd_rmse(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
     dataset = load_dataset(Path(args.data_dir))
     model = load_checkpoint(Path(args.checkpoint))
-    if model.san is None:
-        raise SanlabError("this checkpoint was trained without the correction module; rmse needs one")
-    scales = _parse_scales(settings["scales"]) if settings["scales"] else None
+    text = settings["scales"]
+    scales = _parse_scales(text) if text else default_rmse_scales(model.scheme.ref_scale, model.backbone.total_stride)
     rows = rmse_report(model, dataset, scales=scales)
     write_rmse_csv(out_dir / "rmse.csv", rows)
     summary = rmse_class_summary(rows)
@@ -229,7 +231,7 @@ def cmd_rmse(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
     return {
         "checkpoint": str(args.checkpoint),
         "data_dir": str(args.data_dir),
-        "scales": scales or default_rmse_scales(model.scheme.ref_scale, model.backbone.total_stride),
+        "scales": scales,
         "rows": len(rows),
     }
 

@@ -196,6 +196,8 @@ def make_proposals(
     width and height factors; per negative: width, height, center x,
     center y), and each box is the float64 result of those scalar formulas.
     """
+    if n_pos_jitter < 0 or n_neg < 0:
+        raise ConfigError(f"proposal counts must be non-negative, got n_pos_jitter={n_pos_jitter}, n_neg={n_neg}")
     width, height = image_size if isinstance(image_size, tuple) else (image_size, image_size)
     gt_boxes = np.array([(a.box.x1, a.box.y1, a.box.x2, a.box.y2) for a in gts], dtype=np.float64).reshape(-1, 4)
     g = np.repeat(gt_boxes, n_pos_jitter, axis=0)

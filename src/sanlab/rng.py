@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Key-path namespaces; kept distinct so unrelated consumers of the same
 # user seed never share a stream.
 STREAM_WEIGHTS = 0
@@ -22,6 +24,8 @@ def derive(seed: int, *key: int) -> np.random.Generator:
     """Return a fresh generator for (seed, *key).
 
     Identical arguments always produce an identical stream, independent of
-    call order or platform.
+    call order or platform.  A negative seed is a ConfigError.
     """
+    if int(seed) < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, key)])))

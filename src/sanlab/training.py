@@ -20,7 +20,7 @@ import numpy as np
 from . import autograd as ag
 from .analysis import ApResult, Detection, RmseRow, evaluate_ap, rmse_with_san, rmse_without_san
 from .autograd import Parameter, Tensor
-from .backbone import Backbone, Image, RoI, batched_reference_features, roi_avg_pool, roi_pool
+from .backbone import Backbone, Image, RoI, batched_reference_features, roi_pool
 # perfbench's tracer looks the reference pathway up under these two names
 from .backbone import extract_reference_feature as reference_feature_for_roi
 from .data import Annotation, make_proposals, proposal_rng
@@ -255,13 +255,13 @@ def build_step_batch(
 def forward_roi_features(
     model: DetectionModel, feats: list[Tensor], batch_rois: list[RoI], slots: list[int]
 ) -> tuple[Tensor, Tensor]:
-    """Pool every RoI (one `roi_avg_pool` node) and fuse in its correction (one `correct` node).
+    """Average-pool every RoI (one `roi_pool` node) and fuse in its correction (one `correct` node).
 
     Returns the RoI features and the average-pooled batch they start from
     (the same tensor when the model has no correction module); the
     scale-aware loss branch takes its rows from the latter.
     """
-    batch = roi_avg_pool(feats, batch_rois, slots, out=7, stride=model.backbone.total_stride)
+    batch = roi_pool(feats, batch_rois, slots, out=7, stride=model.backbone.total_stride)
     if model.san is None:
         return batch, batch
     parts = [partition_index(r.area, model.scheme) for r in batch_rois]
@@ -274,10 +274,11 @@ def compute_step_losses(
     cfg: TrainingConfig,
     include_san_loss: bool,
 ) -> LossParts:
-    """Assemble the full objective graph for one sampled step: one `roi_avg_pool`
+    """Assemble the full objective graph for one sampled step: one `roi_pool`
     and one `correct` node on the RoI features, and one `san_loss_branch` (a
     second `correct` node) on plain arrays: the sampled RoIs' pooled rows, or
-    with ``san_pool="max"`` each sampled RoI max-pooled on its detached map."""
+    with ``san_pool="max"`` one max-mode `roi_pool` of the sampled RoIs on
+    the detached maps."""
     feats = [model.backbone.forward(img.pixels) for img in batch.images]
     roi_feats, batch_pooled = forward_roi_features(model, feats, batch.rois, batch.image_slot)
     logits, deltas = model.head.forward(roi_feats)
@@ -293,10 +294,7 @@ def compute_step_losses(
             pooled = batch_pooled.data[batch.san_indices]
         else:
             maps = [ag.detach(f) for f in feats]
-            stride = model.backbone.total_stride
-            pooled = np.concatenate(
-                [roi_pool(maps[s], roi, out=7, mode=cfg.san_pool, stride=stride).data for roi, s in zip(rois, slots)]
-            )
+            pooled = roi_pool(maps, rois, slots, out=7, mode="max", stride=model.backbone.total_stride).data
         parts = [partition_index(r.area, model.scheme) for r in rois]
         san_terms = san_loss_branch(Tensor(pooled), parts, model.san, Tensor(r_tilde))
     return multi_task_loss(
@@ -643,7 +641,7 @@ def rendered_roi_feature(img: Image, box: RoI, scale: int, bb: Backbone) -> Tens
             y2=(box.y2 - wy1) * fy,
             image_id=box.image_id,
         )
-        return ag.global_avg_pool(roi_avg_pool([feat], [mapped], [0], out=7, stride=bb.total_stride))
+        return ag.global_avg_pool(roi_pool([feat], [mapped], [0], out=7, stride=bb.total_stride))
 
 
 def rmse_report(
@@ -658,7 +656,7 @@ def rmse_report(
     scale-invariant target), before and after the partition's correction.
     """
     if model.san is None:
-        raise SanlabError("rmse report needs a model with the correction module")
+        raise SanlabError("this model was trained without the correction module; the rmse report needs one")
     bb = model.backbone
     ref = model.scheme.ref_scale
     if scales is None:

@@ -1,5 +1,5 @@
 """Shared test oracles: finite differences, the per-partition correction
-path, the per-image RoI pooling, and small numeric utilities."""
+path, the per-image and single-RoI RoI pooling, and small numeric utilities."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 
 from sanlab import autograd as ag
 from sanlab.autograd import Tensor
-from sanlab.backbone import _bin_matrix, _roi_cells
+from sanlab.backbone import _bin_matrix, _bin_spans, _roi_cells
 
 FD_STEP = 1e-3
 FD_REL_TOL = 1e-4
@@ -141,3 +141,31 @@ def per_image_pool_merge(maps: list[Tensor], rois, slots, out: int = 7, stride: 
     ordered, inverse = _row_groups(slots)
     outs = [per_image_roi_avg_pool(maps[s], [rois[i] for i in rows], out, stride) for s, rows in ordered]
     return _merge(outs, inverse)
+
+
+def single_roi_max_pool(feat: Tensor, roi, out: int, stride: int) -> Tensor:
+    """The package's former single-RoI max pooling node, (1, C, out, out):
+    each channel's first row-major maximum per bin, whose map cell the
+    backward adds the bin's gradient to, bins in row-major order."""
+    y_lo, y_hi, x_lo, x_hi = _roi_cells(feat, roi, stride)
+    c = feat.shape[1]
+    cells = feat.data[0, :, y_lo:y_hi, x_lo:x_hi]
+    col_spans = _bin_spans(x_hi - x_lo, out)
+    out_data = np.empty((1, c, out, out), dtype=feat.dtype)
+    winners = []
+    ch_idx = np.arange(c)
+    for by, (ys, ye) in enumerate(_bin_spans(y_hi - y_lo, out)):
+        for bx, (xs, xe) in enumerate(col_spans):
+            bin_cells = cells[:, ys:ye, xs:xe].reshape(c, -1)
+            idx = bin_cells.argmax(axis=1)
+            out_data[0, :, by, bx] = bin_cells[ch_idx, idx]
+            r, col = np.divmod(idx, xe - xs)
+            winners.append((by, bx, y_lo + ys + r, x_lo + xs + col))
+
+    def backward(grad_out: np.ndarray):
+        g = np.zeros_like(feat.data)
+        for by, bx, wy, wx in winners:
+            g[0, ch_idx, wy, wx] += grad_out[0, :, by, bx]
+        feat._accumulate(g)
+
+    return ag._result(out_data, (feat,), backward)

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
-lines as they complete.  The detection/RMSE criteria train six full
-models (three seeds x baseline/corrected) at the toy configuration; the
-whole module takes several minutes on one CPU core.
+lines as they complete.  The detection/RMSE criteria use six full
+models (three seeds x baseline/corrected) at the toy configuration, from
+the session fixture `trained_matrix` (tests/conftest.py); the whole module
+takes several minutes on one CPU core.
 """
 
 import hashlib
@@ -39,7 +40,6 @@ from sanlab.training import (
     evaluate_detector,
     reference_feature_for_roi,
     rmse_report,
-    train,
 )
 
 from test_analysis import brute_force_cam
@@ -52,26 +52,6 @@ RMSE_SEED = 7  # the seed-fixed run criterion 6 measures
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {criterion} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def toy_data():
-    train_ds = generate_dataset(DatasetConfig(num_images=200, seed=11))
-    test_ds = generate_dataset(DatasetConfig(num_images=50, seed=12))
-    return train_ds, test_ds
-
-
-@pytest.fixture(scope="module")
-def trained_matrix(toy_data):
-    """Baseline and corrected models for the three acceptance seeds."""
-    train_ds, _ = toy_data
-    out = {}
-    for seed in TRAIN_SEEDS:
-        for mode in ("off", "full"):
-            t0 = time.time()
-            cfg = TrainingConfig(iterations=2000, san_mode=mode, seed=seed)
-            out[(seed, mode)] = (train(train_ds, cfg), time.time() - t0)
-    return out
 
 
 # -- criterion 1: gradient suite ------------------------------------------
@@ -132,8 +112,8 @@ class TestCriterion1Gradients:
                 check_op_gradients(
                     lambda t, m=mode: ag.sum_all(
                         ag.mul(
-                            roi_pool(t["f"], roi, out=2, mode=m, stride=8),
-                            roi_pool(t["f"], roi, out=2, mode=m, stride=8),
+                            roi_pool([t["f"]], [roi], [0], out=2, mode=m, stride=8),
+                            roi_pool([t["f"]], [roi], [0], out=2, mode=m, stride=8),
                         )
                     ),
                     {"f": feat_vals.copy()},
@@ -205,7 +185,9 @@ class TestCriterion2IdentityTransparency:
             img = batch.images[batch.image_slot[j]]
             r_tilde = reference_feature_for_roi(img, roi, model.scheme.ref_scale, model.backbone)
             pooled = ag.global_avg_pool(
-                roi_pool(feats[batch.image_slot[j]], roi, out=7, mode=cfg.san_pool, stride=model.backbone.total_stride)
+                roi_pool(
+                    [feats[batch.image_slot[j]]], [roi], [0], out=7, mode=cfg.san_pool, stride=model.backbone.total_stride
+                )
             )
             term = ag.sum_all(ag.smooth_l1(ag.sub(pooled, r_tilde)))
             acc = term if acc is None else ag.add(acc, term)
@@ -359,7 +341,7 @@ class TestCriterion8Oracles:
             x1, y1 = r.uniform(0, 90, 2)
             roi = RoI(x1=x1, y1=y1, x2=x1 + r.uniform(6, 100), y2=y1 + r.uniform(6, 100))
             for mode in ("avg", "max"):
-                got = roi_pool(Tensor(feat), roi, out=5, mode=mode, stride=8).data
+                got = roi_pool([Tensor(feat)], [roi], [0], out=5, mode=mode, stride=8).data
                 pool_ok &= np.array_equal(got, naive_roi_pool(feat, roi, out=5, mode=mode, stride=8))
 
         cam_ok = True

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import check_op_gradients, per_image_pool_merge
+from helpers import check_op_gradients, per_image_pool_merge, single_roi_max_pool
 
 from sanlab import autograd as ag
 from sanlab.autograd import Tensor
@@ -16,7 +16,6 @@ from sanlab.backbone import (
     cam_scale_sweep,
     crop_pixels,
     extract_reference_feature,
-    roi_avg_pool,
     roi_pool,
 )
 from sanlab.errors import RoiError, ShapeError
@@ -114,13 +113,13 @@ class TestRoiPool:
         feat = Tensor(r.normal(size=(1, 4, 16, 16)).astype(np.float32))
         roi = RoI(x1=3 * 8, y1=2 * 8, x2=10 * 8, y2=9 * 8)  # exactly 7x7 cells
         for mode in ("avg", "max"):
-            out = roi_pool(feat, roi, out=7, mode=mode, stride=8)
+            out = roi_pool([feat], [roi], [0], out=7, mode=mode, stride=8)
             assert np.array_equal(out.data, feat.data[:, :, 2:9, 3:10])
 
     def test_constant_map_both_modes(self):
         feat = Tensor(np.full((1, 3, 12, 12), 0.73, dtype=np.float32))
         for mode in ("avg", "max"):
-            out = roi_pool(feat, RoI(x1=5.0, y1=9.0, x2=55.0, y2=77.0), out=7, mode=mode, stride=8)
+            out = roi_pool([feat], [RoI(x1=5.0, y1=9.0, x2=55.0, y2=77.0)], [0], out=7, mode=mode, stride=8)
             assert np.allclose(out.data, 0.73, atol=1e-6)
 
     @pytest.mark.parametrize("mode", ["avg", "max"])
@@ -130,7 +129,7 @@ class TestRoiPool:
         feat_arr = r.integers(0, 256, size=(1, 5, 16, 16)).astype(np.float32)
         x1, y1 = r.uniform(0, 100, 2)
         roi = RoI(x1=x1, y1=y1, x2=x1 + r.uniform(4, 120), y2=y1 + r.uniform(4, 120))
-        got = roi_pool(Tensor(feat_arr), roi, out=7, mode=mode, stride=8).data
+        got = roi_pool([Tensor(feat_arr)], [roi], [0], out=7, mode=mode, stride=8).data
         expected = naive_roi_pool(feat_arr, roi, out=7, mode=mode, stride=8)
         assert np.array_equal(got, expected)
 
@@ -140,7 +139,7 @@ class TestRoiPool:
         roi = RoI(x1=10.3, y1=4.7, x2=70.2, y2=60.1)
 
         def build(t):
-            pooled = roi_pool(t["feat"], roi, out=3, mode=mode, stride=8)
+            pooled = roi_pool([t["feat"]], [roi], [0], out=3, mode=mode, stride=8)
             return ag.sum_all(ag.mul(pooled, pooled))
 
         # permuted evenly spaced values: random but far from max-pool ties
@@ -160,15 +159,15 @@ class TestRoiPool:
         rois.append(RoI(x1=-30.0, y1=100.0, x2=20.0, y2=400.0))  # clamped at two edges
         feat_arr = r.integers(0, 256, size=(1, 5, 16, 16)).astype(np.float32)
         slots = [0] * len(rois)
-        batched = roi_avg_pool([Tensor(feat_arr)], rois, slots, out=7, stride=8).data
+        batched = roi_pool([Tensor(feat_arr)], rois, slots, out=7, stride=8).data
         assert batched.shape == (len(rois), 5, 7, 7)
         for n, roi in enumerate(rois):
             assert np.array_equal(batched[n : n + 1], naive_roi_pool(feat_arr, roi, out=7, mode="avg", stride=8))
         real = Tensor(r.normal(size=(1, 5, 16, 16)).astype(np.float32))
-        batched = roi_avg_pool([real], rois, slots, out=7, stride=8).data
+        batched = roi_pool([real], rois, slots, out=7, stride=8).data
         for n, roi in enumerate(rois):
-            assert np.array_equal(batched[n : n + 1], roi_avg_pool([real], [roi], [0], out=7, stride=8).data)
-            assert np.array_equal(batched[n : n + 1], roi_pool(real, roi, out=7, mode="avg", stride=8).data)
+            assert np.array_equal(batched[n : n + 1], roi_pool([real], [roi], [0], out=7, stride=8).data)
+            assert np.array_equal(batched[n : n + 1], roi_pool([real], [roi], [0], out=7, mode="avg", stride=8).data)
 
     def test_batched_avg_gradients_match_fd(self):
         r = np.random.default_rng(43)
@@ -180,10 +179,10 @@ class TestRoiPool:
         weights = Tensor(r.normal(size=(3, 2, 3, 3)))
 
         def build(t):
-            pooled = roi_avg_pool([t["feat"]], rois, [0, 0, 0], out=3, stride=8)
+            pooled = roi_pool([t["feat"]], rois, [0, 0, 0], out=3, stride=8)
             return ag.sum_all(ag.mul(ag.mul(pooled, pooled), weights))
 
-        check_op_gradients(build, {"feat": r.normal(size=(1, 2, 10, 10))}, context="roi_avg_pool")
+        check_op_gradients(build, {"feat": r.normal(size=(1, 2, 10, 10))}, context="roi_pool avg")
 
     # RoIs over maps of different sizes, slots interleaved; map 1 is read by no RoI
     MULTI_ROIS = [
@@ -201,14 +200,14 @@ class TestRoiPool:
         weights = Tensor(r.normal(size=(len(self.MULTI_ROIS), 2, 3, 3)))
 
         def build(t):
-            pooled = roi_avg_pool([t["a"], unread, t["b"]], self.MULTI_ROIS, self.MULTI_SLOTS, out=3, stride=8)
+            pooled = roi_pool([t["a"], unread, t["b"]], self.MULTI_ROIS, self.MULTI_SLOTS, out=3, stride=8)
             return ag.sum_all(ag.mul(ag.mul(pooled, pooled), weights))
 
         arrays = {"a": r.normal(size=(1, 2, 10, 10)), "b": r.normal(size=(1, 2, 7, 12))}
-        check_op_gradients(build, arrays, context="multi-map roi_avg_pool")
+        check_op_gradients(build, arrays, context="multi-map roi_pool avg")
         assert unread.grad is None
         a, b = Tensor(arrays["a"], requires_grad=True), Tensor(arrays["b"], requires_grad=True)
-        node = roi_avg_pool([a, unread, b], self.MULTI_ROIS, self.MULTI_SLOTS, out=3, stride=8)
+        node = roi_pool([a, unread, b], self.MULTI_ROIS, self.MULTI_SLOTS, out=3, stride=8)
         assert len(node._parents) == 2 and node._parents[0] is a and node._parents[1] is b
 
     @pytest.mark.parametrize(
@@ -230,9 +229,9 @@ class TestRoiPool:
         ]
         weights = Tensor(r.normal(size=(len(rois), 4, 7, 7)).astype(np.float32))
         results = []
-        for pool in (roi_avg_pool, per_image_pool_merge):
+        for pool in (roi_pool, per_image_pool_merge):
             maps = [Tensor(a, requires_grad=True) for a in arrays]
-            pooled = pool(maps, rois, slots, 7, 8)
+            pooled = pool(maps, rois, slots, out=7, stride=8)
             ag.sum_all(ag.mul(pooled, weights)).backward()
             results.append((pooled.data, [m.grad for m in maps]))
         (got, got_grads), (want, want_grads) = results
@@ -241,26 +240,101 @@ class TestRoiPool:
             assert (g is None) == (w is None) == (s not in slots)
             assert g is None or np.array_equal(g, w)
 
+    @pytest.mark.parametrize(
+        "slots",
+        [[0, 0, 0, 0, 1, 1, 1, 2, 2, 2], [2, 0, 1, 0, 2, 1, 0, 2, 1, 0], [1, 1, 0, 1, 1, 0, 1, 0, 1, 1], [0] * 10],
+        ids=["ordered", "mixed", "two", "one"],
+    )
+    def test_max_rows_and_gradients_are_bitwise_the_single_roi_op(self, slots):
+        """Each max row, and the map gradients that row alone sends back,
+        equal those of the former single-RoI max node: float32, bit for bit.
+        The maps take few values, so most bins hold ties and a different
+        winner would move the gradient.  With integer-valued row gradients
+        (exact in any order) the whole batch's map gradients are the
+        per-RoI oracle gradients summed."""
+        r = np.random.default_rng(46)
+        shapes = [(1, 4, 12, 12), (1, 4, 9, 14), (1, 4, 16, 10)]
+        arrays = [r.integers(0, 6, size=shape).astype(np.float32) for shape in shapes]
+        rois = [
+            RoI(x1=float(x), y1=float(y), x2=float(x + w), y2=float(y + h))
+            for x, y, w, h in r.uniform([-10, -10, 50, 50], [30, 30, 100, 100], size=(len(slots), 4))
+        ]
+
+        def grads_of(pool_maps, weights):
+            maps = [Tensor(a, requires_grad=True) for a in arrays]
+            pooled = pool_maps(maps)
+            ag.sum_all(ag.mul(pooled, Tensor(weights))).backward()
+            return pooled.data, [m.grad for m in maps]
+
+        weights = r.normal(size=(len(rois), 4, 7, 7)).astype(np.float32)
+        int_weights = r.integers(-3, 4, size=weights.shape).astype(np.float32)
+        summed = [np.zeros_like(a) for a in arrays]
+        for n, (roi, s) in enumerate(zip(rois, slots)):
+            only_n = np.zeros_like(weights)
+            only_n[n] = weights[n]
+            got, got_grads = grads_of(lambda maps: roi_pool(maps, rois, slots, out=7, mode="max", stride=8), only_n)
+            want, want_grads = grads_of(lambda maps: single_roi_max_pool(maps[s], roi, 7, 8), weights[n : n + 1])
+            assert np.array_equal(got[n : n + 1], want)
+            for k, g in enumerate(got_grads):
+                assert (g is None) == (k not in slots)
+                assert g is None or np.array_equal(g, want_grads[s] if k == s else np.zeros_like(g))
+            summed[s] += grads_of(lambda maps: single_roi_max_pool(maps[s], roi, 7, 8), int_weights[n : n + 1])[1][s]
+        _, batch_grads = grads_of(lambda maps: roi_pool(maps, rois, slots, out=7, mode="max", stride=8), int_weights)
+        for k, g in enumerate(batch_grads):
+            assert g is None or np.array_equal(g, summed[k])
+
+    def test_max_multi_map_gradients_match_fd(self):
+        """Max mode over two maps of different sizes, slots interleaved: the
+        two overlapping RoIs on map a share a winning cell, and map 1, which
+        no RoI reads, gets no gradient and is not a parent."""
+        r = np.random.default_rng(47)
+        rois = [
+            RoI(x1=8.0, y1=8.0, x2=48.0, y2=40.0),  # map a, cells y 1-4, x 1-5
+            RoI(x1=0.0, y1=30.0, x2=33.0, y2=80.0),  # map b, clamped below
+            RoI(x1=24.0, y1=16.0, x2=72.0, y2=64.0),  # map a, cells y 2-7, x 3-8
+            RoI(x1=-5.0, y1=-5.0, x2=200.0, y2=24.0),  # map b, clamped
+        ]
+        slots = [0, 2, 0, 2]
+        unread = Tensor(r.normal(size=(1, 2, 6, 6)), requires_grad=True)
+        weights = Tensor(r.normal(size=(len(rois), 2, 3, 3)))
+
+        def build(t):
+            pooled = roi_pool([t["a"], unread, t["b"]], rois, slots, out=3, mode="max", stride=8)
+            return ag.sum_all(ag.mul(ag.mul(pooled, pooled), weights))
+
+        # permuted evenly spaced values: random but far from max-pool ties;
+        # cell (4, 4) of map a, inside both of its RoIs, is the map's maximum
+        a = r.permutation(np.arange(200, dtype=np.float64) * 0.05 - 5.0).reshape(1, 2, 10, 10)
+        a[0, :, 4, 4] = [10.0, 11.0]
+        arrays = {"a": a, "b": r.permutation(np.arange(168, dtype=np.float64) * 0.05 - 4.0).reshape(1, 2, 7, 12)}
+        check_op_gradients(build, arrays, context="multi-map roi_pool max")
+        assert unread.grad is None
+        a_t, b_t = Tensor(arrays["a"], requires_grad=True), Tensor(arrays["b"], requires_grad=True)
+        node = roi_pool([a_t, unread, b_t], rois, slots, out=3, mode="max", stride=8)
+        assert len(node._parents) == 2 and node._parents[0] is a_t and node._parents[1] is b_t
+        for n in (0, 2):  # both RoIs on map a pool the shared cell's value
+            assert np.array_equal(node.data[n].max(axis=(1, 2)), a[0, :, 4, 4])
+
     def test_multi_map_bad_slots_and_maps_rejected(self):
         maps = [Tensor(np.zeros((1, 2, 8, 8))), Tensor(np.zeros((1, 2, 6, 6)))]
         roi = RoI(x1=0, y1=0, x2=16, y2=16)
         for slots in ([0], [0, 1, 0], [2, 0], [-1, 0]):
             with pytest.raises(ShapeError, match="slot"):
-                roi_avg_pool(maps, [roi, roi], slots, stride=8)
+                roi_pool(maps, [roi, roi], slots, stride=8)
         with pytest.raises(ShapeError, match="channel"):
-            roi_avg_pool(maps + [Tensor(np.zeros((1, 3, 8, 8)))], [roi, roi], [0, 2], stride=8)
+            roi_pool(maps + [Tensor(np.zeros((1, 3, 8, 8)))], [roi, roi], [0, 2], stride=8)
         with pytest.raises(RoiError):
-            roi_avg_pool(maps, [], [], stride=8)
+            roi_pool(maps, [], [], stride=8)
 
     def test_degenerate_roi_errors(self):
         feat = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))
         with pytest.raises(RoiError):
-            roi_pool(feat, RoI(x1=900.0, y1=900.0, x2=950.0, y2=950.0), stride=8)
+            roi_pool([feat], [RoI(x1=900.0, y1=900.0, x2=950.0, y2=950.0)], [0], stride=8)
 
     def test_bad_mode_rejected(self):
         feat = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))
         with pytest.raises(ShapeError, match="mode"):
-            roi_pool(feat, RoI(x1=0, y1=0, x2=8, y2=8), mode="median", stride=8)
+            roi_pool([feat], [RoI(x1=0, y1=0, x2=8, y2=8)], [0], mode="median", stride=8)
 
 
 class TestReferenceFeature:

@@ -92,6 +92,11 @@ class TestConfigFile:
         assert "error: bad SANLAB_SEED: 'abc'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_env_seed_is_an_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SANLAB_SEED", "-1")
+        assert main(["gen-data", "--out-dir", str(tmp_path / "data"), "--num-images", "1"]) == 2
+        assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
     def test_explicit_seed_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SANLAB_SEED", "77")
         out = tmp_path / "data"
@@ -144,6 +149,10 @@ class TestGenData:
         assert (out / "manifest.txt").read_text() == ""
         stats = (out / "scale_stats.csv").read_text().splitlines()
         assert stats == ["class,median_area,std_area"]
+
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        assert main(["gen-data", "--out-dir", str(tmp_path / "data"), "--num-images", "1", "--seed", "-1"]) == 2
+        assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_rerun_same_seed_byte_identical_tree(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -266,6 +275,14 @@ class TestTrain:
         assert "error: n_pos_jitter and n_neg are both 0" in capsys.readouterr().err
         assert not (out / "checkpoint.san").exists()
 
+    def test_negative_seed_is_an_error(self, small_run, tmp_path, capsys):
+        data, _ = small_run
+        out = tmp_path / "x"
+        rc = main(["train", "--out-dir", str(out), "--data-dir", str(data), "--seed", "-1", "--iterations", "1"])
+        assert rc == 2
+        assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (out / "checkpoint.san").exists()
+
     def test_partitions_flag_must_match_boundaries(self, small_run, tmp_path):
         data, _ = small_run
         rc = main(
@@ -330,6 +347,23 @@ class TestEval:
         (empty / "manifest.txt").write_text("")
         rc = main(["eval", "--out-dir", str(tmp_path / "e"), "--data-dir", str(empty), "--checkpoint", str(run / "checkpoint.san")])
         assert rc == 2
+
+    def test_negative_seed_is_an_error(self, small_run, tmp_path, capsys):
+        data, run = small_run
+        out = tmp_path / "e"
+        rc = main(["eval", "--out-dir", str(out), "--data-dir", str(data), "--checkpoint", str(run / "checkpoint.san"), "--seed", "-3"])
+        assert rc == 2
+        assert "error: seed must be a non-negative integer, got -3" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--n-neg", "-1"), ("--n-pos-jitter", "-2")])
+    def test_negative_proposal_count_is_an_error(self, small_run, tmp_path, capsys, flag, value):
+        data, run = small_run
+        out = tmp_path / "e"
+        rc = main(["eval", "--out-dir", str(out), "--data-dir", str(data), "--checkpoint", str(run / "checkpoint.san"), flag, value])
+        assert rc == 2
+        assert "error: proposal counts must be non-negative" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
 
     def test_bad_checkpoint_errors(self, small_run, tmp_path):
         data, _ = small_run
@@ -463,6 +497,19 @@ class TestRmse:
         data, run = small_run
         with pytest.raises(SystemExit):
             main(["rmse", "--out-dir", str(tmp_path / "r"), "--data-dir", str(data), "--checkpoint", str(run / "checkpoint.san"), flag])
+
+    @pytest.mark.parametrize(
+        "scales, message",
+        [(",", "error: scale list is empty"), ("4", "error: all scales [4] are below the backbone stride 8")],
+    )
+    def test_nothing_to_measure_is_an_error(self, small_run, tmp_path, capsys, scales, message):
+        """As for cam: no report with only a header, and no run-meta.json."""
+        data, run = small_run
+        out = tmp_path / "r"
+        rc = main(["rmse", "--out-dir", str(out), "--data-dir", str(data), "--checkpoint", str(run / "checkpoint.san"), "--scales", scales])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "rmse.csv").exists() and not (out / "run-meta.json").exists()
 
     def test_missing_checkpoint_errors(self, small_run, tmp_path):
         data, _ = small_run

@@ -122,6 +122,20 @@ class TestProposals:
         b = make_proposals([gt], 3, 5, derive(7, 9), 96)
         assert a == b
 
+    @pytest.mark.parametrize("n_pos_jitter, n_neg", [(-2, 5), (3, -1)])
+    def test_negative_counts_rejected(self, n_pos_jitter, n_neg):
+        gt = Annotation(box=RoI(x1=10, y1=10, x2=50, y2=50), class_id=1)
+        with pytest.raises(ConfigError, match="proposal counts must be non-negative"):
+            make_proposals([gt], n_pos_jitter, n_neg, derive(7, 9), 96)
+
+
+class TestDerive:
+    def test_negative_seed_is_a_config_error_naming_it(self):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+            derive(-1, 9)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -5"):
+            generate_dataset(DatasetConfig(num_images=1, seed=-5))
+
 
 class TestScaleStatistics:
     def test_single_object(self):

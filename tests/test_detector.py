@@ -127,6 +127,10 @@ class TestFitPredict:
         with pytest.raises(ConfigError, match="gaussian"):
             tiny_detector(san="off", init="gaussian").fit(tiny_dataset)
 
+    def test_negative_seed_rejected(self, tiny_dataset):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+            tiny_detector(seed=-1).fit(tiny_dataset)
+
     def test_off_mode_trains_without_correction(self, tiny_dataset):
         det = tiny_detector(san="off").fit(tiny_dataset)
         assert det.model_.san is None

@@ -17,7 +17,7 @@ from test_backbone import naive_roi_pool
 import sanlab
 from sanlab import autograd as ag
 from sanlab.autograd import Tensor
-from sanlab.backbone import Image, RoI, cell_aligned_roi, extract_reference_feature, roi_avg_pool, roi_pool
+from sanlab.backbone import Image, RoI, cell_aligned_roi, extract_reference_feature, roi_pool
 from sanlab.data import Annotation, DatasetConfig, generate_dataset, load_dataset, write_dataset
 from sanlab.errors import CheckpointError, ConfigError, RoiError
 from sanlab.san import TOY_SCHEME, ScalePartitionScheme, partition_index
@@ -219,7 +219,7 @@ class TestSplitCorrectMerge:
         merged, _ = forward_roi_features(model, feats, batch.rois, batch.image_slot)
         stride = model.backbone.total_stride
         for row, (roi, slot) in enumerate(zip(batch.rois, batch.image_slot)):
-            pooled = roi_pool(feats[slot], roi, out=7, mode="avg", stride=stride)
+            pooled = roi_pool([feats[slot]], [roi], [0], out=7, mode="avg", stride=stride)
             part = partition_index(roi.area, model.scheme)
             single = fuse(pooled, san_forward(pooled, part, model.san), alpha=model.san.fusion_alpha)
             assert np.array_equal(merged.data[row], single.data[0])
@@ -259,7 +259,7 @@ class TestSplitCorrectMerge:
             RoI(x1=0.0, y1=0.0, x2=96.0, y2=96.0),
         ]
         slots = [1, 0, 1, 1, 0]
-        pooled = roi_avg_pool([Tensor(m) for m in maps], rois, slots, out=7, stride=8).data
+        pooled = roi_pool([Tensor(m) for m in maps], rois, slots, out=7, stride=8).data
         for n, (roi, s) in enumerate(zip(rois, slots)):
             assert np.array_equal(pooled[n : n + 1], naive_roi_pool(maps[s], roi, out=7, mode="avg", stride=8))
 
@@ -271,7 +271,7 @@ class TestSplitCorrectMerge:
         merged, _ = forward_roi_features(model, feats, batch.rois, batch.image_slot)
         stride = model.backbone.total_stride
         for row, (roi, slot) in enumerate(zip(batch.rois, batch.image_slot)):
-            pooled = roi_pool(feats[slot], roi, out=7, mode="avg", stride=stride)
+            pooled = roi_pool([feats[slot]], [roi], [0], out=7, mode="avg", stride=stride)
             assert np.array_equal(merged.data[row], pooled.data[0])
 
 
@@ -314,7 +314,9 @@ class TestGradientBlocking:
                 roi = batch.rois[j]
                 img = batch.images[batch.image_slot[j]]
                 r_tilde = reference_feature_for_roi(img, roi, model.scheme.ref_scale, model.backbone)
-                pooled = ag.global_avg_pool(roi_pool(feats[batch.image_slot[j]], roi, out=7, mode=cfg.san_pool, stride=stride))
+                pooled = ag.global_avg_pool(
+                    roi_pool([feats[batch.image_slot[j]]], [roi], [0], out=7, mode=cfg.san_pool, stride=stride)
+                )
                 term = ag.sum_all(ag.smooth_l1(ag.sub(pooled, r_tilde)))
                 acc = term if acc is None else ag.add(acc, term)
             expected = ag.scale(acc, 1.0 / len(batch.san_indices)).item()
@@ -381,9 +383,9 @@ class TestTrainLoop:
             "(~25 configurations measured, ratio 0.6-3.8; see decisions ledger)"
         ),
     )
-    def test_scale_loss_halves_from_first_to_last_decile(self):
-        dataset = generate_dataset(DatasetConfig(num_images=200, seed=11))
-        result = train(dataset, TrainingConfig(iterations=2000, san_mode="full", seed=7))
+    def test_scale_loss_halves_from_first_to_last_decile(self, trained_matrix):
+        # the 2000-step seed-7 full run on the 200-image seed-11 set
+        result, _ = trained_matrix[(7, "full")]
         lsan = np.array([row[3] for row in result.log_rows])
         first = lsan[:200].mean()
         last = lsan[-200:].mean()
