@@ -8,6 +8,13 @@ cell-aligned footprint, resize to the reference scale, run the backbone,
 pool globally), which `batched_reference_features` alone implements.  The
 public `sanlab.extract_reference_feature` is its one-RoI case, so it too
 crops the cell-aligned footprint rather than the RoI itself.
+
+Average RoI pooling stacks the RoIs of each cell width so that its column
+products, forward and backward, are one GEMM per width rather than one
+per RoI and channel; its row products stay per channel.  A product one
+column wide would run as GEMV, whose rounding depends on the stack, so
+the backward of width-1 RoIs stays per channel and every bit is that of
+pooling each RoI alone.
 """
 
 from __future__ import annotations
@@ -163,12 +170,23 @@ def roi_pool(
 
     Cells: coordinates divided by stride, floor(x1) / ceil(x2), clamped to
     the map.  Bin b covers cells [floor(b*span/out), ceil((b+1)*span/out)),
-    so bins are never empty.  Average mode is two 0/1 matmuls per RoI (exact
-    on integer-valued data) and spreads gradient uniformly over a bin; max
-    mode routes it to each channel's first row-major maximum.  Row n is
-    bitwise rois[n] pooled alone.  One tape node: its parents are the maps
-    some RoI reads, in ascending slot order, and its backward sums each
-    map's RoI gradients, in RoI order, into one buffer per map.
+    so bins are never empty.  Average mode is rows @ cells @ cols.T with 0/1
+    bin matrices (exact on integer-valued data) and spreads gradient
+    uniformly over a bin; max mode routes it to each channel's first
+    row-major maximum.  Row n is bitwise rois[n] pooled alone.  One tape
+    node: its parents are the maps some RoI reads, in ascending slot order,
+    and its backward sums each map's RoI gradients, in RoI order, into one
+    buffer per map.
+
+    In average mode the row products (rows @ cells forward, rows.T @ ...
+    backward) are one BLAS call per RoI and channel.  The column products
+    are one GEMM per group of RoIs of equal cell width w: (G*C*out, w) @
+    cols.T forward and (G*C*out, out) @ cols backward.  GEMM sums each
+    output over its own row and column in a fixed order, so stacking rows
+    changes no bit.  A product one column wide runs as a matrix-vector
+    product, whose rounding depends on how many rows it stacks, so the
+    backward of the w == 1 group stays one call per channel (the forward's
+    w == 1 column product has a single term per output, exact either way).
     """
     if mode not in ("avg", "max"):
         raise ShapeError(f"roi_pool mode must be 'avg' or 'max', got {mode!r}")
@@ -182,13 +200,19 @@ def roi_pool(
     if len(channels) > 1:
         raise ShapeError(f"roi_pool maps differ in channel count: {sorted(channels)}")
     out_data = np.empty((len(rois), channels.pop(), out, out), dtype=np.result_type(*(t.dtype for t in inputs.values())))
-    pool_bins = _avg_bins if mode == "avg" else _max_bins
-    scatters = [pool_bins(maps[s].data[0, :, y0:y1, x0:x1], out_data[n]) for n, (s, y0, y1, x0, x1) in enumerate(regions)]
+    cells = [maps[s].data[0, :, y0:y1, x0:x1] for s, y0, y1, x0, x1 in regions]
+    if mode == "avg":
+        scatter = _avg_pool(cells, out_data)
+    else:
+        scatters = [_max_bins(x, dst) for x, dst in zip(cells, out_data)]
+
+        def scatter(grad_out: np.ndarray, dsts: list[np.ndarray]):
+            for roi_scatter, gn, dst in zip(scatters, grad_out, dsts):
+                roi_scatter(gn, dst)
 
     def backward(grad_out: np.ndarray):
         grads = {s: np.zeros_like(t.data) for s, t in inputs.items()}
-        for gn, (s, y0, y1, x0, x1), scatter in zip(grad_out, regions, scatters):
-            scatter(gn, grads[s][0, :, y0:y1, x0:x1])
+        scatter(grad_out, [grads[s][0, :, y0:y1, x0:x1] for s, y0, y1, x0, x1 in regions])
         for s, t in inputs.items():
             if t.requires_grad:
                 t._accumulate(grads[s])
@@ -196,15 +220,36 @@ def roi_pool(
     return ag._result(out_data, tuple(inputs.values()), backward)
 
 
-def _avg_bins(cells: np.ndarray, dst: np.ndarray):
-    """Average-pool (C, h, w) cells into dst; return their gradient scatter."""
-    rows, row_sizes = _bin_matrix(cells.shape[1], dst.shape[1], cells.dtype)
-    cols, col_sizes = _bin_matrix(cells.shape[2], dst.shape[2], cells.dtype)
-    counts = row_sizes[:, None] * col_sizes[None, :]
-    dst[...] = np.matmul(np.matmul(rows, cells), cols.T) / counts
+def _avg_pool(cells: list[np.ndarray], dst: np.ndarray):
+    """Average-pool each RoI's (C, h, w) cells into dst[n], column products
+    grouped by width (see `roi_pool`); return the scatter of a (N, C, out,
+    out) gradient into the RoIs' cell regions, in RoI order."""
+    n, c, out, _ = dst.shape
+    rows = [_bin_matrix(x.shape[1], out, dst.dtype)[0] for x in cells]
+    widths: dict[int, list[int]] = {}  # cell width -> its RoIs, in RoI order
+    for i, x in enumerate(cells):
+        widths.setdefault(x.shape[2], []).append(i)
+    cols = {w: _bin_matrix(w, out, dst.dtype)[0] for w in widths}
+    counts = np.concatenate([_bin_counts(*x.shape[1:], out, dst.dtype) for x in cells])
+    for w, group in widths.items():
+        row_sums = np.empty((len(group), c, out, w), dtype=dst.dtype)
+        for k, i in enumerate(group):
+            np.matmul(rows[i], cells[i], out=row_sums[k])
+        dst[group] = (row_sums.reshape(-1, w) @ cols[w].T).reshape(len(group), c, out, out)
+    dst /= counts
 
-    def scatter(gn: np.ndarray, region: np.ndarray):
-        region += np.matmul(rows.T, np.matmul(gn / counts, cols))
+    def scatter(grad_out: np.ndarray, regions: list[np.ndarray]):
+        scaled = grad_out / counts
+        col_grads = [None] * n
+        for w, group in widths.items():
+            if w == 1:  # a GEMV per channel: stacked, it would round differently
+                spread = np.matmul(scaled[group], cols[w])
+            else:
+                spread = (scaled[group].reshape(-1, out) @ cols[w]).reshape(len(group), c, out, w)
+            for k, i in enumerate(group):
+                col_grads[i] = spread[k]
+        for m, g, region in zip(rows, col_grads, regions):
+            region += np.matmul(m.T, g)
 
     return scatter
 
@@ -245,6 +290,14 @@ def _bin_matrix(span: int, out: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     m.flags.writeable = False
     sizes.flags.writeable = False
     return m, sizes
+
+
+@functools.lru_cache(maxsize=None)
+def _bin_counts(h: int, w: int, out: int, dtype) -> np.ndarray:
+    """Cells per bin of an h x w region, shaped (1, 1, out, out).  Cached, so read-only."""
+    counts = (_bin_matrix(h, out, dtype)[1][:, None] * _bin_matrix(w, out, dtype)[1])[None, None]
+    counts.flags.writeable = False
+    return counts
 
 
 def crop_pixels(img: Image, roi: RoI) -> np.ndarray:

@@ -41,7 +41,7 @@ from .data import (
     write_scale_statistics_csv,
 )
 from .errors import ConfigError, SanlabError
-from .san import SCHEME_PRESETS
+from .san import SCHEME_PRESETS, resolve_scheme
 from .training import (
     EVAL_N_NEG,
     EVAL_N_POS_JITTER,
@@ -205,9 +205,11 @@ def cmd_cam(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
     scales = _parse_scales(settings["scales"])
     model = load_checkpoint(Path(args.checkpoint))
     img = Image(pixels=Tensor(read_ppm(Path(args.image))), id=0)
+    # the checkpoint's reference side unless overridden, checked by the scheme's own rule
+    ref_scale = resolve_scheme(model.scheme, ref_scale=settings["ref_scale"]).ref_scale
     normalize_to = None
     if settings["normalize_rois"]:
-        normalize_to = settings["ref_scale"] or model.scheme.ref_scale
+        normalize_to = settings["ref_scale"] = ref_scale  # run-meta records the side used
     vectors, skipped = cam_scale_sweep(img, model.backbone, scales, normalize_to=normalize_to)
     cam = compute_cam(vectors, k=settings["cam_k"])
     write_cam_csv(out_dir / "cam.csv", cam)

@@ -175,6 +175,13 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Image, list[Annotation]]]
     return generate_dataset_with_stats(cfg)[0]
 
 
+def check_proposal_source(n_pos_jitter: int, n_neg: int) -> None:
+    """Reject counts that draw no proposal at all: a training step would have
+    nothing to sample and an evaluation nothing to score."""
+    if n_pos_jitter == 0 and n_neg == 0:
+        raise ConfigError("n_pos_jitter and n_neg are both 0, so no proposal is drawn; raise one of them")
+
+
 def make_proposals(
     gts: list[Annotation],
     n_pos_jitter: int,

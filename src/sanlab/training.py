@@ -23,7 +23,7 @@ from .autograd import Parameter, Tensor
 from .backbone import Backbone, Image, RoI, batched_reference_features, roi_pool
 # perfbench's tracer looks the reference pathway up under these two names
 from .backbone import extract_reference_feature as reference_feature_for_roi
-from .data import Annotation, make_proposals, proposal_rng
+from .data import Annotation, check_proposal_source, make_proposals, proposal_rng
 from .errors import CheckpointError, ConfigError, GraphError, RoiError, SanlabError
 from .losses import (
     DetectionHead,
@@ -101,8 +101,7 @@ class TrainingConfig:
         ):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if self.n_pos_jitter == 0 and self.n_neg == 0:
-            raise ConfigError("n_pos_jitter and n_neg are both 0, so a step has no proposals; raise one of them")
+        check_proposal_source(self.n_pos_jitter, self.n_neg)
         if not 0 <= self.pos_fraction <= 1:
             raise ConfigError(f"pos_fraction must lie in [0,1], got {self.pos_fraction}")
         for name in ("images_per_step", "rois_per_image", "num_classes", "lr_decay_step"):
@@ -591,6 +590,7 @@ def evaluate_detector(
     nms_iou: float = 0.3,
 ) -> tuple[ApResult, list[Detection]]:
     """Jittered-proposal evaluation over a dataset; returns (ApResult, detections)."""
+    check_proposal_source(n_pos_jitter, n_neg)
     detections: list[Detection] = []
     gts: list[Annotation] = []
     for img, anns in dataset:

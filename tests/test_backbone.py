@@ -227,7 +227,11 @@ class TestRoiPool:
             RoI(x1=float(x), y1=float(y), x2=float(x + w), y2=float(y + h))
             for x, y, w, h in r.uniform([-10, -10, 50, 50], [30, 30, 100, 100], size=(len(slots), 4))
         ]
-        weights = Tensor(r.normal(size=(len(rois), 4, 7, 7)).astype(np.float32))
+        self.assert_bitwise_per_image_merge(arrays, rois, slots, r)
+
+    @staticmethod
+    def assert_bitwise_per_image_merge(arrays, rois, slots, r):
+        weights = Tensor(r.normal(size=(len(rois), arrays[0].shape[1], 7, 7)).astype(np.float32))
         results = []
         for pool in (roi_pool, per_image_pool_merge):
             maps = [Tensor(a, requires_grad=True) for a in arrays]
@@ -239,6 +243,40 @@ class TestRoiPool:
         for s, (g, w) in enumerate(zip(got_grads, want_grads)):
             assert (g is None) == (w is None) == (s not in slots)
             assert g is None or np.array_equal(g, w)
+
+    # (map, x, y, width, height) in cells: 1 cell wide, 1 cell high, 1x1,
+    # widths shared across maps, and the whole map
+    NARROW_CELLS = [
+        (0, 3, 0, 1, 12),
+        (1, 7, 2, 1, 9),
+        (2, 0, 4, 1, 5),
+        (0, 11, 1, 1, 10),
+        (1, 0, 5, 12, 1),
+        (2, 2, 11, 6, 1),
+        (0, 4, 4, 1, 1),
+        (1, 1, 1, 5, 8),
+        (2, 6, 3, 5, 9),
+        (0, 2, 2, 5, 3),
+        (2, 0, 0, 12, 12),
+        (1, 3, 0, 2, 12),
+        (0, 9, 6, 2, 6),
+        (2, 10, 1, 1, 7),
+    ]
+
+    def test_narrow_rois_are_bitwise_the_per_image_merge(self):
+        """RoIs one cell wide or high at the training shapes (32 channels,
+        12x12 maps), among RoIs that share a width, over three maps: rows
+        and map gradients equal one pooling node per image, bit for bit.
+        A product one column wide runs as a matrix-vector product, whose
+        rounding depends on how many rows it stacks."""
+        r = np.random.default_rng(48)
+        arrays = [r.normal(size=(1, 32, 12, 12)).astype(np.float32) for _ in range(3)]
+        slots = [s for s, *_ in self.NARROW_CELLS]
+        rois = []
+        for _, x, y, w, h in self.NARROW_CELLS:
+            fx1, fy1, fx2, fy2 = r.uniform(0.0, 3.5, 4)  # inside the cells, positive extent
+            rois.append(RoI(x1=8.0 * x + fx1, y1=8.0 * y + fy1, x2=8.0 * (x + w) - fx2, y2=8.0 * (y + h) - fy2))
+        self.assert_bitwise_per_image_merge(arrays, rois, slots, r)
 
     @pytest.mark.parametrize(
         "slots",

@@ -365,6 +365,17 @@ class TestEval:
         assert "error: proposal counts must be non-negative" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
+    def test_no_proposal_source_is_an_error(self, small_run, tmp_path, capsys):
+        """The rule `train` applies: with neither jittered copies nor
+        negatives there is nothing to score, so no mAP is written."""
+        data, run = small_run
+        out = tmp_path / "e"
+        ckpt = str(run / "checkpoint.san")
+        rc = main(["eval", "--out-dir", str(out), "--data-dir", str(data), "--checkpoint", ckpt, "--n-neg", "0", "--n-pos-jitter", "0"])
+        assert rc == 2
+        assert "error: n_pos_jitter and n_neg are both 0" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
     def test_bad_checkpoint_errors(self, small_run, tmp_path):
         data, _ = small_run
         bad = tmp_path / "bad.san"
@@ -452,6 +463,33 @@ class TestCam:
             ["cam", "--out-dir", str(tmp_path / "c"), "--checkpoint", str(run / "checkpoint.san"), "--image", str(img), "--scales", "2,4"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_ref_scale_is_an_error(self, small_run, tmp_path, capsys, value):
+        data, run = small_run
+        img = sorted(Path(data).glob("*.ppm"))[0]
+        out = tmp_path / "c"
+        rc = main(
+            ["cam", "--out-dir", str(out), "--checkpoint", str(run / "checkpoint.san"), "--image", str(img),
+             "--normalize-rois", "--ref-scale", value]
+        )
+        assert rc == 2
+        assert f"error: ref_scale must be positive, got {value}" in capsys.readouterr().err
+        assert not (out / "cam.csv").exists()
+
+    @pytest.mark.parametrize("flags, side", [([], 48), (["--ref-scale", "32"], 32)])
+    def test_normalized_run_records_its_reference_side(self, small_run, tmp_path, flags, side):
+        """Without --ref-scale the sweep normalizes to the checkpoint's
+        reference side (the toy scheme's 48), and run-meta says so."""
+        data, run = small_run
+        img = sorted(Path(data).glob("*.ppm"))[0]
+        out = tmp_path / "c"
+        rc = main(
+            ["cam", "--out-dir", str(out), "--checkpoint", str(run / "checkpoint.san"), "--image", str(img),
+             "--normalize-rois", *flags]
+        )
+        assert rc == 0
+        assert json.loads((out / "run-meta.json").read_text())["config"]["ref_scale"] == side
 
     def test_normalized_constant_image_full_stability(self, small_run, tmp_path):
         from sanlab.backbone import Image
