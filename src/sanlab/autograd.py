@@ -518,8 +518,10 @@ def _resample_axis(size: int, out_size: int, dtype):
     return lo, hi, frac
 
 
-def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear interpolation to (out_h, out_w).
+def bilinear_resize(
+    x: Tensor, out_h: int, out_w: int, window: tuple[tuple[int, int], tuple[int, int]] | None = None
+) -> Tensor:
+    """Bilinear interpolation to (out_h, out_w), or the window of it.
 
     Forward-only by design: the result never participates in gradients
     (it feeds the constant reference-scale pathway).  Each output element
@@ -527,17 +529,32 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     two source rows along x; the x pass runs once on every source row and
     the rows are gathered from its result.  A same-size resize returns a
     copy, which is what the formula gives on finite inputs.
+
+    ``window``, output rows [r0, r1) and columns [c0, c1) as
+    ``((r0, r1), (c0, c1))``, computes only that part of the full result:
+    it slices the cached plan of each axis and runs the x pass on the
+    source rows the window reads.  Every element is elementwise
+    arithmetic on its own source pixels, so the window is bit for bit the
+    same slice of the full resize.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"bilinear_resize expects NCHW, got {x.shape}")
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"bilinear_resize target must be positive, got {out_h}x{out_w}")
+    (r0, r1), (c0, c1) = window or ((0, out_h), (0, out_w))
+    if not (0 <= r0 < r1 <= out_h and 0 <= c0 < c1 <= out_w):
+        raise ShapeError(f"bilinear_resize window {window} is empty or outside the {out_h}x{out_w} output")
     d = x.data
     n, c, h, w = d.shape
     if (h, w) == (out_h, out_w):
-        return Tensor(d.copy())
+        return Tensor(d[:, :, r0:r1, c0:c1].copy())
     y0, y1, fy = _resample_axis(h, out_h, d.dtype)
     x0, x1, fx = _resample_axis(w, out_w, d.dtype)
+    if window is not None:
+        y0, y1, fy, x0, x1, fx = y0[r0:r1], y1[r0:r1], fy[r0:r1], x0[c0:c1], x1[c0:c1], fx[c0:c1]
+        top = int(y0[0])  # both source-row indices ascend with the output row
+        d = d[:, :, top : int(y1[-1]) + 1]
+        y0, y1 = y0 - top, y1 - top
     rows = d[:, :, :, x0] * (1 - fx) + d[:, :, :, x1] * fx
     out = rows[:, :, y0] * (1 - fy)[:, None] + rows[:, :, y1] * fy[:, None]
     return Tensor(out)

@@ -128,6 +128,39 @@ class Backbone:
             out.extend((w, b))
         return out
 
+    @staticmethod
+    def map_size(size: int) -> int:
+        """Feature cells along an input axis of ``size`` pixels."""
+        for _, k, s, p in BACKBONE_BLOCKS:
+            size = ag._conv_out_size(size, k, s, p)
+        return size
+
+    @classmethod
+    def roi_crop(cls, lo: float, hi: float, size: int) -> tuple[int, int]:
+        """Input pixels [start, stop) of an axis of ``size`` whose forward
+        pass gives, from cell start / total_stride on, the cells that RoI
+        pooling of [lo, hi) reads on the whole input's map, bit for bit in
+        exact arithmetic.
+
+        Each 3x3, stride-2, pad-1 block computes output i from inputs
+        2i-1 .. 2i+1.  With start on the stride grid, the replicated edge
+        of the crop reaches only the first output of each block, so one
+        cell of context before the RoI's cells suffices; the crop's
+        trailing edge is either on the grid, where the last output reads
+        no padding, or the input's own edge.  The 1x1 block reads no
+        neighbours.
+        """
+        c_lo, c_hi = _roi_cell_span(lo, hi, cls.total_stride, cls.map_size(size))
+        if c_hi <= c_lo:
+            raise RoiError(f"RoI span [{lo}, {hi}) reads no cell of a {size}-pixel axis at stride {cls.total_stride}")
+        return max(0, c_lo - 1) * cls.total_stride, min(size, c_hi * cls.total_stride)
+
+    @classmethod
+    def split_scales(cls, scales: Sequence[int]) -> tuple[list[int], list[int]]:
+        """(measured, skipped): the sides, in order, that the backbone can
+        run on and those below its stride."""
+        return [s for s in scales if s >= cls.total_stride], [s for s in scales if s < cls.total_stride]
+
     def forward(self, x: Tensor) -> Tensor:
         """Run the block stack on a 1xCxHxW (or NxCxHxW) tensor.
 
@@ -365,12 +398,9 @@ def cam_scale_sweep(
     where skipped lists scales below the backbone stride.
     """
     vectors: list[tuple[int, np.ndarray]] = []
-    skipped: list[int] = []
+    measured, skipped = bb.split_scales(scales)
     with ag.no_grad():
-        for s in scales:
-            if s < bb.total_stride:
-                skipped.append(s)
-                continue
+        for s in measured:
             x = ag.bilinear_resize(img.pixels, s, s)
             if normalize_to is not None:
                 x = ag.bilinear_resize(x, normalize_to, normalize_to)

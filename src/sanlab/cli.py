@@ -139,9 +139,17 @@ def _parse_scales(text: str) -> list[int]:
     scales = _parse(lambda t: [int(s) for s in t.split(",") if s.strip()], text, "scale list")
     if not scales:
         raise SanlabError("scale list is empty")
-    if max(scales) < Backbone.total_stride:
+    if not Backbone.split_scales(scales)[0]:
         raise SanlabError(f"all scales {scales} are below the backbone stride {Backbone.total_stride}")
     return scales
+
+
+def _load_images(data_dir: Path) -> list:
+    """The dataset under data_dir; one that holds no image is an error."""
+    dataset = load_dataset(Path(data_dir))
+    if not dataset:
+        raise SanlabError(f"no images found under {data_dir}")
+    return dataset
 
 
 # Each command takes the parsed arguments, the resolved settings and the
@@ -178,9 +186,7 @@ def cmd_train(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
-    dataset = load_dataset(Path(args.data_dir))
-    if not dataset:
-        raise SanlabError(f"no images found under {args.data_dir}")
+    dataset = _load_images(args.data_dir)
     model = load_checkpoint(Path(args.checkpoint))
     if args.debug_oracle:
         # sanity mode: score the ground truth itself; must give mAP 1.0
@@ -219,10 +225,11 @@ def cmd_cam(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
 
 
 def cmd_rmse(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
-    dataset = load_dataset(Path(args.data_dir))
+    dataset = _load_images(args.data_dir)
     model = load_checkpoint(Path(args.checkpoint))
     text = settings["scales"]
     scales = _parse_scales(text) if text else default_rmse_scales(model.scheme.ref_scale, model.backbone.total_stride)
+    scales, skipped = model.backbone.split_scales(scales)
     rows = rmse_report(model, dataset, scales=scales)
     write_rmse_csv(out_dir / "rmse.csv", rows)
     summary = rmse_class_summary(rows)
@@ -234,6 +241,7 @@ def cmd_rmse(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
         "checkpoint": str(args.checkpoint),
         "data_dir": str(args.data_dir),
         "scales": scales,
+        "skipped_scales": skipped,
         "rows": len(rows),
     }
 

@@ -619,6 +619,14 @@ def rendered_roi_feature(img: Image, box: RoI, scale: int, bb: Backbone) -> Tens
     applies to proposals.  The margin is sized in rendered units (four
     stride cells) so the box cells' receptive fields see real image
     context at every scale.
+
+    Only the part of the rendering that reaches a pooled cell is made:
+    `Backbone.roi_crop` names the rows and columns whose forward pass
+    reproduces the cells the box reads on the whole rendering's map, the
+    resize renders just that window of it, and the box is pooled shifted
+    to the crop.  In exact arithmetic this is the whole rendering's
+    feature; in float32 a GEMM may round a cell differently inside a
+    smaller matrix (within about 1e-6 relative).
     """
     side = math.sqrt(box.area)
     factor = scale / side
@@ -631,16 +639,15 @@ def rendered_roi_feature(img: Image, box: RoI, scale: int, bb: Backbone) -> Tens
     out_w = max(bb.total_stride, int(round((wx2 - wx1) * factor)))
     fy = out_h / (wy2 - wy1)
     fx = out_w / (wx2 - wx1)
+    x1, x2 = (box.x1 - wx1) * fx, (box.x2 - wx1) * fx
+    y1, y2 = (box.y1 - wy1) * fy, (box.y2 - wy1) * fy
+    rows = bb.roi_crop(y1, y2, out_h)
+    cols = bb.roi_crop(x1, x2, out_w)
     with ag.no_grad():
-        window = Tensor(img.pixels.data[:, :, wy1:wy2, wx1:wx2])
-        feat = bb.forward(ag.bilinear_resize(window, out_h, out_w))
-        mapped = RoI(
-            x1=(box.x1 - wx1) * fx,
-            y1=(box.y1 - wy1) * fy,
-            x2=(box.x2 - wx1) * fx,
-            y2=(box.y2 - wy1) * fy,
-            image_id=box.image_id,
-        )
+        context = Tensor(img.pixels.data[:, :, wy1:wy2, wx1:wx2])
+        feat = bb.forward(ag.bilinear_resize(context, out_h, out_w, window=(rows, cols)))
+        # the crop starts on the stride grid, so the shift moves no cell boundary
+        mapped = RoI(x1=x1 - cols[0], y1=y1 - rows[0], x2=x2 - cols[0], y2=y2 - rows[0], image_id=box.image_id)
         return ag.global_avg_pool(roi_pool([feat], [mapped], [0], out=7, stride=bb.total_stride))
 
 
@@ -654,6 +661,7 @@ def rmse_report(
     Per object and rendered scale s: the pooled feature of the object at
     side s is compared against the reference-scale patch feature (the
     scale-invariant target), before and after the partition's correction.
+    Scales below the backbone stride are skipped (`Backbone.split_scales`).
     """
     if model.san is None:
         raise SanlabError("this model was trained without the correction module; the rmse report needs one")
@@ -661,14 +669,13 @@ def rmse_report(
     ref = model.scheme.ref_scale
     if scales is None:
         scales = default_rmse_scales(ref, bb.total_stride)
+    measured, _ = bb.split_scales(scales)
     rows: list[RmseRow] = []
     sample_id = 0
     for img, anns in dataset:
         for ann in anns:
             z0 = reference_feature_for_roi(img, ann.box, ref, bb)
-            for s in scales:
-                if s < bb.total_stride:
-                    continue
+            for s in measured:
                 z_s = rendered_roi_feature(img, ann.box, s, bb)
                 part = partition_index(float(s * s), model.scheme)
                 rows.append(

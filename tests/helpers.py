@@ -1,13 +1,16 @@
 """Shared test oracles: finite differences, the per-partition correction
-path, the per-image and single-RoI RoI pooling, and small numeric utilities."""
+path, the per-image and single-RoI RoI pooling, the whole-window rendering
+of the RMSE report, and small numeric utilities."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from sanlab import autograd as ag
 from sanlab.autograd import Tensor
-from sanlab.backbone import _bin_matrix, _bin_spans, _roi_cells
+from sanlab.backbone import RoI, _bin_matrix, _bin_spans, _roi_cells, roi_pool
 
 FD_STEP = 1e-3
 FD_REL_TOL = 1e-4
@@ -169,3 +172,31 @@ def single_roi_max_pool(feat: Tensor, roi, out: int, stride: int) -> Tensor:
         feat._accumulate(g)
 
     return ag._result(out_data, (feat,), backward)
+
+
+def full_render_roi_feature(img, box, scale: int, bb) -> Tensor:
+    """`rendered_roi_feature` as the package ran it before it rendered only
+    the pooled crop: the whole context window is resized, run through the
+    backbone and the mapped box pooled on that map."""
+    side = math.sqrt(box.area)
+    factor = scale / side
+    margin = 4 * bb.total_stride / factor
+    wx1 = max(0, math.floor(box.x1 - margin))
+    wy1 = max(0, math.floor(box.y1 - margin))
+    wx2 = min(img.width, math.ceil(box.x2 + margin))
+    wy2 = min(img.height, math.ceil(box.y2 + margin))
+    out_h = max(bb.total_stride, int(round((wy2 - wy1) * factor)))
+    out_w = max(bb.total_stride, int(round((wx2 - wx1) * factor)))
+    fy = out_h / (wy2 - wy1)
+    fx = out_w / (wx2 - wx1)
+    with ag.no_grad():
+        window = Tensor(img.pixels.data[:, :, wy1:wy2, wx1:wx2])
+        feat = bb.forward(ag.bilinear_resize(window, out_h, out_w))
+        mapped = RoI(
+            x1=(box.x1 - wx1) * fx,
+            y1=(box.y1 - wy1) * fy,
+            x2=(box.x2 - wx1) * fx,
+            y2=(box.y2 - wy1) * fy,
+            image_id=box.image_id,
+        )
+        return ag.global_avg_pool(roi_pool([feat], [mapped], [0], out=7, stride=bb.total_stride))

@@ -474,6 +474,33 @@ class TestBilinearResize:
         expected = top * (1 - fy)[:, None] + bot * fy[:, None]
         assert_same_bits(ag.bilinear_resize(Tensor(x), out_h, out_w).data, expected)
 
+    @pytest.mark.parametrize(
+        "h, w, out_h, out_w",
+        [(5, 7, 9, 13), (17, 23, 6, 5), (8, 3, 4, 11), (24, 40, 48, 48), (5, 7, 5, 7), (1, 1, 4, 3), (4, 4, 1, 1)],
+    )
+    def test_window_is_that_window_of_the_full_resize(self, h, w, out_h, out_w):
+        """Every window, the same-size branch's too, is bit for bit the
+        slice of the full result."""
+        x = rng_for(h + w).normal(size=(2, 3, h, w)).astype(np.float32)
+        full = ag.bilinear_resize(Tensor(x), out_h, out_w).data
+        rng = rng_for(out_h * out_w)
+
+        def span(size):
+            lo = int(rng.integers(0, size))
+            return lo, int(rng.integers(lo + 1, size + 1))
+
+        windows = [((0, out_h), (0, out_w)), ((out_h - 1, out_h), (0, 1))]
+        windows += [(span(out_h), span(out_w)) for _ in range(6)]
+        for (r0, r1), (c0, c1) in windows:
+            out = ag.bilinear_resize(Tensor(x), out_h, out_w, window=((r0, r1), (c0, c1))).data
+            assert_same_bits(out, full[:, :, r0:r1, c0:c1])
+            assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("window", [((0, 0), (0, 4)), ((2, 1), (0, 4)), ((0, 5), (0, 4)), ((0, 3), (-1, 2))])
+    def test_empty_or_outside_window_rejected(self, window):
+        with pytest.raises(ShapeError, match="window"):
+            ag.bilinear_resize(Tensor(np.zeros((1, 1, 3, 3))), 4, 4, window=window)
+
     def test_same_size_result_is_a_copy(self):
         x = rng_for(13).normal(size=(1, 2, 3, 4)).astype(np.float32)
         out = ag.bilinear_resize(Tensor(x), 3, 4).data

@@ -8,8 +8,9 @@ import pytest
 from helpers import check_op_gradients, per_image_pool_merge, single_roi_max_pool
 
 from sanlab import autograd as ag
-from sanlab.autograd import Tensor
+from sanlab.autograd import Parameter, Tensor
 from sanlab.backbone import (
+    BACKBONE_BLOCKS,
     Backbone,
     Image,
     RoI,
@@ -105,6 +106,69 @@ class TestBackboneTape:
         ops = tape_ops(bb.forward(make_image(seed=1, size=40).pixels))
         assert "replicate_pad" not in ops
         assert ops.count("conv2d") == len(bb.params)
+
+
+def integer_backbone(seed: int) -> Backbone:
+    """The block table with small integer float64 weights: every forward
+    value is an integer far below 2**53, so float64 computes it exactly."""
+    r = np.random.default_rng(seed)
+    params, c_in = [], 3
+    for c_out, k, _, _ in BACKBONE_BLOCKS:
+        w = r.integers(-1, 3, size=(c_out, c_in, k, k)).astype(np.float64)
+        params.append((Parameter(w), Parameter(r.integers(-3, 4, size=c_out).astype(np.float64))))
+        c_in = c_out
+    return Backbone(params=params)
+
+
+class TestRoiCrop:
+    """`Backbone.roi_crop`: the crop whose forward pass reproduces the cells
+    an RoI reads, checked in exact arithmetic on the real block table."""
+
+    def test_map_size_is_the_forward_map_size(self):
+        bb = Backbone.small(seed=0)
+        for size in range(8, 100):
+            feat = bb.forward(Tensor(np.zeros((1, 3, size, 8), dtype=np.float32)))
+            assert feat.shape[2] == Backbone.map_size(size) == math.ceil(size / 8), size
+
+    def spans(self, r, size):
+        """Random RoI spans on an axis, plus ones that touch its leading edge,
+        end in its (possibly partial) last cell or read one cell."""
+        out = [(0.0, 3.5), (size - 2.5, float(size)), (0.0, float(size)), (8.0, 16.0), (9.0, 15.0)]
+        for _ in range(4):
+            lo, hi = sorted(r.uniform(0, size, size=2))
+            out.append((lo, max(hi, lo + 0.5)))
+        return [(lo, hi) for lo, hi in out if hi <= size]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_crop_reproduces_the_cells_exactly(self, seed):
+        r = np.random.default_rng(seed)
+        bb = integer_backbone(seed)
+        h, w = (int(v) for v in r.integers(8, 90, size=2))
+        x = r.integers(0, 10, size=(1, 3, h, w)).astype(np.float64)
+        full = bb.forward(Tensor(x)).data
+        assert np.count_nonzero(full) > full.size // 4
+        for (y1, y2), (x1, x2) in zip(self.spans(r, h), self.spans(r, w)):
+            (r0, r1), (c0, c1) = Backbone.roi_crop(y1, y2, h), Backbone.roi_crop(x1, x2, w)
+            assert r0 % 8 == 0 and c0 % 8 == 0
+            crop = bb.forward(Tensor(x[:, :, r0:r1, c0:c1])).data
+            ys, xs = [math.floor(y1 / 8), math.ceil(y2 / 8)], [math.floor(x1 / 8), math.ceil(x2 / 8)]
+            want = full[:, :, ys[0] : ys[1], xs[0] : xs[1]]
+            got = crop[:, :, ys[0] - r0 // 8 : ys[1] - r0 // 8, xs[0] - c0 // 8 : xs[1] - c0 // 8]
+            assert np.array_equal(got, want), ((y1, y2, h), (x1, x2, w))
+
+    def test_the_context_cell_is_needed(self):
+        """Cropping at the RoI's first cell, without the cell before it,
+        changes that cell: the rule is no looser than the blocks need."""
+        r = np.random.default_rng(0)
+        bb = integer_backbone(0)
+        x = r.integers(0, 10, size=(1, 3, 48, 48)).astype(np.float64)
+        full = bb.forward(Tensor(x)).data
+        assert not np.array_equal(bb.forward(Tensor(x[:, :, 16:, :])).data[:, :, 0], full[:, :, 2])
+        assert Backbone.roi_crop(16.0, 24.0, 48) == (8, 24)
+
+    def test_span_outside_the_axis_rejected(self):
+        with pytest.raises(RoiError, match="reads no cell"):
+            Backbone.roi_crop(40.0, 48.0, 40)
 
 
 class TestRoiPool:

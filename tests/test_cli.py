@@ -549,6 +549,36 @@ class TestRmse:
         assert message in capsys.readouterr().err
         assert not (out / "rmse.csv").exists() and not (out / "run-meta.json").exists()
 
+    def test_scales_below_the_stride_are_recorded_as_skipped(self, small_run, tmp_path):
+        """As for cam: run-meta lists the scales measured and those skipped."""
+        data, run = small_run
+        out = tmp_path / "r"
+        rc = main(["rmse", "--out-dir", str(out), "--data-dir", str(data), "--checkpoint", str(run / "checkpoint.san"), "--scales", "4,16"])
+        assert rc == 0
+        meta = json.loads((out / "run-meta.json").read_text())
+        assert meta["scales"] == [16] and meta["skipped_scales"] == [4]
+        rows = (out / "rmse.csv").read_text().splitlines()[1:]
+        assert rows and {line.split(",")[2] for line in rows} == {"16"}
+        assert meta["rows"] == len(rows)
+
+    def test_default_scales_skip_nothing(self, small_run, tmp_path):
+        data, run = small_run
+        out = tmp_path / "r"
+        assert main(["rmse", "--out-dir", str(out), "--data-dir", str(data), "--checkpoint", str(run / "checkpoint.san")]) == 0
+        assert json.loads((out / "run-meta.json").read_text())["skipped_scales"] == []
+
+    def test_empty_split_errors(self, small_run, tmp_path, capsys):
+        """As for eval: no header-only report, and no run-meta.json."""
+        _, run = small_run
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "manifest.txt").write_text("")
+        out = tmp_path / "r"
+        rc = main(["rmse", "--out-dir", str(out), "--data-dir", str(empty), "--checkpoint", str(run / "checkpoint.san")])
+        assert rc == 2
+        assert f"error: no images found under {empty}" in capsys.readouterr().err
+        assert not (out / "rmse.csv").exists() and not (out / "run-meta.json").exists()
+
     def test_missing_checkpoint_errors(self, small_run, tmp_path):
         data, _ = small_run
         rc = main(["rmse", "--out-dir", str(tmp_path / "r"), "--data-dir", str(data), "--checkpoint", str(tmp_path / "no.san")])

@@ -12,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import full_render_roi_feature
 from test_backbone import naive_roi_pool
 
 import sanlab
 from sanlab import autograd as ag
 from sanlab.autograd import Tensor
-from sanlab.backbone import Image, RoI, cell_aligned_roi, extract_reference_feature, roi_pool
+from sanlab.backbone import Backbone, Image, RoI, cell_aligned_roi, extract_reference_feature, roi_pool
 from sanlab.data import Annotation, DatasetConfig, generate_dataset, load_dataset, write_dataset
 from sanlab.errors import CheckpointError, ConfigError, RoiError
 from sanlab.san import TOY_SCHEME, ScalePartitionScheme, partition_index
@@ -40,6 +41,7 @@ from sanlab.training import (
     predict_rois,
     read_checkpoint_entries,
     reference_feature_for_roi,
+    rendered_roi_feature,
     rmse_report,
     sample_san_rois,
     save_checkpoint,
@@ -702,3 +704,38 @@ class TestInference:
         model = build_model(tiny_config(san_mode="off"))
         with pytest.raises(Exception, match="correction"):
             rmse_report(model, tiny_dataset[:2])
+
+
+class TestRenderedRoiFeature:
+    """The RMSE report's rendering of the pooled crop against the rendering
+    of the whole context window it replaced."""
+
+    CASES = [
+        # (image h, w, box): non-square images; a box at the leading corner,
+        # one ending in a partial last cell, one inside
+        (48, 80, RoI(x1=0, y1=0, x2=12, y2=10)),
+        (48, 80, RoI(x1=61, y1=30, x2=80, y2=48)),
+        (80, 40, RoI(x1=9.5, y1=23.25, x2=30, y2=51)),
+        (64, 64, RoI(x1=20, y1=20, x2=24, y2=24)),
+    ]
+
+    @pytest.mark.parametrize("h, w, box", CASES)
+    @pytest.mark.parametrize("scale", [8, 12, 16, 24, 32, 64, 96])
+    def test_matches_the_whole_window_rendering(self, h, w, box, scale):
+        img = Image(pixels=Tensor(np.random.default_rng(h + w).random((1, 3, h, w)).astype(np.float32)))
+        bb = Backbone.small(seed=3)
+        got = rendered_roi_feature(img, box, scale, bb).data
+        want = full_render_roi_feature(img, box, scale, bb).data
+        assert got.shape == want.shape == (1, bb.c_feat, 1, 1)
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    def test_one_cell_roi_pools_one_cell(self):
+        """At scale 8 the 4x4 box renders at factor 2 in the 72-pixel window
+        [4, 40), so it maps to [32, 40): cell 4 alone, cropped with cell 3."""
+        assert Backbone.roi_crop(32.0, 40.0, 72) == (24, 40)
+        img = Image(pixels=Tensor(np.random.default_rng(0).random((1, 3, 64, 64)).astype(np.float32)))
+        bb = Backbone.small(seed=3)
+        box = RoI(x1=20, y1=20, x2=24, y2=24)
+        got = rendered_roi_feature(img, box, 8, bb).data
+        want = full_render_roi_feature(img, box, 8, bb).data
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
