@@ -109,9 +109,15 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add gradient g, of this tensor's shape.  A first one is stored in one
+        pass as 0 + g in a new array of this tensor's dtype and layout: the
+        bits of ``zeros_like`` then ``+=``, so -0.0 lands as +0.0."""
+        if g.shape != self.data.shape:
+            raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {self.data.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph.
@@ -214,13 +220,13 @@ def _edge_fold(gp: np.ndarray, p: int) -> np.ndarray:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Columns (n, c*kh*kw, ho*wo) of an already padded map."""
+    """Columns (n, c*kh*kw, ho*wo) of an already padded map: one contiguous
+    copy of an (n, c, kh, kw, ho, wo) strided view of xp's buffer."""
     n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    return cols.reshape(n, c * kh * kw, ho * wo)
+    xp = np.ascontiguousarray(xp)  # a no-op on the padded maps conv2d passes
+    strides = (*xp.strides, stride * xp.strides[2], stride * xp.strides[3])
+    view = np.ndarray((n, c, kh, kw, ho, wo), xp.dtype, buffer=xp, strides=strides)
+    return view.copy().reshape(n, c * kh * kw, ho * wo)
 
 
 def _col2im(cols: np.ndarray, xp_shape, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:

@@ -9,11 +9,11 @@ pool globally), which `batched_reference_features` alone implements.  The
 public `sanlab.extract_reference_feature` is its one-RoI case, so it too
 crops the cell-aligned footprint rather than the RoI itself.
 
-Average RoI pooling stacks the RoIs of each cell width so that its column
-products, forward and backward, are one GEMM per width rather than one
-per RoI and channel; its row products stay per channel.  A product one
-column wide would run as GEMV, whose rounding depends on the stack, so
-the backward of width-1 RoIs stays per channel and every bit is that of
+Average RoI pooling stacks the RoIs of each cell width so that its forward
+column products are one GEMM per width; its backward runs on full-map bin
+matrices, two batched GEMMs per map.  A product one row or column wide
+would run as GEMV, whose rounding depends on its shape, so the backward of
+RoIs one cell wide or high stays per channel, and every bit is that of
 pooling each RoI alone.
 """
 
@@ -211,15 +211,18 @@ def roi_pool(
     and its backward sums each map's RoI gradients, in RoI order, into one
     buffer per map.
 
-    In average mode the row products (rows @ cells forward, rows.T @ ...
-    backward) are one BLAS call per RoI and channel.  The column products
-    are one GEMM per group of RoIs of equal cell width w: (G*C*out, w) @
-    cols.T forward and (G*C*out, out) @ cols backward.  GEMM sums each
-    output over its own row and column in a fixed order, so stacking rows
-    changes no bit.  A product one column wide runs as a matrix-vector
-    product, whose rounding depends on how many rows it stacks, so the
-    backward of the w == 1 group stays one call per channel (the forward's
-    w == 1 column product has a single term per output, exact either way).
+    In average mode the forward stacks the RoIs of each cell width, so its
+    column products are one GEMM per width, (G*C*out, w) @ cols.T; its row
+    products are one BLAS call per RoI and channel.  The backward pads each
+    RoI's bin matrices to full-map ones, zero off its cells, so per map its
+    two products over all RoIs and channels are one batched GEMM each; the
+    RoIs' full-map gradients are then added in RoI order.  Each output sums
+    the same out bins in the same order, so on finite gradients no bit
+    moves for out <= 15 (checked in float32 and float64; OpenBLAS may split
+    longer sums by problem size).  The forward's sums run over cells and
+    are not padded.  Products one row or column wide run as matrix-vector
+    products, whose rounding depends on shape, so RoIs one cell wide or
+    high keep a backward of one call per channel.
     """
     if mode not in ("avg", "max"):
         raise ShapeError(f"roi_pool mode must be 'avg' or 'max', got {mode!r}")
@@ -235,17 +238,17 @@ def roi_pool(
     out_data = np.empty((len(rois), channels.pop(), out, out), dtype=np.result_type(*(t.dtype for t in inputs.values())))
     cells = [maps[s].data[0, :, y0:y1, x0:x1] for s, y0, y1, x0, x1 in regions]
     if mode == "avg":
-        scatter = _avg_pool(cells, out_data)
+        scatter = _avg_pool(cells, out_data, regions)
     else:
         scatters = [_max_bins(x, dst) for x, dst in zip(cells, out_data)]
 
-        def scatter(grad_out: np.ndarray, dsts: list[np.ndarray]):
-            for roi_scatter, gn, dst in zip(scatters, grad_out, dsts):
-                roi_scatter(gn, dst)
+        def scatter(grad_out: np.ndarray, grads: dict[int, np.ndarray]):
+            for roi_scatter, gn, (s, y0, y1, x0, x1) in zip(scatters, grad_out, regions):
+                roi_scatter(gn, grads[s][0, :, y0:y1, x0:x1])
 
     def backward(grad_out: np.ndarray):
         grads = {s: np.zeros_like(t.data) for s, t in inputs.items()}
-        scatter(grad_out, [grads[s][0, :, y0:y1, x0:x1] for s, y0, y1, x0, x1 in regions])
+        scatter(grad_out, grads)
         for s, t in inputs.items():
             if t.requires_grad:
                 t._accumulate(grads[s])
@@ -253,10 +256,10 @@ def roi_pool(
     return ag._result(out_data, tuple(inputs.values()), backward)
 
 
-def _avg_pool(cells: list[np.ndarray], dst: np.ndarray):
+def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int, int, int, int, int]]):
     """Average-pool each RoI's (C, h, w) cells into dst[n], column products
     grouped by width (see `roi_pool`); return the scatter of a (N, C, out,
-    out) gradient into the RoIs' cell regions, in RoI order."""
+    out) gradient into one buffer per map slot, its RoIs summed in order."""
     n, c, out, _ = dst.shape
     rows = [_bin_matrix(x.shape[1], out, dst.dtype)[0] for x in cells]
     widths: dict[int, list[int]] = {}  # cell width -> its RoIs, in RoI order
@@ -271,18 +274,29 @@ def _avg_pool(cells: list[np.ndarray], dst: np.ndarray):
         dst[group] = (row_sums.reshape(-1, w) @ cols[w].T).reshape(len(group), c, out, out)
     dst /= counts
 
-    def scatter(grad_out: np.ndarray, regions: list[np.ndarray]):
+    def scatter(grad_out: np.ndarray, grads: dict[int, np.ndarray]):
         scaled = grad_out / counts
-        col_grads = [None] * n
-        for w, group in widths.items():
-            if w == 1:  # a GEMV per channel: stacked, it would round differently
-                spread = np.matmul(scaled[group], cols[w])
-            else:
-                spread = (scaled[group].reshape(-1, out) @ cols[w]).reshape(len(group), c, out, w)
-            for k, i in enumerate(group):
-                col_grads[i] = spread[k]
-        for m, g, region in zip(rows, col_grads, regions):
-            region += np.matmul(m.T, g)
+        slots, spans = np.array([r[0] for r in regions]), np.array([r[1:] for r in regions])
+        lo, span = spans[:, ::2], spans[:, 1::2] - spans[:, ::2]  # (N, 2): rows, columns
+        ends = np.arange(out + 1) * span[..., None]
+        first, stop = lo[..., None] + ends[..., :-1] // out, lo[..., None] - (-ends[..., 1:] // out)  # (N, 2, out)
+        extent = max(max(g.shape[2:]) for g in grads.values())
+        below = np.tri(extent + 1, extent, -1, dst.dtype)  # row a: ones at the cells below a
+        bins = below[stop] - below[first]  # (N, 2, out, extent): full-map bin matrices
+        for s, buf in grads.items():
+            j = np.flatnonzero(slots == s)
+            fh, fw = buf.shape[2:]
+            g = scaled[j].transpose(0, 2, 1, 3).reshape(j.size, out * c, out)
+            g = np.matmul(g, bins[j, 1, :, :fw]).reshape(j.size, out, c * fw)
+            g = np.matmul(bins[j, 0, :, :fh].transpose(0, 2, 1), g).reshape(j.size, fh, c, fw)
+            for k in np.flatnonzero(span[j].min(axis=1) == 1).tolist():  # one call per channel
+                _, y0, y1, x0, x1 = regions[j[k]]
+                g[k] = 0
+                g[k, y0:y1, :, x0:x1] = np.matmul(rows[j[k]].T, np.matmul(scaled[j[k]], cols[x1 - x0])).transpose(1, 0, 2)
+            acc = np.zeros((fh, c, fw), dtype=buf.dtype)
+            for gk in g:  # in RoI order, each rounded to the map's dtype; np.add.reduce may sum pairwise
+                acc += gk
+            buf[0] = acc.transpose(1, 0, 2)
 
     return scatter
 

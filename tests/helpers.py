@@ -1,6 +1,7 @@
-"""Shared test oracles: finite differences, the per-partition correction
-path, the per-image and single-RoI RoI pooling, the whole-window rendering
-of the RMSE report, and small numeric utilities."""
+"""Shared test oracles: finite differences, the nine-slice im2col, the
+per-partition correction path, the per-image and single-RoI RoI pooling,
+the whole-window rendering of the RMSE report, and small numeric
+utilities."""
 
 from __future__ import annotations
 
@@ -70,6 +71,18 @@ def check_op_gradients(build_loss, arrays: dict[str, np.ndarray], context: str =
         numeric = numerical_gradient(loss_value, arrays[name])
         assert t.grad is not None, f"no gradient for {name} {context}"
         assert_grad_close(t.grad, numeric, context=f"{context}:{name}")
+
+
+def nine_slice_im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """`autograd._im2col` as the package ran it before it copied one strided
+    view: one slice copy per kernel offset into the (n, c, kh, kw, ho, wo)
+    buffer."""
+    n, c = xp.shape[:2]
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    return cols.reshape(n, c * kh * kw, ho * wo)
 
 
 def _row_groups(keys) -> tuple[list[tuple[int, list[int]]], np.ndarray | None]:

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import check_op_gradients, numerical_gradient, assert_grad_close
+from helpers import assert_grad_close, check_op_gradients, nine_slice_im2col, numerical_gradient
 
 from sanlab import autograd as ag
 from sanlab.autograd import Parameter, Tensor
@@ -77,6 +77,98 @@ class TestTensorBasics:
         assert p.requires_grad
         with ag.no_grad():
             assert Parameter(np.zeros(2, dtype=np.float32)).requires_grad
+
+
+def node_sending(x: Tensor, g: np.ndarray) -> Tensor:
+    """A hand-built tape node over x whose backward hands x the array g."""
+    return ag._result(x.data.copy(), (x,), lambda grad_out: x._accumulate(g))
+
+
+class TestAccumulate:
+    def test_gradient_of_another_shape_is_rejected(self):
+        """A (1, C, 1, 1) gradient does not broadcast over an (N, C, 1, 1)
+        tensor, whether it is the first gradient or a later one."""
+        x = Tensor(np.zeros((2, 3, 1, 1), dtype=np.float32), requires_grad=True)
+        wrong = np.ones((1, 3, 1, 1), dtype=np.float32)
+        with pytest.raises(ShapeError, match=r"gradient of shape \(1, 3, 1, 1\) for a tensor of shape \(2, 3, 1, 1\)"):
+            ag.sum_all(node_sending(x, wrong)).backward()
+        assert x.grad is None
+        x.grad = np.zeros_like(x.data)
+        with pytest.raises(ShapeError, match="gradient of shape"):
+            ag.sum_all(node_sending(x, wrong)).backward()
+        assert np.array_equal(x.grad, np.zeros_like(x.data))
+
+    def test_first_gradient_of_negative_zero_is_positive_zero(self):
+        x = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
+        ag.sum_all(node_sending(x, np.full(4, -0.0, dtype=np.float32))).backward()
+        assert np.array_equal(x.grad, np.zeros(4)) and not np.signbit(x.grad).any()
+
+    def test_first_gradient_is_an_owned_writeable_copy(self):
+        """A read-only broadcast view is stored as its own contiguous array,
+        and a later change to an op's array does not reach the stored one."""
+        x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        view = np.broadcast_to(np.float32(2.5), (2, 3))
+        ag.sum_all(node_sending(x, view)).backward()
+        assert x.grad.flags.owndata and x.grad.flags.writeable and x.grad.flags.c_contiguous
+        assert np.array_equal(x.grad, np.full((2, 3), 2.5))
+        y = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        source = np.arange(6, dtype=np.float32).reshape(2, 3)
+        ag.sum_all(node_sending(y, source)).backward()
+        assert not np.shares_memory(y.grad, source)
+        source += 100
+        assert np.array_equal(y.grad, np.arange(6, dtype=np.float32).reshape(2, 3))
+
+    def test_float64_gradient_into_float32_has_the_bits_of_zeros_then_add(self):
+        g = rng_for(3).normal(size=(3, 5)) * 1e-3
+        g[0, :2] = -0.0, 1.0 + 2.0**-30  # a negative zero, and a value float32 rounds
+        x = Tensor(np.ones((3, 5), dtype=np.float32), requires_grad=True)
+        ag.sum_all(node_sending(x, g)).backward()
+        want = np.zeros_like(x.data)
+        want += g
+        assert x.grad.dtype == np.float32 and x.grad.tobytes() == want.tobytes()
+
+    def test_zero_dimensional_gradient_stays_an_array(self):
+        x = Tensor(np.asarray(np.float32(3.0)), requires_grad=True)
+        ag.sum_all(node_sending(x, np.asarray(np.float32(-0.0)))).backward()
+        assert isinstance(x.grad, np.ndarray) and x.grad.shape == () and not np.signbit(x.grad)
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "n, h, w, kernel, stride, pad",
+        [
+            (1, 6, 7, 1, 1, 0),
+            (3, 6, 7, 1, 2, 0),
+            (2, 9, 8, 3, 1, 1),
+            (3, 11, 9, 3, 2, 1),
+            (2, 7, 9, 5, 1, 2),
+            (2, 13, 10, 5, 2, 2),
+            (2, 1, 9, 3, 1, 1),  # one pixel high
+            (3, 8, 1, 3, 2, 1),  # one pixel wide
+            (2, 1, 1, 5, 2, 2),
+            (2, 1, 6, 1, 2, 0),
+        ],
+    )
+    def test_bitwise_the_nine_slice_loop(self, n, h, w, kernel, stride, pad, dtype):
+        x = rng_for(10 * h + w).normal(size=(n, 3, h, w)).astype(dtype)
+        xp = ag._edge_pad(x, pad) if pad else x
+        ho, wo = ag._conv_out_size(h, kernel, stride, pad), ag._conv_out_size(w, kernel, stride, pad)
+        got = ag._im2col(xp, kernel, kernel, stride, ho, wo)
+        assert got.flags.c_contiguous and got.flags.writeable and not np.shares_memory(got, xp)
+        assert np.array_equal(got, nine_slice_im2col(xp, kernel, kernel, stride, ho, wo))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("view", ["sliced", "transposed"])
+    @pytest.mark.parametrize("kernel, stride", [(3, 1), (3, 2), (5, 2)])
+    def test_non_contiguous_unpadded_input_reads_its_own_strides(self, view, kernel, stride, dtype):
+        base = rng_for(kernel + stride).normal(size=(2, 6, 15, 13)).astype(dtype)
+        x = base[:, 1::2, 2:13:2, ::-1] if view == "sliced" else base.transpose(0, 1, 3, 2)
+        assert not x.flags.c_contiguous
+        ho, wo = ag._conv_out_size(x.shape[2], kernel, stride, 0), ag._conv_out_size(x.shape[3], kernel, stride, 0)
+        got = ag._im2col(x, kernel, kernel, stride, ho, wo)
+        assert np.array_equal(got, nine_slice_im2col(x, kernel, kernel, stride, ho, wo))
+        assert np.array_equal(got, nine_slice_im2col(np.ascontiguousarray(x), kernel, kernel, stride, ho, wo))
 
 
 class TestConv2d:

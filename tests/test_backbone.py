@@ -293,9 +293,29 @@ class TestRoiPool:
         ]
         self.assert_bitwise_per_image_merge(arrays, rois, slots, r)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_cell_span_is_bitwise_the_per_image_merge(self, dtype):
+        """Full-map bin matrices against one pooling node per image: one RoI
+        for every cell height and width from 1 to 15, one cell wide or high
+        among them, shuffled over three 32-channel maps, so dozens overlap
+        on each map.  Rows and map gradients are equal bit for bit."""
+        r = np.random.default_rng(49)
+        shapes = [(1, 32, 15, 15), (1, 32, 16, 17), (1, 32, 18, 15)]
+        arrays = [r.normal(size=shape).astype(dtype) for shape in shapes]
+        rois, slots = [], []
+        for h in range(1, 16):
+            for w in range(1, 16):
+                s = int(r.integers(3))
+                y, x = (int(r.integers(0, size - span + 1)) for size, span in zip(shapes[s][2:], (h, w)))
+                fx1, fy1, fx2, fy2 = r.uniform(0.0, 3.5, 4)  # inside the cells, positive extent
+                rois.append(RoI(x1=8.0 * x + fx1, y1=8.0 * y + fy1, x2=8.0 * (x + w) - fx2, y2=8.0 * (y + h) - fy2))
+                slots.append(s)
+        order = r.permutation(len(rois))
+        self.assert_bitwise_per_image_merge(arrays, [rois[i] for i in order], [slots[i] for i in order], r)
+
     @staticmethod
     def assert_bitwise_per_image_merge(arrays, rois, slots, r):
-        weights = Tensor(r.normal(size=(len(rois), arrays[0].shape[1], 7, 7)).astype(np.float32))
+        weights = Tensor(r.normal(size=(len(rois), arrays[0].shape[1], 7, 7)).astype(arrays[0].dtype))
         results = []
         for pool in (roi_pool, per_image_pool_merge):
             maps = [Tensor(a, requires_grad=True) for a in arrays]
