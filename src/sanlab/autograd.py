@@ -6,12 +6,13 @@ takes the output's gradient, and ``Tensor.backward()`` walks the tape in
 reverse topological order.  A closure holds the op's inputs and the
 buffers its gradient needs, never its own output, so a dropped graph is
 freed by reference counting.  ``backward()`` still consumes the graph:
-every node it walked drops its parents and its closure, so intermediate
-tensors and captured buffers are freed as soon as backpropagation ends,
-even while the caller holds the loss.  Only the operations the detection
-pipeline needs exist; there is no broadcasting and no GPU path.  Padding
-always replicates edges (``conv2d``'s ``pad`` and ``replicate_pad``), so
-constant inputs stay constant through every padded convolution.
+each node drops its parents and its closure as soon as it has passed its
+gradient on, so captured buffers are freed while backpropagation runs and
+intermediate tensors once it ends, even while the caller holds the loss.
+Only the operations the detection pipeline needs exist; there is no
+broadcasting and no GPU path.  Padding always replicates edges
+(``conv2d``'s ``pad`` and ``replicate_pad``), so constant inputs stay
+constant through every padded convolution.
 ``no_grad`` stops recording in the current thread only.  Training runs
 in float32; gradient-check tests rebuild the same graphs in float64.
 
@@ -123,11 +124,11 @@ class Tensor:
         """Backpropagate from this scalar through the recorded graph.
 
         The graph is consumed: every node walked loses its parents and its
-        backward closure, so intermediate tensors and the buffers the
-        closures captured are freed now, not when the caller drops the
-        loss.  Calling ``backward()`` again on this graph only resets
-        this scalar's own gradient.  Gradients stay on the tensors that
-        received them.
+        backward closure right after its closure has run, so the buffers
+        the closures captured are freed during the walk and intermediate
+        tensors at its end, not when the caller drops the loss.  Calling
+        ``backward()`` again on this graph only resets this scalar's own
+        gradient.  Gradients stay on the tensors that received them.
         """
         if self.data.size != 1:
             raise GraphError(f"backward() requires a scalar, got shape {self.shape}")
@@ -150,7 +151,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-        for node in topo:
             node._parents = ()
             node._backward = None
 
@@ -246,7 +246,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     ``pad`` replicates edges: the result equals `replicate_pad` followed
     by an unpadded conv, bit for bit, in value and in every gradient, but
     the padded map is scratch, not a tape tensor.  A 1x1, stride-1,
-    unpadded conv reads x itself as its columns.
+    unpadded conv reads x itself as its columns.  The node holds x only
+    when x takes a gradient.  The weight and bias gradients are summed
+    over the batch in batch order and then added to what the tensor holds,
+    so one pass over N items gives the bits of N one-item passes when the
+    tensor holds no gradient yet, but not on top of an existing one.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -273,6 +277,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     wm = w.data.reshape(k, c * kh * kw)
     out_data = np.matmul(wm, cols).reshape(n, k, ho, wo)
     out_data += b.data.reshape(1, k, 1, 1)
+    dx = x if x.requires_grad else None
 
     def backward(grad_out: np.ndarray):
         g = grad_out.reshape(n, k, ho * wo)
@@ -281,15 +286,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         if w.requires_grad:
             dwm = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
             w._accumulate(dwm.reshape(w.shape))
-        if x.requires_grad:
+        if dx is not None:
             dcols = np.matmul(wm.T, g)
             if pointwise:
-                x._accumulate(dcols.reshape(x.shape))
+                dx._accumulate(dcols.reshape(dx.shape))
             else:
                 gp = _col2im(dcols, xp_shape, kh, kw, stride, ho, wo)
-                x._accumulate(_edge_fold(gp, pad) if pad else gp)
+                dx._accumulate(_edge_fold(gp, pad) if pad else gp)
 
-    return _result(out_data, (x, w, b), backward)
+    return _result(out_data, (w, b) if dx is None else (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Small convolutional backbone and the two feature-extraction pathways.
 
 A feature map for a whole image comes from a stack of strided conv+ReLU
-blocks; per-object features come either from RoI pooling on that map
-(`roi_pool`, average or max, one tape node for a step's RoIs over all its
-images) or from the scale-normalized-patch pathway (crop the RoI's
-cell-aligned footprint, resize to the reference scale, run the backbone,
-pool globally), which `batched_reference_features` alone implements.  The
-public `sanlab.extract_reference_feature` is its one-RoI case, so it too
-crops the cell-aligned footprint rather than the RoI itself.
+blocks, and one pass over several images of one size gives an NxCxhxw map
+tensor, one map per row; per-object features come either from RoI pooling
+on those maps (`roi_pool`, average or max, one tape node for a step's RoIs
+over all its images) or from the scale-normalized-patch pathway (crop the
+RoI's cell-aligned footprint, resize to the reference scale, run the
+backbone, pool globally), which `batched_reference_features` alone
+implements.  The public `sanlab.extract_reference_feature` is its one-RoI
+case, so it too crops the cell-aligned footprint rather than the RoI
+itself.
 
 Average RoI pooling stacks the RoIs of each cell width so that its forward
 column products are one GEMM per width; its backward runs on full-map bin
-matrices, two batched GEMMs per map.  A product one row or column wide
+matrices, two batched GEMMs per image.  A product one row or column wide
 would run as GEMV, whose rounding depends on its shape, so the backward of
 RoIs one cell wide or high stays per channel, and every bit is that of
 pooling each RoI alone.
@@ -183,10 +185,8 @@ def _roi_cell_span(lo: float, hi: float, stride: int, limit: int) -> tuple[int, 
 
 
 def _roi_cells(feat: Tensor, roi: RoI, stride: int) -> tuple[int, int, int, int]:
-    """(y_lo, y_hi, x_lo, x_hi): the feature cells an RoI reads."""
-    if feat.data.ndim != 4 or feat.shape[0] != 1:
-        raise ShapeError(f"roi_pool expects a 1xCxhxw feature map, got {feat.shape}")
-    _, _, fh, fw = feat.shape
+    """(y_lo, y_hi, x_lo, x_hi): the cells an RoI reads on an NxCxhxw map."""
+    fh, fw = feat.shape[2:]
     x_lo, x_hi = _roi_cell_span(roi.x1, roi.x2, stride, fw)
     y_lo, y_hi = _roi_cell_span(roi.y1, roi.y2, stride, fh)
     if x_hi <= x_lo or y_hi <= y_lo:
@@ -199,67 +199,82 @@ def _roi_cells(feat: Tensor, roi: RoI, stride: int) -> tuple[int, int, int, int]
 def roi_pool(
     maps: Sequence[Tensor], rois: Sequence[RoI], slots: Sequence[int], out: int = 7, mode: str = "avg", stride: int = 8
 ) -> Tensor:
-    """Pool RoI n on maps[slots[n]], a 1xCxhxw map, to an out x out grid: (N, C, out, out).
+    """Pool RoI n on image slots[n] to an out x out grid: (N, C, out, out).
 
-    Cells: coordinates divided by stride, floor(x1) / ceil(x2), clamped to
-    the map.  Bin b covers cells [floor(b*span/out), ceil((b+1)*span/out)),
-    so bins are never empty.  Average mode is rows @ cells @ cols.T with 0/1
-    bin matrices (exact on integer-valued data) and spreads gradient
-    uniformly over a bin; max mode routes it to each channel's first
-    row-major maximum.  Row n is bitwise rois[n] pooled alone.  One tape
-    node: its parents are the maps some RoI reads, in ascending slot order,
-    and its backward sums each map's RoI gradients, in RoI order, into one
-    buffer per map.
+    Each map is an n_i x C x h x w tensor, one backbone pass over n_i
+    images of one size; image slots[n] is row slots[n] of the maps' batch
+    axes concatenated in list order, so with 1xCxhxw maps a slot is a map's
+    index.  Cells: coordinates divided by stride, floor(x1) / ceil(x2),
+    clamped to the map.  Bin b covers cells [floor(b*span/out),
+    ceil((b+1)*span/out)), so bins are never empty.  Average mode is rows @
+    cells @ cols.T with 0/1 bin matrices (exact on integer-valued data) and
+    spreads gradient uniformly over a bin; max mode routes it to each
+    channel's first row-major maximum.  Row n is bitwise rois[n] pooled
+    alone, and in the dtype the maps some RoI reads promote to.  One tape
+    node: its parents are the map tensors some RoI reads, in list order,
+    and its backward sums each image's RoI gradients, in RoI order, into
+    one buffer per map tensor.
 
     In average mode the forward stacks the RoIs of each cell width, so its
     column products are one GEMM per width, (G*C*out, w) @ cols.T; its row
     products are one BLAS call per RoI and channel.  The backward pads each
-    RoI's bin matrices to full-map ones, zero off its cells, so per map its
-    two products over all RoIs and channels are one batched GEMM each; the
-    RoIs' full-map gradients are then added in RoI order.  Each output sums
-    the same out bins in the same order, so on finite gradients no bit
-    moves for out <= 15 (checked in float32 and float64; OpenBLAS may split
-    longer sums by problem size).  The forward's sums run over cells and
-    are not padded.  Products one row or column wide run as matrix-vector
-    products, whose rounding depends on shape, so RoIs one cell wide or
-    high keep a backward of one call per channel.
+    RoI's bin matrices to full-map ones, zero off its cells, so per image
+    its two products over all RoIs and channels are one batched GEMM each;
+    the RoIs' full-map gradients are then added in RoI order.  (Per map
+    tensor, their (RoIs, h, C, w) buffers would grow with the images a pass
+    holds.)  Each output sums the same out bins in the same order, so on
+    finite gradients no bit moves for out <= 15 (checked in float32 and
+    float64; OpenBLAS may split longer sums by problem size).  The
+    forward's sums run over cells and are not padded.  Products one row or
+    column wide run as matrix-vector products, whose rounding depends on
+    shape, so RoIs one cell wide or high keep a backward of one call per
+    channel.  At out = 1 every forward column product is one column wide:
+    rows still equal each RoI pooled alone, but not the per-channel
+    products of one pooling node per map.
     """
     if mode not in ("avg", "max"):
         raise ShapeError(f"roi_pool mode must be 'avg' or 'max', got {mode!r}")
+    if out < 1 or stride < 1:
+        raise ShapeError(f"roi_pool needs out >= 1 and stride >= 1, got out={out}, stride={stride}")
     if not rois:
         raise RoiError("roi_pool needs at least one RoI")
-    if len(slots) != len(rois) or not 0 <= min(slots) <= max(slots) < len(maps):
-        raise ShapeError(f"roi_pool needs one slot in [0, {len(maps)}) per RoI, got {list(slots)} for {len(rois)} RoIs")
-    inputs = {s: maps[s] for s in sorted(set(slots))}
-    regions = [(s, *_roi_cells(maps[s], roi, stride)) for roi, s in zip(rois, slots)]
+    for t in maps:
+        if t.data.ndim != 4:
+            raise ShapeError(f"roi_pool expects NxCxhxw feature maps, got {t.shape}")
+    images = [(m, r) for m, t in enumerate(maps) for r in range(t.shape[0])]  # slot -> (map, row)
+    if len(slots) != len(rois) or not 0 <= min(slots) <= max(slots) < len(images):
+        raise ShapeError(f"roi_pool needs one slot in [0, {len(images)}) per RoI, got {list(slots)} for {len(rois)} RoIs")
+    regions = [(*images[s], *_roi_cells(maps[images[s][0]], roi, stride)) for roi, s in zip(rois, slots)]
+    inputs = {m: maps[m] for m in sorted({region[0] for region in regions})}
     channels = {t.shape[1] for t in inputs.values()}
     if len(channels) > 1:
         raise ShapeError(f"roi_pool maps differ in channel count: {sorted(channels)}")
     out_data = np.empty((len(rois), channels.pop(), out, out), dtype=np.result_type(*(t.dtype for t in inputs.values())))
-    cells = [maps[s].data[0, :, y0:y1, x0:x1] for s, y0, y1, x0, x1 in regions]
+    cells = [maps[m].data[r, :, y0:y1, x0:x1] for m, r, y0, y1, x0, x1 in regions]
     if mode == "avg":
         scatter = _avg_pool(cells, out_data, regions)
     else:
         scatters = [_max_bins(x, dst) for x, dst in zip(cells, out_data)]
 
         def scatter(grad_out: np.ndarray, grads: dict[int, np.ndarray]):
-            for roi_scatter, gn, (s, y0, y1, x0, x1) in zip(scatters, grad_out, regions):
-                roi_scatter(gn, grads[s][0, :, y0:y1, x0:x1])
+            for roi_scatter, gn, (m, r, y0, y1, x0, x1) in zip(scatters, grad_out, regions):
+                roi_scatter(gn, grads[m][r, :, y0:y1, x0:x1])
 
     def backward(grad_out: np.ndarray):
-        grads = {s: np.zeros_like(t.data) for s, t in inputs.items()}
+        grads = {m: np.zeros_like(t.data) for m, t in inputs.items()}
         scatter(grad_out, grads)
-        for s, t in inputs.items():
+        for m, t in inputs.items():
             if t.requires_grad:
-                t._accumulate(grads[s])
+                t._accumulate(grads[m])
 
     return ag._result(out_data, tuple(inputs.values()), backward)
 
 
-def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int, int, int, int, int]]):
+def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int, int, int, int, int, int]]):
     """Average-pool each RoI's (C, h, w) cells into dst[n], column products
     grouped by width (see `roi_pool`); return the scatter of a (N, C, out,
-    out) gradient into one buffer per map slot, its RoIs summed in order."""
+    out) gradient into one buffer per map tensor, each image's RoIs summed
+    in order into its row."""
     n, c, out, _ = dst.shape
     rows = [_bin_matrix(x.shape[1], out, dst.dtype)[0] for x in cells]
     widths: dict[int, list[int]] = {}  # cell width -> its RoIs, in RoI order
@@ -275,28 +290,29 @@ def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int,
     dst /= counts
 
     def scatter(grad_out: np.ndarray, grads: dict[int, np.ndarray]):
-        scaled = grad_out / counts
-        slots, spans = np.array([r[0] for r in regions]), np.array([r[1:] for r in regions])
+        images, spans = np.array([r[:2] for r in regions]), np.array([r[2:] for r in regions])  # (map, row), cells
         lo, span = spans[:, ::2], spans[:, 1::2] - spans[:, ::2]  # (N, 2): rows, columns
         ends = np.arange(out + 1) * span[..., None]
         first, stop = lo[..., None] + ends[..., :-1] // out, lo[..., None] - (-ends[..., 1:] // out)  # (N, 2, out)
         extent = max(max(g.shape[2:]) for g in grads.values())
         below = np.tri(extent + 1, extent, -1, dst.dtype)  # row a: ones at the cells below a
         bins = below[stop] - below[first]  # (N, 2, out, extent): full-map bin matrices
-        for s, buf in grads.items():
-            j = np.flatnonzero(slots == s)
-            fh, fw = buf.shape[2:]
-            g = scaled[j].transpose(0, 2, 1, 3).reshape(j.size, out * c, out)
+        for m, r in sorted(set(map(tuple, images.tolist()))):
+            j = np.flatnonzero((images == (m, r)).all(axis=1))
+            buf = grads[m][r]
+            fh, fw = buf.shape[1:]
+            scaled = grad_out[j] / counts[j]
+            g = scaled.transpose(0, 2, 1, 3).reshape(j.size, out * c, out)
             g = np.matmul(g, bins[j, 1, :, :fw]).reshape(j.size, out, c * fw)
             g = np.matmul(bins[j, 0, :, :fh].transpose(0, 2, 1), g).reshape(j.size, fh, c, fw)
             for k in np.flatnonzero(span[j].min(axis=1) == 1).tolist():  # one call per channel
-                _, y0, y1, x0, x1 = regions[j[k]]
+                _, _, y0, y1, x0, x1 = regions[j[k]]
                 g[k] = 0
-                g[k, y0:y1, :, x0:x1] = np.matmul(rows[j[k]].T, np.matmul(scaled[j[k]], cols[x1 - x0])).transpose(1, 0, 2)
+                g[k, y0:y1, :, x0:x1] = np.matmul(rows[j[k]].T, np.matmul(scaled[k], cols[x1 - x0])).transpose(1, 0, 2)
             acc = np.zeros((fh, c, fw), dtype=buf.dtype)
             for gk in g:  # in RoI order, each rounded to the map's dtype; np.add.reduce may sum pairwise
                 acc += gk
-            buf[0] = acc.transpose(1, 0, 2)
+            buf[...] = acc.transpose(1, 0, 2)
 
     return scatter
 

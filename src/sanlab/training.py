@@ -1,10 +1,11 @@
 """Training loop, model container, checkpointing, and inference.
 
 A training step samples two images, builds jittered proposals with a
-1:3 positive:negative cap, runs the backbone and the RoI heads, and adds
-the scale-aware branch for a fixed-size random subset of the RoIs before
-one SGD update.  Everything is a pure function of (dataset, config), so
-checkpoints replay bit-for-bit under a fixed seed.
+1:3 positive:negative cap, runs the backbone (one pass over images of one
+size, `step_maps`) and the RoI heads, and adds the scale-aware branch for
+a fixed-size random subset of the RoIs before one SGD update.
+Everything is a pure function of (dataset, config), so checkpoints replay
+bit-for-bit under a fixed seed.
 """
 
 from __future__ import annotations
@@ -267,18 +268,36 @@ def forward_roi_features(
     return fuse(batch, san_forward(batch, parts, model.san), alpha=model.san.fusion_alpha), batch
 
 
+def step_maps(backbone: Backbone, images: list[Image]) -> list[Tensor]:
+    """The images' feature maps for `roi_pool`, image i at slot i: one pass
+    over the leading run of equal-size images, one (n, C, h, w) map tensor,
+    then one pass per later image, so a step of one image size is one pass.
+
+    Only the first pass holds several images: backpropagation through the
+    `roi_pool` node reaches the maps in list order, and a later pass would
+    add its images' summed weight gradients onto the earlier ones
+    (`ag.conv2d`), in another order than one pass per image does.
+    """
+    lead = 1
+    while lead < len(images) and images[lead].pixels.shape == images[0].pixels.shape:
+        lead += 1
+    first = Tensor(np.concatenate([img.pixels.data for img in images[:lead]]))
+    return [backbone.forward(first)] + [backbone.forward(img.pixels) for img in images[lead:]]
+
+
 def compute_step_losses(
     model: DetectionModel,
     batch: StepBatch,
     cfg: TrainingConfig,
     include_san_loss: bool,
 ) -> LossParts:
-    """Assemble the full objective graph for one sampled step: one `roi_pool`
-    and one `correct` node on the RoI features, and one `san_loss_branch` (a
-    second `correct` node) on plain arrays: the sampled RoIs' pooled rows, or
-    with ``san_pool="max"`` one max-mode `roi_pool` of the sampled RoIs on
-    the detached maps."""
-    feats = [model.backbone.forward(img.pixels) for img in batch.images]
+    """Assemble the full objective graph for one sampled step: the step's
+    feature maps (`step_maps`); one `roi_pool` and one `correct` node on the
+    RoI features; and one `san_loss_branch` (a second `correct` node) on
+    plain arrays: the sampled RoIs' pooled rows, or with ``san_pool="max"``
+    one max-mode `roi_pool` of the sampled RoIs on the detached maps.  Every
+    loss and gradient bit is that of one backbone pass per image."""
+    feats = step_maps(model.backbone, batch.images)
     roi_feats, batch_pooled = forward_roi_features(model, feats, batch.rois, batch.image_slot)
     logits, deltas = model.head.forward(roi_feats)
     san_terms = None

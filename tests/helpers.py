@@ -1,7 +1,7 @@
 """Shared test oracles: finite differences, the nine-slice im2col, the
 per-partition correction path, the per-image and single-RoI RoI pooling,
-the whole-window rendering of the RMSE report, and small numeric
-utilities."""
+the step graph with one backbone pass per image, the whole-window
+rendering of the RMSE report, and small numeric utilities."""
 
 from __future__ import annotations
 
@@ -11,7 +11,10 @@ import numpy as np
 
 from sanlab import autograd as ag
 from sanlab.autograd import Tensor
-from sanlab.backbone import RoI, _bin_matrix, _bin_spans, _roi_cells, roi_pool
+from sanlab.backbone import RoI, _bin_matrix, _bin_spans, _roi_cells, batched_reference_features, roi_pool
+from sanlab.losses import multi_task_loss
+from sanlab.san import partition_index, san_loss_branch
+from sanlab.training import forward_roi_features
 
 FD_STEP = 1e-3
 FD_REL_TOL = 1e-4
@@ -185,6 +188,38 @@ def single_roi_max_pool(feat: Tensor, roi, out: int, stride: int) -> Tensor:
         feat._accumulate(g)
 
     return ag._result(out_data, (feat,), backward)
+
+
+def per_image_step_losses(model, batch, cfg, include_san_loss: bool):
+    """`compute_step_losses` as the package ran it before it batched the
+    backbone: one pass per image, each pooled as a 1xCxhxw map."""
+    feats = [model.backbone.forward(img.pixels) for img in batch.images]
+    roi_feats, batch_pooled = forward_roi_features(model, feats, batch.rois, batch.image_slot)
+    logits, deltas = model.head.forward(roi_feats)
+    san_terms = None
+    if include_san_loss and model.san is not None and batch.san_indices:
+        rois = [batch.rois[j] for j in batch.san_indices]
+        slots = [batch.image_slot[j] for j in batch.san_indices]
+        r_tilde = batched_reference_features(
+            [(batch.images[s], roi) for roi, s in zip(rois, slots)], model.scheme.ref_scale, model.backbone
+        )
+        # plain arrays: the branch records no tape below its entry
+        if cfg.san_pool == "avg":
+            pooled = batch_pooled.data[batch.san_indices]
+        else:
+            maps = [ag.detach(f) for f in feats]
+            pooled = roi_pool(maps, rois, slots, out=7, mode="max", stride=model.backbone.total_stride).data
+        parts = [partition_index(r.area, model.scheme) for r in rois]
+        san_terms = san_loss_branch(Tensor(pooled), parts, model.san, Tensor(r_tilde))
+    return multi_task_loss(
+        logits,
+        deltas,
+        batch.labels,
+        batch.targets,
+        model.num_classes,
+        san_terms=san_terms,
+        san_loss_weight=cfg.san_loss_weight,
+    )
 
 
 def full_render_roi_feature(img, box, scale: int, bb) -> Tensor:

@@ -42,6 +42,23 @@ class TestTensorBasics:
             assert node._parents == () and node._backward is None
         assert hidden.grad is not None
 
+    def test_backward_frees_each_closure_once_it_has_run(self):
+        """A node drops its closure, and the buffers it holds, as soon as it
+        has passed its gradient on: when an op's backward runs, the nodes
+        after it have already dropped theirs."""
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        seen = []
+
+        def probe(grad_out):
+            seen.append((hidden._backward, loss._backward))
+            x._accumulate(grad_out)
+
+        hidden = ag.relu(ag._result(x.data.copy(), (x,), probe))
+        loss = ag.sum_all(hidden)
+        loss.backward()
+        assert seen == [(None, None)]
+        assert np.array_equal(x.grad, [1.0, 0.0])
+
     def test_no_grad_blocks_taping(self):
         t = Tensor(np.ones(3), requires_grad=True)
         with ag.no_grad():
@@ -198,6 +215,19 @@ class TestConv2d:
         x = Tensor(np.zeros((1, 1, 10, 7)))
         out = ag.conv2d(x, Tensor(np.zeros((2, 1, 3, 3))), Tensor(np.zeros(2)), stride=2, pad=1)
         assert out.shape == (1, 2, 5, 4)
+
+    def test_input_without_gradient_is_not_held(self):
+        """The node keeps an input only when the input takes a gradient, so
+        an input batch built for one pass is freed once the pass is done."""
+        r = rng_for(12)
+        w, b = Tensor(r.normal(size=(2, 3, 3, 3)), requires_grad=True), Tensor(np.zeros(2), requires_grad=True)
+        for needs_grad in (False, True):
+            x = Tensor(r.normal(size=(2, 3, 6, 6)), requires_grad=needs_grad)
+            out = ag.conv2d(x, w, b, stride=2, pad=1)
+            assert out._parents == ((x, w, b) if needs_grad else (w, b))
+            assert any(cell.cell_contents is x for cell in out._backward.__closure__) == needs_grad
+            ag.sum_all(out).backward()
+            assert (x.grad is not None) == needs_grad
 
     def test_channel_mismatch_error_names_dims(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))

@@ -293,12 +293,11 @@ class TestRoiPool:
         ]
         self.assert_bitwise_per_image_merge(arrays, rois, slots, r)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_every_cell_span_is_bitwise_the_per_image_merge(self, dtype):
-        """Full-map bin matrices against one pooling node per image: one RoI
-        for every cell height and width from 1 to 15, one cell wide or high
-        among them, shuffled over three 32-channel maps, so dozens overlap
-        on each map.  Rows and map gradients are equal bit for bit."""
+    @staticmethod
+    def every_cell_span(dtype):
+        """One RoI for every cell height and width from 1 to 15, one cell
+        wide or high among them, shuffled over three 32-channel maps, so
+        dozens overlap on each map: (arrays, rois, slots, rng)."""
         r = np.random.default_rng(49)
         shapes = [(1, 32, 15, 15), (1, 32, 16, 17), (1, 32, 18, 15)]
         arrays = [r.normal(size=shape).astype(dtype) for shape in shapes]
@@ -311,15 +310,45 @@ class TestRoiPool:
                 rois.append(RoI(x1=8.0 * x + fx1, y1=8.0 * y + fy1, x2=8.0 * (x + w) - fx2, y2=8.0 * (y + h) - fy2))
                 slots.append(s)
         order = r.permutation(len(rois))
-        self.assert_bitwise_per_image_merge(arrays, [rois[i] for i in order], [slots[i] for i in order], r)
+        return arrays, [rois[i] for i in order], [slots[i] for i in order], r
+
+    @pytest.mark.parametrize(
+        ("out", "dtype"),
+        [(7, np.float32), (7, np.float64), (15, np.float32), (15, np.float64)],
+        ids=["float32", "float64", "out15-float32", "out15-float64"],
+    )
+    def test_every_cell_span_is_bitwise_the_per_image_merge(self, out, dtype):
+        """Full-map bin matrices against one pooling node per image, on
+        every cell span: rows and map gradients are equal bit for bit, at
+        the package's out = 7 and at 15, the longest bin sum checked."""
+        self.assert_bitwise_per_image_merge(*self.every_cell_span(dtype), out=out)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_bin_rows_are_each_roi_pooled_alone(self, dtype):
+        """At out = 1 every column product is one column wide (a
+        matrix-vector product), so rows need not match one pooling node per
+        map, which multiplies per channel; each row still equals its RoI
+        pooled alone, bit for bit.  The map gradients equal the per-image
+        merge's: every backward product has one term."""
+        arrays, rois, slots, r = self.every_cell_span(dtype)
+        maps = [Tensor(a, requires_grad=True) for a in arrays]
+        pooled = roi_pool(maps, rois, slots, out=1, stride=8)
+        alone = [roi_pool([maps[s]], [roi], [0], out=1, stride=8).data for roi, s in zip(rois, slots)]
+        assert np.array_equal(pooled.data, np.concatenate(alone))
+        weights = Tensor(r.normal(size=pooled.shape).astype(dtype))
+        ag.sum_all(ag.mul(pooled, weights)).backward()
+        oracle = [Tensor(a, requires_grad=True) for a in arrays]
+        ag.sum_all(ag.mul(per_image_pool_merge(oracle, rois, slots, out=1, stride=8), weights)).backward()
+        for got, want in zip(maps, oracle):
+            assert np.array_equal(got.grad, want.grad)
 
     @staticmethod
-    def assert_bitwise_per_image_merge(arrays, rois, slots, r):
-        weights = Tensor(r.normal(size=(len(rois), arrays[0].shape[1], 7, 7)).astype(arrays[0].dtype))
+    def assert_bitwise_per_image_merge(arrays, rois, slots, r, out=7):
+        weights = Tensor(r.normal(size=(len(rois), arrays[0].shape[1], out, out)).astype(arrays[0].dtype))
         results = []
         for pool in (roi_pool, per_image_pool_merge):
             maps = [Tensor(a, requires_grad=True) for a in arrays]
-            pooled = pool(maps, rois, slots, out=7, stride=8)
+            pooled = pool(maps, rois, slots, out=out, stride=8)
             ag.sum_all(ag.mul(pooled, weights)).backward()
             results.append((pooled.data, [m.grad for m in maps]))
         (got, got_grads), (want, want_grads) = results
@@ -327,6 +356,56 @@ class TestRoiPool:
         for s, (g, w) in enumerate(zip(got_grads, want_grads)):
             assert (g is None) == (w is None) == (s not in slots)
             assert g is None or np.array_equal(g, w)
+
+    def test_mixed_dtype_rows_are_the_upcast_maps_and_promote_only_read_maps(self):
+        """A float32 and a float64 map: rows are bitwise those of the
+        float32 map upcast to float64, and the output dtype is promoted over
+        the maps some RoI reads, not over every map passed."""
+        arrays, rois, slots, _ = self.every_cell_span(np.float64)
+        arrays[0] = arrays[0].astype(np.float32)
+        for mode in ("avg", "max"):
+            got = roi_pool([Tensor(a) for a in arrays], rois, slots, out=7, mode=mode, stride=8).data
+            upcast = roi_pool([Tensor(a.astype(np.float64)) for a in arrays], rois, slots, out=7, mode=mode, stride=8)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, upcast.data)
+            only_f32 = [roi for roi, s in zip(rois, slots) if s == 0]
+            alone = roi_pool([Tensor(a) for a in arrays], only_f32, [0] * len(only_f32), out=7, mode=mode, stride=8)
+            assert alone.dtype == np.float32
+
+    # (map, rows) of each one-row map in the batched maps [a, b] + [c] + [d, e, f]
+    BATCHED = [(0, [0, 1]), (1, [2]), (2, [3, 4, 5])]
+
+    @pytest.mark.parametrize("mode", ["avg", "max"])
+    def test_batched_maps_are_bitwise_the_one_row_maps(self, mode):
+        """Maps of several images each, as one backbone pass gives them:
+        slot s is row s of the batch axes concatenated, and the rows and
+        each image's map gradient equal those of one 1xCxhxw map per image,
+        bit for bit.  An image no RoI reads gets a zero gradient row; a map
+        tensor no RoI reads is no parent."""
+        r = np.random.default_rng(50)
+        sizes = [(12, 12), (12, 12), (9, 14), (16, 10), (16, 10), (16, 10)]
+        arrays = [r.normal(size=(1, 4, *size)).astype(np.float32) for size in sizes]
+        slots = [0, 3, 1, 0, 5, 3, 1, 0, 3, 5, 0, 3]  # images 2 and 4 unread
+        rois = [
+            RoI(x1=float(x), y1=float(y), x2=float(x + w), y2=float(y + h))
+            for x, y, w, h in r.uniform([-10, -10, 40, 40], [30, 30, 100, 100], size=(len(slots), 4))
+        ]
+        weights = Tensor(r.normal(size=(len(rois), 4, 7, 7)).astype(np.float32))
+        one_row = [Tensor(a, requires_grad=True) for a in arrays]
+        want = roi_pool(one_row, rois, slots, out=7, mode=mode, stride=8)
+        ag.sum_all(ag.mul(want, weights)).backward()
+        batched = [Tensor(np.concatenate([arrays[i] for i in rows]), requires_grad=True) for _, rows in self.BATCHED]
+        got = roi_pool(batched, rois, slots, out=7, mode=mode, stride=8)
+        assert got._parents == (batched[0], batched[2])
+        ag.sum_all(ag.mul(got, weights)).backward()
+        assert np.array_equal(got.data, want.data)
+        assert batched[1].grad is None
+        for m, rows in self.BATCHED:
+            for k, i in enumerate(rows):
+                if i in slots:
+                    assert np.array_equal(batched[m].grad[k : k + 1], one_row[i].grad)
+                elif batched[m].grad is not None:
+                    assert not batched[m].grad[k].any()
 
     # (map, x, y, width, height) in cells: 1 cell wide, 1 cell high, 1x1,
     # widths shared across maps, and the whole map
@@ -447,6 +526,19 @@ class TestRoiPool:
             roi_pool(maps + [Tensor(np.zeros((1, 3, 8, 8)))], [roi, roi], [0, 2], stride=8)
         with pytest.raises(RoiError):
             roi_pool(maps, [], [], stride=8)
+        two = [Tensor(np.zeros((2, 2, 8, 8))), Tensor(np.zeros((1, 2, 6, 6)))]  # slots 0-2
+        roi_pool(two, [roi, roi], [1, 2], stride=8)
+        with pytest.raises(ShapeError, match=r"slot in \[0, 3\)"):
+            roi_pool(two, [roi, roi], [0, 3], stride=8)
+        with pytest.raises(ShapeError, match="NxCxhxw"):
+            roi_pool([Tensor(np.zeros((2, 8, 8)))], [roi], [0], stride=8)
+
+    @pytest.mark.parametrize("geometry", [{"out": 0}, {"out": -1}, {"stride": 0}, {"stride": -8}])
+    def test_bad_out_or_stride_rejected(self, geometry):
+        feat = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))
+        for mode in ("avg", "max"):
+            with pytest.raises(ShapeError, match="out >= 1 and stride >= 1"):
+                roi_pool([feat], [RoI(x1=0, y1=0, x2=16, y2=16)], [0], mode=mode, **{"stride": 8, **geometry})
 
     def test_degenerate_roi_errors(self):
         feat = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import full_render_roi_feature
+from helpers import full_render_roi_feature, per_image_step_losses
 from test_backbone import naive_roi_pool
 
 import sanlab
@@ -45,6 +45,7 @@ from sanlab.training import (
     rmse_report,
     sample_san_rois,
     save_checkpoint,
+    step_maps,
     train,
     write_checkpoint_entries,
     write_log_csv,
@@ -323,6 +324,63 @@ class TestGradientBlocking:
                 acc = term if acc is None else ag.add(acc, term)
             expected = ag.scale(acc, 1.0 / len(batch.san_indices)).item()
             assert parts.l_san == expected, san_pool
+
+
+@pytest.fixture(scope="module")
+def mixed_size_dataset():
+    """96x96 and 64x64 images alternating: image i of the 96x96 set at even
+    i, of the 64x64 set at odd i, so the ids 0-11 are distinct."""
+    big = generate_dataset(DatasetConfig(num_images=12, seed=21))
+    small = generate_dataset(DatasetConfig(num_images=12, image_size=64, scale_range=(8.0, 60.0), seed=22))
+    return [(big if i % 2 == 0 else small)[i] for i in range(12)]
+
+
+class TestBatchedBackbone:
+    STEPS = 6
+
+    @staticmethod
+    def losses_and_grads(step_losses, cfg, batch):
+        model = build_model(cfg)
+        parts = step_losses(model, batch, cfg, include_san_loss=True)
+        parts.total.backward()
+        grads = [None if p.grad is None else p.grad.tobytes() for p in model.named_parameters()]
+        return (parts.l_cls, parts.l_reg, parts.l_san), grads
+
+    @pytest.mark.parametrize("san_pool", ["avg", "max"])
+    @pytest.mark.parametrize("images_per_step", [3, 4])
+    def test_mixed_size_steps_are_bitwise_one_pass_per_image(self, mixed_size_dataset, images_per_step, san_pool):
+        """The step's backbone passes give the loss terms and every
+        parameter gradient of one pass per image, bit for bit, on steps
+        that mix 96x96 and 64x64 images.  A pass over several images after
+        another pass would add its images' weight gradients as one sum:
+        [64, 96, 96] would give g0 + (g1 + g2) where one pass per image
+        gives (g0 + g1) + g2."""
+        cfg = tiny_config(images_per_step=images_per_step, san_pool=san_pool, seed=2)
+        orders = set()
+        for step in range(self.STEPS):
+            batch = build_step_batch(mixed_size_dataset, cfg, step)
+            orders.add(tuple(img.width for img in batch.images))
+            got = self.losses_and_grads(compute_step_losses, cfg, batch)
+            want = self.losses_and_grads(per_image_step_losses, cfg, batch)
+            assert got[0] == want[0], step
+            assert got[1] == want[1], step
+        # a run of two or more images after another pass, and a mixed step
+        assert any(o[0] != o[1] == o[2] for o in orders), orders
+        if images_per_step == 3:
+            assert (64, 96, 96) in orders, orders
+
+    def test_step_maps_pass_the_leading_run_at_once(self, mixed_size_dataset):
+        """Images of one size make one pass; with mixed sizes the leading
+        run makes one pass and every later image its own, each map bitwise
+        the image's own pass."""
+        bb = build_model(tiny_config()).backbone
+        big, small = mixed_size_dataset[0][0], mixed_size_dataset[1][0]
+        for images, rows in (([big, big, big], [3]), ([big, big, small, small], [2, 1, 1]), ([small, big, big], [1, 1, 1])):
+            maps = step_maps(bb, images)
+            assert [m.shape[0] for m in maps] == rows
+            got = [row for m in maps for row in m.data]
+            for img, row in zip(images, got):
+                assert np.array_equal(row, bb.forward(img.pixels).data[0])
 
 
 class TestTrainLoop:
