@@ -32,7 +32,6 @@ from .san import (
     SanModule,
     SanSubNetwork,
     ScalePartitionScheme,
-    correct,
     fuse,
     init_gaussian,
     init_identity,

@@ -488,19 +488,6 @@ def take0(x: Tensor, indices: Sequence[int]) -> Tensor:
     return _result(x.data[idx], (x,), backward)
 
 
-def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice of a 1-d tensor; gradient scatters back."""
-    if x.data.ndim != 1:
-        raise ShapeError(f"slice1d expects a 1-d tensor, got {x.shape}")
-
-    def backward(grad_out: np.ndarray):
-        g = np.zeros_like(x.data)
-        g[start:stop] = grad_out
-        x._accumulate(g)
-
-    return _result(x.data[start:stop].copy(), (x,), backward)
-
-
 def detach(x: Tensor) -> Tensor:
     """Value-identical tensor that blocks all backward flow through it."""
     return Tensor(x.data, requires_grad=False)

@@ -2,14 +2,15 @@
 
 A feature map for a whole image comes from a stack of strided conv+ReLU
 blocks, and one pass over several images of one size gives an NxCxhxw map
-tensor, one map per row; per-object features come either from RoI pooling
-on those maps (`roi_pool`, average or max, one tape node for a step's RoIs
-over all its images) or from the scale-normalized-patch pathway (crop the
-RoI's cell-aligned footprint, resize to the reference scale, run the
-backbone, pool globally), which `batched_reference_features` alone
+tensor, one map per row.  The blocks fix the geometry: the stride, the
+ROI_OUT x ROI_OUT pooling grid and `Backbone.cell_footprint`, the input
+pixels of the cells an RoI reads.  Per-object features come either from
+RoI pooling on those maps (`roi_pool`, average or max, one tape node for a
+step's RoIs over all its images) or from the scale-normalized-patch
+pathway (crop the RoI's cell footprint, resize to the reference scale, run
+the backbone, pool globally), which `batched_reference_features` alone
 implements.  The public `sanlab.extract_reference_feature` is its one-RoI
-case, so it too crops the cell-aligned footprint rather than the RoI
-itself.
+case, so it too crops the cell footprint rather than the RoI itself.
 
 Average RoI pooling stacks the RoIs of each cell width so that its forward
 column products are one GEMM per width; its backward runs on full-map bin
@@ -82,9 +83,6 @@ class RoI:
     def area(self) -> float:
         return self.width * self.height
 
-    def intersects_image(self, width: int, height: int) -> bool:
-        return self.x1 < width and self.y1 < height and self.x2 > 0 and self.y2 > 0
-
 
 # Fixed miniature architecture: (out_channels, kernel, stride, pad) per block.
 # Three strided 3x3 blocks then a 1x1 feature-extraction layer, all ReLU.
@@ -94,6 +92,8 @@ BACKBONE_BLOCKS: tuple[tuple[int, int, int, int], ...] = (
     (32, 3, 2, 1),
     (32, 1, 1, 0),
 )
+# RoI pooling's output grid: every RoI pools to ROI_OUT x ROI_OUT bins.
+ROI_OUT = 7
 
 
 @dataclass
@@ -138,11 +138,22 @@ class Backbone:
         return size
 
     @classmethod
+    def cell_footprint(cls, lo: float, hi: float, size: int) -> tuple[int, int]:
+        """Input pixels [start, stop) of the cells that RoI pooling of
+        [lo, hi) reads on the map of an axis of ``size`` pixels: the span
+        snapped out to the stride grid and clamped to the axis.  Raises
+        `RoiError` when the span reads no cell."""
+        c_lo, c_hi = _roi_cell_span(lo, hi, cls.map_size(size))
+        if c_hi <= c_lo:
+            raise RoiError(f"RoI span [{lo}, {hi}) reads no cell of a {size}-pixel axis at stride {cls.total_stride}")
+        return c_lo * cls.total_stride, min(size, c_hi * cls.total_stride)
+
+    @classmethod
     def roi_crop(cls, lo: float, hi: float, size: int) -> tuple[int, int]:
         """Input pixels [start, stop) of an axis of ``size`` whose forward
         pass gives, from cell start / total_stride on, the cells that RoI
         pooling of [lo, hi) reads on the whole input's map, bit for bit in
-        exact arithmetic.
+        exact arithmetic: the cell footprint widened by one cell before it.
 
         Each 3x3, stride-2, pad-1 block computes output i from inputs
         2i-1 .. 2i+1.  With start on the stride grid, the replicated edge
@@ -152,10 +163,8 @@ class Backbone:
         no padding, or the input's own edge.  The 1x1 block reads no
         neighbours.
         """
-        c_lo, c_hi = _roi_cell_span(lo, hi, cls.total_stride, cls.map_size(size))
-        if c_hi <= c_lo:
-            raise RoiError(f"RoI span [{lo}, {hi}) reads no cell of a {size}-pixel axis at stride {cls.total_stride}")
-        return max(0, c_lo - 1) * cls.total_stride, min(size, c_hi * cls.total_stride)
+        start, stop = cls.cell_footprint(lo, hi, size)
+        return max(0, start - cls.total_stride), stop
 
     @classmethod
     def split_scales(cls, scales: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -178,34 +187,30 @@ class Backbone:
         return x
 
 
-def _roi_cell_span(lo: float, hi: float, stride: int, limit: int) -> tuple[int, int]:
-    c_lo = max(0, math.floor(lo / stride))
-    c_hi = min(limit, math.ceil(hi / stride))
-    return c_lo, c_hi
+def _roi_cell_span(lo: float, hi: float, limit: int) -> tuple[int, int]:
+    """Cells [c_lo, c_hi) of an RoI span on a map axis of ``limit`` cells (empty when c_hi <= c_lo)."""
+    stride = Backbone.total_stride
+    return max(0, math.floor(lo / stride)), min(limit, math.ceil(hi / stride))
 
 
-def _roi_cells(feat: Tensor, roi: RoI, stride: int) -> tuple[int, int, int, int]:
+def _roi_cells(feat: Tensor, roi: RoI) -> tuple[int, int, int, int]:
     """(y_lo, y_hi, x_lo, x_hi): the cells an RoI reads on an NxCxhxw map."""
     fh, fw = feat.shape[2:]
-    x_lo, x_hi = _roi_cell_span(roi.x1, roi.x2, stride, fw)
-    y_lo, y_hi = _roi_cell_span(roi.y1, roi.y2, stride, fh)
+    x_lo, x_hi = _roi_cell_span(roi.x1, roi.x2, fw)
+    y_lo, y_hi = _roi_cell_span(roi.y1, roi.y2, fh)
     if x_hi <= x_lo or y_hi <= y_lo:
-        raise RoiError(
-            f"RoI ({roi.x1},{roi.y1},{roi.x2},{roi.y2}) degenerate on {fh}x{fw} map at stride {stride}"
-        )
+        raise RoiError(f"RoI ({roi.x1},{roi.y1},{roi.x2},{roi.y2}) reads no cell of a {fh}x{fw} map")
     return y_lo, y_hi, x_lo, x_hi
 
 
-def roi_pool(
-    maps: Sequence[Tensor], rois: Sequence[RoI], slots: Sequence[int], out: int = 7, mode: str = "avg", stride: int = 8
-) -> Tensor:
-    """Pool RoI n on image slots[n] to an out x out grid: (N, C, out, out).
+def roi_pool(maps: Sequence[Tensor], rois: Sequence[RoI], slots: Sequence[int], mode: str = "avg") -> Tensor:
+    """Pool RoI n on image slots[n] to an out x out grid, out = ROI_OUT: (N, C, out, out).
 
     Each map is an n_i x C x h x w tensor, one backbone pass over n_i
     images of one size; image slots[n] is row slots[n] of the maps' batch
     axes concatenated in list order, so with 1xCxhxw maps a slot is a map's
-    index.  Cells: coordinates divided by stride, floor(x1) / ceil(x2),
-    clamped to the map.  Bin b covers cells [floor(b*span/out),
+    index.  Cells: coordinates divided by the backbone stride, floor(x1) /
+    ceil(x2), clamped to the map.  Bin b covers cells [floor(b*span/out),
     ceil((b+1)*span/out)), so bins are never empty.  Average mode is rows @
     cells @ cols.T with 0/1 bin matrices (exact on integer-valued data) and
     spreads gradient uniformly over a bin; max mode routes it to each
@@ -223,19 +228,13 @@ def roi_pool(
     the RoIs' full-map gradients are then added in RoI order.  (Per map
     tensor, their (RoIs, h, C, w) buffers would grow with the images a pass
     holds.)  Each output sums the same out bins in the same order, so on
-    finite gradients no bit moves for out <= 15 (checked in float32 and
-    float64; OpenBLAS may split longer sums by problem size).  The
-    forward's sums run over cells and are not padded.  Products one row or
-    column wide run as matrix-vector products, whose rounding depends on
-    shape, so RoIs one cell wide or high keep a backward of one call per
-    channel.  At out = 1 every forward column product is one column wide:
-    rows still equal each RoI pooled alone, but not the per-channel
-    products of one pooling node per map.
+    finite gradients no bit moves.  The forward's sums run over cells and
+    are not padded.  Products one row or column wide run as matrix-vector
+    products, whose rounding depends on shape, so RoIs one cell wide or
+    high keep a backward of one call per channel.
     """
     if mode not in ("avg", "max"):
         raise ShapeError(f"roi_pool mode must be 'avg' or 'max', got {mode!r}")
-    if out < 1 or stride < 1:
-        raise ShapeError(f"roi_pool needs out >= 1 and stride >= 1, got out={out}, stride={stride}")
     if not rois:
         raise RoiError("roi_pool needs at least one RoI")
     for t in maps:
@@ -244,12 +243,13 @@ def roi_pool(
     images = [(m, r) for m, t in enumerate(maps) for r in range(t.shape[0])]  # slot -> (map, row)
     if len(slots) != len(rois) or not 0 <= min(slots) <= max(slots) < len(images):
         raise ShapeError(f"roi_pool needs one slot in [0, {len(images)}) per RoI, got {list(slots)} for {len(rois)} RoIs")
-    regions = [(*images[s], *_roi_cells(maps[images[s][0]], roi, stride)) for roi, s in zip(rois, slots)]
+    regions = [(*images[s], *_roi_cells(maps[images[s][0]], roi)) for roi, s in zip(rois, slots)]
     inputs = {m: maps[m] for m in sorted({region[0] for region in regions})}
     channels = {t.shape[1] for t in inputs.values()}
     if len(channels) > 1:
         raise ShapeError(f"roi_pool maps differ in channel count: {sorted(channels)}")
-    out_data = np.empty((len(rois), channels.pop(), out, out), dtype=np.result_type(*(t.dtype for t in inputs.values())))
+    dtype = np.result_type(*(t.dtype for t in inputs.values()))
+    out_data = np.empty((len(rois), channels.pop(), ROI_OUT, ROI_OUT), dtype=dtype)
     cells = [maps[m].data[r, :, y0:y1, x0:x1] for m, r, y0, y1, x0, x1 in regions]
     if mode == "avg":
         scatter = _avg_pool(cells, out_data, regions)
@@ -276,12 +276,12 @@ def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int,
     out) gradient into one buffer per map tensor, each image's RoIs summed
     in order into its row."""
     n, c, out, _ = dst.shape
-    rows = [_bin_matrix(x.shape[1], out, dst.dtype)[0] for x in cells]
+    rows = [_bin_matrix(x.shape[1], dst.dtype)[0] for x in cells]
     widths: dict[int, list[int]] = {}  # cell width -> its RoIs, in RoI order
     for i, x in enumerate(cells):
         widths.setdefault(x.shape[2], []).append(i)
-    cols = {w: _bin_matrix(w, out, dst.dtype)[0] for w in widths}
-    counts = np.concatenate([_bin_counts(*x.shape[1:], out, dst.dtype) for x in cells])
+    cols = {w: _bin_matrix(w, dst.dtype)[0] for w in widths}
+    counts = np.concatenate([_bin_counts(*x.shape[1:], dst.dtype) for x in cells])
     for w, group in widths.items():
         row_sums = np.empty((len(group), c, out, w), dtype=dst.dtype)
         for k, i in enumerate(group):
@@ -320,9 +320,9 @@ def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int,
 def _max_bins(cells: np.ndarray, dst: np.ndarray):
     """Max-pool (C, h, w) cells into dst; return the scatter to each bin's winners."""
     ch_idx = np.arange(len(cells))
-    col_spans = _bin_spans(cells.shape[2], dst.shape[2])
+    col_spans = _bin_spans(cells.shape[2])
     winners = []  # per bin: by, bx and the cells of each channel's first maximum
-    for by, (ys, ye) in enumerate(_bin_spans(cells.shape[1], dst.shape[1])):
+    for by, (ys, ye) in enumerate(_bin_spans(cells.shape[1])):
         for bx, (xs, xe) in enumerate(col_spans):
             bin_cells = cells[:, ys:ye, xs:xe].reshape(len(cells), -1)
             idx = bin_cells.argmax(axis=1)
@@ -337,17 +337,17 @@ def _max_bins(cells: np.ndarray, dst: np.ndarray):
     return scatter
 
 
-def _bin_spans(span: int, out: int) -> list[tuple[int, int]]:
-    """The [lo, hi) cell range of each of out bins over span cells (see `roi_pool`)."""
-    return [(math.floor(b * span / out), math.ceil((b + 1) * span / out)) for b in range(out)]
+def _bin_spans(span: int) -> list[tuple[int, int]]:
+    """The [lo, hi) cell range of each of ROI_OUT bins over span cells (see `roi_pool`)."""
+    return [(math.floor(b * span / ROI_OUT), math.ceil((b + 1) * span / ROI_OUT)) for b in range(ROI_OUT)]
 
 
 @functools.lru_cache(maxsize=None)
-def _bin_matrix(span: int, out: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 matrix mapping span cells to out bins by fractional coverage,
+def _bin_matrix(span: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 matrix mapping span cells to ROI_OUT bins by fractional coverage,
     and its row sums (cells per bin).  Cached, so both are read-only."""
-    m = np.zeros((out, span), dtype=dtype)
-    for b, (lo, hi) in enumerate(_bin_spans(span, out)):
+    m = np.zeros((ROI_OUT, span), dtype=dtype)
+    for b, (lo, hi) in enumerate(_bin_spans(span)):
         m[b, lo:hi] = 1
     sizes = m.sum(axis=1)
     m.flags.writeable = False
@@ -356,51 +356,31 @@ def _bin_matrix(span: int, out: int, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _bin_counts(h: int, w: int, out: int, dtype) -> np.ndarray:
-    """Cells per bin of an h x w region, shaped (1, 1, out, out).  Cached, so read-only."""
-    counts = (_bin_matrix(h, out, dtype)[1][:, None] * _bin_matrix(w, out, dtype)[1])[None, None]
+def _bin_counts(h: int, w: int, dtype) -> np.ndarray:
+    """Cells per bin of an h x w region, shaped (1, 1, ROI_OUT, ROI_OUT).  Cached, so read-only."""
+    counts = (_bin_matrix(h, dtype)[1][:, None] * _bin_matrix(w, dtype)[1])[None, None]
     counts.flags.writeable = False
     return counts
-
-
-def crop_pixels(img: Image, roi: RoI) -> np.ndarray:
-    """Integer-pixel crop of the RoI, clamped to the image (no padding)."""
-    x_lo = max(0, math.floor(roi.x1))
-    x_hi = min(img.width, math.ceil(roi.x2))
-    y_lo = max(0, math.floor(roi.y1))
-    y_hi = min(img.height, math.ceil(roi.y2))
-    if x_hi <= x_lo or y_hi <= y_lo:
-        raise RoiError(f"RoI ({roi.x1},{roi.y1},{roi.x2},{roi.y2}) lies outside the {img.width}x{img.height} image")
-    return img.pixels.data[:, :, y_lo:y_hi, x_lo:x_hi]
-
-
-def cell_aligned_roi(roi: RoI, stride: int, width: int, height: int) -> RoI:
-    """The RoI expanded to the feature-cell footprint its pooling reads.
-
-    Reference patches are cropped on this footprint so both siamese
-    pathways see the same image region; at stride 8 on small images the
-    cell snap would otherwise dominate the scale effect being learned.
-    """
-    x1 = max(0.0, math.floor(roi.x1 / stride) * stride)
-    y1 = max(0.0, math.floor(roi.y1 / stride) * stride)
-    x2 = min(float(width), math.ceil(roi.x2 / stride) * stride)
-    y2 = min(float(height), math.ceil(roi.y2 / stride) * stride)
-    return RoI(x1=x1, y1=y1, x2=x2, y2=y2, image_id=roi.image_id)
 
 
 def batched_reference_features(pairs: Sequence[tuple[Image, RoI]], ref_scale: int, bb: Backbone) -> np.ndarray:
     """Reference-scale channel features of many RoIs: an (N, C, 1, 1) array.
 
-    Each RoI is snapped to its cell footprint (`cell_aligned_roi`), cropped,
-    and resized to ref_scale x ref_scale; the stacked patches make one
-    backbone pass, pooled globally, with no tape.  Row n is bitwise the
-    result for pairs[n] alone: the batch axis never mixes into a reduction.
+    Each RoI's cell footprint (`Backbone.cell_footprint`) is cropped, so
+    both siamese pathways see the pixels of the cells pooling reads (at
+    stride 8 on small images the cell snap would otherwise dominate the
+    scale effect being learned), and resized to ref_scale x ref_scale; the
+    stacked patches make one backbone pass, pooled globally, with no tape.
+    Row n is bitwise the result for pairs[n] alone: the batch axis never
+    mixes into a reduction.
     """
     with ag.no_grad():
         patches = []
         for img, roi in pairs:
-            snapped = cell_aligned_roi(roi, bb.total_stride, img.width, img.height)
-            patches.append(ag.bilinear_resize(Tensor(crop_pixels(img, snapped)), ref_scale, ref_scale).data)
+            y0, y1 = bb.cell_footprint(roi.y1, roi.y2, img.height)
+            x0, x1 = bb.cell_footprint(roi.x1, roi.x2, img.width)
+            crop = Tensor(img.pixels.data[:, :, y0:y1, x0:x1])
+            patches.append(ag.bilinear_resize(crop, ref_scale, ref_scale).data)
         return ag.global_avg_pool(bb.forward(Tensor(np.concatenate(patches, axis=0)))).data
 
 
@@ -408,7 +388,7 @@ def extract_reference_feature(img: Image, roi: RoI, ref_scale: int, bb: Backbone
     """Channel feature of the RoI's scale-normalized patch (constant target).
 
     The one-pair case of `batched_reference_features`: the crop is the
-    RoI's cell-aligned footprint, not the RoI itself.  Returns a
+    RoI's cell footprint, not the RoI itself.  Returns a
     (1, C, 1, 1) tensor that carries no gradient.
     """
     return Tensor(batched_reference_features([(img, roi)], ref_scale, bb))

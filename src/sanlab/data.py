@@ -182,6 +182,14 @@ def check_proposal_source(n_pos_jitter: int, n_neg: int) -> None:
         raise ConfigError("n_pos_jitter and n_neg are both 0, so no proposal is drawn; raise one of them")
 
 
+def check_class_ids(dataset: list[tuple[Image, list[Annotation]]], num_classes: int) -> None:
+    """Reject an object class the model cannot score: classes run from 1 to
+    num_classes, and 0 is the background label."""
+    bad = sorted({a.class_id for _, anns in dataset for a in anns} - set(range(1, num_classes + 1)))
+    if bad:
+        raise ConfigError(f"object class {bad[-1]} is outside the model's classes 1..{num_classes} (num_classes={num_classes})")
+
+
 def make_proposals(
     gts: list[Annotation],
     n_pos_jitter: int,
@@ -361,6 +369,8 @@ def load_dataset(data_dir: Path) -> list[tuple[Image, list[Annotation]]]:
                 class_id, coords = int(parts[0]), [float(v) for v in parts[1:]]
             except ValueError as exc:
                 raise SanlabError(f"{manifest}: bad annotation {line!r}: {exc}") from exc
+            if class_id < 1:
+                raise SanlabError(f"{manifest}: class id in {line!r} must be at least 1; 0 is the background label")
             x1, y1, x2, y2 = coords
             current.append(Annotation(box=RoI(x1=x1, y1=y1, x2=x2, y2=y2, image_id=image_id), class_id=class_id))
     return dataset

@@ -2,11 +2,11 @@
 
 RoIs are routed by area to one of several 1x1 channel-mixing sub-networks;
 each corrects features toward what the backbone would produce at the
-reference scale.  `correct` runs every row through its own partition's
-sub-network as one tape node.  Through `san_forward` it serves both roles
-of the shared weights: the detection path (corrected features are fused
-back into the originals) and the scale-aware loss branch, which sees a
-detached copy of the features so its error never reaches the backbone.
+reference scale.  `san_forward` runs every row through its own partition's
+sub-network as one tape node.  It serves both roles of the shared weights:
+the detection path (corrected features are fused back into the originals)
+and the scale-aware loss branch, which sees a detached copy of the
+features so its error never reaches the backbone.
 """
 
 from __future__ import annotations
@@ -144,19 +144,21 @@ def init_gaussian(m: SanModule, std: float, seed: int) -> None:
         sn.b.data[:] = 0.0
 
 
-def correct(x: Tensor, parts: list[int], m: SanModule) -> Tensor:
-    """Row n through partition parts[n]'s corrector, relu(W_p x_n + b_p), as
-    one tape node.  Per partition, in ascending order, its rows (in row
-    order) pass one pointwise conv; the backward takes db_p, dW_p and dx
-    with the numpy calls of `conv2d` and `relu`, so values and gradients
-    equal take0 / conv2d / relu per partition, merged back, bit for bit.
+def san_forward(x: Tensor, parts: int | list[int], m: SanModule) -> Tensor:
+    """The correction module's forward: row n through partition parts[n]'s
+    corrector, relu(W_p x_n + b_p), as one tape node; an integer ``parts``
+    routes every row through that partition.  Per partition, in ascending
+    order, its rows (in row order) pass one pointwise conv; the backward
+    takes db_p, dW_p and dx with the numpy calls of `conv2d` and `relu`, so
+    values and gradients equal take0 / conv2d / relu per partition, merged
+    back, bit for bit.
     """
     if x.data.ndim != 4 or x.shape[1] != m.c_feat:
-        raise ShapeError(f"correct expects NCHW with {m.c_feat} channels, got {x.shape}")
+        raise ShapeError(f"san_forward expects NCHW with {m.c_feat} channels, got {x.shape}")
     n, c, h, w = x.shape
-    ids = np.asarray(parts)
+    ids = np.full(n, parts) if np.ndim(parts) == 0 else np.asarray(parts)
     if ids.shape != (n,) or (n and ids.dtype.kind not in "iu"):
-        raise ShapeError(f"correct needs one integer partition id per row, got {ids.shape} {ids.dtype} for {n} rows")
+        raise ShapeError(f"san_forward needs one integer partition id per row, got {ids.shape} {ids.dtype} for {n} rows")
     present = sorted(set(ids.tolist()))
     if present and not 0 <= present[0] <= present[-1] < len(m.subnets):
         raise ShapeError(f"partition ids {present} out of range for {len(m.subnets)} sub-networks")
@@ -182,12 +184,6 @@ def correct(x: Tensor, parts: list[int], m: SanModule) -> Tensor:
             x._accumulate(dx)
 
     return ag._result(out, (x, *(t for sn, *_ in groups for t in (sn.w, sn.b))), backward)
-
-
-def san_forward(feat: Tensor, i: int | list[int], m: SanModule) -> Tensor:
-    """The correction module's forward: `correct` with partition i for every
-    row, or with partition i[n] for row n when i holds one id per row."""
-    return correct(feat, [i] * feat.shape[0] if np.ndim(i) == 0 else i, m)
 
 
 def fuse(original: Tensor, san_out: Tensor, alpha: Parameter | None = None) -> Tensor:

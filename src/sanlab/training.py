@@ -24,7 +24,7 @@ from .autograd import Parameter, Tensor
 from .backbone import Backbone, Image, RoI, batched_reference_features, roi_pool
 # perfbench's tracer looks the reference pathway up under these two names
 from .backbone import extract_reference_feature as reference_feature_for_roi
-from .data import Annotation, check_proposal_source, make_proposals, proposal_rng
+from .data import Annotation, check_class_ids, check_proposal_source, make_proposals, proposal_rng
 from .errors import CheckpointError, ConfigError, GraphError, RoiError, SanlabError
 from .losses import (
     DetectionHead,
@@ -255,13 +255,13 @@ def build_step_batch(
 def forward_roi_features(
     model: DetectionModel, feats: list[Tensor], batch_rois: list[RoI], slots: list[int]
 ) -> tuple[Tensor, Tensor]:
-    """Average-pool every RoI (one `roi_pool` node) and fuse in its correction (one `correct` node).
+    """Average-pool every RoI (one `roi_pool` node) and fuse in its correction (one `san_forward` node).
 
     Returns the RoI features and the average-pooled batch they start from
     (the same tensor when the model has no correction module); the
     scale-aware loss branch takes its rows from the latter.
     """
-    batch = roi_pool(feats, batch_rois, slots, out=7, stride=model.backbone.total_stride)
+    batch = roi_pool(feats, batch_rois, slots)
     if model.san is None:
         return batch, batch
     parts = [partition_index(r.area, model.scheme) for r in batch_rois]
@@ -292,8 +292,8 @@ def compute_step_losses(
     include_san_loss: bool,
 ) -> LossParts:
     """Assemble the full objective graph for one sampled step: the step's
-    feature maps (`step_maps`); one `roi_pool` and one `correct` node on the
-    RoI features; and one `san_loss_branch` (a second `correct` node) on
+    feature maps (`step_maps`); one `roi_pool` and one `san_forward` node on
+    the RoI features; and one `san_loss_branch` (a second `san_forward` node) on
     plain arrays: the sampled RoIs' pooled rows, or with ``san_pool="max"``
     one max-mode `roi_pool` of the sampled RoIs on the detached maps.  Every
     loss and gradient bit is that of one backbone pass per image."""
@@ -312,7 +312,7 @@ def compute_step_losses(
             pooled = batch_pooled.data[batch.san_indices]
         else:
             maps = [ag.detach(f) for f in feats]
-            pooled = roi_pool(maps, rois, slots, out=7, mode="max", stride=model.backbone.total_stride).data
+            pooled = roi_pool(maps, rois, slots, mode="max").data
         parts = [partition_index(r.area, model.scheme) for r in rois]
         san_terms = san_loss_branch(Tensor(pooled), parts, model.san, Tensor(r_tilde))
     return multi_task_loss(
@@ -361,6 +361,7 @@ def train(dataset: list[tuple[Image, list[Annotation]]], cfg: TrainingConfig) ->
     cfg.validate()
     if not dataset:
         raise ConfigError("cannot train on an empty dataset")
+    check_class_ids(dataset, cfg.num_classes)
     model = build_model(cfg)
     san_params = model.san.named_parameters() if model.san is not None else []
     decayed = model.backbone.named_parameters() + model.head.named_parameters()
@@ -610,6 +611,7 @@ def evaluate_detector(
 ) -> tuple[ApResult, list[Detection]]:
     """Jittered-proposal evaluation over a dataset; returns (ApResult, detections)."""
     check_proposal_source(n_pos_jitter, n_neg)
+    check_class_ids(dataset, model.num_classes)
     detections: list[Detection] = []
     gts: list[Annotation] = []
     for img, anns in dataset:
@@ -667,7 +669,7 @@ def rendered_roi_feature(img: Image, box: RoI, scale: int, bb: Backbone) -> Tens
         feat = bb.forward(ag.bilinear_resize(context, out_h, out_w, window=(rows, cols)))
         # the crop starts on the stride grid, so the shift moves no cell boundary
         mapped = RoI(x1=x1 - cols[0], y1=y1 - rows[0], x2=x2 - cols[0], y2=y2 - rows[0], image_id=box.image_id)
-        return ag.global_avg_pool(roi_pool([feat], [mapped], [0], out=7, stride=bb.total_stride))
+        return ag.global_avg_pool(roi_pool([feat], [mapped], [0]))
 
 
 def rmse_report(

@@ -1,7 +1,8 @@
 """Shared test oracles: finite differences, the nine-slice im2col, the
 per-partition correction path, the per-image and single-RoI RoI pooling,
 the step graph with one backbone pass per image, the whole-window
-rendering of the RMSE report, and small numeric utilities."""
+rendering of the RMSE report, the reference crop as a snapped RoI, and
+small numeric utilities."""
 
 from __future__ import annotations
 
@@ -11,7 +12,17 @@ import numpy as np
 
 from sanlab import autograd as ag
 from sanlab.autograd import Tensor
-from sanlab.backbone import RoI, _bin_matrix, _bin_spans, _roi_cells, batched_reference_features, roi_pool
+from sanlab.backbone import (
+    ROI_OUT,
+    Image,
+    RoI,
+    _bin_matrix,
+    _bin_spans,
+    _roi_cells,
+    batched_reference_features,
+    roi_pool,
+)
+from sanlab.errors import RoiError
 from sanlab.losses import multi_task_loss
 from sanlab.san import partition_index, san_loss_branch
 from sanlab.training import forward_roi_features
@@ -111,8 +122,9 @@ def _corrector(x: Tensor, sn) -> Tensor:
 
 def split_correct_merge(x: Tensor, parts, m) -> Tensor:
     """The correction path composed from engine ops, as the package ran it
-    before `san.correct`: take0 per partition (skipped when one partition
-    holds every row), its 1x1 conv and relu, concat0, then the inverse take0."""
+    before `san.san_forward` was one node: take0 per partition (skipped
+    when one partition holds every row), its 1x1 conv and relu, concat0,
+    then the inverse take0."""
     ordered, inverse = _row_groups(parts)
     outs = [_corrector(x if len(rows) == len(parts) else ag.take0(x, rows), m.subnets[p]) for p, rows in ordered]
     return _merge(outs, inverse)
@@ -129,17 +141,17 @@ def per_partition_loss_branch(feat: np.ndarray, parts, m, r_tilde: np.ndarray) -
     return _merge(terms, inverse)
 
 
-def per_image_roi_avg_pool(feat: Tensor, rois, out: int, stride: int) -> Tensor:
+def per_image_roi_avg_pool(feat: Tensor, rois) -> Tensor:
     """The package's former one-map RoI average pooling node: each RoI's
     two 0/1 matmuls, and a backward that sums the RoIs' gradients, in RoI
     order, into one map-sized buffer."""
     plans = []
     for roi in rois:
-        y_lo, y_hi, x_lo, x_hi = _roi_cells(feat, roi, stride)
-        rows, row_sizes = _bin_matrix(y_hi - y_lo, out, feat.dtype)
-        cols, col_sizes = _bin_matrix(x_hi - x_lo, out, feat.dtype)
+        y_lo, y_hi, x_lo, x_hi = _roi_cells(feat, roi)
+        rows, row_sizes = _bin_matrix(y_hi - y_lo, feat.dtype)
+        cols, col_sizes = _bin_matrix(x_hi - x_lo, feat.dtype)
         plans.append((y_lo, y_hi, x_lo, x_hi, rows, cols, row_sizes[:, None] * col_sizes[None, :]))
-    out_data = np.empty((len(rois), feat.shape[1], out, out), dtype=feat.dtype)
+    out_data = np.empty((len(rois), feat.shape[1], ROI_OUT, ROI_OUT), dtype=feat.dtype)
     for n, (y_lo, y_hi, x_lo, x_hi, rows, cols, counts) in enumerate(plans):
         sums = np.matmul(np.matmul(rows, feat.data[0, :, y_lo:y_hi, x_lo:x_hi]), cols.T)
         out_data[n] = sums / counts
@@ -153,27 +165,27 @@ def per_image_roi_avg_pool(feat: Tensor, rois, out: int, stride: int) -> Tensor:
     return ag._result(out_data, (feat,), backward)
 
 
-def per_image_pool_merge(maps: list[Tensor], rois, slots, out: int = 7, stride: int = 8) -> Tensor:
+def per_image_pool_merge(maps: list[Tensor], rois, slots) -> Tensor:
     """RoI pooling as the package ran it before one node served every map:
     one `per_image_roi_avg_pool` per image, images ascending, concat0, then
     the inverse take0 (each skipped when it would change nothing)."""
     ordered, inverse = _row_groups(slots)
-    outs = [per_image_roi_avg_pool(maps[s], [rois[i] for i in rows], out, stride) for s, rows in ordered]
+    outs = [per_image_roi_avg_pool(maps[s], [rois[i] for i in rows]) for s, rows in ordered]
     return _merge(outs, inverse)
 
 
-def single_roi_max_pool(feat: Tensor, roi, out: int, stride: int) -> Tensor:
-    """The package's former single-RoI max pooling node, (1, C, out, out):
-    each channel's first row-major maximum per bin, whose map cell the
-    backward adds the bin's gradient to, bins in row-major order."""
-    y_lo, y_hi, x_lo, x_hi = _roi_cells(feat, roi, stride)
+def single_roi_max_pool(feat: Tensor, roi) -> Tensor:
+    """The package's former single-RoI max pooling node, (1, C, ROI_OUT,
+    ROI_OUT): each channel's first row-major maximum per bin, whose map cell
+    the backward adds the bin's gradient to, bins in row-major order."""
+    y_lo, y_hi, x_lo, x_hi = _roi_cells(feat, roi)
     c = feat.shape[1]
     cells = feat.data[0, :, y_lo:y_hi, x_lo:x_hi]
-    col_spans = _bin_spans(x_hi - x_lo, out)
-    out_data = np.empty((1, c, out, out), dtype=feat.dtype)
+    col_spans = _bin_spans(x_hi - x_lo)
+    out_data = np.empty((1, c, ROI_OUT, ROI_OUT), dtype=feat.dtype)
     winners = []
     ch_idx = np.arange(c)
-    for by, (ys, ye) in enumerate(_bin_spans(y_hi - y_lo, out)):
+    for by, (ys, ye) in enumerate(_bin_spans(y_hi - y_lo)):
         for bx, (xs, xe) in enumerate(col_spans):
             bin_cells = cells[:, ys:ye, xs:xe].reshape(c, -1)
             idx = bin_cells.argmax(axis=1)
@@ -208,7 +220,7 @@ def per_image_step_losses(model, batch, cfg, include_san_loss: bool):
             pooled = batch_pooled.data[batch.san_indices]
         else:
             maps = [ag.detach(f) for f in feats]
-            pooled = roi_pool(maps, rois, slots, out=7, mode="max", stride=model.backbone.total_stride).data
+            pooled = roi_pool(maps, rois, slots, mode="max").data
         parts = [partition_index(r.area, model.scheme) for r in rois]
         san_terms = san_loss_branch(Tensor(pooled), parts, model.san, Tensor(r_tilde))
     return multi_task_loss(
@@ -247,4 +259,33 @@ def full_render_roi_feature(img, box, scale: int, bb) -> Tensor:
             y2=(box.y2 - wy1) * fy,
             image_id=box.image_id,
         )
-        return ag.global_avg_pool(roi_pool([feat], [mapped], [0], out=7, stride=bb.total_stride))
+        return ag.global_avg_pool(roi_pool([feat], [mapped], [0]))
+
+
+# The reference crop as the package made it before `Backbone.cell_footprint`:
+# crop_pixels(img, cell_aligned_roi(roi, stride, img.width, img.height)).
+
+
+def crop_pixels(img: Image, roi: RoI) -> np.ndarray:
+    """Integer-pixel crop of the RoI, clamped to the image (no padding)."""
+    x_lo = max(0, math.floor(roi.x1))
+    x_hi = min(img.width, math.ceil(roi.x2))
+    y_lo = max(0, math.floor(roi.y1))
+    y_hi = min(img.height, math.ceil(roi.y2))
+    if x_hi <= x_lo or y_hi <= y_lo:
+        raise RoiError(f"RoI ({roi.x1},{roi.y1},{roi.x2},{roi.y2}) lies outside the {img.width}x{img.height} image")
+    return img.pixels.data[:, :, y_lo:y_hi, x_lo:x_hi]
+
+
+def cell_aligned_roi(roi: RoI, stride: int, width: int, height: int) -> RoI:
+    """The RoI expanded to the feature-cell footprint its pooling reads.
+
+    Reference patches are cropped on this footprint so both siamese
+    pathways see the same image region; at stride 8 on small images the
+    cell snap would otherwise dominate the scale effect being learned.
+    """
+    x1 = max(0.0, math.floor(roi.x1 / stride) * stride)
+    y1 = max(0.0, math.floor(roi.y1 / stride) * stride)
+    x2 = min(float(width), math.ceil(roi.x2 / stride) * stride)
+    y2 = min(float(height), math.ceil(roi.y2 / stride) * stride)
+    return RoI(x1=x1, y1=y1, x2=x2, y2=y2, image_id=roi.image_id)

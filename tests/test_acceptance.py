@@ -28,6 +28,7 @@ from sanlab.san import (
     TOY_SCHEME,
     VOC_SCHEME,
     SanModule,
+    SanSubNetwork,
     init_identity,
     partition_index,
     san_forward,
@@ -55,6 +56,22 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 # -- criterion 1: gradient suite ------------------------------------------
+
+
+def san_arrays_away_from_kinks(r, parts, c=3):
+    """Rows x (one per entry of parts) and each partition's w/b, redrawn
+    until every pre-activation clears the relu kink by 0.01, so central
+    differences see one linear piece."""
+    while True:
+        arrays = {"x": r.normal(size=(len(parts), c, 1, 2))}
+        for p in sorted(set(parts)):
+            arrays[f"w{p}"], arrays[f"b{p}"] = r.normal(size=(c, c, 1, 1)), r.normal(size=c)
+        pre = [
+            np.einsum("kc,chw->khw", arrays[f"w{p}"][:, :, 0, 0], arrays["x"][n]) + arrays[f"b{p}"][:, None, None]
+            for n, p in enumerate(parts)
+        ]
+        if min(np.abs(v).min() for v in pre) > 0.01:
+            return arrays
 
 
 class TestCriterion1Gradients:
@@ -104,16 +121,17 @@ class TestCriterion1Gradients:
             sl = r.normal(size=(12,)) * 2
             sl = sl[np.abs(np.abs(sl) - 1) > 2e-2]
             check_op_gradients(lambda t: ag.sum_all(ag.smooth_l1(t["x"])), {"x": sl}, context=f"sl1 s{seed}")
-            roi = RoI(x1=r.uniform(0, 8), y1=r.uniform(0, 8), x2=r.uniform(24, 60), y2=r.uniform(24, 60))
+            # 8 to 10 cells a side, so every bin of the 7x7 grid spans two or three
+            roi = RoI(x1=r.uniform(0, 8), y1=r.uniform(0, 8), x2=r.uniform(64, 80), y2=r.uniform(64, 80))
             # permuted evenly spaced values: random but free of max-pool ties
-            spread = (np.arange(128, dtype=np.float64) * 0.05 - 3.2)
-            feat_vals = r.permutation(spread).reshape(1, 2, 8, 8)
+            spread = (np.arange(200, dtype=np.float64) * 0.05 - 5.0)
+            feat_vals = r.permutation(spread).reshape(1, 2, 10, 10)
             for mode in ("avg", "max"):
                 check_op_gradients(
                     lambda t, m=mode: ag.sum_all(
                         ag.mul(
-                            roi_pool([t["f"]], [roi], [0], out=2, mode=m, stride=8),
-                            roi_pool([t["f"]], [roi], [0], out=2, mode=m, stride=8),
+                            roi_pool([t["f"]], [roi], [0], mode=m),
+                            roi_pool([t["f"]], [roi], [0], mode=m),
                         )
                     ),
                     {"f": feat_vals.copy()},
@@ -121,15 +139,42 @@ class TestCriterion1Gradients:
                 )
 
             gather = [int(v) for v in r.integers(0, 3, size=4)]
+            gather_weights = Tensor(r.normal(size=(28,)))
             check_op_gradients(
                 lambda t: ag.sum_all(
                     ag.mul(
-                        ag.slice1d(ag.reshape(ag.concat0([ag.take0(t["x"], gather), t["x"]]), (28,)), 2, 18),
-                        ag.slice1d(ag.reshape(ag.concat0([ag.take0(t["x"], gather), t["x"]]), (28,)), 5, 21),
+                        ag.mul(
+                            ag.reshape(ag.concat0([ag.take0(t["x"], gather), t["x"]]), (28,)),
+                            ag.reshape(ag.concat0([ag.take0(t["x"], gather), t["x"]]), (28,)),
+                        ),
+                        gather_weights,
                     )
                 ),
                 {"x": r.normal(size=(3, 4))},
                 context=f"gather s{seed}",
+            )
+            check_op_gradients(
+                lambda t: ag.sum_all(ag.mul(ag.sum_rows(t["x"]), ag.sum_rows(t["x"]))),
+                {"x": r.normal(size=(4, 3, 1, 2))},
+                context=f"sum_rows s{seed}",
+            )
+            check_op_gradients(
+                lambda t: ag.sum_in_order(ag.mul(t["v"], t["v"])),
+                {"v": r.normal(size=(7,))},
+                context=f"sum_in_order s{seed}",
+            )
+            parts = [2, 0, 1, 2, 0]
+            san_arrays = san_arrays_away_from_kinks(r, parts)
+            upstream = Tensor(r.normal(size=san_arrays["x"].shape))
+            check_op_gradients(
+                lambda t: ag.sum_all(
+                    ag.mul(
+                        san_forward(t["x"], parts, SanModule([SanSubNetwork(t[f"w{p}"], t[f"b{p}"]) for p in range(3)])),
+                        upstream,
+                    )
+                ),
+                san_arrays,
+                context=f"san_forward s{seed}",
             )
 
         # end-to-end composed loss graph (backbone conv -> pooling -> all losses)
@@ -184,11 +229,7 @@ class TestCriterion2IdentityTransparency:
             roi = batch.rois[j]
             img = batch.images[batch.image_slot[j]]
             r_tilde = reference_feature_for_roi(img, roi, model.scheme.ref_scale, model.backbone)
-            pooled = ag.global_avg_pool(
-                roi_pool(
-                    [feats[batch.image_slot[j]]], [roi], [0], out=7, mode=cfg.san_pool, stride=model.backbone.total_stride
-                )
-            )
+            pooled = ag.global_avg_pool(roi_pool([feats[batch.image_slot[j]]], [roi], [0], mode=cfg.san_pool))
             term = ag.sum_all(ag.smooth_l1(ag.sub(pooled, r_tilde)))
             acc = term if acc is None else ag.add(acc, term)
         expected = ag.scale(acc, 1.0 / len(batch.san_indices)).item()
@@ -341,8 +382,8 @@ class TestCriterion8Oracles:
             x1, y1 = r.uniform(0, 90, 2)
             roi = RoI(x1=x1, y1=y1, x2=x1 + r.uniform(6, 100), y2=y1 + r.uniform(6, 100))
             for mode in ("avg", "max"):
-                got = roi_pool([Tensor(feat)], [roi], [0], out=5, mode=mode, stride=8).data
-                pool_ok &= np.array_equal(got, naive_roi_pool(feat, roi, out=5, mode=mode, stride=8))
+                got = roi_pool([Tensor(feat)], [roi], [0], mode=mode).data
+                pool_ok &= np.array_equal(got, naive_roi_pool(feat, roi, out=7, mode=mode, stride=8))
 
         cam_ok = True
         for seed in range(10):

@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import check_op_gradients, per_image_pool_merge, single_roi_max_pool
+from helpers import cell_aligned_roi, check_op_gradients, crop_pixels, per_image_pool_merge, single_roi_max_pool
 
 from sanlab import autograd as ag
 from sanlab.autograd import Parameter, Tensor
 from sanlab.backbone import (
     BACKBONE_BLOCKS,
+    ROI_OUT,
     Backbone,
     Image,
     RoI,
     cam_scale_sweep,
-    crop_pixels,
     extract_reference_feature,
     roi_pool,
 )
@@ -177,13 +177,13 @@ class TestRoiPool:
         feat = Tensor(r.normal(size=(1, 4, 16, 16)).astype(np.float32))
         roi = RoI(x1=3 * 8, y1=2 * 8, x2=10 * 8, y2=9 * 8)  # exactly 7x7 cells
         for mode in ("avg", "max"):
-            out = roi_pool([feat], [roi], [0], out=7, mode=mode, stride=8)
+            out = roi_pool([feat], [roi], [0], mode=mode)
             assert np.array_equal(out.data, feat.data[:, :, 2:9, 3:10])
 
     def test_constant_map_both_modes(self):
         feat = Tensor(np.full((1, 3, 12, 12), 0.73, dtype=np.float32))
         for mode in ("avg", "max"):
-            out = roi_pool([feat], [RoI(x1=5.0, y1=9.0, x2=55.0, y2=77.0)], [0], out=7, mode=mode, stride=8)
+            out = roi_pool([feat], [RoI(x1=5.0, y1=9.0, x2=55.0, y2=77.0)], [0], mode=mode)
             assert np.allclose(out.data, 0.73, atol=1e-6)
 
     @pytest.mark.parametrize("mode", ["avg", "max"])
@@ -193,17 +193,18 @@ class TestRoiPool:
         feat_arr = r.integers(0, 256, size=(1, 5, 16, 16)).astype(np.float32)
         x1, y1 = r.uniform(0, 100, 2)
         roi = RoI(x1=x1, y1=y1, x2=x1 + r.uniform(4, 120), y2=y1 + r.uniform(4, 120))
-        got = roi_pool([Tensor(feat_arr)], [roi], [0], out=7, mode=mode, stride=8).data
+        got = roi_pool([Tensor(feat_arr)], [roi], [0], mode=mode).data
         expected = naive_roi_pool(feat_arr, roi, out=7, mode=mode, stride=8)
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("mode", ["avg", "max"])
     def test_gradients_match_fd(self, mode):
+        """The RoI reads 8x8 cells, so every bin of the 7x7 grid spans two."""
         r = np.random.default_rng(42)
         roi = RoI(x1=10.3, y1=4.7, x2=70.2, y2=60.1)
 
         def build(t):
-            pooled = roi_pool([t["feat"]], [roi], [0], out=3, mode=mode, stride=8)
+            pooled = roi_pool([t["feat"]], [roi], [0], mode=mode)
             return ag.sum_all(ag.mul(pooled, pooled))
 
         # permuted evenly spaced values: random but far from max-pool ties
@@ -223,15 +224,15 @@ class TestRoiPool:
         rois.append(RoI(x1=-30.0, y1=100.0, x2=20.0, y2=400.0))  # clamped at two edges
         feat_arr = r.integers(0, 256, size=(1, 5, 16, 16)).astype(np.float32)
         slots = [0] * len(rois)
-        batched = roi_pool([Tensor(feat_arr)], rois, slots, out=7, stride=8).data
+        batched = roi_pool([Tensor(feat_arr)], rois, slots).data
         assert batched.shape == (len(rois), 5, 7, 7)
         for n, roi in enumerate(rois):
             assert np.array_equal(batched[n : n + 1], naive_roi_pool(feat_arr, roi, out=7, mode="avg", stride=8))
         real = Tensor(r.normal(size=(1, 5, 16, 16)).astype(np.float32))
-        batched = roi_pool([real], rois, slots, out=7, stride=8).data
+        batched = roi_pool([real], rois, slots).data
         for n, roi in enumerate(rois):
-            assert np.array_equal(batched[n : n + 1], roi_pool([real], [roi], [0], out=7, stride=8).data)
-            assert np.array_equal(batched[n : n + 1], roi_pool([real], [roi], [0], out=7, mode="avg", stride=8).data)
+            assert np.array_equal(batched[n : n + 1], roi_pool([real], [roi], [0]).data)
+            assert np.array_equal(batched[n : n + 1], roi_pool([real], [roi], [0], mode="avg").data)
 
     def test_batched_avg_gradients_match_fd(self):
         r = np.random.default_rng(43)
@@ -240,10 +241,10 @@ class TestRoiPool:
             RoI(x1=0.0, y1=30.0, x2=33.0, y2=80.0),  # overlaps the first
             RoI(x1=-5.0, y1=-5.0, x2=200.0, y2=24.0),  # clamped
         ]
-        weights = Tensor(r.normal(size=(3, 2, 3, 3)))
+        weights = Tensor(r.normal(size=(3, 2, ROI_OUT, ROI_OUT)))
 
         def build(t):
-            pooled = roi_pool([t["feat"]], rois, [0, 0, 0], out=3, stride=8)
+            pooled = roi_pool([t["feat"]], rois, [0, 0, 0])
             return ag.sum_all(ag.mul(ag.mul(pooled, pooled), weights))
 
         check_op_gradients(build, {"feat": r.normal(size=(1, 2, 10, 10))}, context="roi_pool avg")
@@ -261,17 +262,17 @@ class TestRoiPool:
     def test_multi_map_gradients_match_fd(self):
         r = np.random.default_rng(44)
         unread = Tensor(r.normal(size=(1, 2, 6, 6)), requires_grad=True)
-        weights = Tensor(r.normal(size=(len(self.MULTI_ROIS), 2, 3, 3)))
+        weights = Tensor(r.normal(size=(len(self.MULTI_ROIS), 2, ROI_OUT, ROI_OUT)))
 
         def build(t):
-            pooled = roi_pool([t["a"], unread, t["b"]], self.MULTI_ROIS, self.MULTI_SLOTS, out=3, stride=8)
+            pooled = roi_pool([t["a"], unread, t["b"]], self.MULTI_ROIS, self.MULTI_SLOTS)
             return ag.sum_all(ag.mul(ag.mul(pooled, pooled), weights))
 
         arrays = {"a": r.normal(size=(1, 2, 10, 10)), "b": r.normal(size=(1, 2, 7, 12))}
         check_op_gradients(build, arrays, context="multi-map roi_pool avg")
         assert unread.grad is None
         a, b = Tensor(arrays["a"], requires_grad=True), Tensor(arrays["b"], requires_grad=True)
-        node = roi_pool([a, unread, b], self.MULTI_ROIS, self.MULTI_SLOTS, out=3, stride=8)
+        node = roi_pool([a, unread, b], self.MULTI_ROIS, self.MULTI_SLOTS)
         assert len(node._parents) == 2 and node._parents[0] is a and node._parents[1] is b
 
     @pytest.mark.parametrize(
@@ -312,43 +313,19 @@ class TestRoiPool:
         order = r.permutation(len(rois))
         return arrays, [rois[i] for i in order], [slots[i] for i in order], r
 
-    @pytest.mark.parametrize(
-        ("out", "dtype"),
-        [(7, np.float32), (7, np.float64), (15, np.float32), (15, np.float64)],
-        ids=["float32", "float64", "out15-float32", "out15-float64"],
-    )
-    def test_every_cell_span_is_bitwise_the_per_image_merge(self, out, dtype):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_every_cell_span_is_bitwise_the_per_image_merge(self, dtype):
         """Full-map bin matrices against one pooling node per image, on
-        every cell span: rows and map gradients are equal bit for bit, at
-        the package's out = 7 and at 15, the longest bin sum checked."""
-        self.assert_bitwise_per_image_merge(*self.every_cell_span(dtype), out=out)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_one_bin_rows_are_each_roi_pooled_alone(self, dtype):
-        """At out = 1 every column product is one column wide (a
-        matrix-vector product), so rows need not match one pooling node per
-        map, which multiplies per channel; each row still equals its RoI
-        pooled alone, bit for bit.  The map gradients equal the per-image
-        merge's: every backward product has one term."""
-        arrays, rois, slots, r = self.every_cell_span(dtype)
-        maps = [Tensor(a, requires_grad=True) for a in arrays]
-        pooled = roi_pool(maps, rois, slots, out=1, stride=8)
-        alone = [roi_pool([maps[s]], [roi], [0], out=1, stride=8).data for roi, s in zip(rois, slots)]
-        assert np.array_equal(pooled.data, np.concatenate(alone))
-        weights = Tensor(r.normal(size=pooled.shape).astype(dtype))
-        ag.sum_all(ag.mul(pooled, weights)).backward()
-        oracle = [Tensor(a, requires_grad=True) for a in arrays]
-        ag.sum_all(ag.mul(per_image_pool_merge(oracle, rois, slots, out=1, stride=8), weights)).backward()
-        for got, want in zip(maps, oracle):
-            assert np.array_equal(got.grad, want.grad)
+        every cell span: rows and map gradients are equal bit for bit."""
+        self.assert_bitwise_per_image_merge(*self.every_cell_span(dtype))
 
     @staticmethod
-    def assert_bitwise_per_image_merge(arrays, rois, slots, r, out=7):
-        weights = Tensor(r.normal(size=(len(rois), arrays[0].shape[1], out, out)).astype(arrays[0].dtype))
+    def assert_bitwise_per_image_merge(arrays, rois, slots, r):
+        weights = Tensor(r.normal(size=(len(rois), arrays[0].shape[1], ROI_OUT, ROI_OUT)).astype(arrays[0].dtype))
         results = []
         for pool in (roi_pool, per_image_pool_merge):
             maps = [Tensor(a, requires_grad=True) for a in arrays]
-            pooled = pool(maps, rois, slots, out=out, stride=8)
+            pooled = pool(maps, rois, slots)
             ag.sum_all(ag.mul(pooled, weights)).backward()
             results.append((pooled.data, [m.grad for m in maps]))
         (got, got_grads), (want, want_grads) = results
@@ -364,12 +341,12 @@ class TestRoiPool:
         arrays, rois, slots, _ = self.every_cell_span(np.float64)
         arrays[0] = arrays[0].astype(np.float32)
         for mode in ("avg", "max"):
-            got = roi_pool([Tensor(a) for a in arrays], rois, slots, out=7, mode=mode, stride=8).data
-            upcast = roi_pool([Tensor(a.astype(np.float64)) for a in arrays], rois, slots, out=7, mode=mode, stride=8)
+            got = roi_pool([Tensor(a) for a in arrays], rois, slots, mode=mode).data
+            upcast = roi_pool([Tensor(a.astype(np.float64)) for a in arrays], rois, slots, mode=mode)
             assert got.dtype == np.float64
             assert np.array_equal(got, upcast.data)
             only_f32 = [roi for roi, s in zip(rois, slots) if s == 0]
-            alone = roi_pool([Tensor(a) for a in arrays], only_f32, [0] * len(only_f32), out=7, mode=mode, stride=8)
+            alone = roi_pool([Tensor(a) for a in arrays], only_f32, [0] * len(only_f32), mode=mode)
             assert alone.dtype == np.float32
 
     # (map, rows) of each one-row map in the batched maps [a, b] + [c] + [d, e, f]
@@ -392,10 +369,10 @@ class TestRoiPool:
         ]
         weights = Tensor(r.normal(size=(len(rois), 4, 7, 7)).astype(np.float32))
         one_row = [Tensor(a, requires_grad=True) for a in arrays]
-        want = roi_pool(one_row, rois, slots, out=7, mode=mode, stride=8)
+        want = roi_pool(one_row, rois, slots, mode=mode)
         ag.sum_all(ag.mul(want, weights)).backward()
         batched = [Tensor(np.concatenate([arrays[i] for i in rows]), requires_grad=True) for _, rows in self.BATCHED]
-        got = roi_pool(batched, rois, slots, out=7, mode=mode, stride=8)
+        got = roi_pool(batched, rois, slots, mode=mode)
         assert got._parents == (batched[0], batched[2])
         ag.sum_all(ag.mul(got, weights)).backward()
         assert np.array_equal(got.data, want.data)
@@ -473,14 +450,14 @@ class TestRoiPool:
         for n, (roi, s) in enumerate(zip(rois, slots)):
             only_n = np.zeros_like(weights)
             only_n[n] = weights[n]
-            got, got_grads = grads_of(lambda maps: roi_pool(maps, rois, slots, out=7, mode="max", stride=8), only_n)
-            want, want_grads = grads_of(lambda maps: single_roi_max_pool(maps[s], roi, 7, 8), weights[n : n + 1])
+            got, got_grads = grads_of(lambda maps: roi_pool(maps, rois, slots, mode="max"), only_n)
+            want, want_grads = grads_of(lambda maps: single_roi_max_pool(maps[s], roi), weights[n : n + 1])
             assert np.array_equal(got[n : n + 1], want)
             for k, g in enumerate(got_grads):
                 assert (g is None) == (k not in slots)
                 assert g is None or np.array_equal(g, want_grads[s] if k == s else np.zeros_like(g))
-            summed[s] += grads_of(lambda maps: single_roi_max_pool(maps[s], roi, 7, 8), int_weights[n : n + 1])[1][s]
-        _, batch_grads = grads_of(lambda maps: roi_pool(maps, rois, slots, out=7, mode="max", stride=8), int_weights)
+            summed[s] += grads_of(lambda maps: single_roi_max_pool(maps[s], roi), int_weights[n : n + 1])[1][s]
+        _, batch_grads = grads_of(lambda maps: roi_pool(maps, rois, slots, mode="max"), int_weights)
         for k, g in enumerate(batch_grads):
             assert g is None or np.array_equal(g, summed[k])
 
@@ -497,10 +474,10 @@ class TestRoiPool:
         ]
         slots = [0, 2, 0, 2]
         unread = Tensor(r.normal(size=(1, 2, 6, 6)), requires_grad=True)
-        weights = Tensor(r.normal(size=(len(rois), 2, 3, 3)))
+        weights = Tensor(r.normal(size=(len(rois), 2, ROI_OUT, ROI_OUT)))
 
         def build(t):
-            pooled = roi_pool([t["a"], unread, t["b"]], rois, slots, out=3, mode="max", stride=8)
+            pooled = roi_pool([t["a"], unread, t["b"]], rois, slots, mode="max")
             return ag.sum_all(ag.mul(ag.mul(pooled, pooled), weights))
 
         # permuted evenly spaced values: random but far from max-pool ties;
@@ -511,7 +488,7 @@ class TestRoiPool:
         check_op_gradients(build, arrays, context="multi-map roi_pool max")
         assert unread.grad is None
         a_t, b_t = Tensor(arrays["a"], requires_grad=True), Tensor(arrays["b"], requires_grad=True)
-        node = roi_pool([a_t, unread, b_t], rois, slots, out=3, mode="max", stride=8)
+        node = roi_pool([a_t, unread, b_t], rois, slots, mode="max")
         assert len(node._parents) == 2 and node._parents[0] is a_t and node._parents[1] is b_t
         for n in (0, 2):  # both RoIs on map a pool the shared cell's value
             assert np.array_equal(node.data[n].max(axis=(1, 2)), a[0, :, 4, 4])
@@ -521,34 +498,36 @@ class TestRoiPool:
         roi = RoI(x1=0, y1=0, x2=16, y2=16)
         for slots in ([0], [0, 1, 0], [2, 0], [-1, 0]):
             with pytest.raises(ShapeError, match="slot"):
-                roi_pool(maps, [roi, roi], slots, stride=8)
+                roi_pool(maps, [roi, roi], slots)
         with pytest.raises(ShapeError, match="channel"):
-            roi_pool(maps + [Tensor(np.zeros((1, 3, 8, 8)))], [roi, roi], [0, 2], stride=8)
+            roi_pool(maps + [Tensor(np.zeros((1, 3, 8, 8)))], [roi, roi], [0, 2])
         with pytest.raises(RoiError):
-            roi_pool(maps, [], [], stride=8)
+            roi_pool(maps, [], [])
         two = [Tensor(np.zeros((2, 2, 8, 8))), Tensor(np.zeros((1, 2, 6, 6)))]  # slots 0-2
-        roi_pool(two, [roi, roi], [1, 2], stride=8)
+        roi_pool(two, [roi, roi], [1, 2])
         with pytest.raises(ShapeError, match=r"slot in \[0, 3\)"):
-            roi_pool(two, [roi, roi], [0, 3], stride=8)
+            roi_pool(two, [roi, roi], [0, 3])
         with pytest.raises(ShapeError, match="NxCxhxw"):
-            roi_pool([Tensor(np.zeros((2, 8, 8)))], [roi], [0], stride=8)
+            roi_pool([Tensor(np.zeros((2, 8, 8)))], [roi], [0])
 
     @pytest.mark.parametrize("geometry", [{"out": 0}, {"out": -1}, {"stride": 0}, {"stride": -8}])
     def test_bad_out_or_stride_rejected(self, geometry):
+        """The grid and the stride belong to the architecture (ROI_OUT,
+        Backbone.total_stride): roi_pool takes neither as an argument."""
         feat = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))
         for mode in ("avg", "max"):
-            with pytest.raises(ShapeError, match="out >= 1 and stride >= 1"):
-                roi_pool([feat], [RoI(x1=0, y1=0, x2=16, y2=16)], [0], mode=mode, **{"stride": 8, **geometry})
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                roi_pool([feat], [RoI(x1=0, y1=0, x2=16, y2=16)], [0], mode=mode, **geometry)
 
     def test_degenerate_roi_errors(self):
         feat = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))
         with pytest.raises(RoiError):
-            roi_pool([feat], [RoI(x1=900.0, y1=900.0, x2=950.0, y2=950.0)], [0], stride=8)
+            roi_pool([feat], [RoI(x1=900.0, y1=900.0, x2=950.0, y2=950.0)], [0])
 
     def test_bad_mode_rejected(self):
         feat = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))
         with pytest.raises(ShapeError, match="mode"):
-            roi_pool([feat], [RoI(x1=0, y1=0, x2=8, y2=8)], [0], mode="median", stride=8)
+            roi_pool([feat], [RoI(x1=0, y1=0, x2=8, y2=8)], [0], mode="median")
 
 
 class TestReferenceFeature:
@@ -580,8 +559,67 @@ class TestReferenceFeature:
 
     def test_crop_outside_image_errors(self):
         img = make_image(seed=1)
-        with pytest.raises(RoiError):
-            crop_pixels(img, RoI(x1=200.0, y1=200.0, x2=220.0, y2=210.0))
+        with pytest.raises(RoiError, match="reads no cell"):
+            extract_reference_feature(img, RoI(x1=200.0, y1=200.0, x2=220.0, y2=210.0), 48, Backbone.small(seed=1))
+
+
+class TestCellFootprint:
+    """`Backbone.cell_footprint` against the crop the reference pathway made
+    before it: the RoI snapped to the stride grid and clamped to the image
+    (`cell_aligned_roi`), then cropped (`crop_pixels`)."""
+
+    @staticmethod
+    def random_rois(r, h, w, n):
+        """RoIs inside, across the edges of and wholly outside an h x w
+        image, up to 20 pixels beyond it, some thinner than a pixel."""
+        x1 = r.uniform(-20.0, w + 20.0, n)
+        y1 = r.uniform(-20.0, h + 20.0, n)
+        widths = np.where(r.random(n) < 0.1, r.uniform(0.01, 1.0, n), r.uniform(1.0, w + 20.0, n))
+        heights = np.where(r.random(n) < 0.1, r.uniform(0.01, 1.0, n), r.uniform(1.0, h + 20.0, n))
+        return [RoI(x1=a, y1=b, x2=a + dw, y2=b + dh) for a, b, dw, dh in zip(x1, y1, widths, heights)]
+
+    @staticmethod
+    def footprint(img, roi):
+        """(y0, y1, x0, x1) of the RoI's cell footprint on the image."""
+        return (*Backbone.cell_footprint(roi.y1, roi.y2, img.height), *Backbone.cell_footprint(roi.x1, roi.x2, img.width))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_crop_is_the_snapped_roi_crop(self, seed):
+        """The snapped RoI's bounds and crop, and RoiError on the same RoIs,
+        on image sides that are not multiples of the stride."""
+        r = np.random.default_rng(seed)
+        stride = Backbone.total_stride
+        raised = 0
+        for _ in range(8):
+            h, w = (int(v) for v in r.choice([s for s in range(16, 130) if s % stride], size=2))
+            img = Image(pixels=Tensor(np.arange(3 * h * w, dtype=np.float32).reshape(1, 3, h, w)))
+            for roi in self.random_rois(r, h, w, 60):
+                try:
+                    snapped = cell_aligned_roi(roi, stride, w, h)
+                    want = crop_pixels(img, snapped)
+                except RoiError:
+                    with pytest.raises(RoiError):
+                        self.footprint(img, roi)
+                    raised += 1
+                    continue
+                y0, y1, x0, x1 = self.footprint(img, roi)
+                assert (y0, y1, x0, x1) == (snapped.y1, snapped.y2, snapped.x1, snapped.x2), (roi, h, w)
+                assert np.array_equal(img.pixels.data[:, :, y0:y1, x0:x1], want)
+        assert 0 < raised < 8 * 60
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_roi_crop_widens_the_footprint_by_one_stride(self, seed):
+        r = np.random.default_rng(100 + seed)
+        for size in r.integers(16, 130, size=20).tolist():
+            for lo, hi in r.uniform(-20.0, size + 20.0, size=(20, 2)):
+                lo, hi = min(lo, hi), max(lo, hi) + 0.5
+                try:
+                    start, stop = Backbone.cell_footprint(lo, hi, size)
+                except RoiError:
+                    with pytest.raises(RoiError):
+                        Backbone.roi_crop(lo, hi, size)
+                    continue
+                assert Backbone.roi_crop(lo, hi, size) == (max(0, start - Backbone.total_stride), stop)
 
 
 class TestCamScaleSweep:

@@ -27,6 +27,18 @@ def tree_digest(root: Path) -> dict:
     return out
 
 
+def relabelled_copy(data: Path, dest: Path, class_id: int) -> Path:
+    """A copy of a data split whose first object has class ``class_id``."""
+    shutil.copytree(data, dest)
+    manifest = dest / "manifest.txt"
+    manifest.write_text(re.sub(r"^\d+ ", f"{class_id} ", manifest.read_text(), count=1, flags=re.M))
+    return dest
+
+
+# a class id the model cannot have -> what the error names
+BAD_CLASS_IDS = {0: ("manifest.txt", "0 is the background label"), 7: ("class 7", "num_classes=3")}
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """One shared gen-data + short train for the read-only command tests."""
@@ -283,6 +295,16 @@ class TestTrain:
         assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not (out / "checkpoint.san").exists()
 
+    @pytest.mark.parametrize("class_id", BAD_CLASS_IDS, ids=["background", "above-num-classes"])
+    def test_class_id_the_model_cannot_have_is_an_error(self, small_run, tmp_path, capsys, class_id):
+        data = relabelled_copy(small_run[0], tmp_path / "data", class_id)
+        out = tmp_path / "x"
+        rc = main(["train", "--out-dir", str(out), "--data-dir", str(data), "--iterations", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and all(part in err for part in BAD_CLASS_IDS[class_id]), err
+        assert not (out / "checkpoint.san").exists()
+
     def test_partitions_flag_must_match_boundaries(self, small_run, tmp_path):
         data, _ = small_run
         rc = main(
@@ -374,6 +396,16 @@ class TestEval:
         rc = main(["eval", "--out-dir", str(out), "--data-dir", str(data), "--checkpoint", ckpt, "--n-neg", "0", "--n-pos-jitter", "0"])
         assert rc == 2
         assert "error: n_pos_jitter and n_neg are both 0" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("class_id", BAD_CLASS_IDS, ids=["background", "above-num-classes"])
+    def test_class_id_the_model_cannot_have_is_an_error(self, small_run, tmp_path, capsys, class_id):
+        data = relabelled_copy(small_run[0], tmp_path / "data", class_id)
+        out = tmp_path / "e"
+        rc = main(["eval", "--out-dir", str(out), "--data-dir", str(data), "--checkpoint", str(small_run[1] / "checkpoint.san")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and all(part in err for part in BAD_CLASS_IDS[class_id]), err
         assert not (out / "metrics.json").exists()
 
     def test_bad_checkpoint_errors(self, small_run, tmp_path):

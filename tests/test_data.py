@@ -113,7 +113,6 @@ class TestProposals:
         for _ in range(50):
             for p in make_proposals(gts, 4, 6, rng, 96):
                 assert p.x2 > p.x1 and p.y2 > p.y1
-                assert p.intersects_image(96, 96)
                 assert 0 <= p.x1 and p.x2 <= 96 and 0 <= p.y1 and p.y2 <= 96
 
     def test_deterministic_under_seed(self):

@@ -16,7 +16,6 @@ from sanlab.san import (
     SanModule,
     SanSubNetwork,
     ScalePartitionScheme,
-    correct,
     fuse,
     init_gaussian,
     init_identity,
@@ -206,17 +205,19 @@ class TestCorrect:
             assert np.abs(pre).min() > 0.01
 
         def build(t):
-            return ag.sum_all(ag.mul(correct(t["x"], parts, self.module_from(t, c)), upstream))
+            return ag.sum_all(ag.mul(san_forward(t["x"], parts, self.module_from(t, c)), upstream))
 
-        check_op_gradients(build, arrays, context=f"correct{parts}")
+        check_op_gradients(build, arrays, context=f"san_forward{parts}")
 
     def test_san_forward_takes_one_partition_or_one_id_per_row(self):
         m = SanModule.create(TOY_SCHEME, c_feat=4)
         init_gaussian(m, std=0.5, seed=8)
         x = Tensor(np.random.default_rng(9).normal(size=(3, 4, 2, 2)).astype(np.float32))
-        assert np.array_equal(san_forward(x, 2, m).data, correct(x, [2, 2, 2], m).data)
-        assert np.array_equal(san_forward(x, np.int64(2), m).data, correct(x, [2, 2, 2], m).data)
-        assert np.array_equal(san_forward(x, [1, 0, 1], m).data, correct(x, [1, 0, 1], m).data)
+        per_row = san_forward(x, [2, 2, 2], m).data
+        assert np.array_equal(san_forward(x, 2, m).data, per_row)
+        assert np.array_equal(san_forward(x, np.int64(2), m).data, per_row)
+        rows = [san_forward(Tensor(x.data[n : n + 1]), p, m).data for n, p in enumerate([1, 0, 1])]
+        assert np.array_equal(san_forward(x, [1, 0, 1], m).data, np.concatenate(rows))
 
     @pytest.mark.parametrize(
         "parts", [[0, 1], [0, 1, 2, 0], [0, 3, 1], [0, -1, 1], [0, 1.5, 1]],
@@ -225,7 +226,7 @@ class TestCorrect:
     def test_bad_partition_ids(self, parts):
         m = SanModule.create(TOY_SCHEME, c_feat=4)
         with pytest.raises(ShapeError):
-            correct(Tensor(np.zeros((3, 4, 1, 1), dtype=np.float32)), parts, m)
+            san_forward(Tensor(np.zeros((3, 4, 1, 1), dtype=np.float32)), parts, m)
 
     @pytest.mark.parametrize("gate", [False, True], ids=["sum", "identity-zero-fusion"])
     @pytest.mark.parametrize("parts", PART_CASES.values(), ids=PART_CASES.keys())
@@ -256,7 +257,7 @@ class TestCorrect:
                 p.grad = None
             return [fused.data, terms.data] + grads
 
-        got = run(lambda x: correct(x, parts, m), lambda: san_loss_branch(Tensor(feat), parts, m, Tensor(r_tilde)))
+        got = run(lambda x: san_forward(x, parts, m), lambda: san_loss_branch(Tensor(feat), parts, m, Tensor(r_tilde)))
         want = run(
             lambda x: split_correct_merge(x, parts, m), lambda: per_partition_loss_branch(feat, parts, m, r_tilde)
         )

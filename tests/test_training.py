@@ -18,7 +18,7 @@ from test_backbone import naive_roi_pool
 import sanlab
 from sanlab import autograd as ag
 from sanlab.autograd import Tensor
-from sanlab.backbone import Backbone, Image, RoI, cell_aligned_roi, extract_reference_feature, roi_pool
+from sanlab.backbone import Backbone, Image, RoI, extract_reference_feature, roi_pool
 from sanlab.data import Annotation, DatasetConfig, generate_dataset, load_dataset, write_dataset
 from sanlab.errors import CheckpointError, ConfigError, RoiError
 from sanlab.san import TOY_SCHEME, ScalePartitionScheme, partition_index
@@ -178,14 +178,12 @@ class TestStepBatch:
 
 class TestCellAlignment:
     def test_snaps_outward_to_stride(self):
-        roi = RoI(x1=10.0, y1=17.0, x2=29.0, y2=30.0)
-        snapped = cell_aligned_roi(roi, 8, 96, 96)
-        assert (snapped.x1, snapped.y1, snapped.x2, snapped.y2) == (8.0, 16.0, 32.0, 32.0)
+        assert Backbone.cell_footprint(10.0, 29.0, 96) == (8, 32)
+        assert Backbone.cell_footprint(17.0, 30.0, 96) == (16, 32)
 
     def test_clamps_to_image(self):
-        roi = RoI(x1=1.0, y1=1.0, x2=95.0, y2=95.0)
-        snapped = cell_aligned_roi(roi, 8, 96, 96)
-        assert (snapped.x1, snapped.y1, snapped.x2, snapped.y2) == (0.0, 0.0, 96.0, 96.0)
+        assert Backbone.cell_footprint(1.0, 95.0, 96) == (0, 96)
+        assert Backbone.cell_footprint(-7.5, 93.0, 90) == (0, 90)
 
     def test_batched_references_match_single(self, tiny_dataset):
         model = build_model(tiny_config())
@@ -203,8 +201,9 @@ class TestCellAlignment:
         bb = build_model(tiny_config()).backbone
         img = tiny_dataset[0][0]
         roi = RoI(x1=10.0, y1=17.0, x2=53.5, y2=61.0)
-        snapped = cell_aligned_roi(roi, bb.total_stride, img.width, img.height)
-        assert snapped != roi
+        (y1, y2), (x1, x2) = bb.cell_footprint(roi.y1, roi.y2, img.height), bb.cell_footprint(roi.x1, roi.x2, img.width)
+        snapped = RoI(x1=x1, y1=y1, x2=x2, y2=y2)
+        assert (x1, y1, x2, y2) == (8, 16, 56, 64)
         got = extract_reference_feature(img, roi, 48, bb)
         assert np.array_equal(got.data, extract_reference_feature(img, snapped, 48, bb).data)
         assert not got.requires_grad
@@ -220,9 +219,8 @@ class TestSplitCorrectMerge:
         batch = build_step_batch(tiny_dataset, cfg, step=1)
         feats = [model.backbone.forward(img.pixels) for img in batch.images]
         merged, _ = forward_roi_features(model, feats, batch.rois, batch.image_slot)
-        stride = model.backbone.total_stride
         for row, (roi, slot) in enumerate(zip(batch.rois, batch.image_slot)):
-            pooled = roi_pool([feats[slot]], [roi], [0], out=7, mode="avg", stride=stride)
+            pooled = roi_pool([feats[slot]], [roi], [0], mode="avg")
             part = partition_index(roi.area, model.scheme)
             single = fuse(pooled, san_forward(pooled, part, model.san), alpha=model.san.fusion_alpha)
             assert np.array_equal(merged.data[row], single.data[0])
@@ -262,7 +260,7 @@ class TestSplitCorrectMerge:
             RoI(x1=0.0, y1=0.0, x2=96.0, y2=96.0),
         ]
         slots = [1, 0, 1, 1, 0]
-        pooled = roi_pool([Tensor(m) for m in maps], rois, slots, out=7, stride=8).data
+        pooled = roi_pool([Tensor(m) for m in maps], rois, slots).data
         for n, (roi, s) in enumerate(zip(rois, slots)):
             assert np.array_equal(pooled[n : n + 1], naive_roi_pool(maps[s], roi, out=7, mode="avg", stride=8))
 
@@ -272,9 +270,8 @@ class TestSplitCorrectMerge:
         batch = build_step_batch(tiny_dataset, cfg, step=0)
         feats = [model.backbone.forward(img.pixels) for img in batch.images]
         merged, _ = forward_roi_features(model, feats, batch.rois, batch.image_slot)
-        stride = model.backbone.total_stride
         for row, (roi, slot) in enumerate(zip(batch.rois, batch.image_slot)):
-            pooled = roi_pool([feats[slot]], [roi], [0], out=7, mode="avg", stride=stride)
+            pooled = roi_pool([feats[slot]], [roi], [0], mode="avg")
             assert np.array_equal(merged.data[row], pooled.data[0])
 
 
@@ -310,7 +307,6 @@ class TestGradientBlocking:
             batch = build_step_batch(tiny_dataset, cfg, step=0)
             parts = compute_step_losses(model, batch, cfg, include_san_loss=True)
 
-            stride = model.backbone.total_stride
             feats = [model.backbone.forward(img.pixels) for img in batch.images]
             acc = None
             for j in batch.san_indices:
@@ -318,7 +314,7 @@ class TestGradientBlocking:
                 img = batch.images[batch.image_slot[j]]
                 r_tilde = reference_feature_for_roi(img, roi, model.scheme.ref_scale, model.backbone)
                 pooled = ag.global_avg_pool(
-                    roi_pool([feats[batch.image_slot[j]]], [roi], [0], out=7, mode=cfg.san_pool, stride=stride)
+                    roi_pool([feats[batch.image_slot[j]]], [roi], [0], mode=cfg.san_pool)
                 )
                 term = ag.sum_all(ag.smooth_l1(ag.sub(pooled, r_tilde)))
                 acc = term if acc is None else ag.add(acc, term)
