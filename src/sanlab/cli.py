@@ -3,12 +3,13 @@ two analysis instruments (channel-activation matrix, scale-space RMSE).
 
 Each command has one settings table, setting -> default (`SETTINGS`),
 filled from what the settings feed: DatasetConfig (gen-data), the
-TrainingConfig front end plus --partitions (train), evaluate_detector's and
-compute_cam's defaults (eval, cam).  Every entry is both a --kebab-case flag
-and a key of flat `key = value` config files (# comments allowed); flags
-override the file, and the seed falls back to SANLAB_SEED.  `rmse` routes
-with the checkpoint's own scheme.  Every command writes run-meta.json with
-the fully resolved configuration and exits 0 only if all outputs were written.
+TrainingConfig front end (train), evaluate_detector's and compute_cam's
+defaults (eval, cam).  Every entry is both a --kebab-case flag and a key of
+flat `key = value` config files (# comments allowed); flags override the
+file, and for the commands that take a seed (gen-data, train, eval) it falls
+back to SANLAB_SEED.  `rmse` routes with the checkpoint's own scheme.  Every
+command writes run-meta.json with the fully resolved configuration and exits
+0 only if all outputs were written.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .data import (
     DatasetConfig,
     generate_dataset_with_stats,
     load_dataset,
+    read_file,
     read_ppm,
     scale_statistics,
     write_dataset,
@@ -69,17 +71,16 @@ _SCALE_MIN, _SCALE_MAX = DatasetConfig.scale_range
 
 SETTINGS = {
     "gen-data": _DATASET_FIELDS | {"num_images": 200, "scale_min": _SCALE_MIN, "scale_max": _SCALE_MAX},
-    "train": front_end_defaults() | {"partitions": None},
+    "train": front_end_defaults(),
     "eval": {"seed": 0, "n_pos_jitter": EVAL_N_POS_JITTER, "n_neg": EVAL_N_NEG},
-    "cam": {"seed": 0, "scales": "16,24,32,48,64,96", "cam_k": CAM_K, "normalize_rois": 0, "ref_scale": None},
-    "rmse": {"seed": 0, "scales": ""},
+    "cam": {"scales": "16,24,32,48,64,96", "cam_k": CAM_K, "normalize_rois": 0, "ref_scale": None},
+    "rmse": {"scales": ""},
 }
 
 # A setting's flag parses its value as the default's type, except where this
 # says otherwise: a None default, a fixed set of values, a switch for 0/1.
 _FLAG_OPTIONS = {
     "ref_scale": {"type": int},
-    "partitions": {"type": int},
     "boundaries": {"type": str},
     "scheme": {"type": str, "choices": sorted(SCHEME_PRESETS)},
     "normalize_rois": {"action": "store_const", "const": 1},
@@ -105,7 +106,7 @@ def _parse(parse, text: str, what: str):
 def parse_config_file(path: Path) -> dict:
     """Flat key = value lines; '#' starts a comment; unknown keys rejected."""
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_file(path, text=True).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -121,12 +122,13 @@ def parse_config_file(path: Path) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Layer the command's defaults <- config file <- CLI flags; resolve the seed chain."""
+    """Layer the command's defaults <- config file <- CLI flags; a command
+    that takes a seed falls back to SANLAB_SEED for it."""
     defaults = SETTINGS[args.command]
     file_vals = parse_config_file(args.config) if args.config else {}
     flags = {key: getattr(args, key) for key in defaults}
     resolved = defaults | file_vals | {key: val for key, val in flags.items() if val is not None}
-    if args.seed is None and "seed" not in file_vals:
+    if "seed" in defaults and args.seed is None and "seed" not in file_vals:
         env = os.environ.get(SEED_ENV_VAR)
         if env is not None:
             resolved["seed"] = _parse(int, env, SEED_ENV_VAR)
@@ -172,14 +174,7 @@ def cmd_train(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
     dataset = load_dataset(Path(args.data_dir))
     text = settings["boundaries"]
     boundaries = _parse(lambda t: tuple(float(b) for b in t.split(",")), text, "boundaries") if text else None
-    cfg = config_from_front_end(settings | {"boundaries": boundaries})
-    n = settings["partitions"]
-    if n is not None and n != cfg.scheme.num_partitions:
-        raise SanlabError(
-            f"--partitions {n} contradicts the {cfg.scheme.num_partitions}-partition scheme "
-            f"(boundaries {cfg.scheme.boundaries})"
-        )
-    result = train(dataset, cfg)
+    result = train(dataset, config_from_front_end(settings | {"boundaries": boundaries}))
     save_checkpoint(out_dir / "checkpoint.san", result.model)
     write_log_csv(out_dir / "train_log.csv", result.log_rows)
     return {"data_dir": str(args.data_dir)}

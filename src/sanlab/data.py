@@ -270,6 +270,16 @@ def scale_statistics(dataset: list[tuple[Image, list[Annotation]]]) -> dict[int,
 # on-disk format
 
 
+def read_file(path: Path, text: bool = False, error: type[SanlabError] = SanlabError) -> bytes | str:
+    """The bytes of ``path``, or with ``text`` its UTF-8 text.  A file that
+    cannot be read or decoded raises ``error``, naming the path."""
+    try:
+        raw = Path(path).read_bytes()
+        return raw.decode("utf-8") if text else raw
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def write_ppm(path: Path, img: Image) -> None:
     px = img.pixels.data[0]  # 3xHxW in [0,1]
     arr = np.round(px * 255.0).astype(np.uint8).transpose(1, 2, 0)  # HxWx3
@@ -280,11 +290,7 @@ def write_ppm(path: Path, img: Image) -> None:
 
 def read_ppm(path: Path) -> np.ndarray:
     """Read a binary PPM into a 1x3xHxW float32 array in [0,1]."""
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as exc:
-        raise SanlabError(f"cannot read {path}: {exc}") from exc
+    raw = read_file(path)
     if not raw.startswith(b"P6"):
         raise SanlabError(f"{path} is not a binary PPM file")
     fields: list[bytes] = []
@@ -342,12 +348,10 @@ def load_dataset(data_dir: Path) -> list[tuple[Image, list[Annotation]]]:
     """Read a manifest + PPM tree back into memory."""
     data_dir = Path(data_dir)
     manifest = data_dir / "manifest.txt"
-    if not manifest.exists():
-        raise SanlabError(f"no manifest.txt under {data_dir}")
     dataset: list[tuple[Image, list[Annotation]]] = []
     current: list[Annotation] | None = None
     image_id = -1
-    for line in manifest.read_text().splitlines():
+    for line in read_file(manifest, text=True).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -362,7 +366,7 @@ def load_dataset(data_dir: Path) -> list[tuple[Image, list[Annotation]]]:
             dataset.append((Image(pixels=Tensor(px), id=image_id), current))
         else:
             if current is None:
-                raise SanlabError(f"manifest annotation before any image line: {line!r}")
+                raise SanlabError(f"{manifest}: annotation {line!r} before any image line")
             if len(parts) != 5:
                 raise SanlabError(f"{manifest}: expected 'class x1 y1 x2 y2', got {line!r}")
             try:
@@ -371,6 +375,8 @@ def load_dataset(data_dir: Path) -> list[tuple[Image, list[Annotation]]]:
                 raise SanlabError(f"{manifest}: bad annotation {line!r}: {exc}") from exc
             if class_id < 1:
                 raise SanlabError(f"{manifest}: class id in {line!r} must be at least 1; 0 is the background label")
+            if not all(map(math.isfinite, coords)):
+                raise SanlabError(f"{manifest}: box coordinates in {line!r} must be finite")
             x1, y1, x2, y2 = coords
             current.append(Annotation(box=RoI(x1=x1, y1=y1, x2=x2, y2=y2, image_id=image_id), class_id=class_id))
     return dataset

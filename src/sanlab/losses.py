@@ -137,15 +137,15 @@ class LossParts:
     l_san: float
 
 
-def regression_loss(deltas: Tensor, labels: list[int], targets: list[RegressionTarget | None], num_classes: int) -> Tensor:
+def regression_loss(deltas: Tensor, labels: list[int], targets: list[RegressionTarget | None]) -> Tensor:
     """Robust-L1 box loss, masked to foreground RoIs' own-class slice.
 
     Mean over all N rows of [u >= 1] * sum_coord smooth_l1(t^u - v), so
-    background rows contribute exactly zero.
+    background rows contribute exactly zero; ``deltas`` is (N, 4K).
     """
     n = deltas.shape[0]
-    target = np.zeros((n, 4 * num_classes), dtype=deltas.data.dtype)
-    mask = np.zeros((n, 4 * num_classes), dtype=deltas.data.dtype)
+    target = np.zeros(deltas.shape, dtype=deltas.data.dtype)
+    mask = np.zeros(deltas.shape, dtype=deltas.data.dtype)
     for row, (u, v) in enumerate(zip(labels, targets)):
         if u >= 1:
             if v is None:
@@ -163,7 +163,6 @@ def multi_task_loss(
     deltas: Tensor,
     labels: list[int],
     targets: list[RegressionTarget | None],
-    num_classes: int,
     san_terms: Tensor | None = None,
     san_loss_weight: float = 1.0,
 ) -> LossParts:
@@ -174,7 +173,7 @@ def multi_task_loss(
     or exactly zero when it is None.
     """
     l_cls = ag.softmax_cross_entropy(logits, labels)
-    l_reg = regression_loss(deltas, labels, targets, num_classes)
+    l_reg = regression_loss(deltas, labels, targets)
     total = ag.add(l_cls, l_reg)
     l_san_val = 0.0
     if san_terms is not None:

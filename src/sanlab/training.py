@@ -24,8 +24,8 @@ from .autograd import Parameter, Tensor
 from .backbone import Backbone, Image, RoI, batched_reference_features, roi_pool
 # perfbench's tracer looks the reference pathway up under these two names
 from .backbone import extract_reference_feature as reference_feature_for_roi
-from .data import Annotation, check_class_ids, check_proposal_source, make_proposals, proposal_rng
-from .errors import CheckpointError, ConfigError, GraphError, RoiError, SanlabError
+from .data import Annotation, check_class_ids, check_proposal_source, make_proposals, proposal_rng, read_file
+from .errors import CheckpointError, ConfigError, RoiError, SanlabError
 from .losses import (
     DetectionHead,
     LossParts,
@@ -82,9 +82,6 @@ class TrainingConfig:
     san_loss_weight: float = 1.0
     scheme: ScalePartitionScheme = TOY_SCHEME
     seed: int = 0
-    # debug mode: re-runs every step without the scale-aware term and asserts
-    # the backbone gradients are bitwise unchanged (the siamese blocking contract)
-    debug_gradient_checks: bool = False
 
     def validate(self) -> None:
         for name, choices in FIELD_CHOICES.items():
@@ -120,18 +117,12 @@ class TrainingConfig:
 # The front ends (the `train` command's flags and config keys, SanDetector's
 # parameters) take one setting per TrainingConfig field, renamed as in
 # FRONT_END_NAMES.  Both spell `scheme` as a preset name plus overrides.
-# `debug_gradient_checks` stays library-only: it is a debug hook, and
-# bool("0") is True.
 FRONT_END_NAMES = {"san_mode": "san", "init_mode": "init"}
 
 
 def front_end_fields() -> dict[str, dataclasses.Field]:
     """Front-end name -> TrainingConfig field, in field order."""
-    return {
-        FRONT_END_NAMES.get(f.name, f.name): f
-        for f in dataclasses.fields(TrainingConfig)
-        if f.name not in ("scheme", "debug_gradient_checks")
-    }
+    return {FRONT_END_NAMES.get(f.name, f.name): f for f in dataclasses.fields(TrainingConfig) if f.name != "scheme"}
 
 
 def front_end_defaults() -> dict:
@@ -285,23 +276,21 @@ def step_maps(backbone: Backbone, images: list[Image]) -> list[Tensor]:
     return [backbone.forward(first)] + [backbone.forward(img.pixels) for img in images[lead:]]
 
 
-def compute_step_losses(
-    model: DetectionModel,
-    batch: StepBatch,
-    cfg: TrainingConfig,
-    include_san_loss: bool,
-) -> LossParts:
-    """Assemble the full objective graph for one sampled step: the step's
-    feature maps (`step_maps`); one `roi_pool` and one `san_forward` node on
-    the RoI features; and one `san_loss_branch` (a second `san_forward` node) on
-    plain arrays: the sampled RoIs' pooled rows, or with ``san_pool="max"``
+def compute_step_losses(model: DetectionModel, batch: StepBatch) -> LossParts:
+    """Assemble the full objective graph for one sampled step, as
+    ``model.config`` sets it: the step's feature maps (`step_maps`); one
+    `roi_pool` and one `san_forward` node on the RoI features; and, exactly
+    when ``san_mode`` is "full", the scale-aware term weighted by
+    ``san_loss_weight``: one `san_loss_branch` (a second `san_forward` node)
+    on plain arrays, the sampled RoIs' pooled rows, or with ``san_pool="max"``
     one max-mode `roi_pool` of the sampled RoIs on the detached maps.  Every
     loss and gradient bit is that of one backbone pass per image."""
+    cfg = model.config
     feats = step_maps(model.backbone, batch.images)
     roi_feats, batch_pooled = forward_roi_features(model, feats, batch.rois, batch.image_slot)
     logits, deltas = model.head.forward(roi_feats)
     san_terms = None
-    if include_san_loss and model.san is not None and batch.san_indices:
+    if cfg.san_mode == "full" and batch.san_indices:
         rois = [batch.rois[j] for j in batch.san_indices]
         slots = [batch.image_slot[j] for j in batch.san_indices]
         r_tilde = batched_reference_features(
@@ -316,19 +305,13 @@ def compute_step_losses(
         parts = [partition_index(r.area, model.scheme) for r in rois]
         san_terms = san_loss_branch(Tensor(pooled), parts, model.san, Tensor(r_tilde))
     return multi_task_loss(
-        logits,
-        deltas,
-        batch.labels,
-        batch.targets,
-        model.num_classes,
-        san_terms=san_terms,
-        san_loss_weight=cfg.san_loss_weight,
+        logits, deltas, batch.labels, batch.targets, san_terms=san_terms, san_loss_weight=cfg.san_loss_weight
     )
 
 
 def fill_missing_grads(params: list[Parameter]) -> None:
     """Zero-fill gradients of parameters the step's loss did not touch
-    (e.g. partitions with no RoIs this mini-batch)."""
+    (the sub-networks of partitions with no RoI this mini-batch)."""
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
@@ -356,44 +339,27 @@ def train(dataset: list[tuple[Image, list[Annotation]]], cfg: TrainingConfig) ->
 
     Correction sub-network weights are exempt from weight decay: decay
     pulls them toward zero, i.e. away from the near-identity mapping they
-    are initialized to and must stay close to.
+    are initialized to and must stay close to.  Only a sub-network can miss
+    a step's gradient (its partition drew no RoI); the backbone and head
+    always get one, and `sgd_step` raises `GraphError` if they do not.
     """
-    cfg.validate()
+    model = build_model(cfg)
     if not dataset:
         raise ConfigError("cannot train on an empty dataset")
     check_class_ids(dataset, cfg.num_classes)
-    model = build_model(cfg)
     san_params = model.san.named_parameters() if model.san is not None else []
     decayed = model.backbone.named_parameters() + model.head.named_parameters()
-    all_params = model.named_parameters()
     rows: list[tuple[int, float, float, float, float]] = []
-    include_san = cfg.san_mode == "full"
-    backbone_params = model.backbone.named_parameters()
     for step in range(cfg.iterations):
         batch = build_step_batch(dataset, cfg, step)
-        blocked_reference = None
-        if cfg.debug_gradient_checks and include_san:
-            compute_step_losses(model, batch, cfg, include_san_loss=False).total.backward()
-            blocked_reference = [p.grad.copy() if p.grad is not None else None for p in backbone_params]
-            for p in all_params:
-                p.grad = None
-        parts = compute_step_losses(model, batch, cfg, include_san_loss=include_san)
+        parts = compute_step_losses(model, batch)
         lr = learning_rate(cfg, step)
         if not all(math.isfinite(v) for v in (parts.l_cls, parts.l_reg, parts.l_san)):
             raise TrainingDiverged(step, parts, lr)
         parts.total.backward()
-        if blocked_reference is not None:
-            for p, ref in zip(backbone_params, blocked_reference):
-                got = p.grad
-                same = (got is None and ref is None) or (got is not None and ref is not None and np.array_equal(got, ref))
-                if not same:
-                    raise GraphError(
-                        f"step {step}: scale-aware loss leaked gradient into backbone parameter {p.name}"
-                    )
-        fill_missing_grads(all_params)
+        fill_missing_grads(san_params)
         ag.sgd_step(decayed, lr=lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-        if san_params:
-            ag.sgd_step(san_params, lr=lr, momentum=cfg.momentum, weight_decay=0.0)
+        ag.sgd_step(san_params, lr=lr, momentum=cfg.momentum, weight_decay=0.0)
         rows.append((step, parts.l_cls, parts.l_reg, parts.l_san, lr))
     return TrainResult(model=model, log_rows=rows)
 
@@ -443,10 +409,7 @@ def read_checkpoint_entries(path: Path) -> dict[str, np.ndarray]:
     """The named arrays of a checkpoint file.  Every length a header
     declares is checked against the bytes left before anything of that
     length is read, so a corrupt header cannot ask for a large buffer."""
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"checkpoint {path} does not exist")
-    raw = memoryview(path.read_bytes())
+    raw = memoryview(read_file(path, error=CheckpointError))
     magic = bytes(raw[: len(CHECKPOINT_MAGIC)])
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {magic!r}; expected {CHECKPOINT_MAGIC!r}")

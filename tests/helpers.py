@@ -2,10 +2,11 @@
 per-partition correction path, the per-image and single-RoI RoI pooling,
 the step graph with one backbone pass per image, the whole-window
 rendering of the RMSE report, the reference crop as a snapped RoI, and
-small numeric utilities."""
+small numeric utilities; and a model's no-loss view."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -202,14 +203,21 @@ def single_roi_max_pool(feat: Tensor, roi) -> Tensor:
     return ag._result(out_data, (feat,), backward)
 
 
-def per_image_step_losses(model, batch, cfg, include_san_loss: bool):
+def no_loss_view(model):
+    """The model's own parameters under ``san_mode="no-loss"``: its step
+    without the scale-aware term."""
+    return dataclasses.replace(model, config=dataclasses.replace(model.config, san_mode="no-loss"))
+
+
+def per_image_step_losses(model, batch):
     """`compute_step_losses` as the package ran it before it batched the
     backbone: one pass per image, each pooled as a 1xCxhxw map."""
+    cfg = model.config
     feats = [model.backbone.forward(img.pixels) for img in batch.images]
     roi_feats, batch_pooled = forward_roi_features(model, feats, batch.rois, batch.image_slot)
     logits, deltas = model.head.forward(roi_feats)
     san_terms = None
-    if include_san_loss and model.san is not None and batch.san_indices:
+    if cfg.san_mode == "full" and batch.san_indices:
         rois = [batch.rois[j] for j in batch.san_indices]
         slots = [batch.image_slot[j] for j in batch.san_indices]
         r_tilde = batched_reference_features(
@@ -224,13 +232,7 @@ def per_image_step_losses(model, batch, cfg, include_san_loss: bool):
         parts = [partition_index(r.area, model.scheme) for r in rois]
         san_terms = san_loss_branch(Tensor(pooled), parts, model.san, Tensor(r_tilde))
     return multi_task_loss(
-        logits,
-        deltas,
-        batch.labels,
-        batch.targets,
-        model.num_classes,
-        san_terms=san_terms,
-        san_loss_weight=cfg.san_loss_weight,
+        logits, deltas, batch.labels, batch.targets, san_terms=san_terms, san_loss_weight=cfg.san_loss_weight
     )
 
 

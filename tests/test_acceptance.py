@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import check_op_gradients
+from helpers import check_op_gradients, no_loss_view
 
 from sanlab import autograd as ag
 from sanlab.analysis import Detection, cam_stability, compute_cam, evaluate_ap, rmse_with_san, rmse_without_san
@@ -41,6 +41,7 @@ from sanlab.training import (
     evaluate_detector,
     reference_feature_for_roi,
     rmse_report,
+    train,
 )
 
 from test_analysis import brute_force_cam
@@ -222,7 +223,7 @@ class TestCriterion2IdentityTransparency:
         cfg = TrainingConfig(iterations=1, san_mode="full", seed=5)
         model = build_model(cfg)
         batch = build_step_batch(train_ds, cfg, step=0)
-        parts = compute_step_losses(model, batch, cfg, include_san_loss=True)
+        parts = compute_step_losses(model, batch)
         feats = [model.backbone.forward(img.pixels) for img in batch.images]
         acc = None
         for j in batch.san_indices:
@@ -246,34 +247,53 @@ class TestCriterion2IdentityTransparency:
 
 
 class TestCriterion3GradientBlocking:
-    def test_backbone_gradients_unaffected_by_scale_loss(self, toy_data):
-        train_ds, _ = toy_data
-        cfg = TrainingConfig(iterations=1, san_mode="full", seed=5)
-        identical_steps = 0
-        san_differs_steps = 0
-        for step in range(10):
-            grads = {}
-            for include in (True, False):
-                model = build_model(cfg)
-                batch = build_step_batch(train_ds, cfg, step)
-                parts = compute_step_losses(model, batch, cfg, include_san_loss=include)
-                parts.total.backward()
-                grads[include] = (
-                    [p.grad.copy() for p in model.backbone.named_parameters()],
-                    [p.grad.copy() if p.grad is not None else None for p in model.san.named_parameters()],
-                )
-            if all(np.array_equal(a, b) for a, b in zip(grads[True][0], grads[False][0])):
-                identical_steps += 1
-            if any(
+    STEPS = 10
+    TRAINED_STEPS = 100
+
+    @staticmethod
+    def step_grads(model, batch) -> tuple[list, list]:
+        """The backbone and correction-module gradients of one step, cleared
+        from the parameters afterwards."""
+        compute_step_losses(model, batch).total.backward()
+        grads = (
+            [p.grad.copy() for p in model.backbone.named_parameters()],
+            [p.grad.copy() if p.grad is not None else None for p in model.san.named_parameters()],
+        )
+        for p in model.named_parameters():
+            p.grad = None
+        return grads
+
+    def blocking_counts(self, model, dataset, cfg, first_step: int) -> tuple[int, int]:
+        """Over STEPS steps from ``first_step``, compare the full model with
+        its no-loss view of the same parameters: the steps whose backbone
+        gradients are bitwise equal, and those whose correction-module
+        gradients differ."""
+        identical_steps = san_differs_steps = 0
+        for step in range(first_step, first_step + self.STEPS):
+            batch = build_step_batch(dataset, cfg, step)
+            full = self.step_grads(model, batch)
+            blocked = self.step_grads(no_loss_view(model), batch)
+            identical_steps += all(np.array_equal(a, b) for a, b in zip(full[0], blocked[0]))
+            san_differs_steps += any(
                 (a is None) != (b is None) or (a is not None and not np.array_equal(a, b))
-                for a, b in zip(grads[True][1], grads[False][1])
-            ):
-                san_differs_steps += 1
+                for a, b in zip(full[1], blocked[1])
+            )
+        return identical_steps, san_differs_steps
+
+    def test_backbone_gradients_unaffected_by_scale_loss(self, toy_data):
+        """At initialization, and again on weights moved by TRAINED_STEPS
+        SGD steps."""
+        train_ds, _ = toy_data
+        cfg = TrainingConfig(iterations=self.TRAINED_STEPS, san_mode="full", seed=5)
+        at_init = self.blocking_counts(build_model(cfg), train_ds, cfg, 0)
+        trained = self.blocking_counts(train(train_ds, cfg).model, train_ds, cfg, self.TRAINED_STEPS)
+        n = self.STEPS
         report(
             3,
-            identical_steps == 10 and san_differs_steps == 10,
-            f"backbone gradients bitwise identical on {identical_steps}/10 steps; "
-            f"correction-module gradients differ on {san_differs_steps}/10",
+            at_init == trained == (n, n),
+            f"backbone gradients bitwise identical on {at_init[0]}/{n} steps at initialization and "
+            f"{trained[0]}/{n} after {self.TRAINED_STEPS} SGD steps; correction-module gradients differ "
+            f"on {at_init[1]}/{n} and {trained[1]}/{n}",
         )
 
 
@@ -445,7 +465,7 @@ class TestCriterion9Determinism:
                 == 0
             )
             assert cli_main(["eval", "--out-dir", str(run / "eval"), "--data-dir", str(data), "--checkpoint", str(run / "checkpoint.san"), "--seed", "21"]) == 0
-            assert cli_main(["rmse", "--out-dir", str(run / "rmse"), "--data-dir", str(data), "--checkpoint", str(run / "checkpoint.san"), "--seed", "21"]) == 0
+            assert cli_main(["rmse", "--out-dir", str(run / "rmse"), "--data-dir", str(data), "--checkpoint", str(run / "checkpoint.san")]) == 0
             digests = {}
             for rel in [
                 "run/checkpoint.san",

@@ -44,7 +44,7 @@ class TestParams:
     def test_params_cover_every_training_field(self):
         params = SanDetector().get_params()
         for f in dataclasses.fields(TrainingConfig):
-            if f.name not in ("scheme", "debug_gradient_checks"):
+            if f.name != "scheme":
                 assert params[FRONT_END_NAMES.get(f.name, f.name)] == f.default
         assert {"scheme", "ref_scale", "boundaries"} <= set(params)
         assert SanDetector().training_config() == TrainingConfig()

@@ -132,19 +132,19 @@ class TestMultiTaskLoss:
 
     def test_background_contributes_no_regression(self):
         logits, deltas = self._inputs([0, 0], [None, None])
-        parts = multi_task_loss(logits, deltas, [0, 0], [None, None], num_classes=2, san_terms=None)
+        parts = multi_task_loss(logits, deltas, [0, 0], [None, None], san_terms=None)
         assert parts.l_reg == 0.0
 
     def test_background_regression_zero_regardless_of_predictions(self):
         r = np.random.default_rng(1)
         deltas = Tensor((100 * r.normal(size=(3, 8))).astype(np.float32))
-        loss = regression_loss(deltas, [0, 0, 0], [None, None, None], num_classes=2)
+        loss = regression_loss(deltas, [0, 0, 0], [None, None, None])
         assert loss.item() == 0.0
 
     def test_san_disabled_total_is_cls_plus_reg(self):
         logits, deltas = self._inputs([1, 0], [RegressionTarget(0.1, 0.2, 0.0, -0.1), None])
         t = RegressionTarget(0.1, 0.2, 0.0, -0.1)
-        parts = multi_task_loss(logits, deltas, [1, 0], [t, None], num_classes=2, san_terms=None)
+        parts = multi_task_loss(logits, deltas, [1, 0], [t, None], san_terms=None)
         assert parts.l_san == 0.0
         assert parts.total.item() == pytest.approx(parts.l_cls + parts.l_reg, rel=1e-6)
 
@@ -155,7 +155,7 @@ class TestMultiTaskLoss:
         t = RegressionTarget(0.0, 0.0, 0.0, 0.0)
         deltas = np.zeros((1, 4 * k), dtype=np.float32)
         parts = multi_task_loss(
-            Tensor(logits), Tensor(deltas), [1], [t], num_classes=k,
+            Tensor(logits), Tensor(deltas), [1], [t],
             san_terms=Tensor(np.zeros(1, dtype=np.float32)),
         )
         assert parts.total.item() == pytest.approx(0.0, abs=1e-6)
@@ -163,14 +163,14 @@ class TestMultiTaskLoss:
     def test_san_terms_averaged(self):
         logits, deltas = self._inputs([0], [None])
         terms = Tensor([1.0, 3.0])
-        parts = multi_task_loss(logits, deltas, [0], [None], num_classes=2, san_terms=terms)
+        parts = multi_task_loss(logits, deltas, [0], [None], san_terms=terms)
         assert parts.l_san == pytest.approx(2.0)
 
     def test_san_weight_scales_total_only(self):
         logits, deltas = self._inputs([0], [None])
         terms = Tensor(np.array([2.0], dtype=np.float32))
         parts = multi_task_loss(
-            logits, deltas, [0], [None], num_classes=2, san_terms=terms, san_loss_weight=0.5
+            logits, deltas, [0], [None], san_terms=terms, san_loss_weight=0.5
         )
         assert parts.l_san == pytest.approx(2.0)
         assert parts.total.item() == pytest.approx(parts.l_cls + parts.l_reg + 1.0, rel=1e-6)
@@ -180,7 +180,7 @@ class TestMultiTaskLoss:
         k = 3
         deltas = Tensor(np.zeros((1, 4 * k), dtype=np.float32), requires_grad=True)
         t = RegressionTarget(0.3, 0.0, 0.0, 0.0)
-        loss = regression_loss(deltas, [2], [t], num_classes=k)
+        loss = regression_loss(deltas, [2], [t])
         loss.backward()
         g = deltas.grad.reshape(k, 4)
         assert np.abs(g[1]).sum() > 0  # class 2 owns slice index 1
@@ -194,7 +194,6 @@ class TestMultiTaskLoss:
             parts = multi_task_loss(
                 logits, deltas, [1, 2, 0],
                 [RegressionTarget(*r.normal(size=4)), RegressionTarget(*r.normal(size=4)), None],
-                num_classes=2,
                 san_terms=Tensor(np.array([abs(r.normal())], dtype=np.float32)),
             )
             assert parts.total.item() >= 0
@@ -202,7 +201,7 @@ class TestMultiTaskLoss:
     def test_missing_target_for_foreground_errors(self):
         logits, deltas = self._inputs([1], [None])
         with pytest.raises(ShapeError):
-            multi_task_loss(logits, deltas, [1], [None], num_classes=2)
+            multi_task_loss(logits, deltas, [1], [None])
 
 
 class TestBoxIou:
