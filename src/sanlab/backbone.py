@@ -35,26 +35,41 @@ from .errors import RoiError, ShapeError
 from .rng import STREAM_WEIGHTS, derive
 
 
-@dataclass
+@dataclass(eq=False)
 class Image:
-    """Input image: pixels as a 1x3xHxW tensor with values in [0, 1]."""
+    """Input image: its 8-bit levels, a 1x3xHxW uint8 array, H and W at least 16.
 
-    pixels: Tensor
+    `pixels` converts the levels to float32 values in [0, 1] on each
+    access; a pass that reads an image converts it once (`to_pixels`).
+    """
+
+    levels: np.ndarray
     id: int = 0
 
     def __post_init__(self):
-        if self.pixels.data.ndim != 4 or self.pixels.shape[0] != 1 or self.pixels.shape[1] != 3:
-            raise ShapeError(f"Image pixels must be 1x3xHxW, got {self.pixels.shape}")
-        if self.height < 16 or self.width < 16:
-            raise ShapeError(f"Image must be at least 16x16, got {self.height}x{self.width}")
+        shape, dtype = np.shape(self.levels), getattr(self.levels, "dtype", None)
+        if not (dtype == np.uint8 and len(shape) == 4 and shape[:2] == (1, 3) and min(shape[2:]) >= 16):
+            raise ShapeError(f"Image levels must be a 1x3xHxW uint8 array, H and W at least 16; got {dtype} {shape}")
+
+    @property
+    def pixels(self) -> Tensor:
+        return Tensor(to_pixels(self.levels))
 
     @property
     def height(self) -> int:
-        return self.pixels.shape[2]
+        return self.levels.shape[2]
 
     @property
     def width(self) -> int:
-        return self.pixels.shape[3]
+        return self.levels.shape[3]
+
+
+def to_pixels(levels: np.ndarray) -> np.ndarray:
+    """Float32 pixel values in [0, 1] of 8-bit levels (any shape): level / 255
+    in float32, divided in place, so the conversion allocates one array."""
+    pixels = levels.astype(np.float32)
+    pixels /= 255.0
+    return pixels
 
 
 @dataclass(frozen=True)
@@ -363,23 +378,24 @@ def _bin_counts(h: int, w: int, dtype) -> np.ndarray:
     return counts
 
 
-def batched_reference_features(pairs: Sequence[tuple[Image, RoI]], ref_scale: int, bb: Backbone) -> np.ndarray:
+def batched_reference_features(pairs: Sequence[tuple[np.ndarray, RoI]], ref_scale: int, bb: Backbone) -> np.ndarray:
     """Reference-scale channel features of many RoIs: an (N, C, 1, 1) array.
 
-    Each RoI's cell footprint (`Backbone.cell_footprint`) is cropped, so
-    both siamese pathways see the pixels of the cells pooling reads (at
-    stride 8 on small images the cell snap would otherwise dominate the
-    scale effect being learned), and resized to ref_scale x ref_scale; the
-    stacked patches make one backbone pass, pooled globally, with no tape.
-    Row n is bitwise the result for pairs[n] alone: the batch axis never
-    mixes into a reduction.
+    Each pair is an image's 1x3xHxW pixels (`to_pixels` of its levels) and
+    an RoI on it.  The RoI's cell footprint (`Backbone.cell_footprint`) is
+    cropped, so both siamese pathways see the pixels of the cells pooling
+    reads (at stride 8 on small images the cell snap would otherwise
+    dominate the scale effect being learned), and resized to ref_scale x
+    ref_scale; the stacked patches make one backbone pass, pooled globally,
+    with no tape.  Row n is bitwise the result for pairs[n] alone: the
+    batch axis never mixes into a reduction.
     """
     with ag.no_grad():
         patches = []
-        for img, roi in pairs:
-            y0, y1 = bb.cell_footprint(roi.y1, roi.y2, img.height)
-            x0, x1 = bb.cell_footprint(roi.x1, roi.x2, img.width)
-            crop = Tensor(img.pixels.data[:, :, y0:y1, x0:x1])
+        for pixels, roi in pairs:
+            y0, y1 = bb.cell_footprint(roi.y1, roi.y2, pixels.shape[2])
+            x0, x1 = bb.cell_footprint(roi.x1, roi.x2, pixels.shape[3])
+            crop = Tensor(pixels[:, :, y0:y1, x0:x1])
             patches.append(ag.bilinear_resize(crop, ref_scale, ref_scale).data)
         return ag.global_avg_pool(bb.forward(Tensor(np.concatenate(patches, axis=0)))).data
 
@@ -391,7 +407,7 @@ def extract_reference_feature(img: Image, roi: RoI, ref_scale: int, bb: Backbone
     RoI's cell footprint, not the RoI itself.  Returns a
     (1, C, 1, 1) tensor that carries no gradient.
     """
-    return Tensor(batched_reference_features([(img, roi)], ref_scale, bb))
+    return Tensor(batched_reference_features([(to_pixels(img.levels), roi)], ref_scale, bb))
 
 
 def cam_scale_sweep(
@@ -409,9 +425,10 @@ def cam_scale_sweep(
     """
     vectors: list[tuple[int, np.ndarray]] = []
     measured, skipped = bb.split_scales(scales)
+    pixels = img.pixels
     with ag.no_grad():
         for s in measured:
-            x = ag.bilinear_resize(img.pixels, s, s)
+            x = ag.bilinear_resize(pixels, s, s)
             if normalize_to is not None:
                 x = ag.bilinear_resize(x, normalize_to, normalize_to)
             vec = ag.global_avg_pool(bb.forward(x)).data.reshape(bb.c_feat).copy()

@@ -30,7 +30,6 @@ from .analysis import (
     write_cam_pgm,
     write_rmse_csv,
 )
-from .autograd import Tensor
 from .backbone import Backbone, Image, cam_scale_sweep
 from .data import (
     DatasetConfig,
@@ -205,7 +204,7 @@ def cmd_eval(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
 def cmd_cam(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
     scales = _parse_scales(settings["scales"])
     model = load_checkpoint(Path(args.checkpoint))
-    img = Image(pixels=Tensor(read_ppm(Path(args.image))), id=0)
+    img = Image(read_ppm(Path(args.image)), id=0)
     # the checkpoint's reference side unless overridden, checked by the scheme's own rule
     ref_scale = resolve_scheme(model.scheme, ref_scale=settings["ref_scale"]).ref_scale
     normalize_to = None

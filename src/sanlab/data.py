@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import Tensor
 from .backbone import Image, RoI
 from .errors import ConfigError, SanlabError
 from .losses import box_iou
@@ -153,9 +152,8 @@ def _place_objects(cfg: DatasetConfig, rng: np.random.Generator, image_id: int) 
             break
         if not placed:
             skipped += 1
-    # quantize so in-memory pixels match a PPM round-trip exactly
-    px = (np.round(px * 255.0).astype(np.uint8).astype(np.float32)) / 255.0
-    return px[None], anns, skipped
+    # the image is its 8-bit levels, as a PPM file holds them
+    return np.round(px * 255.0).astype(np.uint8)[None], anns, skipped
 
 
 def generate_dataset_with_stats(cfg: DatasetConfig) -> tuple[list[tuple[Image, list[Annotation]]], list[int]]:
@@ -164,8 +162,8 @@ def generate_dataset_with_stats(cfg: DatasetConfig) -> tuple[list[tuple[Image, l
     skips: list[int] = []
     for i in range(cfg.num_images):
         rng = derive(cfg.seed, STREAM_DATA, i)
-        px, anns, skipped = _place_objects(cfg, rng, i)
-        samples.append((Image(pixels=Tensor(px), id=i), anns))
+        levels, anns, skipped = _place_objects(cfg, rng, i)
+        samples.append((Image(levels, id=i), anns))
         skips.append(skipped)
     return samples, skips
 
@@ -281,15 +279,14 @@ def read_file(path: Path, text: bool = False, error: type[SanlabError] = SanlabE
 
 
 def write_ppm(path: Path, img: Image) -> None:
-    px = img.pixels.data[0]  # 3xHxW in [0,1]
-    arr = np.round(px * 255.0).astype(np.uint8).transpose(1, 2, 0)  # HxWx3
+    arr = img.levels[0].transpose(1, 2, 0)  # HxWx3
     with open(path, "wb") as f:
         f.write(f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode())
         f.write(arr.tobytes())
 
 
 def read_ppm(path: Path) -> np.ndarray:
-    """Read a binary PPM into a 1x3xHxW float32 array in [0,1]."""
+    """Read a binary PPM into its 1x3xHxW uint8 levels."""
     raw = read_file(path)
     if not raw.startswith(b"P6"):
         raise SanlabError(f"{path} is not a binary PPM file")
@@ -315,7 +312,7 @@ def read_ppm(path: Path) -> np.ndarray:
     if len(raw) - pos < w * h * 3:
         raise SanlabError(f"{path}: truncated PPM, {w}x{h} needs {w * h * 3} bytes of pixels, found {max(0, len(raw) - pos)}")
     arr = np.frombuffer(raw, dtype=np.uint8, count=w * h * 3, offset=pos).reshape(h, w, 3)
-    return (arr.astype(np.float32) / 255.0).transpose(2, 0, 1)[None]
+    return np.ascontiguousarray(arr.transpose(2, 0, 1)[None])
 
 
 _IMAGE_NAME = re.compile(r"img_(\d+)\.ppm")
@@ -345,12 +342,13 @@ def write_dataset(out_dir: Path, dataset: list[tuple[Image, list[Annotation]]], 
 
 
 def load_dataset(data_dir: Path) -> list[tuple[Image, list[Annotation]]]:
-    """Read a manifest + PPM tree back into memory."""
+    """Read a manifest + PPM tree back into memory; an image listed twice is an error."""
     data_dir = Path(data_dir)
     manifest = data_dir / "manifest.txt"
     dataset: list[tuple[Image, list[Annotation]]] = []
     current: list[Annotation] | None = None
     image_id = -1
+    seen: set[int] = set()
     for line in read_file(manifest, text=True).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -361,9 +359,11 @@ def load_dataset(data_dir: Path) -> list[tuple[Image, list[Annotation]]]:
             if name is None:
                 raise SanlabError(f"{manifest}: image name {parts[0]!r} does not match img_NNNNN.ppm")
             image_id = int(name.group(1))
-            px = read_ppm(data_dir / parts[0])
+            if image_id in seen:
+                raise SanlabError(f"{manifest}: image line {line!r} lists image {image_id} a second time")
+            seen.add(image_id)
             current = []
-            dataset.append((Image(pixels=Tensor(px), id=image_id), current))
+            dataset.append((Image(read_ppm(data_dir / parts[0]), id=image_id), current))
         else:
             if current is None:
                 raise SanlabError(f"{manifest}: annotation {line!r} before any image line")

@@ -143,11 +143,13 @@ def regression_loss(deltas: Tensor, labels: list[int], targets: list[RegressionT
     Mean over all N rows of [u >= 1] * sum_coord smooth_l1(t^u - v), so
     background rows contribute exactly zero; ``deltas`` is (N, 4K).
     """
-    n = deltas.shape[0]
+    n, classes = deltas.shape[0], deltas.shape[1] // 4
     target = np.zeros(deltas.shape, dtype=deltas.data.dtype)
     mask = np.zeros(deltas.shape, dtype=deltas.data.dtype)
     for row, (u, v) in enumerate(zip(labels, targets)):
         if u >= 1:
+            if u > classes:
+                raise ShapeError(f"foreground RoI at row {row} has label {u}, above the {classes} classes of its deltas")
             if v is None:
                 raise ShapeError(f"foreground RoI at row {row} is missing a regression target")
             lo = 4 * (u - 1)

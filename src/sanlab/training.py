@@ -21,7 +21,7 @@ import numpy as np
 from . import autograd as ag
 from .analysis import ApResult, Detection, RmseRow, evaluate_ap, rmse_with_san, rmse_without_san
 from .autograd import Parameter, Tensor
-from .backbone import Backbone, Image, RoI, batched_reference_features, roi_pool
+from .backbone import Backbone, Image, RoI, batched_reference_features, roi_pool, to_pixels
 # perfbench's tracer looks the reference pathway up under these two names
 from .backbone import extract_reference_feature as reference_feature_for_roi
 from .data import Annotation, check_class_ids, check_proposal_source, make_proposals, proposal_rng, read_file
@@ -259,10 +259,12 @@ def forward_roi_features(
     return fuse(batch, san_forward(batch, parts, model.san), alpha=model.san.fusion_alpha), batch
 
 
-def step_maps(backbone: Backbone, images: list[Image]) -> list[Tensor]:
-    """The images' feature maps for `roi_pool`, image i at slot i: one pass
-    over the leading run of equal-size images, one (n, C, h, w) map tensor,
-    then one pass per later image, so a step of one image size is one pass.
+def step_maps(backbone: Backbone, images: list[Image]) -> tuple[list[Tensor], list[np.ndarray]]:
+    """The images' feature maps for `roi_pool`, image i at slot i, and each
+    image's 1x3xHxW pixels.  One pass over the leading run of equal-size
+    images, one (n, C, h, w) map tensor, then one pass per later image, so a
+    step of one image size is one pass; each pass's pixels are converted
+    from the levels once, and the run's pixels are views of its batch.
 
     Only the first pass holds several images: backpropagation through the
     `roi_pool` node reaches the maps in list order, and a later pass would
@@ -270,23 +272,26 @@ def step_maps(backbone: Backbone, images: list[Image]) -> list[Tensor]:
     (`ag.conv2d`), in another order than one pass per image does.
     """
     lead = 1
-    while lead < len(images) and images[lead].pixels.shape == images[0].pixels.shape:
+    while lead < len(images) and images[lead].levels.shape == images[0].levels.shape:
         lead += 1
-    first = Tensor(np.concatenate([img.pixels.data for img in images[:lead]]))
-    return [backbone.forward(first)] + [backbone.forward(img.pixels) for img in images[lead:]]
+    first = to_pixels(np.concatenate([img.levels for img in images[:lead]]))
+    pixels = [first[i : i + 1] for i in range(lead)] + [to_pixels(img.levels) for img in images[lead:]]
+    maps = [backbone.forward(Tensor(first))] + [backbone.forward(Tensor(px)) for px in pixels[lead:]]
+    return maps, pixels
 
 
 def compute_step_losses(model: DetectionModel, batch: StepBatch) -> LossParts:
     """Assemble the full objective graph for one sampled step, as
-    ``model.config`` sets it: the step's feature maps (`step_maps`); one
-    `roi_pool` and one `san_forward` node on the RoI features; and, exactly
-    when ``san_mode`` is "full", the scale-aware term weighted by
-    ``san_loss_weight``: one `san_loss_branch` (a second `san_forward` node)
-    on plain arrays, the sampled RoIs' pooled rows, or with ``san_pool="max"``
-    one max-mode `roi_pool` of the sampled RoIs on the detached maps.  Every
+    ``model.config`` sets it: the step's feature maps and pixels
+    (`step_maps`); one `roi_pool` and one `san_forward` node on the RoI
+    features; and, exactly when ``san_mode`` is "full", the scale-aware term
+    weighted by ``san_loss_weight``: one `san_loss_branch` (a second
+    `san_forward` node) on plain arrays, the sampled RoIs' pooled rows, or
+    with ``san_pool="max"`` one max-mode `roi_pool` of the sampled RoIs on
+    the detached maps; the reference crops slice the step's pixels.  Every
     loss and gradient bit is that of one backbone pass per image."""
     cfg = model.config
-    feats = step_maps(model.backbone, batch.images)
+    feats, pixels = step_maps(model.backbone, batch.images)
     roi_feats, batch_pooled = forward_roi_features(model, feats, batch.rois, batch.image_slot)
     logits, deltas = model.head.forward(roi_feats)
     san_terms = None
@@ -294,7 +299,7 @@ def compute_step_losses(model: DetectionModel, batch: StepBatch) -> LossParts:
         rois = [batch.rois[j] for j in batch.san_indices]
         slots = [batch.image_slot[j] for j in batch.san_indices]
         r_tilde = batched_reference_features(
-            [(batch.images[s], roi) for roi, s in zip(rois, slots)], model.scheme.ref_scale, model.backbone
+            [(pixels[s], roi) for roi, s in zip(rois, slots)], model.scheme.ref_scale, model.backbone
         )
         # plain arrays: the branch records no tape below its entry
         if cfg.san_pool == "avg":
@@ -594,14 +599,15 @@ def default_rmse_scales(ref_scale: int, min_scale: int) -> list[int]:
     return out
 
 
-def rendered_roi_feature(img: Image, box: RoI, scale: int, bb: Backbone) -> Tensor:
+def rendered_roi_feature(pixels: np.ndarray, box: RoI, scale: int, bb: Backbone) -> Tensor:
     """Pooled channel feature of the object rendered at the given side length.
 
-    A context window around the box is resized so the box side maps to
-    ``scale``, the backbone runs on that rendering, and the mapped box is
-    RoI-pooled and globally averaged -- the same extraction the detector
-    applies to proposals.  The margin is sized in rendered units (four
-    stride cells) so the box cells' receptive fields see real image
+    ``pixels`` is the image's 1x3xHxW float array (`to_pixels` of its
+    levels).  A context window around the box is resized so the box side
+    maps to ``scale``, the backbone runs on that rendering, and the mapped
+    box is RoI-pooled and globally averaged -- the same extraction the
+    detector applies to proposals.  The margin is sized in rendered units
+    (four stride cells) so the box cells' receptive fields see real image
     context at every scale.
 
     Only the part of the rendering that reaches a pooled cell is made:
@@ -617,8 +623,8 @@ def rendered_roi_feature(img: Image, box: RoI, scale: int, bb: Backbone) -> Tens
     margin = 4 * bb.total_stride / factor
     wx1 = max(0, math.floor(box.x1 - margin))
     wy1 = max(0, math.floor(box.y1 - margin))
-    wx2 = min(img.width, math.ceil(box.x2 + margin))
-    wy2 = min(img.height, math.ceil(box.y2 + margin))
+    wx2 = min(pixels.shape[3], math.ceil(box.x2 + margin))
+    wy2 = min(pixels.shape[2], math.ceil(box.y2 + margin))
     out_h = max(bb.total_stride, int(round((wy2 - wy1) * factor)))
     out_w = max(bb.total_stride, int(round((wx2 - wx1) * factor)))
     fy = out_h / (wy2 - wy1)
@@ -628,7 +634,7 @@ def rendered_roi_feature(img: Image, box: RoI, scale: int, bb: Backbone) -> Tens
     rows = bb.roi_crop(y1, y2, out_h)
     cols = bb.roi_crop(x1, x2, out_w)
     with ag.no_grad():
-        context = Tensor(img.pixels.data[:, :, wy1:wy2, wx1:wx2])
+        context = Tensor(pixels[:, :, wy1:wy2, wx1:wx2])
         feat = bb.forward(ag.bilinear_resize(context, out_h, out_w, window=(rows, cols)))
         # the crop starts on the stride grid, so the shift moves no cell boundary
         mapped = RoI(x1=x1 - cols[0], y1=y1 - rows[0], x2=x2 - cols[0], y2=y2 - rows[0], image_id=box.image_id)
@@ -657,10 +663,11 @@ def rmse_report(
     rows: list[RmseRow] = []
     sample_id = 0
     for img, anns in dataset:
+        pixels = to_pixels(img.levels)  # once per image: every rendering reads a window of it
         for ann in anns:
             z0 = reference_feature_for_roi(img, ann.box, ref, bb)
             for s in measured:
-                z_s = rendered_roi_feature(img, ann.box, s, bb)
+                z_s = rendered_roi_feature(pixels, ann.box, s, bb)
                 part = partition_index(float(s * s), model.scheme)
                 rows.append(
                     RmseRow(

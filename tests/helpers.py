@@ -221,7 +221,7 @@ def per_image_step_losses(model, batch):
         rois = [batch.rois[j] for j in batch.san_indices]
         slots = [batch.image_slot[j] for j in batch.san_indices]
         r_tilde = batched_reference_features(
-            [(batch.images[s], roi) for roi, s in zip(rois, slots)], model.scheme.ref_scale, model.backbone
+            [(batch.images[s].pixels.data, roi) for roi, s in zip(rois, slots)], model.scheme.ref_scale, model.backbone
         )
         # plain arrays: the branch records no tape below its entry
         if cfg.san_pool == "avg":

@@ -22,10 +22,9 @@ from sanlab.backbone import (
 from sanlab.errors import RoiError, ShapeError
 
 
-def make_image(seed=0, size=96, amplitude=1.0):
+def make_image(seed=0, size=96):
     r = np.random.default_rng(seed)
-    px = (amplitude * r.random((1, 3, size, size))).astype(np.float32)
-    return Image(pixels=Tensor(px), id=seed)
+    return Image(r.integers(0, 256, size=(1, 3, size, size), dtype=np.uint8), id=seed)
 
 
 def naive_roi_pool(feat: np.ndarray, roi: RoI, out: int, mode: str, stride: int) -> np.ndarray:
@@ -57,6 +56,46 @@ def naive_roi_pool(feat: np.ndarray, roi: RoI, out: int, mode: str, stride: int)
     return result
 
 
+class TestImage:
+    def test_pixels_are_the_levels_over_255_for_every_level(self):
+        """Bit for bit the float32 quotient level / 255, as the PPM reader
+        and the generator made pixels before images held their levels."""
+        levels = np.tile(np.arange(256, dtype=np.uint8), 3).reshape(1, 3, 16, 16)
+        px = Image(levels).pixels
+        assert px.dtype == np.float32 and px.shape == (1, 3, 16, 16)
+        want = np.array([np.float32(k) / np.float32(255) for k in levels.reshape(-1).tolist()], dtype=np.float32)
+        assert px.data.reshape(-1).tobytes() == want.tobytes()
+        assert np.array_equal(np.round(px.data * 255.0), levels)
+
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            np.zeros((1, 3, 16, 16), dtype=np.float32),
+            np.zeros((1, 3, 16, 16), dtype=np.int64),
+            np.zeros((3, 16, 16), dtype=np.uint8),
+            np.zeros((2, 3, 16, 16), dtype=np.uint8),
+            np.zeros((1, 4, 16, 16), dtype=np.uint8),
+            np.zeros((1, 3, 15, 16), dtype=np.uint8),
+            np.zeros((1, 3, 16, 15), dtype=np.uint8),
+            [[[[0] * 16] * 16] * 3],
+        ],
+        ids=["float32", "int64", "3d", "batch2", "4ch", "short", "narrow", "list"],
+    )
+    def test_rejects_anything_but_1x3xhxw_uint8_at_least_16(self, levels):
+        with pytest.raises(ShapeError, match="1x3xHxW uint8"):
+            Image(levels)
+
+    def test_pixels_converts_afresh_on_each_access(self):
+        """Each access converts afresh; writing to the result leaves the
+        levels alone, and the property cannot be assigned."""
+        img = make_image(seed=2, size=16)
+        before = img.levels.copy()
+        img.pixels.data[...] = 0.0
+        assert np.array_equal(img.levels, before)
+        with pytest.raises(AttributeError):
+            img.pixels = Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32))
+
+
 class TestBackboneForward:
     def test_stride_eight_geometry(self):
         bb = Backbone.small(seed=0)
@@ -67,7 +106,7 @@ class TestBackboneForward:
 
     def test_zero_image_zero_biases_zero_features(self):
         bb = Backbone.small(seed=0)
-        img = Image(pixels=Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32)), id=0)
+        img = Image(np.zeros((1, 3, 32, 32), dtype=np.uint8), id=0)
         assert np.array_equal(bb.forward(img.pixels).data, np.zeros((1, 32, 4, 4), dtype=np.float32))
 
     def test_deterministic_replay(self):
@@ -543,8 +582,7 @@ class TestReferenceFeature:
 
     def test_constant_image_crop_invariance(self):
         bb = Backbone.small(seed=2)
-        px = np.full((1, 3, 64, 64), 0.5, dtype=np.float32)
-        img = Image(pixels=Tensor(px), id=0)
+        img = Image(np.full((1, 3, 64, 64), 128, dtype=np.uint8), id=0)
         a = extract_reference_feature(img, RoI(x1=0, y1=0, x2=24, y2=24), 32, bb)
         b = extract_reference_feature(img, RoI(x1=30, y1=30, x2=62, y2=62), 32, bb)
         assert np.allclose(a.data, b.data, atol=1e-6)
@@ -592,7 +630,7 @@ class TestCellFootprint:
         raised = 0
         for _ in range(8):
             h, w = (int(v) for v in r.choice([s for s in range(16, 130) if s % stride], size=2))
-            img = Image(pixels=Tensor(np.arange(3 * h * w, dtype=np.float32).reshape(1, 3, h, w)))
+            img = Image((np.arange(3 * h * w) % 256).astype(np.uint8).reshape(1, 3, h, w))
             for roi in self.random_rois(r, h, w, 60):
                 try:
                     snapped = cell_aligned_roi(roi, stride, w, h)
@@ -633,7 +671,7 @@ class TestCamScaleSweep:
 
     def test_constant_image_identical_vectors(self):
         bb = Backbone.small(seed=3)
-        img = Image(pixels=Tensor(np.full((1, 3, 48, 48), 0.4, dtype=np.float32)), id=0)
+        img = Image(np.full((1, 3, 48, 48), 102, dtype=np.uint8), id=0)
         vectors, _ = cam_scale_sweep(img, bb, [16, 24, 48])
         base = vectors[0][1]
         for _, vec in vectors[1:]:

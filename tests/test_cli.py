@@ -530,12 +530,11 @@ class TestCam:
 
     def test_normalized_constant_image_full_stability(self, small_run, tmp_path):
         from sanlab.backbone import Image
-        from sanlab.autograd import Tensor
         from sanlab.data import write_ppm
 
         data, run = small_run
         img_path = tmp_path / "flat.ppm"
-        write_ppm(img_path, Image(pixels=Tensor(np.full((1, 3, 48, 48), 0.5, dtype=np.float32)), id=0))
+        write_ppm(img_path, Image(np.full((1, 3, 48, 48), 128, dtype=np.uint8), id=0))
         out = tmp_path / "cam"
         rc = main(["cam", "--out-dir", str(out), "--checkpoint", str(run / "checkpoint.san"), "--image", str(img_path)])
         assert rc == 0
@@ -667,6 +666,15 @@ class TestInputErrors:
         ckpt.mkdir()
         err = self._run(["eval", "--out-dir", str(tmp_path / "e"), "--data-dir", str(small_run[0]), "--checkpoint", str(ckpt)], capsys)
         assert str(ckpt) in err, err
+
+    def test_manifest_listing_an_image_twice_is_an_error(self, small_run, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(small_run[0], data)
+        manifest = data / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "img_00001.ppm\n")
+        err = self._run(["eval", "--out-dir", str(tmp_path / "x"), "--data-dir", str(data),
+                         "--checkpoint", str(small_run[1] / "checkpoint.san")], capsys)
+        assert str(manifest) in err and "'img_00001.ppm' lists image 1 a second time" in err, err
 
     def test_non_utf8_manifest_is_an_error(self, small_run, tmp_path, capsys):
         data = tmp_path / "data"

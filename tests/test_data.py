@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sanlab.backbone import RoI
+from sanlab.backbone import Image, RoI
 from sanlab.data import (
     Annotation,
     DatasetConfig,
@@ -74,7 +74,15 @@ class TestGeneration:
         (img, _), = generate_dataset(DatasetConfig(num_images=1, seed=9))
         write_ppm(tmp_path / "x.ppm", img)
         back = read_ppm(tmp_path / "x.ppm")
-        assert np.array_equal(back, img.pixels.data)
+        assert back.dtype == np.uint8 and np.array_equal(back, img.levels)
+        assert np.array_equal(Image(back).pixels.data, img.pixels.data)
+
+    def test_generated_images_hold_their_8_bit_levels(self):
+        cfg = DatasetConfig(num_images=3, seed=9, image_size=40, scale_range=(8.0, 30.0))
+        for img, _ in generate_dataset(cfg):
+            assert img.levels.dtype == np.uint8
+            assert img.levels.shape == (1, 3, 40, 40)
+            assert img.levels.nbytes == 3 * 40 * 40
 
     def test_every_partition_gets_at_least_twenty_percent(self):
         """Toy scheme coverage over the 200-image default-seed dataset."""
@@ -213,6 +221,36 @@ class TestDiskFormat:
         lines = (tmp_path / "s.csv").read_text().splitlines()
         assert lines[0] == "class,median_area,std_area"
         assert len(lines) == 1 + 3
+
+    def test_loaded_images_hold_their_8_bit_levels(self, tmp_path):
+        dataset = generate_dataset(DatasetConfig(num_images=3, seed=24))
+        write_dataset(tmp_path, dataset)
+        for (img, _), (back, _) in zip(dataset, load_dataset(tmp_path), strict=True):
+            assert back.levels.dtype == np.uint8 and back.levels.nbytes == 3 * back.height * back.width
+            assert back.levels.flags.c_contiguous
+            assert np.array_equal(back.levels, img.levels)
+
+    def test_ppm_round_trip_is_exact_on_every_level(self, tmp_path):
+        """Each of the 256 levels in every channel and position class is
+        written as its own byte and read back as itself; the writer that
+        rounded pixels * 255 wrote the same bytes."""
+        levels = np.roll(np.arange(3 * 16 * 20) % 256, 7).astype(np.uint8).reshape(1, 3, 16, 20)
+        img = Image(levels)
+        write_ppm(tmp_path / "x.ppm", img)
+        raw = (tmp_path / "x.ppm").read_bytes()
+        assert raw == b"P6\n20 16\n255\n" + np.round(img.pixels.data[0] * 255.0).astype(np.uint8).transpose(1, 2, 0).tobytes()
+        assert np.array_equal(read_ppm(tmp_path / "x.ppm"), levels)
+
+    def test_manifest_listing_an_image_twice_is_an_error(self, tmp_path):
+        """A repeated image line names the manifest and the line; it used to
+        load as an extra, object-less copy of the image."""
+        write_dataset(tmp_path, generate_dataset(DatasetConfig(num_images=3, seed=25)))
+        manifest = tmp_path / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        second = lines.index("img_00001.ppm")
+        manifest.write_text("\n".join(lines[: second + 1] + lines) + "\n")
+        with pytest.raises(SanlabError, match=r"manifest\.txt: image line 'img_00000\.ppm' lists image 0 a second time"):
+            load_dataset(tmp_path)
 
     def test_read_ppm_rejects_other_formats(self, tmp_path):
         (tmp_path / "bad.ppm").write_bytes(b"P3\n1 1\n255\n0 0 0\n")

@@ -198,6 +198,14 @@ class TestMultiTaskLoss:
             )
             assert parts.total.item() >= 0
 
+    def test_label_above_the_class_count_errors(self):
+        """Label 3 on deltas of two classes names the row and the label, not
+        a numpy broadcast error."""
+        deltas = Tensor(np.zeros((2, 8), dtype=np.float32))
+        t = RegressionTarget(0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ShapeError, match="row 1 has label 3, above the 2 classes"):
+            regression_loss(deltas, [2, 3], [t, t])
+
     def test_missing_target_for_foreground_errors(self):
         logits, deltas = self._inputs([1], [None])
         with pytest.raises(ShapeError):

@@ -191,7 +191,7 @@ class TestCellAlignment:
         for img, anns in tiny_dataset[:4]:
             for a in anns:
                 pairs.append((img, a.box))
-        batched = batched_reference_features(pairs, 48, model.backbone)
+        batched = batched_reference_features([(img.pixels.data, roi) for img, roi in pairs], 48, model.backbone)
         assert batched.shape == (len(pairs), model.backbone.c_feat, 1, 1)
         for n, (img, roi) in enumerate(pairs):
             single = reference_feature_for_roi(img, roi, 48, model.backbone)
@@ -374,11 +374,12 @@ class TestBatchedBackbone:
         bb = build_model(tiny_config()).backbone
         big, small = mixed_size_dataset[0][0], mixed_size_dataset[1][0]
         for images, rows in (([big, big, big], [3]), ([big, big, small, small], [2, 1, 1]), ([small, big, big], [1, 1, 1])):
-            maps = step_maps(bb, images)
+            maps, pixels = step_maps(bb, images)
             assert [m.shape[0] for m in maps] == rows
             got = [row for m in maps for row in m.data]
-            for img, row in zip(images, got):
+            for img, row, px in zip(images, got, pixels, strict=True):
                 assert np.array_equal(row, bb.forward(img.pixels).data[0])
+                assert np.array_equal(px, img.pixels.data)
 
 
 class TestTrainLoop:
@@ -500,12 +501,12 @@ class TestTrainLoop:
         dataset = []
         for i in range(8):
             rng = np.random.default_rng(i)
-            px = (0.5 + 0.2 * (rng.random((1, 3, 48, 160)) - 0.5)).astype(np.float32)
+            levels = rng.integers(102, 154, size=(1, 3, 48, 160), dtype=np.uint8)
             side = int(rng.integers(8, 40))
             x, y = int(rng.integers(0, 160 - side)), int(rng.integers(0, 48 - side))
-            px[0, :, y : y + side, x : x + side] = np.float32([0.9, 0.2, 0.2])[:, None, None]
+            levels[0, :, y : y + side, x : x + side] = np.uint8([230, 51, 51])[:, None, None]
             box = RoI(x1=x, y1=y, x2=x + side, y2=y + side, image_id=i)
-            dataset.append((Image(pixels=Tensor(px), id=i), [Annotation(box=box, class_id=1 + i % 3)]))
+            dataset.append((Image(levels, id=i), [Annotation(box=box, class_id=1 + i % 3)]))
         write_dataset(tmp_path, dataset)
         dataset = load_dataset(tmp_path)
         cfg = TrainingConfig(iterations=30, san_mode="full", seed=1)
@@ -771,9 +772,9 @@ class TestRenderedRoiFeature:
     @pytest.mark.parametrize("h, w, box", CASES)
     @pytest.mark.parametrize("scale", [8, 12, 16, 24, 32, 64, 96])
     def test_matches_the_whole_window_rendering(self, h, w, box, scale):
-        img = Image(pixels=Tensor(np.random.default_rng(h + w).random((1, 3, h, w)).astype(np.float32)))
+        img = Image(np.random.default_rng(h + w).integers(0, 256, size=(1, 3, h, w), dtype=np.uint8))
         bb = Backbone.small(seed=3)
-        got = rendered_roi_feature(img, box, scale, bb).data
+        got = rendered_roi_feature(img.pixels.data, box, scale, bb).data
         want = full_render_roi_feature(img, box, scale, bb).data
         assert got.shape == want.shape == (1, bb.c_feat, 1, 1)
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
@@ -782,9 +783,9 @@ class TestRenderedRoiFeature:
         """At scale 8 the 4x4 box renders at factor 2 in the 72-pixel window
         [4, 40), so it maps to [32, 40): cell 4 alone, cropped with cell 3."""
         assert Backbone.roi_crop(32.0, 40.0, 72) == (24, 40)
-        img = Image(pixels=Tensor(np.random.default_rng(0).random((1, 3, 64, 64)).astype(np.float32)))
+        img = Image(np.random.default_rng(0).integers(0, 256, size=(1, 3, 64, 64), dtype=np.uint8))
         bb = Backbone.small(seed=3)
         box = RoI(x1=20, y1=20, x2=24, y2=24)
-        got = rendered_roi_feature(img, box, 8, bb).data
+        got = rendered_roi_feature(img.pixels.data, box, 8, bb).data
         want = full_render_roi_feature(img, box, 8, bb).data
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
