@@ -6,8 +6,9 @@ takes the output's gradient, and ``Tensor.backward()`` walks the tape in
 reverse topological order.  A closure holds the op's inputs and the
 buffers its gradient needs, never its own output, so a dropped graph is
 freed by reference counting.  ``backward()`` still consumes the graph:
-each node drops its parents and its closure as soon as it has passed its
-gradient on, so captured buffers are freed while backpropagation runs and
+each node drops its parents, its closure and the gradient it received as
+soon as it has passed that gradient on, so captured buffers and
+intermediate gradients are freed while backpropagation runs and
 intermediate tensors once it ends, even while the caller holds the loss.
 Only the operations the detection pipeline needs exist; there is no
 broadcasting and no GPU path.  Padding always replicates edges
@@ -126,9 +127,11 @@ class Tensor:
         The graph is consumed: every node walked loses its parents and its
         backward closure right after its closure has run, so the buffers
         the closures captured are freed during the walk and intermediate
-        tensors at its end, not when the caller drops the loss.  Calling
-        ``backward()`` again on this graph only resets this scalar's own
-        gradient.  Gradients stay on the tensors that received them.
+        tensors at its end, not when the caller drops the loss.  An op's
+        output also drops its gradient once the closure has read it, so
+        after the walk only leaves (inputs and `Parameter`s) and this
+        scalar hold one.  Calling ``backward()`` again on this graph only
+        resets this scalar's own gradient.
         """
         if self.data.size != 1:
             raise GraphError(f"backward() requires a scalar, got shape {self.shape}")
@@ -151,6 +154,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None
             node._parents = ()
             node._backward = None
 
@@ -240,8 +245,9 @@ def _col2im(cols: np.ndarray, xp_shape, kh: int, kw: int, stride: int, ho: int, 
     return xp
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of NCHW input with KCkhkw kernels plus bias.
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, relu: bool = False) -> Tensor:
+    """Cross-correlation of NCHW input with KCkhkw kernels plus bias, then
+    with ``relu`` set max(0, .) in place on the result.
 
     ``pad`` replicates edges: the result equals `replicate_pad` followed
     by an unpadded conv, bit for bit, in value and in every gradient, but
@@ -251,6 +257,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     over the batch in batch order and then added to what the tensor holds,
     so one pass over N items gives the bits of N one-item passes when the
     tensor holds no gradient yet, but not on top of an existing one.
+
+    With ``relu`` the result is bit for bit `relu` of the plain conv, in
+    value and in every gradient, from one output buffer instead of two:
+    the backward masks its gradient by ``out > 0`` (true exactly where the
+    pre-activation was) and adds 0, as `relu`'s hand-off through
+    `Tensor._accumulate` does, so a masked -0.0 reaches the sums as +0.0.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -277,9 +289,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
     wm = w.data.reshape(k, c * kh * kw)
     out_data = np.matmul(wm, cols).reshape(n, k, ho, wo)
     out_data += b.data.reshape(1, k, 1, 1)
+    if relu:
+        np.maximum(out_data, 0, out=out_data)
     dx = x if x.requires_grad else None
 
     def backward(grad_out: np.ndarray):
+        if relu:
+            grad_out = grad_out * (out_data > 0)
+            grad_out += 0
         g = grad_out.reshape(n, k, ho * wo)
         if b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2)))

@@ -198,7 +198,7 @@ class Backbone:
                 f"input {x.shape[2]}x{x.shape[3]} smaller than backbone stride {self.total_stride}"
             )
         for (w, b), (_, _, s, p) in zip(self.params, BACKBONE_BLOCKS):
-            x = ag.relu(ag.conv2d(x, w, b, stride=s, pad=p))
+            x = ag.conv2d(x, w, b, stride=s, pad=p, relu=True)
         return x
 
 

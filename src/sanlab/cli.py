@@ -279,7 +279,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = _resolve(args)
-        args.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SanlabError(f"cannot create output directory {args.out_dir}: {exc.strerror or exc}") from exc
         meta = {"command": args.command, "config": settings} | args.func(args, settings, args.out_dir)
         (args.out_dir / "run-meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
         return 0

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import Image, RoI
-from .errors import ConfigError, SanlabError
+from .errors import ConfigError, RoiError, SanlabError
 from .losses import box_iou
 from .rng import STREAM_DATA, STREAM_EVAL, derive
 
@@ -342,7 +342,9 @@ def write_dataset(out_dir: Path, dataset: list[tuple[Image, list[Annotation]]], 
 
 
 def load_dataset(data_dir: Path) -> list[tuple[Image, list[Annotation]]]:
-    """Read a manifest + PPM tree back into memory; an image listed twice is an error."""
+    """Read a manifest + PPM tree back into memory.  An image listed twice,
+    or a box with no positive extent or wholly outside its image, is an
+    error naming the manifest and the line."""
     data_dir = Path(data_dir)
     manifest = data_dir / "manifest.txt"
     dataset: list[tuple[Image, list[Annotation]]] = []
@@ -363,7 +365,8 @@ def load_dataset(data_dir: Path) -> list[tuple[Image, list[Annotation]]]:
                 raise SanlabError(f"{manifest}: image line {line!r} lists image {image_id} a second time")
             seen.add(image_id)
             current = []
-            dataset.append((Image(read_ppm(data_dir / parts[0]), id=image_id), current))
+            image = Image(read_ppm(data_dir / parts[0]), id=image_id)
+            dataset.append((image, current))
         else:
             if current is None:
                 raise SanlabError(f"{manifest}: annotation {line!r} before any image line")
@@ -377,8 +380,13 @@ def load_dataset(data_dir: Path) -> list[tuple[Image, list[Annotation]]]:
                 raise SanlabError(f"{manifest}: class id in {line!r} must be at least 1; 0 is the background label")
             if not all(map(math.isfinite, coords)):
                 raise SanlabError(f"{manifest}: box coordinates in {line!r} must be finite")
-            x1, y1, x2, y2 = coords
-            current.append(Annotation(box=RoI(x1=x1, y1=y1, x2=x2, y2=y2, image_id=image_id), class_id=class_id))
+            try:
+                box = RoI(*coords, image_id=image_id)
+            except RoiError as exc:
+                raise SanlabError(f"{manifest}: box in {line!r}: {exc}") from exc
+            if box.x2 <= 0 or box.y2 <= 0 or box.x1 >= image.width or box.y1 >= image.height:
+                raise SanlabError(f"{manifest}: box in {line!r} lies wholly outside its {image.width}x{image.height} image")
+            current.append(Annotation(box=box, class_id=class_id))
     return dataset
 
 

@@ -1,9 +1,10 @@
 """Training loop, model container, checkpointing, and inference.
 
 A training step samples two images, builds jittered proposals with a
-1:3 positive:negative cap, runs the backbone (one pass over images of one
-size, `step_maps`) and the RoI heads, and adds the scale-aware branch for
-a fixed-size random subset of the RoIs before one SGD update.
+1:3 positive:negative cap, takes the reference-scale features of a
+fixed-size random subset of the RoIs, runs the backbone (one pass over
+images of one size, `step_maps`) and the RoI heads, and adds the
+scale-aware branch for that subset before one SGD update.
 Everything is a pure function of (dataset, config), so checkpoints replay
 bit-for-bit under a fixed seed.
 """
@@ -259,14 +260,14 @@ def forward_roi_features(
     return fuse(batch, san_forward(batch, parts, model.san), alpha=model.san.fusion_alpha), batch
 
 
-def step_maps(backbone: Backbone, images: list[Image]) -> tuple[list[Tensor], list[np.ndarray]]:
-    """The images' feature maps for `roi_pool`, image i at slot i, and each
-    image's 1x3xHxW pixels.  One pass over the leading run of equal-size
-    images, one (n, C, h, w) map tensor, then one pass per later image, so a
-    step of one image size is one pass; each pass's pixels are converted
-    from the levels once, and the run's pixels are views of its batch.
+def step_pixels(images: list[Image]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The inputs of the step's backbone passes and each image's 1x3xHxW
+    pixels, image i at slot i.  The leading run of equal-size images is one
+    (n, 3, H, W) input, converted from the levels in one pass, and its
+    images' pixels are views of it; every later image is an input of its
+    own.
 
-    Only the first pass holds several images: backpropagation through the
+    Only the first input holds several images: backpropagation through the
     `roi_pool` node reaches the maps in list order, and a later pass would
     add its images' summed weight gradients onto the earlier ones
     (`ag.conv2d`), in another order than one pass per image does.
@@ -275,32 +276,43 @@ def step_maps(backbone: Backbone, images: list[Image]) -> tuple[list[Tensor], li
     while lead < len(images) and images[lead].levels.shape == images[0].levels.shape:
         lead += 1
     first = to_pixels(np.concatenate([img.levels for img in images[:lead]]))
-    pixels = [first[i : i + 1] for i in range(lead)] + [to_pixels(img.levels) for img in images[lead:]]
-    maps = [backbone.forward(Tensor(first))] + [backbone.forward(Tensor(px)) for px in pixels[lead:]]
-    return maps, pixels
+    rest = [to_pixels(img.levels) for img in images[lead:]]
+    return [first, *rest], [first[i : i + 1] for i in range(lead)] + rest
+
+
+def step_maps(backbone: Backbone, inputs: list[np.ndarray]) -> list[Tensor]:
+    """The feature maps for `roi_pool`: one backbone pass per input of
+    `step_pixels`, so a step of one image size is one pass."""
+    return [backbone.forward(Tensor(x)) for x in inputs]
 
 
 def compute_step_losses(model: DetectionModel, batch: StepBatch) -> LossParts:
     """Assemble the full objective graph for one sampled step, as
-    ``model.config`` sets it: the step's feature maps and pixels
-    (`step_maps`); one `roi_pool` and one `san_forward` node on the RoI
+    ``model.config`` sets it: the step's pixels (`step_pixels`), the feature
+    maps (`step_maps`), one `roi_pool` and one `san_forward` node on the RoI
     features; and, exactly when ``san_mode`` is "full", the scale-aware term
     weighted by ``san_loss_weight``: one `san_loss_branch` (a second
     `san_forward` node) on plain arrays, the sampled RoIs' pooled rows, or
     with ``san_pool="max"`` one max-mode `roi_pool` of the sampled RoIs on
-    the detached maps; the reference crops slice the step's pixels.  Every
-    loss and gradient bit is that of one backbone pass per image."""
+    the detached maps, against reference features cropped from the step's
+    pixels.  Those are taken before the maps, so the reference pass's
+    transients are freed before the tape grows; it takes no gradient and no
+    weight changes within a step, so no bit moves.  Every loss and gradient
+    bit is that of one backbone pass per image."""
     cfg = model.config
-    feats, pixels = step_maps(model.backbone, batch.images)
-    roi_feats, batch_pooled = forward_roi_features(model, feats, batch.rois, batch.image_slot)
-    logits, deltas = model.head.forward(roi_feats)
-    san_terms = None
-    if cfg.san_mode == "full" and batch.san_indices:
+    inputs, pixels = step_pixels(batch.images)
+    scale_aware = cfg.san_mode == "full" and bool(batch.san_indices)
+    if scale_aware:
         rois = [batch.rois[j] for j in batch.san_indices]
         slots = [batch.image_slot[j] for j in batch.san_indices]
         r_tilde = batched_reference_features(
             [(pixels[s], roi) for roi, s in zip(rois, slots)], model.scheme.ref_scale, model.backbone
         )
+    feats = step_maps(model.backbone, inputs)
+    roi_feats, batch_pooled = forward_roi_features(model, feats, batch.rois, batch.image_slot)
+    logits, deltas = model.head.forward(roi_feats)
+    san_terms = None
+    if scale_aware:
         # plain arrays: the branch records no tape below its entry
         if cfg.san_pool == "avg":
             pooled = batch_pooled.data[batch.san_indices]

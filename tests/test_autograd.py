@@ -33,14 +33,20 @@ class TestTensorBasics:
             t.backward()
 
     def test_backward_frees_the_graph(self):
+        """Backward consumes the graph and frees every op output's
+        gradient; leaves, parameters and the loss keep theirs."""
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        p = Parameter(np.array([0.5, 0.5, 0.5]))
         hidden = ag.relu(x)
-        loss = ag.sum_all(ag.mul(hidden, hidden))
+        scaled = ag.mul(hidden, p)
+        loss = ag.sum_all(ag.mul(scaled, hidden))
         loss.backward()
-        assert np.array_equal(x.grad, [2.0, 0.0, 6.0])
-        for node in (loss, hidden):
+        assert np.array_equal(x.grad, [1.0, 0.0, 3.0])
+        assert np.array_equal(p.grad, [1.0, 0.0, 9.0])
+        assert np.array_equal(loss.grad, 1.0)
+        for node in (loss, scaled, hidden):
             assert node._parents == () and node._backward is None
-        assert hidden.grad is not None
+        assert hidden.grad is None and scaled.grad is None
 
     def test_backward_frees_each_closure_once_it_has_run(self):
         """A node drops its closure, and the buffers it holds, as soon as it
@@ -331,6 +337,26 @@ class TestConvKernelsBitwise:
         gb += g.sum(axis=(0, 2))
         for actual, expected in zip(got, (value, gx, gw, gb)):
             assert_same_bits(actual, expected)
+
+    @pytest.mark.parametrize("kernel, stride, pad", [(3, 2, 1), (3, 1, 1), (1, 1, 0)])
+    def test_conv_with_relu_equals_relu_of_conv(self, kernel, stride, pad):
+        """The fused ReLU against `relu` of the plain conv: exact zeros in
+        the pre-activation (a channel with zero kernel and bias, and zero
+        input rows under a -0.0 bias) and upstream gradients of both signs,
+        negative over the whole zero channel, where the masked gradient is
+        -0.0."""
+        x, wt, b = conv_case(kernel + stride, 2, 3, 5, 9, 7, kernel)
+        x[:, :, :4] = 0.0
+        wt[1], b[1] = 0.0, 0.0
+        b[2] = -0.0
+        out = ag.conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, pad=pad)
+        upstream = rng_for(9).normal(size=out.shape).astype(np.float32)
+        upstream[:, 1] = -np.abs(upstream[:, 1])
+        got = conv_value_and_grads(lambda a, k, c: ag.conv2d(a, k, c, stride, pad, relu=True), x, wt, b, upstream)
+        want = conv_value_and_grads(lambda a, k, c: ag.relu(ag.conv2d(a, k, c, stride, pad)), x, wt, b, upstream)
+        assert (got[0] == 0).any() and (got[0] > 0).any()
+        for g, e in zip(got, want):
+            assert_same_bits(g, e)
 
     def test_padded_conv_of_constant_map_is_constant(self):
         x = np.full((1, 2, 4, 3), 0.5, dtype=np.float32)

@@ -676,6 +676,43 @@ class TestInputErrors:
                          "--checkpoint", str(small_run[1] / "checkpoint.san")], capsys)
         assert str(manifest) in err and "'img_00001.ppm' lists image 1 a second time" in err, err
 
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            ("30 30 20 40", "must have positive extent"),
+            ("30 30 30 40", "must have positive extent"),
+            ("200 200 230 230", "lies wholly outside its 96x96 image"),
+            ("-20 10 0 40", "lies wholly outside its 96x96 image"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train", "eval", "rmse"])
+    def test_box_the_image_cannot_hold_is_an_error(self, small_run, tmp_path, capsys, command, box, message):
+        """An inverted box used to fail without naming the file, and one
+        outside the image was evaluated (exit 0) or failed in the RMSE
+        report's cell span."""
+        data = tmp_path / "data"
+        shutil.copytree(small_run[0], data)
+        manifest = data / "manifest.txt"
+        manifest.write_text(re.sub(r"^(\d+) .*$", rf"\g<1> {box}", manifest.read_text(), count=1, flags=re.M))
+        out = tmp_path / "x"
+        extra = ["--iterations", "1"] if command == "train" else ["--checkpoint", str(small_run[1] / "checkpoint.san")]
+        err = self._run([command, "--out-dir", str(out), "--data-dir", str(data), *extra], capsys)
+        assert str(manifest) in err and box in err and message in err, err
+        assert not (out / "run-meta.json").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_output_directory_that_cannot_be_made_is_an_error(self, small_run, tmp_path, capsys, command, below):
+        """An existing file as --out-dir, or as its parent, used to end in a
+        FileExistsError or NotADirectoryError traceback and exit 1."""
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / below if below else blocker
+        extra = ["--num-images", "1"] if command == "gen-data" else ["--data-dir", str(small_run[0]), "--iterations", "1"]
+        err = self._run([command, "--out-dir", str(out), *extra], capsys)
+        assert f"cannot create output directory {out}" in err, err
+        assert blocker.read_text() == "not a directory\n"
+
     def test_non_utf8_manifest_is_an_error(self, small_run, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(small_run[0], data)

@@ -1,6 +1,7 @@
 """Synthetic data generation, proposals, statistics, on-disk formats."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,31 @@ class TestDiskFormat:
         manifest.write_text("\n".join(lines[: second + 1] + lines) + "\n")
         with pytest.raises(SanlabError, match=r"manifest\.txt: image line 'img_00000\.ppm' lists image 0 a second time"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            ("40 10 30 20", "must have positive extent"),
+            ("10 20 30 20", "must have positive extent"),
+            ("200 200 230 230", "lies wholly outside its 96x96 image"),
+            ("10 96 30 120", "lies wholly outside its 96x96 image"),
+            ("-30 -30 0 10", "lies wholly outside its 96x96 image"),
+        ],
+    )
+    def test_box_the_image_cannot_hold_is_an_error(self, tmp_path, box, message):
+        """A box with no positive extent, or wholly outside its image, names
+        the manifest and the line."""
+        write_dataset(tmp_path, generate_dataset(DatasetConfig(num_images=2, seed=26)))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("img_00001.ppm\n", f"img_00001.ppm\n1 {box}\n", 1))
+        with pytest.raises(SanlabError, match=re.escape(f"{manifest}: box in '1 {box}'") + ".*" + message):
+            load_dataset(tmp_path)
+
+    def test_box_partly_outside_its_image_loads(self, tmp_path):
+        write_dataset(tmp_path, generate_dataset(DatasetConfig(num_images=1, seed=26)))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "2 -5 90 4 120\n")
+        assert load_dataset(tmp_path)[0][1][-1].box == RoI(-5.0, 90.0, 4.0, 120.0, image_id=0)
 
     def test_read_ppm_rejects_other_formats(self, tmp_path):
         (tmp_path / "bad.ppm").write_bytes(b"P3\n1 1\n255\n0 0 0\n")

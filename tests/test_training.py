@@ -46,6 +46,7 @@ from sanlab.training import (
     sample_san_rois,
     save_checkpoint,
     step_maps,
+    step_pixels,
     train,
     write_checkpoint_entries,
     write_log_csv,
@@ -374,12 +375,45 @@ class TestBatchedBackbone:
         bb = build_model(tiny_config()).backbone
         big, small = mixed_size_dataset[0][0], mixed_size_dataset[1][0]
         for images, rows in (([big, big, big], [3]), ([big, big, small, small], [2, 1, 1]), ([small, big, big], [1, 1, 1])):
-            maps, pixels = step_maps(bb, images)
+            inputs, pixels = step_pixels(images)
+            maps = step_maps(bb, inputs)
             assert [m.shape[0] for m in maps] == rows
             got = [row for m in maps for row in m.data]
             for img, row, px in zip(images, got, pixels, strict=True):
                 assert np.array_equal(row, bb.forward(img.pixels).data[0])
                 assert np.array_equal(px, img.pixels.data)
+
+    @pytest.mark.parametrize("san_pool", ["avg", "max"])
+    def test_full_step_takes_reference_features_before_the_tape(self, tiny_dataset, monkeypatch, san_pool):
+        """A full step runs the reference pathway first: when it is called no
+        backbone pass of the step has run and no tape node exists, so its
+        transients never coexist with the forward tape."""
+        events = []
+        result, forward, reference = ag._result, Backbone.forward, sanlab.training.batched_reference_features
+
+        def recording_result(data, parents, backward):
+            out = result(data, parents, backward)
+            if out._backward is not None:
+                events.append("tape")
+            return out
+
+        def recording_forward(bb, x):
+            events.append("backbone")
+            return forward(bb, x)
+
+        def recording_reference(*args, **kwargs):
+            events.append(("reference", list(events)))
+            return reference(*args, **kwargs)
+
+        monkeypatch.setattr(ag, "_result", recording_result)
+        monkeypatch.setattr(Backbone, "forward", recording_forward)
+        monkeypatch.setattr(sanlab.training, "batched_reference_features", recording_reference)
+        cfg = tiny_config(san_pool=san_pool)
+        model = build_model(cfg)
+        batch = build_step_batch(tiny_dataset, cfg, step=1)
+        compute_step_losses(model, batch).total.backward()
+        assert events[0] == ("reference", [])
+        assert events.count("backbone") == 2 and "tape" in events
 
 
 class TestTrainLoop:
