@@ -159,8 +159,6 @@ class Backbone:
         snapped out to the stride grid and clamped to the axis.  Raises
         `RoiError` when the span reads no cell."""
         c_lo, c_hi = _roi_cell_span(lo, hi, cls.map_size(size))
-        if c_hi <= c_lo:
-            raise RoiError(f"RoI span [{lo}, {hi}) reads no cell of a {size}-pixel axis at stride {cls.total_stride}")
         return c_lo * cls.total_stride, min(size, c_hi * cls.total_stride)
 
     @classmethod
@@ -203,19 +201,18 @@ class Backbone:
 
 
 def _roi_cell_span(lo: float, hi: float, limit: int) -> tuple[int, int]:
-    """Cells [c_lo, c_hi) of an RoI span on a map axis of ``limit`` cells (empty when c_hi <= c_lo)."""
+    """Cells [c_lo, c_hi) of an RoI span on a map axis of ``limit`` cells; `RoiError` if it reads none."""
     stride = Backbone.total_stride
-    return max(0, math.floor(lo / stride)), min(limit, math.ceil(hi / stride))
+    c_lo, c_hi = max(0, math.floor(lo / stride)), min(limit, math.ceil(hi / stride))
+    if c_hi <= c_lo:
+        raise RoiError(f"RoI span [{lo}, {hi}) reads no cell of a {limit}-cell map axis at stride {stride}")
+    return c_lo, c_hi
 
 
 def _roi_cells(feat: Tensor, roi: RoI) -> tuple[int, int, int, int]:
     """(y_lo, y_hi, x_lo, x_hi): the cells an RoI reads on an NxCxhxw map."""
     fh, fw = feat.shape[2:]
-    x_lo, x_hi = _roi_cell_span(roi.x1, roi.x2, fw)
-    y_lo, y_hi = _roi_cell_span(roi.y1, roi.y2, fh)
-    if x_hi <= x_lo or y_hi <= y_lo:
-        raise RoiError(f"RoI ({roi.x1},{roi.y1},{roi.x2},{roi.y2}) reads no cell of a {fh}x{fw} map")
-    return y_lo, y_hi, x_lo, x_hi
+    return _roi_cell_span(roi.y1, roi.y2, fh) + _roi_cell_span(roi.x1, roi.x2, fw)
 
 
 def roi_pool(maps: Sequence[Tensor], rois: Sequence[RoI], slots: Sequence[int], mode: str = "avg") -> Tensor:

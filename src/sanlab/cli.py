@@ -162,10 +162,7 @@ def cmd_gen_data(args: argparse.Namespace, settings: dict, out_dir: Path) -> dic
     )
     dataset, skips = generate_dataset_with_stats(cfg)
     write_dataset(out_dir, dataset, skips)
-    if any(anns for _, anns in dataset):
-        write_scale_statistics_csv(out_dir / "scale_stats.csv", scale_statistics(dataset))
-    else:
-        (out_dir / "scale_stats.csv").write_text("class,median_area,std_area\n")
+    write_scale_statistics_csv(out_dir / "scale_stats.csv", scale_statistics(dataset))
     return {"images": len(dataset), "skipped_objects": int(sum(skips))}
 
 
@@ -182,16 +179,8 @@ def cmd_train(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
 def cmd_eval(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
     dataset = _load_images(args.data_dir)
     model = load_checkpoint(Path(args.checkpoint))
-    if args.debug_oracle:
-        # sanity mode: score the ground truth itself; must give mAP 1.0
-        from .analysis import Detection, evaluate_ap
-
-        gts = [a for _, anns in dataset for a in anns]
-        detections = [Detection(image_id=g.box.image_id, class_id=g.class_id, score=1.0, box=g.box) for g in gts]
-        ap = evaluate_ap(detections, gts)
-    else:
-        # the eval settings are evaluate_detector's keyword arguments
-        ap, detections = evaluate_detector(model, dataset, **{key: settings[key] for key in SETTINGS["eval"]})
+    # the eval settings are evaluate_detector's keyword arguments
+    ap, detections = evaluate_detector(model, dataset, **{key: settings[key] for key in SETTINGS["eval"]})
     payload = {
         "map": ap.mean_ap,
         "per_class": {str(c): v for c, v in ap.per_class.items()},
@@ -265,9 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("gen-data", cmd_gen_data, "generate the synthetic multi-scale dataset")
     command("train", cmd_train, "train a detector", "data_dir",
             boundaries="comma-separated area thresholds in pixels^2")
-    e = command("eval", cmd_eval, "evaluate a checkpoint (per-class AP and mAP)", "data_dir", "checkpoint")
-    e.add_argument("--debug-oracle", dest="debug_oracle", action="store_true",
-                   help="score the ground truth itself (AP pipeline sanity check)")
+    command("eval", cmd_eval, "evaluate a checkpoint (per-class AP and mAP)", "data_dir", "checkpoint")
     command("cam", cmd_cam, "channel-activation matrix over a scale sweep", "checkpoint", "image",
             image="PPM image to sweep", scales="comma-separated side lengths")
     command("rmse", cmd_rmse, "scale-space RMSE report with/without correction", "data_dir", "checkpoint")
@@ -279,15 +266,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = _resolve(args)
-        try:
-            args.out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise SanlabError(f"cannot create output directory {args.out_dir}: {exc.strerror or exc}") from exc
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         meta = {"command": args.command, "config": settings} | args.func(args, settings, args.out_dir)
         (args.out_dir / "run-meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n")
         return 0
     except SanlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # inputs are read through data.read_file, so this is an output that could not be written
+        print(f"error: cannot write {exc.filename or args.out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -254,13 +254,11 @@ def proposal_rng(seed: int, image_id: int) -> np.random.Generator:
 
 
 def scale_statistics(dataset: list[tuple[Image, list[Annotation]]]) -> dict[int, tuple[float, float]]:
-    """Per-class (median, population stddev) of annotation areas."""
+    """Per-class (median, population stddev) of annotation areas ({} with no objects)."""
     areas: dict[int, list[float]] = {}
     for _, anns in dataset:
         for a in anns:
             areas.setdefault(a.class_id, []).append(a.box.area)
-    if not areas:
-        raise SanlabError("scale_statistics needs at least one annotation")
     return {c: (float(np.median(v)), float(np.std(v))) for c, v in sorted(areas.items())}
 
 

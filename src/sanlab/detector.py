@@ -18,7 +18,6 @@ from .analysis import ApResult, Detection
 from .backbone import Image, RoI
 from .data import Annotation
 from .errors import ConfigError
-from .san import resolve_scheme  # noqa: F401  (re-exported: resolves the `scheme` parameter)
 from .training import (
     DetectionModel,
     TrainingConfig,

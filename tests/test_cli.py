@@ -143,11 +143,11 @@ class TestConfigFile:
 
 
 class TestSettingsTables:
-    # flags outside the settings tables: the path arguments and eval's sanity switch
+    # flags outside the settings tables: the path arguments
     OTHER_FLAGS = {
         "gen-data": [],
         "train": ["--data-dir"],
-        "eval": ["--data-dir", "--checkpoint", "--debug-oracle"],
+        "eval": ["--data-dir", "--checkpoint"],
         "cam": ["--checkpoint", "--image"],
         "rmse": ["--data-dir", "--checkpoint"],
     }
@@ -355,17 +355,6 @@ class TestEval:
         metrics = json.loads((out / "metrics.json").read_text())
         assert set(metrics) == {"map", "per_class", "num_detections"}
         assert len(metrics["per_class"]) == 3
-
-    def test_debug_oracle_gives_perfect_map(self, small_run, tmp_path):
-        data, run = small_run
-        out = tmp_path / "oracle"
-        rc = main(
-            ["eval", "--out-dir", str(out), "--data-dir", str(data), "--checkpoint", str(run / "checkpoint.san"), "--debug-oracle"]
-        )
-        assert rc == 0
-        metrics = json.loads((out / "metrics.json").read_text())
-        assert metrics["map"] == pytest.approx(1.0)
-        assert all(v == pytest.approx(1.0) for v in metrics["per_class"].values())
 
     def test_empty_split_errors(self, small_run, tmp_path):
         _, run = small_run
@@ -710,8 +699,18 @@ class TestInputErrors:
         out = blocker / below if below else blocker
         extra = ["--num-images", "1"] if command == "gen-data" else ["--data-dir", str(small_run[0]), "--iterations", "1"]
         err = self._run([command, "--out-dir", str(out), *extra], capsys)
-        assert f"cannot create output directory {out}" in err, err
+        assert err.startswith(f"error: cannot write {out}: "), err
         assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("name", ["manifest.txt", "run-meta.json"])
+    def test_output_file_that_cannot_be_written_is_an_error(self, tmp_path, capsys, name):
+        """A directory where gen-data writes a file used to end in an
+        IsADirectoryError traceback and exit 1."""
+        out = tmp_path / "d"
+        (out / name).mkdir(parents=True)
+        err = self._run(["gen-data", "--out-dir", str(out), "--num-images", "1"], capsys)
+        assert err.startswith(f"error: cannot write {out / name}: "), err
+        assert (out / name).is_dir()
 
     def test_non_utf8_manifest_is_an_error(self, small_run, tmp_path, capsys):
         data = tmp_path / "data"

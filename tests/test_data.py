@@ -180,9 +180,12 @@ class TestScaleStatistics:
             assert stats[c][0] == pytest.approx(median, rel=1e-12)
             assert stats[c][1] == pytest.approx(std, rel=1e-9)
 
-    def test_empty_dataset_errors(self):
-        with pytest.raises(SanlabError):
-            scale_statistics([])
+    def test_dataset_with_no_objects_has_no_statistics(self, tmp_path):
+        assert scale_statistics([]) == {}
+        img = Image(np.zeros((1, 3, 16, 16), dtype=np.uint8))
+        assert scale_statistics([(img, [])]) == {}
+        write_scale_statistics_csv(tmp_path / "s.csv", {})
+        assert (tmp_path / "s.csv").read_bytes() == b"class,median_area,std_area\n"
 
 
 class TestDiskFormat:

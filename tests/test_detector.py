@@ -7,9 +7,9 @@ import pytest
 
 from sanlab.backbone import RoI
 from sanlab.data import DatasetConfig, generate_dataset
-from sanlab.detector import NotFittedError, SanDetector, resolve_scheme
+from sanlab.detector import NotFittedError, SanDetector
 from sanlab.errors import ConfigError
-from sanlab.san import COCO_SCHEME, TOY_SCHEME, VOC_SCHEME, ScalePartitionScheme
+from sanlab.san import COCO_SCHEME, TOY_SCHEME, VOC_SCHEME, ScalePartitionScheme, resolve_scheme
 from sanlab.training import FRONT_END_NAMES, TrainingConfig, config_from_front_end, front_end_from_config
 
 

@@ -17,6 +17,7 @@ from test_backbone import naive_roi_pool
 
 import sanlab
 from sanlab import autograd as ag
+from sanlab.analysis import RmseRow, rmse_with_san, rmse_without_san
 from sanlab.autograd import Tensor
 from sanlab.backbone import Backbone, Image, RoI, extract_reference_feature, roi_pool
 from sanlab.data import Annotation, DatasetConfig, generate_dataset, load_dataset, write_dataset
@@ -788,6 +789,48 @@ class TestInference:
         model = build_model(tiny_config(san_mode="off"))
         with pytest.raises(Exception, match="correction"):
             rmse_report(model, tiny_dataset[:2])
+
+    def test_rmse_report_reads_each_image_once(self, tiny_dataset, monkeypatch):
+        """One level conversion and one reference pass per image, counted
+        under both modules' names: a report that took each object's
+        reference feature alone converted its image once more per object."""
+        calls = {"to_pixels": 0, "batched_reference_features": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for module in (sanlab.training, sanlab.backbone):
+            for name in calls:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        dataset = tiny_dataset[:4]
+        assert sum(len(anns) for _, anns in dataset) > len(dataset)
+        rows = rmse_report(build_model(tiny_config()), dataset + [(dataset[0][0], [])])
+        assert rows
+        assert calls == {"to_pixels": len(dataset), "batched_reference_features": len(dataset)}
+
+    def test_rmse_report_rows_match_per_object_references(self):
+        """The rows of a 3-object image are, bit for bit, those built with
+        each object's own `extract_reference_feature`."""
+        dataset = generate_dataset(DatasetConfig(num_images=6, objects_min=3, objects_max=3, seed=5))
+        img, anns = next((img, anns) for img, anns in dataset if len(anns) == 3)
+        model = build_model(tiny_config(init_mode="gaussian"))
+        bb, scheme = model.backbone, model.scheme
+        scales = [8, 16, 24, 64]
+        want = []
+        for sample_id, ann in enumerate(anns):
+            z0 = extract_reference_feature(img, ann.box, scheme.ref_scale, bb)
+            for s in scales:
+                z_s = rendered_roi_feature(img.pixels.data, ann.box, s, bb)
+                part = partition_index(float(s * s), scheme)
+                without, with_san = rmse_without_san(z_s, z0), rmse_with_san(z_s, z0, model.san, part)
+                want.append(RmseRow(sample_id, ann.class_id, s, without, with_san))
+        got = rmse_report(model, [(img, anns)], scales=scales)
+        assert repr(got) == repr(want)
+        assert any(r.rmse_with != r.rmse_without for r in got)
 
 
 class TestRenderedRoiFeature:
