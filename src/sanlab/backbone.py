@@ -5,12 +5,13 @@ blocks, and one pass over several images of one size gives an NxCxhxw map
 tensor, one map per row.  The blocks fix the geometry: the stride, the
 ROI_OUT x ROI_OUT pooling grid and `Backbone.cell_footprint`, the input
 pixels of the cells an RoI reads.  Per-object features come either from
-RoI pooling on those maps (`roi_pool`, average or max, one tape node for a
-step's RoIs over all its images) or from the scale-normalized-patch
-pathway (crop the RoI's cell footprint, resize to the reference scale, run
-the backbone, pool globally), which `batched_reference_features` alone
-implements.  The public `sanlab.extract_reference_feature` is its one-RoI
-case, so it too crops the cell footprint rather than the RoI itself.
+RoI pooling on those maps (`roi_pool`: average mode is one tape node for
+a step's RoIs over all its images, max mode is forward only) or from the
+scale-normalized-patch pathway (crop the RoI's cell footprint, resize to
+the reference scale, run the backbone, pool globally), which
+`batched_reference_features` alone implements.  The public
+`sanlab.extract_reference_feature` is its one-RoI case, so it too crops
+the cell footprint rather than the RoI itself.
 
 Average RoI pooling stacks the RoIs of each cell width so that its forward
 column products are one GEMM per width; its backward runs on full-map bin
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter, Tensor
-from .errors import RoiError, ShapeError
+from .errors import GraphError, RoiError, ShapeError
 from .rng import STREAM_WEIGHTS, derive
 
 
@@ -223,14 +224,16 @@ def roi_pool(maps: Sequence[Tensor], rois: Sequence[RoI], slots: Sequence[int], 
     axes concatenated in list order, so with 1xCxhxw maps a slot is a map's
     index.  Cells: coordinates divided by the backbone stride, floor(x1) /
     ceil(x2), clamped to the map.  Bin b covers cells [floor(b*span/out),
-    ceil((b+1)*span/out)), so bins are never empty.  Average mode is rows @
-    cells @ cols.T with 0/1 bin matrices (exact on integer-valued data) and
-    spreads gradient uniformly over a bin; max mode routes it to each
-    channel's first row-major maximum.  Row n is bitwise rois[n] pooled
-    alone, and in the dtype the maps some RoI reads promote to.  One tape
-    node: its parents are the map tensors some RoI reads, in list order,
-    and its backward sums each image's RoI gradients, in RoI order, into
-    one buffer per map tensor.
+    ceil((b+1)*span/out)), so bins are never empty.  Row n is bitwise
+    rois[n] pooled alone, and in the dtype the maps some RoI reads promote
+    to.  Max mode takes the maxima of each column bin, then of each row bin
+    over those; it has no backward, so it returns a constant tensor and
+    raises `GraphError` when a map some RoI reads takes a gradient.  Average
+    mode is rows @ cells @ cols.T with 0/1 bin matrices (exact on
+    integer-valued data) and spreads gradient uniformly over a bin.  It is
+    one tape node: its parents are the map tensors some RoI reads, in list
+    order, and its backward sums each image's RoI gradients, in RoI order,
+    into one buffer per map tensor.
 
     In average mode the forward stacks the RoIs of each cell width, so its
     column products are one GEMM per width, (G*C*out, w) @ cols.T; its row
@@ -260,33 +263,22 @@ def roi_pool(maps: Sequence[Tensor], rois: Sequence[RoI], slots: Sequence[int], 
     channels = {t.shape[1] for t in inputs.values()}
     if len(channels) > 1:
         raise ShapeError(f"roi_pool maps differ in channel count: {sorted(channels)}")
+    if mode == "max" and any(t.requires_grad for t in inputs.values()):
+        raise GraphError("max-mode roi_pool has no backward: pool maps that take no gradient")
     dtype = np.result_type(*(t.dtype for t in inputs.values()))
     out_data = np.empty((len(rois), channels.pop(), ROI_OUT, ROI_OUT), dtype=dtype)
     cells = [maps[m].data[r, :, y0:y1, x0:x1] for m, r, y0, y1, x0, x1 in regions]
-    if mode == "avg":
-        scatter = _avg_pool(cells, out_data, regions)
-    else:
-        scatters = [_max_bins(x, dst) for x, dst in zip(cells, out_data)]
-
-        def scatter(grad_out: np.ndarray, grads: dict[int, np.ndarray]):
-            for roi_scatter, gn, (m, r, y0, y1, x0, x1) in zip(scatters, grad_out, regions):
-                roi_scatter(gn, grads[m][r, :, y0:y1, x0:x1])
-
-    def backward(grad_out: np.ndarray):
-        grads = {m: np.zeros_like(t.data) for m, t in inputs.items()}
-        scatter(grad_out, grads)
-        for m, t in inputs.items():
-            if t.requires_grad:
-                t._accumulate(grads[m])
-
-    return ag._result(out_data, tuple(inputs.values()), backward)
+    if mode == "max":
+        _max_pool(cells, out_data)
+        return Tensor(out_data)
+    return ag._result(out_data, tuple(inputs.values()), _avg_pool(cells, out_data, regions, inputs))
 
 
-def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int, int, int, int, int, int]]):
+def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int, ...]], inputs: dict[int, Tensor]):
     """Average-pool each RoI's (C, h, w) cells into dst[n], column products
-    grouped by width (see `roi_pool`); return the scatter of a (N, C, out,
-    out) gradient into one buffer per map tensor, each image's RoIs summed
-    in order into its row."""
+    grouped by width (see `roi_pool`); return the backward, which sums a
+    (N, C, out, out) gradient into one buffer per map tensor, each image's
+    RoIs in order into its row."""
     n, c, out, _ = dst.shape
     rows = [_bin_matrix(x.shape[1], dst.dtype)[0] for x in cells]
     widths: dict[int, list[int]] = {}  # cell width -> its RoIs, in RoI order
@@ -301,7 +293,8 @@ def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int,
         dst[group] = (row_sums.reshape(-1, w) @ cols[w].T).reshape(len(group), c, out, out)
     dst /= counts
 
-    def scatter(grad_out: np.ndarray, grads: dict[int, np.ndarray]):
+    def backward(grad_out: np.ndarray):
+        grads = {m: np.zeros_like(t.data) for m, t in inputs.items()}
         images, spans = np.array([r[:2] for r in regions]), np.array([r[2:] for r in regions])  # (map, row), cells
         lo, span = spans[:, ::2], spans[:, 1::2] - spans[:, ::2]  # (N, 2): rows, columns
         ends = np.arange(out + 1) * span[..., None]
@@ -325,28 +318,20 @@ def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int,
             for gk in g:  # in RoI order, each rounded to the map's dtype; np.add.reduce may sum pairwise
                 acc += gk
             buf[...] = acc.transpose(1, 0, 2)
+        for m, t in inputs.items():
+            if t.requires_grad:
+                t._accumulate(grads[m])
 
-    return scatter
+    return backward
 
 
-def _max_bins(cells: np.ndarray, dst: np.ndarray):
-    """Max-pool (C, h, w) cells into dst; return the scatter to each bin's winners."""
-    ch_idx = np.arange(len(cells))
-    col_spans = _bin_spans(cells.shape[2])
-    winners = []  # per bin: by, bx and the cells of each channel's first maximum
-    for by, (ys, ye) in enumerate(_bin_spans(cells.shape[1])):
-        for bx, (xs, xe) in enumerate(col_spans):
-            bin_cells = cells[:, ys:ye, xs:xe].reshape(len(cells), -1)
-            idx = bin_cells.argmax(axis=1)
-            dst[:, by, bx] = bin_cells[ch_idx, idx]
-            r, col = np.divmod(idx, xe - xs)
-            winners.append((by, bx, ys + r, xs + col))
-
-    def scatter(gn: np.ndarray, region: np.ndarray):
-        for by, bx, wy, wx in winners:
-            region[ch_idx, wy, wx] += gn[:, by, bx]
-
-    return scatter
+def _max_pool(cells: list[np.ndarray], dst: np.ndarray):
+    """Max-pool each RoI's (C, h, w) cells into dst[n]: the maxima of each
+    column bin, then of each row bin over those."""
+    for x, d in zip(cells, dst):
+        cols = np.stack([x[:, :, lo:hi].max(axis=2) for lo, hi in _bin_spans(x.shape[2])], axis=2)
+        for b, (lo, hi) in enumerate(_bin_spans(x.shape[1])):
+            d[:, b] = cols[:, lo:hi].max(axis=1)
 
 
 def _bin_spans(span: int) -> list[tuple[int, int]]:

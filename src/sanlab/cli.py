@@ -90,8 +90,9 @@ def _flag_options(key: str, default) -> dict:
     return _FLAG_OPTIONS.get(key, {"type": type(default)})
 
 
-# every key a config file may set, with its parser (a switch's value is 0 or 1)
-_CONFIG_KEYS = {k: _flag_options(k, d).get("type", int) for table in SETTINGS.values() for k, d in table.items()}
+# every key a config file may set, with its parser; a switch's value is its
+# index in ("0", "1"), and other text is a ValueError
+_CONFIG_KEYS = {k: _flag_options(k, d).get("type", ("0", "1").index) for table in SETTINGS.values() for k, d in table.items()}
 
 
 def _parse(parse, text: str, what: str):

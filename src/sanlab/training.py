@@ -3,7 +3,7 @@
 A training step samples two images, builds jittered proposals with a
 1:3 positive:negative cap, takes the reference-scale features of a
 fixed-size random subset of the RoIs, runs the backbone (one pass over
-images of one size, `step_maps`) and the RoI heads, and adds the
+images of one size, `step_pixels`) and the RoI heads, and adds the
 scale-aware branch for that subset before one SGD update.
 Everything is a pure function of (dataset, config), so checkpoints replay
 bit-for-bit under a fixed seed.
@@ -90,6 +90,8 @@ class TrainingConfig:
                 raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.san_mode == "off" and self.init_mode == "gaussian":
             raise ConfigError("init_mode 'gaussian' has no effect with san_mode 'off'; change one of them")
+        if self.san_pool == "max" and self.san_mode != "full":
+            raise ConfigError(f"san_pool 'max' has no effect with san_mode {self.san_mode!r}; change one of them")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -280,21 +282,15 @@ def step_pixels(images: list[Image]) -> tuple[list[np.ndarray], list[np.ndarray]
     return [first, *rest], [first[i : i + 1] for i in range(lead)] + rest
 
 
-def step_maps(backbone: Backbone, inputs: list[np.ndarray]) -> list[Tensor]:
-    """The feature maps for `roi_pool`: one backbone pass per input of
-    `step_pixels`, so a step of one image size is one pass."""
-    return [backbone.forward(Tensor(x)) for x in inputs]
-
-
 def compute_step_losses(model: DetectionModel, batch: StepBatch) -> LossParts:
     """Assemble the full objective graph for one sampled step, as
-    ``model.config`` sets it: the step's pixels (`step_pixels`), the feature
-    maps (`step_maps`), one `roi_pool` and one `san_forward` node on the RoI
-    features; and, exactly when ``san_mode`` is "full", the scale-aware term
-    weighted by ``san_loss_weight``: one `san_loss_branch` (a second
-    `san_forward` node) on plain arrays, the sampled RoIs' pooled rows, or
-    with ``san_pool="max"`` one max-mode `roi_pool` of the sampled RoIs on
-    the detached maps, against reference features cropped from the step's
+    ``model.config`` sets it: the step's pixels (`step_pixels`), one
+    backbone pass per input of them, one `roi_pool` and one `san_forward`
+    node on the RoI features; and, exactly when ``san_mode`` is "full",
+    the scale-aware term weighted by ``san_loss_weight``: one
+    `san_loss_branch` (a second `san_forward` node) on plain arrays, the
+    sampled RoIs' pooled rows, or with ``san_pool="max"`` the forward-only
+    max-mode `roi_pool` of the sampled RoIs on the detached maps, against reference features cropped from the step's
     pixels.  Those are taken before the maps, so the reference pass's
     transients are freed before the tape grows; it takes no gradient and no
     weight changes within a step, so no bit moves.  Every loss and gradient
@@ -308,7 +304,7 @@ def compute_step_losses(model: DetectionModel, batch: StepBatch) -> LossParts:
         r_tilde = batched_reference_features(
             [(pixels[s], roi) for roi, s in zip(rois, slots)], model.scheme.ref_scale, model.backbone
         )
-    feats = step_maps(model.backbone, inputs)
+    feats = [model.backbone.forward(Tensor(x)) for x in inputs]
     roi_feats, batch_pooled = forward_roi_features(model, feats, batch.rois, batch.image_slot)
     logits, deltas = model.head.forward(roi_feats)
     san_terms = None

@@ -175,32 +175,19 @@ def per_image_pool_merge(maps: list[Tensor], rois, slots) -> Tensor:
     return _merge(outs, inverse)
 
 
-def single_roi_max_pool(feat: Tensor, roi) -> Tensor:
-    """The package's former single-RoI max pooling node, (1, C, ROI_OUT,
-    ROI_OUT): each channel's first row-major maximum per bin, whose map cell
-    the backward adds the bin's gradient to, bins in row-major order."""
+def single_roi_max_pool(feat: Tensor, roi) -> np.ndarray:
+    """The package's former single-RoI max pooling, (1, C, ROI_OUT,
+    ROI_OUT): each channel's first row-major maximum per bin."""
     y_lo, y_hi, x_lo, x_hi = _roi_cells(feat, roi)
     c = feat.shape[1]
     cells = feat.data[0, :, y_lo:y_hi, x_lo:x_hi]
     col_spans = _bin_spans(x_hi - x_lo)
-    out_data = np.empty((1, c, ROI_OUT, ROI_OUT), dtype=feat.dtype)
-    winners = []
-    ch_idx = np.arange(c)
+    out = np.empty((1, c, ROI_OUT, ROI_OUT), dtype=feat.dtype)
     for by, (ys, ye) in enumerate(_bin_spans(y_hi - y_lo)):
         for bx, (xs, xe) in enumerate(col_spans):
             bin_cells = cells[:, ys:ye, xs:xe].reshape(c, -1)
-            idx = bin_cells.argmax(axis=1)
-            out_data[0, :, by, bx] = bin_cells[ch_idx, idx]
-            r, col = np.divmod(idx, xe - xs)
-            winners.append((by, bx, y_lo + ys + r, x_lo + xs + col))
-
-    def backward(grad_out: np.ndarray):
-        g = np.zeros_like(feat.data)
-        for by, bx, wy, wx in winners:
-            g[0, ch_idx, wy, wx] += grad_out[0, :, by, bx]
-        feat._accumulate(g)
-
-    return ag._result(out_data, (feat,), backward)
+            out[0, :, by, bx] = bin_cells[np.arange(c), bin_cells.argmax(axis=1)]
+    return out
 
 
 def no_loss_view(model):

@@ -24,6 +24,7 @@ from sanlab.autograd import Tensor
 from sanlab.backbone import Backbone, RoI, cam_scale_sweep, roi_pool
 from sanlab.cli import main as cli_main
 from sanlab.data import Annotation, DatasetConfig, generate_dataset
+from sanlab.errors import GraphError
 from sanlab.san import (
     TOY_SCHEME,
     VOC_SCHEME,
@@ -124,20 +125,15 @@ class TestCriterion1Gradients:
             check_op_gradients(lambda t: ag.sum_all(ag.smooth_l1(t["x"])), {"x": sl}, context=f"sl1 s{seed}")
             # 8 to 10 cells a side, so every bin of the 7x7 grid spans two or three
             roi = RoI(x1=r.uniform(0, 8), y1=r.uniform(0, 8), x2=r.uniform(64, 80), y2=r.uniform(64, 80))
-            # permuted evenly spaced values: random but free of max-pool ties
-            spread = (np.arange(200, dtype=np.float64) * 0.05 - 5.0)
-            feat_vals = r.permutation(spread).reshape(1, 2, 10, 10)
-            for mode in ("avg", "max"):
-                check_op_gradients(
-                    lambda t, m=mode: ag.sum_all(
-                        ag.mul(
-                            roi_pool([t["f"]], [roi], [0], mode=m),
-                            roi_pool([t["f"]], [roi], [0], mode=m),
-                        )
-                    ),
-                    {"f": feat_vals.copy()},
-                    context=f"roi_pool {mode} s{seed}",
-                )
+            feat_vals = r.permutation(np.arange(200, dtype=np.float64) * 0.05 - 5.0).reshape(1, 2, 10, 10)
+            check_op_gradients(
+                lambda t: ag.sum_all(ag.mul(roi_pool([t["f"]], [roi], [0]), roi_pool([t["f"]], [roi], [0]))),
+                {"f": feat_vals},
+                context=f"roi_pool avg s{seed}",
+            )
+            # max mode has no backward: a map that takes a gradient is refused
+            with pytest.raises(GraphError, match="max-mode roi_pool"):
+                roi_pool([Tensor(feat_vals, requires_grad=True)], [roi], [0], mode="max")
 
             gather = [int(v) for v in r.integers(0, 3, size=4)]
             gather_weights = Tensor(r.normal(size=(28,)))
@@ -195,7 +191,12 @@ class TestCriterion1Gradients:
             check_op_gradients(build, arrays, context=f"composed s{seed}")
 
         elapsed = time.time() - t0
-        report(1, elapsed < 60, f"all op and composed-graph gradients match finite differences ({elapsed:.1f}s < 60s)")
+        report(
+            1,
+            elapsed < 60,
+            "all op and composed-graph gradients match finite differences and max-mode pooling refuses "
+            f"a map that takes a gradient ({elapsed:.1f}s < 60s)",
+        )
 
 
 # -- criterion 2: identity transparency ------------------------------------

@@ -19,7 +19,7 @@ from sanlab.backbone import (
     extract_reference_feature,
     roi_pool,
 )
-from sanlab.errors import RoiError, ShapeError
+from sanlab.errors import GraphError, RoiError, ShapeError
 
 
 def make_image(seed=0, size=96):
@@ -236,19 +236,17 @@ class TestRoiPool:
         expected = naive_roi_pool(feat_arr, roi, out=7, mode=mode, stride=8)
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("mode", ["avg", "max"])
-    def test_gradients_match_fd(self, mode):
+    def test_gradients_match_fd(self):
         """The RoI reads 8x8 cells, so every bin of the 7x7 grid spans two."""
         r = np.random.default_rng(42)
         roi = RoI(x1=10.3, y1=4.7, x2=70.2, y2=60.1)
 
         def build(t):
-            pooled = roi_pool([t["feat"]], [roi], [0], mode=mode)
+            pooled = roi_pool([t["feat"]], [roi], [0])
             return ag.sum_all(ag.mul(pooled, pooled))
 
-        # permuted evenly spaced values: random but far from max-pool ties
         feat = r.permutation(np.arange(200, dtype=np.float64) * 0.05 - 5.0).reshape(1, 2, 10, 10)
-        check_op_gradients(build, {"feat": feat}, context=f"roi_pool {mode}")
+        check_op_gradients(build, {"feat": feat}, context="roi_pool avg")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batched_avg_matches_naive_oracle_per_roi(self, seed):
@@ -394,10 +392,10 @@ class TestRoiPool:
     @pytest.mark.parametrize("mode", ["avg", "max"])
     def test_batched_maps_are_bitwise_the_one_row_maps(self, mode):
         """Maps of several images each, as one backbone pass gives them:
-        slot s is row s of the batch axes concatenated, and the rows and
-        each image's map gradient equal those of one 1xCxhxw map per image,
-        bit for bit.  An image no RoI reads gets a zero gradient row; a map
-        tensor no RoI reads is no parent."""
+        slot s is row s of the batch axes concatenated, and the rows and, in
+        average mode, each image's map gradient equal those of one 1xCxhxw
+        map per image, bit for bit.  An image no RoI reads gets a zero
+        gradient row; a map tensor no RoI reads is no parent."""
         r = np.random.default_rng(50)
         sizes = [(12, 12), (12, 12), (9, 14), (16, 10), (16, 10), (16, 10)]
         arrays = [r.normal(size=(1, 4, *size)).astype(np.float32) for size in sizes]
@@ -406,12 +404,16 @@ class TestRoiPool:
             RoI(x1=float(x), y1=float(y), x2=float(x + w), y2=float(y + h))
             for x, y, w, h in r.uniform([-10, -10, 40, 40], [30, 30, 100, 100], size=(len(slots), 4))
         ]
+        batched = [np.concatenate([arrays[i] for i in rows]) for _, rows in self.BATCHED]
+        want = roi_pool([Tensor(a) for a in arrays], rois, slots, mode=mode)
+        assert np.array_equal(roi_pool([Tensor(a) for a in batched], rois, slots, mode=mode).data, want.data)
+        if mode == "max":
+            return
         weights = Tensor(r.normal(size=(len(rois), 4, 7, 7)).astype(np.float32))
         one_row = [Tensor(a, requires_grad=True) for a in arrays]
-        want = roi_pool(one_row, rois, slots, mode=mode)
-        ag.sum_all(ag.mul(want, weights)).backward()
-        batched = [Tensor(np.concatenate([arrays[i] for i in rows]), requires_grad=True) for _, rows in self.BATCHED]
-        got = roi_pool(batched, rois, slots, mode=mode)
+        ag.sum_all(ag.mul(roi_pool(one_row, rois, slots), weights)).backward()
+        batched = [Tensor(a, requires_grad=True) for a in batched]
+        got = roi_pool(batched, rois, slots)
         assert got._parents == (batched[0], batched[2])
         ag.sum_all(ag.mul(got, weights)).backward()
         assert np.array_equal(got.data, want.data)
@@ -457,80 +459,59 @@ class TestRoiPool:
             rois.append(RoI(x1=8.0 * x + fx1, y1=8.0 * y + fy1, x2=8.0 * (x + w) - fx2, y2=8.0 * (y + h) - fy2))
         self.assert_bitwise_per_image_merge(arrays, rois, slots, r)
 
-    @pytest.mark.parametrize(
-        "slots",
-        [[0, 0, 0, 0, 1, 1, 1, 2, 2, 2], [2, 0, 1, 0, 2, 1, 0, 2, 1, 0], [1, 1, 0, 1, 1, 0, 1, 0, 1, 1], [0] * 10],
-        ids=["ordered", "mixed", "two", "one"],
-    )
-    def test_max_rows_and_gradients_are_bitwise_the_single_roi_op(self, slots):
-        """Each max row, and the map gradients that row alone sends back,
-        equal those of the former single-RoI max node: float32, bit for bit.
-        The maps take few values, so most bins hold ties and a different
-        winner would move the gradient.  With integer-valued row gradients
-        (exact in any order) the whole batch's map gradients are the
-        per-RoI oracle gradients summed."""
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_max_rows_are_bitwise_the_single_roi_op(self, dtype):
+        """Each max row equals that of the former single-RoI max node, each
+        bin's first maximum, bit for bit.  Seeded random draws of one-row
+        and batched maps, half of them of few values, so most bins hold
+        ties, and RoIs of every cell span from one cell wide or high up,
+        some clamped at the map edges."""
         r = np.random.default_rng(46)
-        shapes = [(1, 4, 12, 12), (1, 4, 9, 14), (1, 4, 16, 10)]
-        arrays = [r.integers(0, 6, size=shape).astype(np.float32) for shape in shapes]
-        rois = [
-            RoI(x1=float(x), y1=float(y), x2=float(x + w), y2=float(y + h))
-            for x, y, w, h in r.uniform([-10, -10, 50, 50], [30, 30, 100, 100], size=(len(slots), 4))
-        ]
+        for _ in range(40):
+            maps = []
+            for rows in r.integers(1, 4, size=int(r.integers(1, 4))):
+                shape = (rows, 4, *r.integers(1, 17, size=2))
+                maps.append(r.integers(0, 4, size=shape) if r.random() < 0.5 else r.normal(size=shape))
+            images = [m[k : k + 1] for m in maps for k in range(len(m))]
+            rois, slots = [], []
+            for s in r.integers(0, len(images), size=int(r.integers(1, 13))).tolist():
+                (fh, fw), cells = images[s].shape[2:], []
+                for size in (fw, fh):  # x, then y
+                    lo = int(r.integers(size))
+                    cells += [lo, lo + (1 if r.random() < 0.3 else int(r.integers(1, size - lo + 1)))]
+                x0, x1, y0, y1 = cells
+                inset = r.uniform(0.0, 3.5, 4) - 8.0 * r.integers(0, 2, size=4)  # < 0: one cell more, or clamped
+                rois.append(RoI(x1=8.0 * x0 + inset[0], y1=8.0 * y0 + inset[1], x2=8.0 * x1 - inset[2], y2=8.0 * y1 - inset[3]))
+                slots.append(s)
+            got = roi_pool([Tensor(m.astype(dtype)) for m in maps], rois, slots, mode="max").data
+            want = [single_roi_max_pool(Tensor(images[s].astype(dtype)), roi) for roi, s in zip(rois, slots)]
+            assert got.dtype == dtype
+            assert np.array_equal(got, np.concatenate(want))
 
-        def grads_of(pool_maps, weights):
-            maps = [Tensor(a, requires_grad=True) for a in arrays]
-            pooled = pool_maps(maps)
-            ag.sum_all(ag.mul(pooled, Tensor(weights))).backward()
-            return pooled.data, [m.grad for m in maps]
-
-        weights = r.normal(size=(len(rois), 4, 7, 7)).astype(np.float32)
-        int_weights = r.integers(-3, 4, size=weights.shape).astype(np.float32)
-        summed = [np.zeros_like(a) for a in arrays]
-        for n, (roi, s) in enumerate(zip(rois, slots)):
-            only_n = np.zeros_like(weights)
-            only_n[n] = weights[n]
-            got, got_grads = grads_of(lambda maps: roi_pool(maps, rois, slots, mode="max"), only_n)
-            want, want_grads = grads_of(lambda maps: single_roi_max_pool(maps[s], roi), weights[n : n + 1])
-            assert np.array_equal(got[n : n + 1], want)
-            for k, g in enumerate(got_grads):
-                assert (g is None) == (k not in slots)
-                assert g is None or np.array_equal(g, want_grads[s] if k == s else np.zeros_like(g))
-            summed[s] += grads_of(lambda maps: single_roi_max_pool(maps[s], roi), int_weights[n : n + 1])[1][s]
-        _, batch_grads = grads_of(lambda maps: roi_pool(maps, rois, slots, mode="max"), int_weights)
-        for k, g in enumerate(batch_grads):
-            assert g is None or np.array_equal(g, summed[k])
-
-    def test_max_multi_map_gradients_match_fd(self):
-        """Max mode over two maps of different sizes, slots interleaved: the
-        two overlapping RoIs on map a share a winning cell, and map 1, which
-        no RoI reads, gets no gradient and is not a parent."""
+    def test_max_mode_rejects_maps_that_take_a_gradient(self):
+        """Max mode has no backward: a map some RoI reads that takes a
+        gradient is a GraphError; a map no RoI reads may take one.  On maps
+        that take none the result is a constant tensor, and both RoIs on
+        map a pool the cell they share, the map's maximum."""
         r = np.random.default_rng(47)
         rois = [
             RoI(x1=8.0, y1=8.0, x2=48.0, y2=40.0),  # map a, cells y 1-4, x 1-5
             RoI(x1=0.0, y1=30.0, x2=33.0, y2=80.0),  # map b, clamped below
             RoI(x1=24.0, y1=16.0, x2=72.0, y2=64.0),  # map a, cells y 2-7, x 3-8
-            RoI(x1=-5.0, y1=-5.0, x2=200.0, y2=24.0),  # map b, clamped
         ]
-        slots = [0, 2, 0, 2]
-        unread = Tensor(r.normal(size=(1, 2, 6, 6)), requires_grad=True)
-        weights = Tensor(r.normal(size=(len(rois), 2, ROI_OUT, ROI_OUT)))
-
-        def build(t):
-            pooled = roi_pool([t["a"], unread, t["b"]], rois, slots, mode="max")
-            return ag.sum_all(ag.mul(ag.mul(pooled, pooled), weights))
-
-        # permuted evenly spaced values: random but far from max-pool ties;
-        # cell (4, 4) of map a, inside both of its RoIs, is the map's maximum
-        a = r.permutation(np.arange(200, dtype=np.float64) * 0.05 - 5.0).reshape(1, 2, 10, 10)
+        slots = [0, 2, 0]
+        a = r.normal(size=(1, 2, 10, 10))
         a[0, :, 4, 4] = [10.0, 11.0]
-        arrays = {"a": a, "b": r.permutation(np.arange(168, dtype=np.float64) * 0.05 - 4.0).reshape(1, 2, 7, 12)}
-        check_op_gradients(build, arrays, context="multi-map roi_pool max")
-        assert unread.grad is None
-        a_t, b_t = Tensor(arrays["a"], requires_grad=True), Tensor(arrays["b"], requires_grad=True)
-        node = roi_pool([a_t, unread, b_t], rois, slots, mode="max")
-        assert len(node._parents) == 2 and node._parents[0] is a_t and node._parents[1] is b_t
-        for n in (0, 2):  # both RoIs on map a pool the shared cell's value
-            assert np.array_equal(node.data[n].max(axis=(1, 2)), a[0, :, 4, 4])
+        b = r.normal(size=(1, 2, 7, 12))
+        unread = Tensor(r.normal(size=(1, 2, 6, 6)), requires_grad=True)
+        for grad_map in range(2):
+            maps = [Tensor(x, requires_grad=k == grad_map) for k, x in enumerate((a, b))]
+            with pytest.raises(GraphError, match="max-mode roi_pool has no backward"):
+                roi_pool([maps[0], unread, maps[1]], rois, slots, mode="max")
+        pooled = roi_pool([Tensor(a), unread, Tensor(b)], rois, slots, mode="max")
+        assert not pooled.requires_grad and pooled._parents == () and pooled._backward is None
+        for n in (0, 2):
+            assert np.array_equal(pooled.data[n].max(axis=(1, 2)), a[0, :, 4, 4])
 
     def test_multi_map_bad_slots_and_maps_rejected(self):
         maps = [Tensor(np.zeros((1, 2, 8, 8))), Tensor(np.zeros((1, 2, 6, 6)))]

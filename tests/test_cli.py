@@ -264,6 +264,15 @@ class TestTrain:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("san", ["off", "no-loss"])
+    def test_max_pool_without_the_scale_aware_loss_rejected(self, small_run, tmp_path, capsys, san):
+        data, _ = small_run
+        out = tmp_path / "x"
+        rc = main(["train", "--out-dir", str(out), "--data-dir", str(data), "--san", san, "--san-pool", "max", "--iterations", "1"])
+        assert rc == 2
+        assert re.search(r"^error: san_pool 'max' has no effect", capsys.readouterr().err, re.M)
+        assert not (out / "checkpoint.san").exists()
+
     def test_pos_fraction_above_one_rejected(self, small_run, tmp_path, capsys):
         data, _ = small_run
         rc = main(
@@ -516,6 +525,21 @@ class TestCam:
         )
         assert rc == 0
         assert json.loads((out / "run-meta.json").read_text())["config"]["ref_scale"] == side
+
+    @pytest.mark.parametrize("value", ["-1", "7"])
+    def test_config_file_switch_must_be_0_or_1(self, small_run, tmp_path, capsys, value):
+        data, run = small_run
+        img = sorted(Path(data).glob("*.ppm"))[0]
+        cfg = tmp_path / "cam.cfg"
+        cfg.write_text(f"scales = 48\nnormalize_rois = {value}\n")
+        out = tmp_path / "c"
+        rc = main(["cam", "--config", str(cfg), "--out-dir", str(out), "--checkpoint", str(run / "checkpoint.san"), "--image", str(img)])
+        assert rc == 2
+        assert f"error: bad value for normalize_rois at {cfg}:2: {value!r}" in capsys.readouterr().err
+        assert not (out / "cam.csv").exists()
+        for bit in (0, 1):
+            cfg.write_text(f"normalize_rois = {bit}\n")
+            assert parse_config_file(cfg) == {"normalize_rois": bit}
 
     def test_normalized_constant_image_full_stability(self, small_run, tmp_path):
         from sanlab.backbone import Image

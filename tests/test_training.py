@@ -46,7 +46,6 @@ from sanlab.training import (
     rmse_report,
     sample_san_rois,
     save_checkpoint,
-    step_maps,
     step_pixels,
     train,
     write_checkpoint_entries,
@@ -77,6 +76,16 @@ class TestConfigValidation:
     def test_san_samples_exceeding_budget(self):
         with pytest.raises(ConfigError):
             TrainingConfig(rois_per_image=4, images_per_step=2, san_samples=64).validate()
+
+    @pytest.mark.parametrize("san_mode", ["off", "no-loss"])
+    def test_max_pool_without_the_scale_aware_loss_rejected(self, tiny_dataset, san_mode):
+        """Max pooling feeds only the scale-aware loss branch."""
+        cfg = tiny_config(san_mode=san_mode, san_pool="max")
+        with pytest.raises(ConfigError, match="san_pool 'max' has no effect"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="san_pool"):
+            train(tiny_dataset, cfg)
+        tiny_config(san_pool="max").validate()
 
     def test_gaussian_init_without_san_rejected(self, tiny_dataset):
         cfg = tiny_config(san_mode="off", init_mode="gaussian")
@@ -318,7 +327,7 @@ class TestGradientBlocking:
                 img = batch.images[batch.image_slot[j]]
                 r_tilde = reference_feature_for_roi(img, roi, model.scheme.ref_scale, model.backbone)
                 pooled = ag.global_avg_pool(
-                    roi_pool([feats[batch.image_slot[j]]], [roi], [0], mode=cfg.san_pool)
+                    roi_pool([ag.detach(feats[batch.image_slot[j]])], [roi], [0], mode=cfg.san_pool)
                 )
                 term = ag.sum_all(ag.smooth_l1(ag.sub(pooled, r_tilde)))
                 acc = term if acc is None else ag.add(acc, term)
@@ -377,7 +386,7 @@ class TestBatchedBackbone:
         big, small = mixed_size_dataset[0][0], mixed_size_dataset[1][0]
         for images, rows in (([big, big, big], [3]), ([big, big, small, small], [2, 1, 1]), ([small, big, big], [1, 1, 1])):
             inputs, pixels = step_pixels(images)
-            maps = step_maps(bb, inputs)
+            maps = [bb.forward(Tensor(x)) for x in inputs]
             assert [m.shape[0] for m in maps] == rows
             got = [row for m in maps for row in m.data]
             for img, row, px in zip(images, got, pixels, strict=True):
