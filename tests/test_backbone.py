@@ -459,6 +459,37 @@ class TestRoiPool:
             rois.append(RoI(x1=8.0 * x + fx1, y1=8.0 * y + fy1, x2=8.0 * (x + w) - fx2, y2=8.0 * (y + h) - fy2))
         self.assert_bitwise_per_image_merge(arrays, rois, slots, r)
 
+    @pytest.mark.parametrize(
+        "slots",
+        [[0, 0, 0, 0, 1, 1, 1, 2, 2, 2], [2, 0, 1, 0, 2, 1, 0, 2, 1, 0], [1, 1, 0, 1, 1, 0, 1, 0, 1, 1], [0] * 10],
+        ids=["ordered", "mixed", "two", "one"],
+    )
+    def test_max_rows_and_gradients_are_bitwise_the_single_roi_op(self, slots):
+        """Each max row equals that of the former single-RoI max node:
+        float32, bit for bit.  The maps take few values, so most bins hold
+        ties and a different winner would move the row.  Max mode sends no
+        gradient: a map some RoI reads that takes one is a GraphError, and
+        a map no RoI reads may take one and is given none."""
+        r = np.random.default_rng(46)
+        shapes = [(1, 4, 12, 12), (1, 4, 9, 14), (1, 4, 16, 10)]
+        arrays = [r.integers(0, 6, size=shape).astype(np.float32) for shape in shapes]
+        rois = [
+            RoI(x1=float(x), y1=float(y), x2=float(x + w), y2=float(y + h))
+            for x, y, w, h in r.uniform([-10, -10, 50, 50], [30, 30, 100, 100], size=(len(slots), 4))
+        ]
+        got = roi_pool([Tensor(a) for a in arrays], rois, slots, mode="max")
+        assert got._parents == () and got._backward is None
+        for n, (roi, s) in enumerate(zip(rois, slots)):
+            assert np.array_equal(got.data[n : n + 1], single_roi_max_pool(Tensor(arrays[s]), roi))
+        for k in range(len(arrays)):
+            maps = [Tensor(a, requires_grad=j == k) for j, a in enumerate(arrays)]
+            if k in slots:
+                with pytest.raises(GraphError, match="max-mode roi_pool has no backward"):
+                    roi_pool(maps, rois, slots, mode="max")
+            else:
+                assert np.array_equal(roi_pool(maps, rois, slots, mode="max").data, got.data)
+                assert maps[k].grad is None
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     def test_max_rows_are_bitwise_the_single_roi_op(self, dtype):
         """Each max row equals that of the former single-RoI max node, each
