@@ -65,11 +65,10 @@ def cam_stability(cam: CamMatrix, k: int) -> float:
     """Mean pairwise Jaccard similarity of the per-scale top-k channel sets.
 
     Sets are re-derived from the matrix columns (all true top-k channels
-    are present by construction), with the same lower-index tie rule.
+    are present by construction), with the same lower-index tie rule.  A
+    single scale has no pair to differ from and is fully stable (1.0).
     """
     n = len(cam.scales)
-    if n < 2:
-        raise SanlabError("cam_stability needs at least two scales")
     sets = [{cam.channel_ids[r] for r in _top_k(cam.values[:, j], k)} for j in range(n)]
     total = 0.0
     pairs = 0
@@ -79,7 +78,7 @@ def cam_stability(cam: CamMatrix, k: int) -> float:
             inter = sets[i] & sets[j]
             total += len(inter) / len(union) if union else 1.0
             pairs += 1
-    return total / pairs
+    return total / pairs if pairs else 1.0
 
 
 def rmse_without_san(z_s: Tensor, z_s0: Tensor) -> float:
@@ -117,11 +116,11 @@ class ApResult:
     mean_ap: float
 
 
-def evaluate_ap(detections: list[Detection], gts, iou_thresh: float = 0.5) -> ApResult:
+def evaluate_ap(detections: list[Detection], gts) -> ApResult:
     """Continuous-interpolation average precision per class, VOC 2010 style.
 
     Detections are ranked by score (ties keep input order); each matches
-    at most one unmatched ground truth of its class at IoU >= threshold.
+    at most one unmatched ground truth of its class at IoU >= 0.5.
     Classes absent from the ground truth are excluded from the mean.
     """
     gt_by_class: dict[int, list] = {}
@@ -143,7 +142,7 @@ def evaluate_ap(detections: list[Detection], gts, iou_thresh: float = 0.5) -> Ap
                 iou = box_iou(d.box, g.box)
                 if iou > best_iou:
                     best_iou, best_gi = iou, gi
-            if best_gi >= 0 and best_iou >= iou_thresh:
+            if best_gi >= 0 and best_iou >= 0.5:
                 matched.add(best_gi)
                 tp[rank] = 1
             else:

@@ -7,9 +7,10 @@ TrainingConfig front end (train), evaluate_detector's and compute_cam's
 defaults (eval, cam).  Every entry is both a --kebab-case flag and a key of
 flat `key = value` config files (# comments allowed); flags override the
 file, and for the commands that take a seed (gen-data, train, eval) it falls
-back to SANLAB_SEED.  `rmse` routes with the checkpoint's own scheme.  Every
-command writes run-meta.json with the fully resolved configuration and exits
-0 only if all outputs were written.
+back to SANLAB_SEED.  `rmse` and `cam` take the checkpoint's own scheme.
+Every command writes run-meta.json with the fully resolved configuration and
+exits 0 only if all outputs were written; a failed run removes the output
+directories it created that are still empty.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .data import (
     write_scale_statistics_csv,
 )
 from .errors import ConfigError, SanlabError
-from .san import SCHEME_PRESETS, resolve_scheme
+from .san import SCHEME_PRESETS
 from .training import (
     EVAL_N_NEG,
     EVAL_N_POS_JITTER,
@@ -61,18 +62,16 @@ from .training import (
 
 SEED_ENV_VAR = "SANLAB_SEED"
 
-# gen-data spells DatasetConfig's scale_range as scale_min / scale_max, leaves
-# size_bands at its default, and makes 200 images unless told otherwise
-_DATASET_FIELDS = {
-    f.name: f.default for f in dataclasses.fields(DatasetConfig) if f.name not in ("scale_range", "size_bands")
-}
+# gen-data spells DatasetConfig's scale_range as scale_min / scale_max and
+# makes 200 images unless told otherwise
+_DATASET_FIELDS = {f.name: f.default for f in dataclasses.fields(DatasetConfig) if f.name != "scale_range"}
 _SCALE_MIN, _SCALE_MAX = DatasetConfig.scale_range
 
 SETTINGS = {
     "gen-data": _DATASET_FIELDS | {"num_images": 200, "scale_min": _SCALE_MIN, "scale_max": _SCALE_MAX},
     "train": front_end_defaults(),
     "eval": {"seed": 0, "n_pos_jitter": EVAL_N_POS_JITTER, "n_neg": EVAL_N_NEG},
-    "cam": {"scales": "16,24,32,48,64,96", "cam_k": CAM_K, "normalize_rois": 0, "ref_scale": None},
+    "cam": {"scales": "16,24,32,48,64,96", "cam_k": CAM_K, "normalize_rois": 0},
     "rmse": {"scales": ""},
 }
 
@@ -195,24 +194,20 @@ def cmd_cam(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
     scales = _parse_scales(settings["scales"])
     model = load_checkpoint(Path(args.checkpoint))
     img = Image(read_ppm(Path(args.image)), id=0)
-    # the checkpoint's reference side unless overridden, checked by the scheme's own rule
-    ref_scale = resolve_scheme(model.scheme, ref_scale=settings["ref_scale"]).ref_scale
-    normalize_to = None
-    if settings["normalize_rois"]:
-        normalize_to = settings["ref_scale"] = ref_scale  # run-meta records the side used
+    normalize_to = model.scheme.ref_scale if settings["normalize_rois"] else None
     vectors, skipped = cam_scale_sweep(img, model.backbone, scales, normalize_to=normalize_to)
     cam = compute_cam(vectors, k=settings["cam_k"])
     write_cam_csv(out_dir / "cam.csv", cam)
     write_cam_pgm(out_dir / "cam.pgm", cam)
-    stability = cam_stability(cam, settings["cam_k"]) if len(cam.scales) >= 2 else 1.0
-    return {"stability": stability, "skipped_scales": skipped, "checkpoint": str(args.checkpoint)}
+    stability = cam_stability(cam, settings["cam_k"])
+    return {"stability": stability, "skipped_scales": skipped, "normalize_to": normalize_to, "checkpoint": str(args.checkpoint)}
 
 
 def cmd_rmse(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
     dataset = _load_images(args.data_dir)
     model = load_checkpoint(Path(args.checkpoint))
     text = settings["scales"]
-    scales = _parse_scales(text) if text else default_rmse_scales(model.scheme.ref_scale, model.backbone.total_stride)
+    scales = _parse_scales(text) if text else default_rmse_scales(model.scheme.ref_scale)
     scales, skipped = model.backbone.split_scales(scales)
     rows = rmse_report(model, dataset, scales=scales)
     write_rmse_csv(out_dir / "rmse.csv", rows)
@@ -265,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    created = [d for d in (args.out_dir, *args.out_dir.parents) if not d.exists()]  # deepest first
     try:
         settings = _resolve(args)
         args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,11 +269,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except SanlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         # inputs are read through data.read_file, so this is an output that could not be written
         print(f"error: cannot write {exc.filename or args.out_dir}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+    for d in created:
+        try:
+            d.rmdir()  # fails on a directory that is not empty, or was never made
+        except OSError:
+            break
+    return 2
 
 
 if __name__ == "__main__":

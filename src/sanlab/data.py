@@ -24,6 +24,7 @@ from .backbone import Image, RoI
 from .errors import ConfigError, RoiError, SanlabError
 from .losses import box_iou
 from .rng import STREAM_DATA, STREAM_EVAL, derive
+from .san import TOY_SCHEME
 
 PLACEMENT_RETRIES = 100
 MIN_GAP = 2.0  # pixels kept clear between placed boxes
@@ -40,16 +41,15 @@ class DatasetConfig:
     """Knobs for the generator.
 
     Object side lengths are drawn log-uniformly within a uniformly chosen
-    size band (band edges default to the toy partition thresholds), so
-    every scale partition receives a sizeable share of objects even after
-    placement failures skew against large instances.
+    size band (band edges are the toy partition sides), so every scale
+    partition receives a sizeable share of objects even after placement
+    failures skew against large instances.
     """
 
     num_images: int
     image_size: int = 96
     num_classes: int = 3
     scale_range: tuple[float, float] = (8.0, 80.0)
-    size_bands: tuple[float, ...] = (24.0, 48.0)
     objects_min: int = 1
     objects_max: int = 3
     background_amplitude: float = 0.2
@@ -59,8 +59,6 @@ class DatasetConfig:
         lo, hi = self.scale_range
         if not (0 < lo <= hi <= self.image_size):
             raise ConfigError(f"scale_range {self.scale_range} must lie within (0, {self.image_size}]")
-        if any(b2 <= b1 for b1, b2 in zip(self.size_bands, self.size_bands[1:])):
-            raise ConfigError(f"size_bands must be strictly increasing, got {self.size_bands}")
         if self.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
         if self.num_images < 0 or self.objects_min < 1 or self.objects_max < self.objects_min:
@@ -71,7 +69,8 @@ class DatasetConfig:
     def band_intervals(self) -> list[tuple[float, float]]:
         """Side-length bands clipped to scale_range (empty bands dropped)."""
         lo, hi = self.scale_range
-        edges = [lo] + [b for b in self.size_bands if lo < b < hi] + [hi]
+        bands = [math.sqrt(b) for b in TOY_SCHEME.boundaries]
+        edges = [lo] + [b for b in bands if lo < b < hi] + [hi]
         return [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
 
 
@@ -286,7 +285,7 @@ def write_ppm(path: Path, img: Image) -> None:
 def read_ppm(path: Path) -> np.ndarray:
     """Read a binary PPM into its 1x3xHxW uint8 levels."""
     raw = read_file(path)
-    if not raw.startswith(b"P6"):
+    if not (raw.startswith(b"P6") and raw[2:3].isspace()):
         raise SanlabError(f"{path} is not a binary PPM file")
     fields: list[bytes] = []
     pos = 2

@@ -88,8 +88,8 @@ class TrainingConfig:
         for name, choices in FIELD_CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
-        if self.san_mode == "off" and self.init_mode == "gaussian":
-            raise ConfigError("init_mode 'gaussian' has no effect with san_mode 'off'; change one of them")
+        if self.san_mode == "off" and self.init_mode != "identity":
+            raise ConfigError(f"init_mode {self.init_mode!r} has no effect with san_mode 'off'; change one of them")
         if self.san_pool == "max" and self.san_mode != "full":
             raise ConfigError(f"san_pool 'max' has no effect with san_mode {self.san_mode!r}; change one of them")
         for f in dataclasses.fields(self):
@@ -497,7 +497,7 @@ def load_checkpoint(path: Path) -> DetectionModel:
             num_classes=num_classes,
             scheme=scheme,
             san_mode="full" if with_san else "off",
-            init_mode="identity-zero-fusion" if "san.fusion_alpha" in entries else "identity",
+            init_mode="identity-zero-fusion" if with_san and "san.fusion_alpha" in entries else "identity",
         )
     )
     unknown = sorted(set(entries) - {name for name, _ in _checkpoint_entries(model)})
@@ -581,9 +581,6 @@ def evaluate_detector(
     seed: int,
     n_pos_jitter: int = EVAL_N_POS_JITTER,
     n_neg: int = EVAL_N_NEG,
-    iou_thresh: float = 0.5,
-    score_thresh: float = 0.05,
-    nms_iou: float = 0.3,
 ) -> tuple[ApResult, list[Detection]]:
     """Jittered-proposal evaluation over a dataset; returns (ApResult, detections)."""
     check_proposal_source(n_pos_jitter, n_neg)
@@ -593,16 +590,16 @@ def evaluate_detector(
     for img, anns in dataset:
         gts.extend(anns)
         props = make_proposals(anns, n_pos_jitter, n_neg, proposal_rng(seed, img.id), (img.width, img.height))
-        detections.extend(detect(model, img, props, score_thresh=score_thresh, nms_iou=nms_iou))
-    return evaluate_ap(detections, gts, iou_thresh=iou_thresh), detections
+        detections.extend(detect(model, img, props))
+    return evaluate_ap(detections, gts), detections
 
 
-def default_rmse_scales(ref_scale: int, min_scale: int) -> list[int]:
+def default_rmse_scales(ref_scale: int) -> list[int]:
     """Geometric ladder around the reference scale, excluding it."""
     ladder = [ref_scale // 4, ref_scale // 3, ref_scale // 2, (2 * ref_scale) // 3, (4 * ref_scale) // 3, 2 * ref_scale]
     out: list[int] = []
     for s in ladder:
-        if s >= min_scale and s != ref_scale and s not in out:
+        if s != ref_scale and s not in out:
             out.append(s)
     return out
 
@@ -666,7 +663,7 @@ def rmse_report(
     bb = model.backbone
     ref = model.scheme.ref_scale
     if scales is None:
-        scales = default_rmse_scales(ref, bb.total_stride)
+        scales = default_rmse_scales(ref)
     measured, _ = bb.split_scales(scales)
     rows: list[RmseRow] = []
     sample_id = 0

@@ -107,9 +107,9 @@ class TestCamStability:
         assert cam_stability(cam, 4) == pytest.approx(2 / 6)
 
     def test_needs_two_scales(self):
+        """A pair needs two scales; a single scale is fully stable."""
         cam = compute_cam([(8, np.arange(4.0))], k=2)
-        with pytest.raises(SanlabError):
-            cam_stability(cam, 2)
+        assert cam_stability(cam, 2) == 1.0
 
 
 class TestRmse:

@@ -7,11 +7,14 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sanlab
 from sanlab.analysis import compute_cam
 from sanlab.cli import SETTINGS, main, parse_config_file
 from sanlab.data import DatasetConfig, load_dataset
@@ -169,7 +172,6 @@ class TestSettingsTables:
         cfg = DatasetConfig(num_images=200)
         want = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
         want["scale_min"], want["scale_max"] = want.pop("scale_range")
-        del want["size_bands"]
         assert SETTINGS["gen-data"] == want
 
     def test_eval_and_cam_defaults_are_the_library_defaults(self):
@@ -263,6 +265,28 @@ class TestTrain:
             ]
         )
         assert rc == 2
+
+    def test_zero_fusion_init_without_san_rejected(self, small_run, tmp_path, capsys):
+        """Without the correction module there is no fusion gate to initialize."""
+        data, _ = small_run
+        out = tmp_path / "x"
+        rc = main(["train", "--out-dir", str(out), "--data-dir", str(data), "--san", "off", "--init", "identity-zero-fusion",
+                   "--iterations", "1"])
+        assert rc == 2
+        assert re.search(r"^error: init_mode 'identity-zero-fusion' has no effect", capsys.readouterr().err, re.M)
+        assert not out.exists()
+
+    def test_diverged_training_is_an_error(self, small_run, tmp_path):
+        """A non-finite loss ends the run with exit 2 and an error line (in a
+        subprocess: divergence overflows, and the suite makes that an error)."""
+        data, _ = small_run
+        argv = ["train", "--out-dir", str(tmp_path / "x"), "--data-dir", str(data), "--base-lr", "1e6", "--iterations", "20",
+                "--rois-per-image", "10", "--san-samples", "4"]
+        env = dict(os.environ, PYTHONPATH=str(Path(sanlab.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-m", "sanlab", *argv], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2
+        assert re.search(r"^error: non-finite loss at iteration", proc.stderr, re.M), proc.stderr
+        assert not (tmp_path / "x" / "checkpoint.san").exists()
 
     @pytest.mark.parametrize("san", ["off", "no-loss"])
     def test_max_pool_without_the_scale_aware_loss_rejected(self, small_run, tmp_path, capsys, san):
@@ -499,32 +523,29 @@ class TestCam:
         )
         assert rc == 2
 
-    @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_non_positive_ref_scale_is_an_error(self, small_run, tmp_path, capsys, value):
+    def test_ref_scale_flag_is_a_usage_error(self, small_run, tmp_path):
+        """cam normalizes to the checkpoint's reference side; it takes no other."""
         data, run = small_run
         img = sorted(Path(data).glob("*.ppm"))[0]
         out = tmp_path / "c"
-        rc = main(
-            ["cam", "--out-dir", str(out), "--checkpoint", str(run / "checkpoint.san"), "--image", str(img),
-             "--normalize-rois", "--ref-scale", value]
-        )
-        assert rc == 2
-        assert f"error: ref_scale must be positive, got {value}" in capsys.readouterr().err
-        assert not (out / "cam.csv").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["cam", "--out-dir", str(out), "--checkpoint", str(run / "checkpoint.san"), "--image", str(img),
+                 "--normalize-rois", "--ref-scale", "32"]
+            )
+        assert exc.value.code == 2
+        assert not out.exists()
 
-    @pytest.mark.parametrize("flags, side", [([], 48), (["--ref-scale", "32"], 32)])
+    @pytest.mark.parametrize("flags, side", [(["--normalize-rois"], 48), ([], None)])
     def test_normalized_run_records_its_reference_side(self, small_run, tmp_path, flags, side):
-        """Without --ref-scale the sweep normalizes to the checkpoint's
+        """With --normalize-rois the sweep normalizes to the checkpoint's
         reference side (the toy scheme's 48), and run-meta says so."""
         data, run = small_run
         img = sorted(Path(data).glob("*.ppm"))[0]
         out = tmp_path / "c"
-        rc = main(
-            ["cam", "--out-dir", str(out), "--checkpoint", str(run / "checkpoint.san"), "--image", str(img),
-             "--normalize-rois", *flags]
-        )
+        rc = main(["cam", "--out-dir", str(out), "--checkpoint", str(run / "checkpoint.san"), "--image", str(img), *flags])
         assert rc == 0
-        assert json.loads((out / "run-meta.json").read_text())["config"]["ref_scale"] == side
+        assert json.loads((out / "run-meta.json").read_text())["normalize_to"] == side
 
     @pytest.mark.parametrize("value", ["-1", "7"])
     def test_config_file_switch_must_be_0_or_1(self, small_run, tmp_path, capsys, value):
@@ -743,3 +764,28 @@ class TestInputErrors:
         manifest.write_bytes(manifest.read_bytes() + b"# \xff\n")
         err = self._run(["train", "--out-dir", str(tmp_path / "x"), "--data-dir", str(data), "--iterations", "1"], capsys)
         assert str(manifest) in err, err
+
+
+class TestFailedRunOutDir:
+    """A failed run removes the output directories it created that are still
+    empty, and leaves one that existed before it as it was."""
+
+    def test_rejected_train_configuration_leaves_no_out_dir(self, small_run, tmp_path):
+        out = tmp_path / "x"
+        rc = main(["train", "--out-dir", str(out), "--data-dir", str(small_run[0]), "--san", "off", "--init", "gaussian"])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_missing_checkpoint_leaves_no_nested_out_dir(self, small_run, tmp_path):
+        out = tmp_path / "a" / "b"
+        rc = main(["eval", "--out-dir", str(out), "--data-dir", str(small_run[0]), "--checkpoint", str(tmp_path / "missing.san")])
+        assert rc == 2
+        assert not (tmp_path / "a").exists()
+
+    def test_existing_out_dir_survives_a_failed_run(self, small_run, tmp_path):
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out in (kept, kept / "new"):
+            rc = main(["eval", "--out-dir", str(out), "--data-dir", str(small_run[0]), "--checkpoint", str(tmp_path / "missing.san")])
+            assert rc == 2
+            assert kept.is_dir() and not any(kept.iterdir())

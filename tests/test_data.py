@@ -281,6 +281,20 @@ class TestDiskFormat:
         manifest.write_text(manifest.read_text() + "2 -5 90 4 120\n")
         assert load_dataset(tmp_path)[0][1][-1].box == RoI(-5.0, 90.0, 4.0, 120.0, image_id=0)
 
+    def test_ppm_header_comments_are_skipped(self, tmp_path):
+        """Comments after the magic, between width and height and before
+        maxval leave the levels as the plain header gives them."""
+        pixels = np.arange(3 * 4 * 5, dtype=np.uint8).tobytes()
+        (tmp_path / "plain.ppm").write_bytes(b"P6\n5 4\n255\n" + pixels)
+        (tmp_path / "noted.ppm").write_bytes(b"P6\n# made by hand\n5 # width\n# height next\n4\n# maxval\n255\n" + pixels)
+        assert np.array_equal(read_ppm(tmp_path / "noted.ppm"), read_ppm(tmp_path / "plain.ppm"))
+
+    def test_ppm_magic_needs_whitespace_after_it(self, tmp_path):
+        """'P616 16 255' used to load as a 16x16 image."""
+        (tmp_path / "glued.ppm").write_bytes(b"P616 16 255\n" + bytes(16 * 16 * 3))
+        with pytest.raises(SanlabError, match="not a binary PPM"):
+            read_ppm(tmp_path / "glued.ppm")
+
     def test_read_ppm_rejects_other_formats(self, tmp_path):
         (tmp_path / "bad.ppm").write_bytes(b"P3\n1 1\n255\n0 0 0\n")
         with pytest.raises(SanlabError):

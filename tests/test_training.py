@@ -28,6 +28,7 @@ from sanlab.training import (
     DetectionModel,
     StepBatch,
     TrainingConfig,
+    TrainingDiverged,
     batched_reference_features,
     build_model,
     build_step_batch,
@@ -93,6 +94,15 @@ class TestConfigValidation:
             cfg.validate()
         with pytest.raises(ConfigError, match="gaussian"):
             train(tiny_dataset, cfg)
+
+    def test_zero_fusion_init_without_san_rejected(self, tiny_dataset):
+        """Without sub-networks there is no fusion gate to initialize."""
+        cfg = tiny_config(san_mode="off", init_mode="identity-zero-fusion")
+        with pytest.raises(ConfigError, match="init_mode 'identity-zero-fusion' has no effect"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="identity-zero-fusion"):
+            train(tiny_dataset, cfg)
+        tiny_config(san_mode="off").validate()
 
     @pytest.mark.parametrize("value", [-0.25, 1.5, 2.0, float("nan")])
     def test_pos_fraction_outside_unit_interval_rejected(self, value):
@@ -465,6 +475,16 @@ class TestTrainLoop:
         result = train(tiny_dataset, tiny_config(iterations=2, san_mode="off"))
         assert result.model.san is None
         assert not any(p.name.startswith("san.") for p in result.model.named_parameters())
+
+    def test_divergence_raises_with_its_diagnostics(self, tiny_dataset):
+        """A non-finite loss stops training at the step that produced it."""
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence overflows by design
+            with pytest.raises(TrainingDiverged) as exc:
+                train(tiny_dataset, tiny_config(iterations=20, base_lr=1e6))
+        diverged = exc.value
+        assert diverged.step == diverged.diagnostics["iter"]
+        assert not all(np.isfinite([diverged.diagnostics[k] for k in ("l_cls", "l_reg", "l_san")]))
+        assert str(diverged).startswith(f"non-finite loss at iteration {diverged.step}")
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
