@@ -523,17 +523,20 @@ class TestCam:
         )
         assert rc == 2
 
-    def test_ref_scale_flag_is_a_usage_error(self, small_run, tmp_path):
-        """cam normalizes to the checkpoint's reference side; it takes no other."""
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_ref_scale_is_an_error(self, small_run, tmp_path, capsys, value):
+        """cam normalizes to the checkpoint's reference side and takes no
+        --ref-scale, so any value, non-positive ones included, is a usage error."""
         data, run = small_run
         img = sorted(Path(data).glob("*.ppm"))[0]
         out = tmp_path / "c"
         with pytest.raises(SystemExit) as exc:
             main(
                 ["cam", "--out-dir", str(out), "--checkpoint", str(run / "checkpoint.san"), "--image", str(img),
-                 "--normalize-rois", "--ref-scale", "32"]
+                 "--normalize-rois", "--ref-scale", value]
             )
         assert exc.value.code == 2
+        assert "unrecognized arguments: --ref-scale" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, side", [(["--normalize-rois"], 48), ([], None)])
