@@ -21,7 +21,6 @@ from .analysis import (
 from .autograd import Parameter, Tensor, no_grad, sgd_step
 from .backbone import Backbone, Image, RoI, cam_scale_sweep, extract_reference_feature, roi_pool
 from .data import Annotation, DatasetConfig, generate_dataset, load_dataset, make_proposals, scale_statistics
-from .detector import NotFittedError, SanDetector
 from .errors import CheckpointError, ConfigError, GraphError, RoiError, SanlabError, ShapeError
 from .losses import DetectionHead, RegressionTarget, assign_roi_labels, box_iou, decode_regression, encode_regression
 from .san import (

@@ -2,9 +2,9 @@
 two analysis instruments (channel-activation matrix, scale-space RMSE).
 
 Each command has one settings table, setting -> default (`SETTINGS`),
-filled from what the settings feed: DatasetConfig (gen-data), the
-TrainingConfig front end (train), evaluate_detector's and compute_cam's
-defaults (eval, cam).  Every entry is both a --kebab-case flag and a key of
+filled from what the settings feed: DatasetConfig (gen-data),
+TrainingConfig (train), evaluate_detector's and compute_cam's defaults
+(eval, cam).  Every entry is both a --kebab-case flag and a key of
 flat `key = value` config files (# comments allowed); flags override the
 file, and for the commands that take a seed (gen-data, train, eval) it falls
 back to SANLAB_SEED.  `rmse` and `cam` take the checkpoint's own scheme.
@@ -31,28 +31,26 @@ from .analysis import (
     write_cam_pgm,
     write_rmse_csv,
 )
-from .backbone import Backbone, Image, cam_scale_sweep
+from .backbone import Backbone, cam_scale_sweep
 from .data import (
     DatasetConfig,
     generate_dataset_with_stats,
     load_dataset,
     read_file,
-    read_ppm,
+    read_image,
     scale_statistics,
     write_dataset,
     write_scale_statistics_csv,
 )
 from .errors import ConfigError, SanlabError
-from .san import SCHEME_PRESETS
+from .san import SCHEME_PRESETS, resolve_scheme
 from .training import (
     EVAL_N_NEG,
     EVAL_N_POS_JITTER,
     FIELD_CHOICES,
-    FRONT_END_NAMES,
-    config_from_front_end,
+    TrainingConfig,
     default_rmse_scales,
     evaluate_detector,
-    front_end_defaults,
     load_checkpoint,
     rmse_report,
     save_checkpoint,
@@ -67,9 +65,14 @@ SEED_ENV_VAR = "SANLAB_SEED"
 _DATASET_FIELDS = {f.name: f.default for f in dataclasses.fields(DatasetConfig) if f.name != "scale_range"}
 _SCALE_MIN, _SCALE_MAX = DatasetConfig.scale_range
 
+# train takes one setting per TrainingConfig field, named as the field but
+# for these two, and spells the scheme as a preset name plus overrides
+TRAIN_RENAMES = {"san_mode": "san", "init_mode": "init"}
+TRAIN_FIELDS = {TRAIN_RENAMES.get(f.name, f.name): f for f in dataclasses.fields(TrainingConfig) if f.name != "scheme"}
+
 SETTINGS = {
     "gen-data": _DATASET_FIELDS | {"num_images": 200, "scale_min": _SCALE_MIN, "scale_max": _SCALE_MAX},
-    "train": front_end_defaults(),
+    "train": {name: f.default for name, f in TRAIN_FIELDS.items()} | {"scheme": "toy", "ref_scale": None, "boundaries": None},
     "eval": {"seed": 0, "n_pos_jitter": EVAL_N_POS_JITTER, "n_neg": EVAL_N_NEG},
     "cam": {"scales": "16,24,32,48,64,96", "cam_k": CAM_K, "normalize_rois": 0},
     "rmse": {"scales": ""},
@@ -82,7 +85,7 @@ _FLAG_OPTIONS = {
     "boundaries": {"type": str},
     "scheme": {"type": str, "choices": sorted(SCHEME_PRESETS)},
     "normalize_rois": {"action": "store_const", "const": 1},
-} | {FRONT_END_NAMES.get(name, name): {"type": str, "choices": c} for name, c in FIELD_CHOICES.items()}
+} | {TRAIN_RENAMES.get(name, name): {"type": str, "choices": c} for name, c in FIELD_CHOICES.items()}
 
 
 def _flag_options(key: str, default) -> dict:
@@ -170,7 +173,8 @@ def cmd_train(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
     dataset = load_dataset(Path(args.data_dir))
     text = settings["boundaries"]
     boundaries = _parse(lambda t: tuple(float(b) for b in t.split(",")), text, "boundaries") if text else None
-    result = train(dataset, config_from_front_end(settings | {"boundaries": boundaries}))
+    scheme = resolve_scheme(settings["scheme"], settings["ref_scale"], boundaries)
+    result = train(dataset, TrainingConfig(scheme=scheme, **{f.name: settings[name] for name, f in TRAIN_FIELDS.items()}))
     save_checkpoint(out_dir / "checkpoint.san", result.model)
     write_log_csv(out_dir / "train_log.csv", result.log_rows)
     return {"data_dir": str(args.data_dir)}
@@ -193,7 +197,7 @@ def cmd_eval(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
 def cmd_cam(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
     scales = _parse_scales(settings["scales"])
     model = load_checkpoint(Path(args.checkpoint))
-    img = Image(read_ppm(Path(args.image)), id=0)
+    img = read_image(Path(args.image))
     normalize_to = model.scheme.ref_scale if settings["normalize_rois"] else None
     vectors, skipped = cam_scale_sweep(img, model.backbone, scales, normalize_to=normalize_to)
     cam = compute_cam(vectors, k=settings["cam_k"])

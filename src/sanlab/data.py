@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import Image, RoI
-from .errors import ConfigError, RoiError, SanlabError
+from .errors import ConfigError, RoiError, SanlabError, ShapeError
 from .losses import box_iou
 from .rng import STREAM_DATA, STREAM_EVAL, derive
 from .san import TOY_SCHEME
@@ -312,6 +312,15 @@ def read_ppm(path: Path) -> np.ndarray:
     return np.ascontiguousarray(arr.transpose(2, 0, 1)[None])
 
 
+def read_image(path: Path, image_id: int = 0) -> Image:
+    """The Image of a binary PPM; levels that `Image` rejects are an error
+    naming the file."""
+    try:
+        return Image(read_ppm(path), id=image_id)
+    except ShapeError as exc:
+        raise ShapeError(f"{path}: {exc}") from exc
+
+
 _IMAGE_NAME = re.compile(r"img_(\d+)\.ppm")
 
 
@@ -362,7 +371,7 @@ def load_dataset(data_dir: Path) -> list[tuple[Image, list[Annotation]]]:
                 raise SanlabError(f"{manifest}: image line {line!r} lists image {image_id} a second time")
             seen.add(image_id)
             current = []
-            image = Image(read_ppm(data_dir / parts[0]), id=image_id)
+            image = read_image(data_dir / parts[0], image_id)
             dataset.append((image, current))
         else:
             if current is None:

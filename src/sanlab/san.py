@@ -59,16 +59,12 @@ TOY_SCHEME = ScalePartitionScheme(ref_scale=48, boundaries=(24.0**2, 48.0**2))
 SCHEME_PRESETS = {"voc": VOC_SCHEME, "coco": COCO_SCHEME, "toy": TOY_SCHEME}
 
 
-def resolve_scheme(scheme, ref_scale=None, boundaries=None) -> ScalePartitionScheme:
-    """Accept a preset name, a scheme object, or explicit overrides."""
-    if isinstance(scheme, str):
-        if scheme not in SCHEME_PRESETS:
-            raise ConfigError(f"unknown scheme preset {scheme!r}; choose from {sorted(SCHEME_PRESETS)}")
-        base = SCHEME_PRESETS[scheme]
-    elif isinstance(scheme, ScalePartitionScheme):
-        base = scheme
-    else:
-        raise ConfigError(f"scheme must be a preset name or ScalePartitionScheme, got {type(scheme).__name__}")
+def resolve_scheme(preset: str, ref_scale: int | None = None, boundaries=None) -> ScalePartitionScheme:
+    """The scheme preset named ``preset``, with ``ref_scale`` and ``boundaries``
+    in place of its own where they are given."""
+    if preset not in SCHEME_PRESETS:
+        raise ConfigError(f"unknown scheme preset {preset!r}; choose from {sorted(SCHEME_PRESETS)}")
+    base = SCHEME_PRESETS[preset]
     if ref_scale is None and boundaries is None:
         return base
     return ScalePartitionScheme(

@@ -45,7 +45,6 @@ from .san import (
     init_gaussian,
     init_identity,
     partition_index,
-    resolve_scheme,
     san_forward,
     san_loss_branch,
 )
@@ -115,35 +114,6 @@ class TrainingConfig:
                 f"san_samples={self.san_samples} exceeds the mini-batch RoI budget "
                 f"{self.images_per_step * self.rois_per_image}"
             )
-
-
-# The front ends (the `train` command's flags and config keys, SanDetector's
-# parameters) take one setting per TrainingConfig field, renamed as in
-# FRONT_END_NAMES.  Both spell `scheme` as a preset name plus overrides.
-FRONT_END_NAMES = {"san_mode": "san", "init_mode": "init"}
-
-
-def front_end_fields() -> dict[str, dataclasses.Field]:
-    """Front-end name -> TrainingConfig field, in field order."""
-    return {FRONT_END_NAMES.get(f.name, f.name): f for f in dataclasses.fields(TrainingConfig) if f.name != "scheme"}
-
-
-def front_end_defaults() -> dict:
-    """Every front-end setting with its default (the preset is TrainingConfig's scheme)."""
-    return {name: f.default for name, f in front_end_fields().items()} | {"scheme": "toy", "ref_scale": None, "boundaries": None}
-
-
-def config_from_front_end(values: dict) -> TrainingConfig:
-    """The TrainingConfig of front-end values, keyed as by `front_end_defaults`;
-    the scheme is `resolve_scheme` of `scheme`, `ref_scale` and `boundaries`."""
-    scheme = resolve_scheme(values["scheme"], values["ref_scale"], values["boundaries"])
-    return TrainingConfig(scheme=scheme, **{f.name: values[name] for name, f in front_end_fields().items()})
-
-
-def front_end_from_config(cfg: TrainingConfig) -> dict:
-    """The front-end values that `config_from_front_end` maps to ``cfg``."""
-    values = {name: getattr(cfg, f.name) for name, f in front_end_fields().items()}
-    return values | {"scheme": cfg.scheme, "ref_scale": None, "boundaries": None}
 
 
 @dataclass

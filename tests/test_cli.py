@@ -16,9 +16,10 @@ import pytest
 
 import sanlab
 from sanlab.analysis import compute_cam
-from sanlab.cli import SETTINGS, main, parse_config_file
+from sanlab.cli import SETTINGS, TRAIN_FIELDS, main, parse_config_file
 from sanlab.data import DatasetConfig, load_dataset
-from sanlab.training import TrainingConfig, evaluate_detector, front_end_fields, save_checkpoint, train
+from sanlab.san import ScalePartitionScheme
+from sanlab.training import TrainingConfig, evaluate_detector, load_checkpoint, save_checkpoint, train
 
 
 def tree_digest(root: Path) -> dict:
@@ -249,8 +250,23 @@ class TestTrain:
         with pytest.raises(SystemExit):
             main(["train", "--help"])
         help_text = capsys.readouterr().out
-        for name in front_end_fields():
+        for name in TRAIN_FIELDS:
             assert f"--{name.replace('_', '-')}" in help_text
+
+    def test_scheme_preset_with_overrides_reaches_the_checkpoint(self, small_run, tmp_path):
+        out = tmp_path / "coco"
+        flags = ["--scheme", "coco", "--ref-scale", "32", "--boundaries", "100,400", "--iterations", "1",
+                 "--rois-per-image", "10", "--san-samples", "4"]
+        assert main(["train", "--out-dir", str(out), "--data-dir", str(small_run[0]), *flags]) == 0
+        assert load_checkpoint(out / "checkpoint.san").scheme == ScalePartitionScheme(ref_scale=32, boundaries=(100.0, 400.0))
+
+    def test_unknown_scheme_preset_in_a_config_file_is_an_error(self, small_run, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scheme = imagenet\n")
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--data-dir", str(small_run[0])]) == 2
+        assert "unknown scheme preset 'imagenet'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_switch_combination_rejected(self, small_run, tmp_path):
         data, _ = small_run
@@ -687,6 +703,18 @@ class TestInputErrors:
         err = self._run([command, "--out-dir", str(out), "--data-dir", str(data), *extra], capsys)
         assert "manifest.txt" in err and "must be finite" in err, err
         assert not (out / "run-meta.json").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "cam"])
+    def test_image_below_the_minimum_side_is_an_error_naming_it(self, small_run, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        data.mkdir()
+        img = data / "img_00000.ppm"
+        img.write_bytes(b"P6\n8 8\n255\n" + bytes(8 * 8 * 3))
+        (data / "manifest.txt").write_text("img_00000.ppm\n")
+        source = ["--data-dir", str(data)] if command == "eval" else ["--image", str(img)]
+        ckpt = str(small_run[1] / "checkpoint.san")
+        err = self._run([command, "--out-dir", str(tmp_path / "x"), "--checkpoint", ckpt, *source], capsys)
+        assert f"error: {img}: " in err and "at least 16" in err, err
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
     def test_unreadable_config_file_is_an_error(self, small_run, tmp_path, capsys, kind):
