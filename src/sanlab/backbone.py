@@ -36,6 +36,9 @@ from .errors import GraphError, RoiError, ShapeError
 from .rng import STREAM_WEIGHTS, derive
 
 
+MIN_IMAGE_SIDE = 16  # the smallest image height and width the package takes
+
+
 @dataclass(eq=False)
 class Image:
     """Input image: its 8-bit levels, a 1x3xHxW uint8 array, H and W at least 16.
@@ -49,8 +52,8 @@ class Image:
 
     def __post_init__(self):
         shape, dtype = np.shape(self.levels), getattr(self.levels, "dtype", None)
-        if not (dtype == np.uint8 and len(shape) == 4 and shape[:2] == (1, 3) and min(shape[2:]) >= 16):
-            raise ShapeError(f"Image levels must be a 1x3xHxW uint8 array, H and W at least 16; got {dtype} {shape}")
+        if not (dtype == np.uint8 and len(shape) == 4 and shape[:2] == (1, 3) and min(shape[2:]) >= MIN_IMAGE_SIDE):
+            raise ShapeError(f"Image levels must be a 1x3xHxW uint8 array, H and W at least {MIN_IMAGE_SIDE}; got {dtype} {shape}")
 
     @property
     def pixels(self) -> Tensor:

@@ -13,6 +13,7 @@ per object; `#` starts a comment, used to note skipped placements).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -20,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import Image, RoI
+from .backbone import MIN_IMAGE_SIDE, Image, RoI
 from .errors import ConfigError, RoiError, SanlabError, ShapeError
-from .losses import box_iou
 from .rng import STREAM_DATA, STREAM_EVAL, derive
 from .san import TOY_SCHEME
 
@@ -56,6 +56,8 @@ class DatasetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.image_size < MIN_IMAGE_SIDE:
+            raise ConfigError(f"image_size must be at least {MIN_IMAGE_SIDE}, got {self.image_size}")
         lo, hi = self.scale_range
         if not (0 < lo <= hi <= self.image_size):
             raise ConfigError(f"scale_range {self.scale_range} must lie within (0, {self.image_size}]")
@@ -67,11 +69,12 @@ class DatasetConfig:
             raise ConfigError(f"background_amplitude must be in [0,1], got {self.background_amplitude}")
 
     def band_intervals(self) -> list[tuple[float, float]]:
-        """Side-length bands clipped to scale_range (empty bands dropped)."""
+        """Side-length bands clipped to scale_range (empty bands dropped); a
+        range with equal ends is one band, of that single side."""
         lo, hi = self.scale_range
         bands = [math.sqrt(b) for b in TOY_SCHEME.boundaries]
         edges = [lo] + [b for b in bands if lo < b < hi] + [hi]
-        return [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
+        return [(a, b) for a, b in zip(edges, edges[1:]) if b > a] or [(lo, hi)]
 
 
 # Class palette: (shape, primary color, secondary color). Shapes cycle for
@@ -86,13 +89,15 @@ _COLORS = (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def _class_style(class_id: int) -> tuple[str, np.ndarray, np.ndarray]:
     shape = _SHAPES[(class_id - 1) % len(_SHAPES)]
     c1, c2 = _COLORS[(class_id - 1) % len(_COLORS)]
     # rotate hue deterministically for classes beyond the base palette
     shift = ((class_id - 1) // len(_SHAPES)) % 3
-    c1 = np.roll(np.asarray(c1, dtype=np.float32), shift)
-    c2 = np.roll(np.asarray(c2, dtype=np.float32), shift)
+    c1 = np.roll(np.asarray(c1, dtype=np.float32), shift)[:, None, None]
+    c2 = np.roll(np.asarray(c2, dtype=np.float32), shift)[:, None, None]
+    c1.flags.writeable = c2.flags.writeable = False  # shared by every call
     return shape, c1, c2
 
 
@@ -104,55 +109,69 @@ def _paint_object(px: np.ndarray, x1: int, y1: int, side: int, class_id: int) ->
     that of a large one, as for real-world objects).
     """
     shape, c1, c2 = _class_style(class_id)
-    yy, xx = np.mgrid[0:side, 0:side]
-    if shape == "square":
-        mask = np.ones((side, side), dtype=bool)
-    elif shape == "disk":
-        r = side / 2.0
-        mask = (yy + 0.5 - r) ** 2 + (xx + 0.5 - r) ** 2 <= r * r
-    else:  # triangle: apex at top center, base at the bottom
-        frac = (yy + 0.5) / side
-        mask = np.abs(xx + 0.5 - side / 2.0) <= frac * side / 2.0
+    xx = np.arange(side)
+    yy = xx[:, None]
+    region = px[:, y1 : y1 + side, x1 : x1 + side]
     period = max(2, side // 3)
     stripes = (yy % period) < period // 2
-    checker = ((yy % period) < period // 2) ^ ((xx % period) < period // 2)
-    pattern = {"disk": np.ones_like(stripes), "square": stripes, "triangle": checker}[shape]
-    tile = np.where(pattern[None], c1[:, None, None], c2[:, None, None])
-    region = px[:, y1 : y1 + side, x1 : x1 + side]
-    region[:, mask] = tile[:, mask]
+    if shape == "disk":  # solid fill
+        r = side / 2.0
+        np.copyto(region, c1, where=(yy + 0.5 - r) ** 2 + (xx + 0.5 - r) ** 2 <= r * r)
+    elif shape == "square":  # stripes
+        np.copyto(region, np.where(stripes, c1, c2))
+    else:  # triangle, apex at top center and base at the bottom, checker fill
+        mask = np.abs(xx + 0.5 - side / 2.0) <= (yy + 0.5) / side * side / 2.0
+        np.copyto(region, np.where(stripes ^ ((xx % period) < period // 2), c1, c2), where=mask)
 
 
 def _place_objects(cfg: DatasetConfig, rng: np.random.Generator, image_id: int) -> tuple[np.ndarray, list[Annotation], int]:
+    """One image's 8-bit levels, its annotations and its skipped placements.
+
+    An object tries up to PLACEMENT_RETRIES top-left corners, each drawn
+    as two scalar ``integers`` calls (x1, then y1), and takes the first
+    that keeps MIN_GAP pixels clear of every box already placed.  The
+    attempts are drawn as one (PLACEMENT_RETRIES, 2) array, which consumes
+    the stream as the scalar calls would, and tested at once.  The stream
+    state saved before that draw is then restored and only the values up
+    to the first free attempt (all of them when none is free) are drawn
+    again, so the stream goes on exactly where the scalar loop left it.
+    """
     size = cfg.image_size
-    noise = rng.random((3, size, size), dtype=np.float64)
-    px = np.clip(0.5 + cfg.background_amplitude * (noise - 0.5), 0.0, 1.0).astype(np.float32)
+    px = rng.random((3, size, size), dtype=np.float64)
+    # 0.5 + amplitude * (noise - 0.5), clipped, without temporaries
+    px -= 0.5
+    px *= cfg.background_amplitude
+    px += 0.5
+    px = np.clip(px, 0.0, 1.0, out=px).astype(np.float32)
     n_obj = int(rng.integers(cfg.objects_min, cfg.objects_max + 1))
     bands = cfg.band_intervals()
     anns: list[Annotation] = []
+    placed = np.empty((0, 4))  # x1, y1, x2, y2 of every box placed so far
     skipped = 0
     for _ in range(n_obj):
         class_id = int(rng.integers(1, cfg.num_classes + 1))
         lo, hi = bands[int(rng.integers(0, len(bands)))]
         side = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
         side = max(4, min(side, size))
-        placed = False
-        for _attempt in range(PLACEMENT_RETRIES):
-            x1 = int(rng.integers(0, size - side + 1))
-            y1 = int(rng.integers(0, size - side + 1))
-            box = RoI(x1=float(x1), y1=float(y1), x2=float(x1 + side), y2=float(y1 + side), image_id=image_id)
-            grown = RoI(
-                x1=box.x1 - MIN_GAP, y1=box.y1 - MIN_GAP, x2=box.x2 + MIN_GAP, y2=box.y2 + MIN_GAP, image_id=image_id
-            )
-            if any(box_iou(grown, a.box) > 0 for a in anns):
-                continue
-            _paint_object(px, x1, y1, side, class_id)
-            anns.append(Annotation(box=box, class_id=class_id))
-            placed = True
-            break
-        if not placed:
+        state = rng.bit_generator.state
+        xy = rng.integers(0, size - side + 1, size=(PLACEMENT_RETRIES, 2)).astype(np.float64)
+        # box_iou(box grown by MIN_GAP, placed box) > 0, exact on these integer-valued floats
+        hits = (xy[:, None] - MIN_GAP < placed[:, 2:]) & (placed[:, :2] < xy[:, None] + (side + MIN_GAP))
+        free = ~(hits[..., 0] & hits[..., 1]).any(axis=1)
+        k = int(free.argmax()) if free.any() else PLACEMENT_RETRIES - 1
+        rng.bit_generator.state = state
+        rng.integers(0, size - side + 1, size=2 * (k + 1))
+        if not free[k]:
             skipped += 1
+            continue
+        x1, y1 = int(xy[k, 0]), int(xy[k, 1])
+        _paint_object(px, x1, y1, side, class_id)
+        box = (float(x1), float(y1), float(x1 + side), float(y1 + side))
+        anns.append(Annotation(box=RoI(*box, image_id=image_id), class_id=class_id))
+        placed = np.vstack([placed, box])
     # the image is its 8-bit levels, as a PPM file holds them
-    return np.round(px * 255.0).astype(np.uint8)[None], anns, skipped
+    px *= 255.0
+    return np.round(px, out=px).astype(np.uint8)[None], anns, skipped
 
 
 def generate_dataset_with_stats(cfg: DatasetConfig) -> tuple[list[tuple[Image, list[Annotation]]], list[int]]:

@@ -1,8 +1,9 @@
 """Shared test oracles: finite differences, the nine-slice im2col, the
 per-partition correction path, the per-image and single-RoI RoI pooling,
 the step graph with one backbone pass per image, the whole-window
-rendering of the RMSE report, the reference crop as a snapped RoI, and
-small numeric utilities; and a model's no-loss view."""
+rendering of the RMSE report, the reference crop as a snapped RoI, the
+dataset generator's scalar placement loop, and small numeric utilities;
+and a model's no-loss view."""
 
 from __future__ import annotations
 
@@ -23,8 +24,10 @@ from sanlab.backbone import (
     batched_reference_features,
     roi_pool,
 )
+from sanlab.data import _COLORS, _SHAPES, MIN_GAP, PLACEMENT_RETRIES, Annotation, DatasetConfig
 from sanlab.errors import RoiError
-from sanlab.losses import multi_task_loss
+from sanlab.losses import box_iou, multi_task_loss
+from sanlab.rng import STREAM_DATA, derive
 from sanlab.san import partition_index, san_loss_branch
 from sanlab.training import forward_roi_features
 
@@ -278,3 +281,77 @@ def cell_aligned_roi(roi: RoI, stride: int, width: int, height: int) -> RoI:
     x2 = min(float(width), math.ceil(roi.x2 / stride) * stride)
     y2 = min(float(height), math.ceil(roi.y2 / stride) * stride)
     return RoI(x1=x1, y1=y1, x2=x2, y2=y2, image_id=roi.image_id)
+
+
+# The dataset generator as the package ran it before it drew each object's
+# placement attempts as one array: one pair of scalar ``integers`` calls and
+# one ``box_iou`` test per attempt, and full-grid masks for every fill.
+
+
+def uncached_class_style(class_id: int) -> tuple[str, np.ndarray, np.ndarray]:
+    shape = _SHAPES[(class_id - 1) % len(_SHAPES)]
+    c1, c2 = _COLORS[(class_id - 1) % len(_COLORS)]
+    # rotate hue deterministically for classes beyond the base palette
+    shift = ((class_id - 1) // len(_SHAPES)) % 3
+    c1 = np.roll(np.asarray(c1, dtype=np.float32), shift)
+    c2 = np.roll(np.asarray(c2, dtype=np.float32), shift)
+    return shape, c1, c2
+
+
+def full_grid_paint_object(px: np.ndarray, x1: int, y1: int, side: int, class_id: int) -> None:
+    shape, c1, c2 = uncached_class_style(class_id)
+    yy, xx = np.mgrid[0:side, 0:side]
+    if shape == "square":
+        mask = np.ones((side, side), dtype=bool)
+    elif shape == "disk":
+        r = side / 2.0
+        mask = (yy + 0.5 - r) ** 2 + (xx + 0.5 - r) ** 2 <= r * r
+    else:  # triangle: apex at top center, base at the bottom
+        frac = (yy + 0.5) / side
+        mask = np.abs(xx + 0.5 - side / 2.0) <= frac * side / 2.0
+    period = max(2, side // 3)
+    stripes = (yy % period) < period // 2
+    checker = ((yy % period) < period // 2) ^ ((xx % period) < period // 2)
+    pattern = {"disk": np.ones_like(stripes), "square": stripes, "triangle": checker}[shape]
+    tile = np.where(pattern[None], c1[:, None, None], c2[:, None, None])
+    region = px[:, y1 : y1 + side, x1 : x1 + side]
+    region[:, mask] = tile[:, mask]
+
+
+def scalar_place_objects(cfg: DatasetConfig, rng: np.random.Generator, image_id: int) -> tuple[np.ndarray, list[Annotation], int]:
+    size = cfg.image_size
+    noise = rng.random((3, size, size), dtype=np.float64)
+    px = np.clip(0.5 + cfg.background_amplitude * (noise - 0.5), 0.0, 1.0).astype(np.float32)
+    n_obj = int(rng.integers(cfg.objects_min, cfg.objects_max + 1))
+    bands = cfg.band_intervals()
+    anns: list[Annotation] = []
+    skipped = 0
+    for _ in range(n_obj):
+        class_id = int(rng.integers(1, cfg.num_classes + 1))
+        lo, hi = bands[int(rng.integers(0, len(bands)))]
+        side = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
+        side = max(4, min(side, size))
+        placed = False
+        for _attempt in range(PLACEMENT_RETRIES):
+            x1 = int(rng.integers(0, size - side + 1))
+            y1 = int(rng.integers(0, size - side + 1))
+            box = RoI(x1=float(x1), y1=float(y1), x2=float(x1 + side), y2=float(y1 + side), image_id=image_id)
+            grown = RoI(
+                x1=box.x1 - MIN_GAP, y1=box.y1 - MIN_GAP, x2=box.x2 + MIN_GAP, y2=box.y2 + MIN_GAP, image_id=image_id
+            )
+            if any(box_iou(grown, a.box) > 0 for a in anns):
+                continue
+            full_grid_paint_object(px, x1, y1, side, class_id)
+            anns.append(Annotation(box=box, class_id=class_id))
+            placed = True
+            break
+        if not placed:
+            skipped += 1
+    # the image is its 8-bit levels, as a PPM file holds them
+    return np.round(px * 255.0).astype(np.uint8)[None], anns, skipped
+
+
+def scalar_dataset_with_stats(cfg: DatasetConfig) -> list[tuple[np.ndarray, list[Annotation], int]]:
+    """Each image's (levels, annotations, skipped placements) from
+    `scalar_place_objects`, on the generator's per-image streams."""
+    return [scalar_place_objects(cfg, derive(cfg.seed, STREAM_DATA, i), i) for i in range(cfg.num_images)]

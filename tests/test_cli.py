@@ -208,6 +208,19 @@ class TestGenData:
         lines = (out / "scale_stats.csv").read_text().splitlines()
         assert len(lines) == 1 + 3
 
+    def test_scale_range_with_equal_ends_writes_boxes_of_that_side(self, tmp_path):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--out-dir", str(out), "--num-images", "4", "--scale-min", "20", "--scale-max", "20"]) == 0
+        boxes = [line.split()[1:] for line in (out / "manifest.txt").read_text().splitlines() if len(line.split()) == 5]
+        assert boxes and all(float(x2) - float(x1) == 20 == float(y2) - float(y1) for x1, y1, x2, y2 in boxes)
+
+    def test_image_size_below_the_minimum_is_an_error_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        rc = main(["gen-data", "--out-dir", str(out), "--image-size", "8", "--scale-min", "4", "--scale-max", "8"])
+        assert rc == 2
+        assert "error: image_size must be at least 16, got 8" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_outputs_and_log_rows(self, small_run):

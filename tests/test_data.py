@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sanlab.backbone import Image, RoI
+from helpers import scalar_dataset_with_stats
+
+from sanlab.backbone import MIN_IMAGE_SIDE, Image, RoI
 from sanlab.data import (
     Annotation,
     DatasetConfig,
@@ -37,10 +39,54 @@ class TestDatasetConfig:
         with pytest.raises(ConfigError):
             DatasetConfig(num_images=1, num_classes=1)
 
+    def test_rejects_image_size_below_the_minimum_naming_it(self):
+        with pytest.raises(ConfigError, match=f"image_size must be at least {MIN_IMAGE_SIDE}, got 8"):
+            DatasetConfig(num_images=1, image_size=8, scale_range=(4.0, 8.0))
+        DatasetConfig(num_images=1, image_size=MIN_IMAGE_SIDE, scale_range=(4.0, 8.0))
+
+
+# The scalar placement loop's matrix: seeds at the defaults, one object per
+# image (the analysis workload's test set), many classes and objects on a
+# small image, crowded images with no background noise (most skips), and
+# objects as large as the image, whose attempt range of 1 draws nothing.
+SCALAR_LOOP_CONFIGS = [
+    *(DatasetConfig(num_images=30, seed=s) for s in range(5)),
+    DatasetConfig(num_images=40, seed=12, objects_min=1, objects_max=1),
+    DatasetConfig(num_images=40, seed=2, num_classes=7, image_size=64, scale_range=(8.0, 60.0), objects_max=6),
+    DatasetConfig(
+        num_images=40, seed=3, image_size=40, scale_range=(8.0, 40.0), objects_min=3, objects_max=5, background_amplitude=0.0
+    ),
+    DatasetConfig(num_images=20, seed=4, image_size=20, scale_range=(19.6, 20.0)),
+]
+
 
 class TestGeneration:
     def test_zero_images(self):
         assert generate_dataset(DatasetConfig(num_images=0)) == []
+
+    @pytest.mark.parametrize("cfg", SCALAR_LOOP_CONFIGS, ids=lambda c: f"{c.image_size}px-seed{c.seed}")
+    def test_same_bytes_as_the_scalar_placement_loop(self, cfg):
+        samples, skips = generate_dataset_with_stats(cfg)
+        want = scalar_dataset_with_stats(cfg)
+        assert len(samples) == len(want) == cfg.num_images
+        for (img, anns), skipped, (levels, want_anns, want_skipped) in zip(samples, skips, want):
+            assert img.levels.shape == levels.shape and img.levels.tobytes() == levels.tobytes()
+            assert anns == want_anns
+            assert skipped == want_skipped
+
+    def test_scalar_loop_matrix_covers_skips_and_whole_image_objects(self):
+        crowded, whole = SCALAR_LOOP_CONFIGS[-2:]
+        assert sum(generate_dataset_with_stats(crowded)[1]) > 0
+        dataset, skips = generate_dataset_with_stats(whole)
+        assert sum(skips) > 0
+        assert {a.box.width for _, anns in dataset for a in anns} == {float(whole.image_size)}
+
+    def test_scale_range_with_equal_ends_gives_every_object_that_side(self):
+        cfg = DatasetConfig(num_images=6, seed=3, scale_range=(20.0, 20.0))
+        dataset = generate_dataset(cfg)
+        boxes = [a.box for _, anns in dataset for a in anns]
+        assert len(boxes) >= cfg.num_images
+        assert {(b.width, b.height) for b in boxes} == {(20.0, 20.0)}
 
     def test_same_seed_byte_identical(self):
         cfg = DatasetConfig(num_images=5, seed=33)
