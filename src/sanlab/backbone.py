@@ -103,6 +103,11 @@ class RoI:
         return self.width * self.height
 
 
+def box_array(rois: Sequence[RoI]) -> np.ndarray:
+    """The (N, 4) float64 x1, y1, x2, y2 of each RoI, in order."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in rois], dtype=np.float64).reshape(-1, 4)
+
+
 # Fixed miniature architecture: (out_channels, kernel, stride, pad) per block.
 # Three strided 3x3 blocks then a 1x1 feature-extraction layer, all ReLU.
 BACKBONE_BLOCKS: tuple[tuple[int, int, int, int], ...] = (
@@ -298,8 +303,8 @@ def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int,
 
     def backward(grad_out: np.ndarray):
         grads = {m: np.zeros_like(t.data) for m, t in inputs.items()}
-        images, spans = np.array([r[:2] for r in regions]), np.array([r[2:] for r in regions])  # (map, row), cells
-        lo, span = spans[:, ::2], spans[:, 1::2] - spans[:, ::2]  # (N, 2): rows, columns
+        table = np.array(regions)  # per RoI: map, row, y_lo, y_hi, x_lo, x_hi
+        images, lo, span = table[:, :2], table[:, 2::2], table[:, 3::2] - table[:, 2::2]  # (N, 2): rows, columns
         ends = np.arange(out + 1) * span[..., None]
         first, stop = lo[..., None] + ends[..., :-1] // out, lo[..., None] - (-ends[..., 1:] // out)  # (N, 2, out)
         extent = max(max(g.shape[2:]) for g in grads.values())
@@ -310,16 +315,21 @@ def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int,
             buf = grads[m][r]
             fh, fw = buf.shape[1:]
             scaled = grad_out[j] / counts[j]
-            g = scaled.transpose(0, 2, 1, 3).reshape(j.size, out * c, out)
-            g = np.matmul(g, bins[j, 1, :, :fw]).reshape(j.size, out, c * fw)
+            # (j, C, out, out) -> (j, out, C, out), moved in whole bin rows of out values
+            bin_row = np.dtype((np.void, out * scaled.itemsize))
+            g = np.ascontiguousarray(scaled.view(bin_row).transpose(0, 2, 1, 3)).view(scaled.dtype)
+            g = np.matmul(g.reshape(j.size, out * c, out), bins[j, 1, :, :fw]).reshape(j.size, out, c * fw)
             g = np.matmul(bins[j, 0, :, :fh].transpose(0, 2, 1), g).reshape(j.size, fh, c, fw)
             for k in np.flatnonzero(span[j].min(axis=1) == 1).tolist():  # one call per channel
-                _, _, y0, y1, x0, x1 = regions[j[k]]
+                _, _, y0, y1, x0, x1 = table[j[k]].tolist()
                 g[k] = 0
                 g[k, y0:y1, :, x0:x1] = np.matmul(rows[j[k]].T, np.matmul(scaled[k], cols[x1 - x0])).transpose(1, 0, 2)
-            acc = np.zeros((fh, c, fw), dtype=buf.dtype)
-            for gk in g:  # in RoI order, each rounded to the map's dtype; np.add.reduce may sum pairwise
-                acc += gk
+            if g.dtype == buf.dtype:  # sums in RoI order, as the loop below does
+                acc = np.add.reduce(g, axis=0, initial=0)
+            else:  # each sum rounded to the map's dtype
+                acc = np.zeros((fh, c, fw), dtype=buf.dtype)
+                for gk in g:
+                    acc += gk
             buf[...] = acc.transpose(1, 0, 2)
         for m, t in inputs.items():
             if t.requires_grad:

@@ -21,13 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import MIN_IMAGE_SIDE, Image, RoI
+from .backbone import MIN_IMAGE_SIDE, Image, RoI, box_array
 from .errors import ConfigError, RoiError, SanlabError, ShapeError
 from .rng import STREAM_DATA, STREAM_EVAL, derive
 from .san import TOY_SCHEME
 
 PLACEMENT_RETRIES = 100
 MIN_GAP = 2.0  # pixels kept clear between placed boxes
+MIN_OBJECT_SIDE = 4  # pixels: the lower end of scale_range may not go below it
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,8 @@ class DatasetConfig:
         if self.image_size < MIN_IMAGE_SIDE:
             raise ConfigError(f"image_size must be at least {MIN_IMAGE_SIDE}, got {self.image_size}")
         lo, hi = self.scale_range
-        if not (0 < lo <= hi <= self.image_size):
-            raise ConfigError(f"scale_range {self.scale_range} must lie within (0, {self.image_size}]")
+        if not (MIN_OBJECT_SIDE <= lo <= hi <= self.image_size):
+            raise ConfigError(f"scale_range {self.scale_range} must lie within [{MIN_OBJECT_SIDE}, {self.image_size}]")
         if self.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
         if self.num_images < 0 or self.objects_min < 1 or self.objects_max < self.objects_min:
@@ -151,8 +152,8 @@ def _place_objects(cfg: DatasetConfig, rng: np.random.Generator, image_id: int) 
     for _ in range(n_obj):
         class_id = int(rng.integers(1, cfg.num_classes + 1))
         lo, hi = bands[int(rng.integers(0, len(bands)))]
+        # scale_range lies within [MIN_OBJECT_SIDE, size], so the rounded side does too
         side = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
-        side = max(4, min(side, size))
         state = rng.bit_generator.state
         xy = rng.integers(0, size - side + 1, size=(PLACEMENT_RETRIES, 2)).astype(np.float64)
         # box_iou(box grown by MIN_GAP, placed box) > 0, exact on these integer-valued floats
@@ -220,7 +221,31 @@ def make_proposals(
     perturbed by up to +/-``jitter`` (zero amplitude gives exact copies);
     ``n_neg`` boxes are sampled uniformly.  ``image_size`` is the side of a
     square image or its ``(width, height)``; every proposal is clamped
-    inside the image, each axis by its own extent.
+    inside the image, each axis by its own extent.  The boxes are those
+    of `proposal_boxes`, the image ids those of `proposal_image_ids`.
+    """
+    boxes = proposal_boxes(box_array([a.box for a in gts]), n_pos_jitter, n_neg, rng, image_size, jitter)
+    return [RoI(*box, image_id=i) for box, i in zip(boxes.tolist(), proposal_image_ids(gts, n_pos_jitter, n_neg))]
+
+
+def proposal_image_ids(gts: list[Annotation], n_pos_jitter: int, n_neg: int) -> list[int]:
+    """Each proposal's image id: a copy takes its ground truth's, a
+    negative the first ground truth's (0 without one)."""
+    neg_id = gts[0].box.image_id if gts else 0
+    return [a.box.image_id for a in gts for _ in range(n_pos_jitter)] + [neg_id] * n_neg
+
+
+def proposal_boxes(
+    gt_boxes: np.ndarray,
+    n_pos_jitter: int,
+    n_neg: int,
+    rng: np.random.Generator,
+    image_size: int | tuple[int, int],
+    jitter: float = 0.25,
+) -> np.ndarray:
+    """The (P, 4) float64 x1, y1, x2, y2 of `make_proposals`, from the
+    (G, 4) ground-truth boxes: the G * n_pos_jitter copies, each box's in
+    turn, then the n_neg negatives.
 
     All draws for an image are taken as arrays, in the order of one
     scalar ``uniform`` call per value (per jittered copy: x shift, y shift,
@@ -229,40 +254,32 @@ def make_proposals(
     """
     if n_pos_jitter < 0 or n_neg < 0:
         raise ConfigError(f"proposal counts must be non-negative, got n_pos_jitter={n_pos_jitter}, n_neg={n_neg}")
-    width, height = image_size if isinstance(image_size, tuple) else (image_size, image_size)
-    gt_boxes = np.array([(a.box.x1, a.box.y1, a.box.x2, a.box.y2) for a in gts], dtype=np.float64).reshape(-1, 4)
+    extent = np.array(image_size if isinstance(image_size, tuple) else (image_size, image_size), dtype=np.float64)
     g = np.repeat(gt_boxes, n_pos_jitter, axis=0)
     u = rng.uniform(-jitter, jitter, size=(len(g), 4))
-    w, h = g[:, 2] - g[:, 0], g[:, 3] - g[:, 1]
-    cx = g[:, 0] + w / 2 + u[:, 0] * w
-    cy = g[:, 1] + h / 2 + u[:, 1] * h
-    nw = w * (1 + u[:, 2])
-    nh = h * (1 + u[:, 3])
+    size = g[:, 2:] - g[:, :2]  # columns x, y: width, height
+    center = g[:, :2] + size / 2 + u[:, :2] * size
+    jittered = size * (1 + u[:, 2:])
     # a negative's center range depends on its own size draw, so the raw
     # doubles are drawn here and mapped by uniform's low + (high - low) * u
     r = rng.random((n_neg, 4))
-    neg_w = 6.0 + (width / 2 - 6.0) * r[:, 0]
-    neg_h = 6.0 + (height / 2 - 6.0) * r[:, 1]
-    lo_x, lo_y = neg_w / 2, neg_h / 2
-    neg_cx = lo_x + ((width - lo_x) - lo_x) * r[:, 2]
-    neg_cy = lo_y + ((height - lo_y) - lo_y) * r[:, 3]
-    x1, x2 = _clamp_axis(np.concatenate([cx, neg_cx]), np.concatenate([nw, neg_w]), width)
-    y1, y2 = _clamp_axis(np.concatenate([cy, neg_cy]), np.concatenate([nh, neg_h]), height)
-    neg_id = gts[0].box.image_id if gts else 0
-    ids = [a.box.image_id for a in gts for _ in range(n_pos_jitter)] + [neg_id] * n_neg
-    return [RoI(*box, image_id=i) for box, i in zip(np.stack([x1, y1, x2, y2], axis=1).tolist(), ids)]
+    neg_size = 6.0 + (extent / 2 - 6.0) * r[:, :2]
+    lo = neg_size / 2
+    neg_center = lo + ((extent - lo) - lo) * r[:, 2:]
+    lo, hi = _clamp_axes(np.concatenate([center, neg_center]), np.concatenate([jittered, neg_size]), extent)
+    return np.concatenate([lo, hi], axis=1)
 
 
-def _clamp_axis(c: np.ndarray, size: np.ndarray, extent: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interval of length ``size`` centred on ``c``, clamped to [0, extent];
-    one narrower than 2 px becomes the 2-px interval at its clamped start
-    (kept inside the image)."""
+def _clamp_axes(c: np.ndarray, size: np.ndarray, extent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per axis (column), the interval of length ``size`` centred on ``c``,
+    clamped to [0, extent]; one narrower than 2 px becomes the 2-px
+    interval at its clamped start (kept inside the image)."""
     lo = np.maximum(0.0, c - size / 2)
-    hi = np.minimum(float(extent), c + size / 2)
+    hi = np.minimum(extent, c + size / 2)
     thin = hi - lo < 2.0
     return (
         np.where(thin, np.maximum(0.0, np.minimum(lo, extent - 2.0)), lo),
-        np.where(thin, np.maximum(2.0, np.minimum(float(extent), lo + 2.0)), hi),
+        np.where(thin, np.maximum(2.0, np.minimum(extent, lo + 2.0)), hi),
     )
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter, Tensor
-from .backbone import RoI
+from .backbone import RoI, box_array
 from .errors import RoiError, ShapeError
 from .rng import STREAM_WEIGHTS, derive
 
@@ -100,31 +100,37 @@ def box_iou(a: RoI, b: RoI) -> float:
 
 
 def assign_roi_labels(rois, gts, pos_iou: float = 0.5) -> list[tuple[int, RegressionTarget | None]]:
-    """Label each RoI by its max-IoU ground truth.
+    """Label each RoI by its max-IoU ground truth (`match_boxes`).
 
     Returns (class, regression target) pairs; background RoIs get class 0
-    and no target.  Ties on IoU go to the lowest ground-truth index.  The
-    RoI x ground-truth IoU matrix is ``box_iou``'s float64 formula applied
-    to all pairs at once.
+    and no target.
     """
-    if not 0 < pos_iou < 1:
-        raise ShapeError(f"pos_iou must lie in (0,1), got {pos_iou}")
-    if not gts:
-        return [(0, None)] * len(rois)
-    r = np.array([(b.x1, b.y1, b.x2, b.y2) for b in rois], dtype=np.float64).reshape(-1, 1, 4)
-    g = np.array([(a.box.x1, a.box.y1, a.box.x2, a.box.y2) for a in gts], dtype=np.float64)[None]
-    ix = np.maximum(0.0, np.minimum(r[..., 2], g[..., 2]) - np.maximum(r[..., 0], g[..., 0]))
-    iy = np.maximum(0.0, np.minimum(r[..., 3], g[..., 3]) - np.maximum(r[..., 1], g[..., 1]))
-    inter = ix * iy
-    area_r = (r[..., 2] - r[..., 0]) * (r[..., 3] - r[..., 1])
-    area_g = (g[..., 2] - g[..., 0]) * (g[..., 3] - g[..., 1])
-    iou = np.where(inter > 0, inter / (area_r + area_g - inter), 0.0)
-    best = iou.argmax(axis=1)  # first maximum: the lowest index wins a tie
-    positive = iou[np.arange(len(rois)), best] >= pos_iou
+    best, positive = match_boxes(box_array(rois), box_array([a.box for a in gts]), pos_iou)
     return [
         (gts[k].class_id, encode_regression(roi, gts[k].box)) if pos else (0, None)
         for roi, k, pos in zip(rois, best.tolist(), positive.tolist())
     ]
+
+
+def match_boxes(boxes: np.ndarray, gt_boxes: np.ndarray, pos_iou: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each of the (P, 4) boxes' max-IoU ground truth among the (G, 4)
+    ``gt_boxes``, and whether that IoU reaches ``pos_iou``: a (P,) index
+    (0 without ground truths) and a (P,) positive mask.
+
+    Ties on IoU go to the lowest ground-truth index.  The box x ground-truth
+    IoU matrix is ``box_iou``'s float64 formula applied to all pairs at once.
+    """
+    if not 0 < pos_iou < 1:
+        raise ShapeError(f"pos_iou must lie in (0,1), got {pos_iou}")
+    if not len(gt_boxes):
+        return np.zeros(len(boxes), dtype=np.intp), np.zeros(len(boxes), dtype=bool)
+    r, g = boxes[:, None], gt_boxes[None]
+    side = np.maximum(0.0, np.minimum(r[..., 2:], g[..., 2:]) - np.maximum(r[..., :2], g[..., :2]))  # (P, G, 2)
+    inter = side[..., 0] * side[..., 1]
+    area = (boxes[:, 2:] - boxes[:, :2]).prod(axis=1)[:, None], (gt_boxes[:, 2:] - gt_boxes[:, :2]).prod(axis=1)
+    iou = np.where(inter > 0, inter / (area[0] + area[1] - inter), 0.0)
+    best = iou.argmax(axis=1)  # first maximum: the lowest index wins a tie
+    return best, iou[np.arange(len(boxes)), best] >= pos_iou
 
 
 @dataclass
@@ -146,15 +152,17 @@ def regression_loss(deltas: Tensor, labels: list[int], targets: list[RegressionT
     n, classes = deltas.shape[0], deltas.shape[1] // 4
     target = np.zeros(deltas.shape, dtype=deltas.data.dtype)
     mask = np.zeros(deltas.shape, dtype=deltas.data.dtype)
-    for row, (u, v) in enumerate(zip(labels, targets)):
-        if u >= 1:
-            if u > classes:
-                raise ShapeError(f"foreground RoI at row {row} has label {u}, above the {classes} classes of its deltas")
-            if v is None:
-                raise ShapeError(f"foreground RoI at row {row} is missing a regression target")
-            lo = 4 * (u - 1)
-            target[row, lo : lo + 4] = v.as_array()
-            mask[row, lo : lo + 4] = 1.0
+    fg = [(row, u, v) for row, (u, v) in enumerate(zip(labels, targets)) if u >= 1]
+    for row, u, v in fg:  # the first bad foreground row raises
+        if u > classes:
+            raise ShapeError(f"foreground RoI at row {row} has label {u}, above the {classes} classes of its deltas")
+        if v is None:
+            raise ShapeError(f"foreground RoI at row {row} is missing a regression target")
+    if fg:
+        rows, us, vs = zip(*fg)
+        at = np.array(rows)[:, None], 4 * (np.array(us) - 1)[:, None] + np.arange(4)  # own-class slices
+        target[at] = np.array([(v.tx, v.ty, v.tw, v.th) for v in vs], dtype=np.float32)  # as `as_array` rounds
+        mask[at] = 1.0
     diff = ag.sub(deltas, Tensor(target))
     masked = ag.mul(ag.smooth_l1(diff), Tensor(mask))
     return ag.scale(ag.sum_all(masked), 1.0 / n)

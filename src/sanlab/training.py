@@ -22,18 +22,28 @@ import numpy as np
 from . import autograd as ag
 from .analysis import ApResult, Detection, RmseRow, evaluate_ap, rmse_with_san, rmse_without_san
 from .autograd import Parameter, Tensor
-from .backbone import Backbone, Image, RoI, batched_reference_features, roi_pool, to_pixels
+from .backbone import Backbone, Image, RoI, batched_reference_features, box_array, roi_pool, to_pixels
 # nothing here calls the alias: perfbench's tracer looks the reference pathway up under both names
 from .backbone import extract_reference_feature as reference_feature_for_roi
-from .data import Annotation, check_class_ids, check_proposal_source, make_proposals, proposal_rng, read_file
+from .data import (
+    Annotation,
+    check_class_ids,
+    check_proposal_source,
+    make_proposals,
+    proposal_boxes,
+    proposal_image_ids,
+    proposal_rng,
+    read_file,
+)
 from .errors import CheckpointError, ConfigError, RoiError, SanlabError
 from .losses import (
     DetectionHead,
     LossParts,
     RegressionTarget,
-    assign_roi_labels,
     box_iou,
     decode_regression,
+    encode_regression,
+    match_boxes,
     multi_task_loss,
 )
 from .rng import STREAM_STEP, derive
@@ -159,12 +169,17 @@ def build_model(cfg: TrainingConfig) -> DetectionModel:
 
 def sample_san_rois(rois: list, n: int, rng: np.random.Generator) -> list:
     """Uniform subsample without replacement, preserving original order."""
-    if n >= len(rois):
-        return list(rois)
+    return [rois[i] for i in subsample_index(len(rois), n, rng).tolist()]
+
+
+def subsample_index(size: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Increasing indices of a uniform n-subset of range(size): all of them
+    when n >= size and none when n <= 0, either without a draw."""
+    if n >= size:
+        return np.arange(size)
     if n <= 0:
-        return []
-    idx = sorted(rng.choice(len(rois), size=n, replace=False).tolist())
-    return [rois[i] for i in idx]
+        return np.arange(0)
+    return np.sort(rng.choice(size, size=n, replace=False))
 
 
 @dataclass
@@ -184,6 +199,16 @@ def build_step_batch(
     cfg: TrainingConfig,
     step: int,
 ) -> StepBatch:
+    """Sample step ``step``'s images, RoIs, labels and scale-aware subset
+    from its own stream.
+
+    Per image, in pick order: the `proposal_boxes` draws, labels by
+    `match_boxes`, then up to ``rois_per_image`` RoIs, a ``pos_fraction``
+    share of them positive: an ordered subsample of the positives, then of
+    the negatives.  The kept RoIs are those `make_proposals` would give,
+    with their `assign_roi_labels` labels and targets; only they become
+    `RoI` and `RegressionTarget` objects.
+    """
     rng = derive(cfg.seed, STREAM_STEP, step)
     n_img = min(cfg.images_per_step, len(dataset))
     picks = rng.choice(len(dataset), size=n_img, replace=False)
@@ -192,23 +217,31 @@ def build_step_batch(
     slots: list[int] = []
     labels: list[int] = []
     targets: list[RegressionTarget | None] = []
+    pos_cap = int(round(cfg.rois_per_image * cfg.pos_fraction))
     for slot, di in enumerate(picks.tolist()):
         img, anns = dataset[di]
         images.append(img)
-        props = make_proposals(anns, cfg.n_pos_jitter, cfg.n_neg, rng, (img.width, img.height))
-        assigned = assign_roi_labels(props, anns, cfg.pos_iou)
-        pos = [i for i, (u, _) in enumerate(assigned) if u >= 1]
-        neg = [i for i, (u, _) in enumerate(assigned) if u == 0]
-        n_pos = min(len(pos), int(round(cfg.rois_per_image * cfg.pos_fraction)))
-        n_neg = min(len(neg), cfg.rois_per_image - n_pos)
-        for i in sample_san_rois(pos, n_pos, rng) + sample_san_rois(neg, n_neg, rng):
-            rois.append(props[i])
-            slots.append(slot)
-            labels.append(assigned[i][0])
-            targets.append(assigned[i][1])
+        gt_boxes = box_array([a.box for a in anns])
+        boxes = proposal_boxes(gt_boxes, cfg.n_pos_jitter, cfg.n_neg, rng, (img.width, img.height))
+        best, positive = match_boxes(boxes, gt_boxes, cfg.pos_iou)
+        classes = np.zeros(len(boxes), dtype=np.int64)
+        classes[positive] = np.array([a.class_id for a in anns], dtype=np.int64)[best[positive]]
+        pos, neg = np.flatnonzero(classes >= 1), np.flatnonzero(classes == 0)
+        n_pos = min(pos.size, pos_cap)
+        n_neg = min(neg.size, cfg.rois_per_image - n_pos)
+        keep = np.concatenate([pos[subsample_index(pos.size, n_pos, rng)], neg[subsample_index(neg.size, n_neg, rng)]])
+        ids = proposal_image_ids(anns, cfg.n_pos_jitter, cfg.n_neg)
+        kept = [RoI(*box, image_id=ids[i]) for box, i in zip(boxes[keep].tolist(), keep.tolist())]
+        rois += kept
+        slots += [slot] * len(kept)
+        labels += classes[keep].tolist()
+        targets += [
+            encode_regression(roi, anns[k].box) if fg else None
+            for roi, k, fg in zip(kept, best[keep].tolist(), positive[keep].tolist())
+        ]
     if not rois:
         raise RoiError(f"step {step} sampled no RoI from dataset images {picks.tolist()}")
-    san_indices = sample_san_rois(list(range(len(rois))), cfg.san_samples, rng)
+    san_indices = subsample_index(len(rois), cfg.san_samples, rng).tolist()
     return StepBatch(images=images, rois=rois, image_slot=slots, labels=labels, targets=targets, san_indices=san_indices)
 
 

@@ -1,9 +1,9 @@
 """Shared test oracles: finite differences, the nine-slice im2col, the
 per-partition correction path, the per-image and single-RoI RoI pooling,
-the step graph with one backbone pass per image, the whole-window
-rendering of the RMSE report, the reference crop as a snapped RoI, the
-dataset generator's scalar placement loop, and small numeric utilities;
-and a model's no-loss view."""
+the step graph with one backbone pass per image, the per-RoI step
+sampler, the whole-window rendering of the RMSE report, the reference
+crop as a snapped RoI, the dataset generator's scalar placement loop, and
+small numeric utilities; and a model's no-loss view."""
 
 from __future__ import annotations
 
@@ -24,12 +24,12 @@ from sanlab.backbone import (
     batched_reference_features,
     roi_pool,
 )
-from sanlab.data import _COLORS, _SHAPES, MIN_GAP, PLACEMENT_RETRIES, Annotation, DatasetConfig
+from sanlab.data import _COLORS, _SHAPES, MIN_GAP, PLACEMENT_RETRIES, Annotation, DatasetConfig, make_proposals
 from sanlab.errors import RoiError
-from sanlab.losses import box_iou, multi_task_loss
-from sanlab.rng import STREAM_DATA, derive
+from sanlab.losses import assign_roi_labels, box_iou, multi_task_loss
+from sanlab.rng import STREAM_DATA, STREAM_STEP, derive
 from sanlab.san import partition_index, san_loss_branch
-from sanlab.training import forward_roi_features
+from sanlab.training import StepBatch, forward_roi_features
 
 FD_STEP = 1e-3
 FD_REL_TOL = 1e-4
@@ -224,6 +224,47 @@ def per_image_step_losses(model, batch):
     return multi_task_loss(
         logits, deltas, batch.labels, batch.targets, san_terms=san_terms, san_loss_weight=cfg.san_loss_weight
     )
+
+
+def per_roi_sample(rois: list, n: int, rng: np.random.Generator) -> list:
+    """`sample_san_rois` as the package wrote it before its index core."""
+    if n >= len(rois):
+        return list(rois)
+    if n <= 0:
+        return []
+    idx = sorted(rng.choice(len(rois), size=n, replace=False).tolist())
+    return [rois[i] for i in idx]
+
+
+def per_roi_build_step_batch(dataset, cfg, step: int) -> StepBatch:
+    """`build_step_batch` as the package ran it before it sampled on
+    arrays: every proposal an `RoI`, labelled by `assign_roi_labels`."""
+    rng = derive(cfg.seed, STREAM_STEP, step)
+    n_img = min(cfg.images_per_step, len(dataset))
+    picks = rng.choice(len(dataset), size=n_img, replace=False)
+    images = []
+    rois = []
+    slots = []
+    labels = []
+    targets = []
+    for slot, di in enumerate(picks.tolist()):
+        img, anns = dataset[di]
+        images.append(img)
+        props = make_proposals(anns, cfg.n_pos_jitter, cfg.n_neg, rng, (img.width, img.height))
+        assigned = assign_roi_labels(props, anns, cfg.pos_iou)
+        pos = [i for i, (u, _) in enumerate(assigned) if u >= 1]
+        neg = [i for i, (u, _) in enumerate(assigned) if u == 0]
+        n_pos = min(len(pos), int(round(cfg.rois_per_image * cfg.pos_fraction)))
+        n_neg = min(len(neg), cfg.rois_per_image - n_pos)
+        for i in per_roi_sample(pos, n_pos, rng) + per_roi_sample(neg, n_neg, rng):
+            rois.append(props[i])
+            slots.append(slot)
+            labels.append(assigned[i][0])
+            targets.append(assigned[i][1])
+    if not rois:
+        raise RoiError(f"step {step} sampled no RoI from dataset images {picks.tolist()}")
+    san_indices = per_roi_sample(list(range(len(rois))), cfg.san_samples, rng)
+    return StepBatch(images=images, rois=rois, image_slot=slots, labels=labels, targets=targets, san_indices=san_indices)
 
 
 def full_render_roi_feature(img, box, scale: int, bb) -> Tensor:

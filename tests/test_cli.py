@@ -214,6 +214,13 @@ class TestGenData:
         boxes = [line.split()[1:] for line in (out / "manifest.txt").read_text().splitlines() if len(line.split()) == 5]
         assert boxes and all(float(x2) - float(x1) == 20 == float(y2) - float(y1) for x1, y1, x2, y2 in boxes)
 
+    def test_scale_range_below_the_minimum_object_side_is_an_error_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        rc = main(["gen-data", "--out-dir", str(out), "--num-images", "3", "--scale-min", "1", "--scale-max", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: scale_range (1.0, 2.0) must lie within [4, 96]")
+        assert not out.exists()
+
     def test_image_size_below_the_minimum_is_an_error_naming_it(self, tmp_path, capsys):
         out = tmp_path / "data"
         rc = main(["gen-data", "--out-dir", str(out), "--image-size", "8", "--scale-min", "4", "--scale-max", "8"])

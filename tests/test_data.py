@@ -13,6 +13,7 @@ from sanlab.backbone import MIN_IMAGE_SIDE, Image, RoI
 from sanlab.data import (
     Annotation,
     DatasetConfig,
+    MIN_OBJECT_SIDE,
     generate_dataset,
     generate_dataset_with_stats,
     load_dataset,
@@ -34,6 +35,14 @@ class TestDatasetConfig:
             DatasetConfig(num_images=1, scale_range=(0.0, 50.0))
         with pytest.raises(ConfigError):
             DatasetConfig(num_images=1, scale_range=(8.0, 500.0))
+
+    def test_rejects_a_scale_range_below_the_minimum_object_side_naming_it(self):
+        """Sides below 4 px were silently drawn as 4 px boxes."""
+        with pytest.raises(ConfigError, match=r"scale_range \(1.0, 2.0\) must lie within \[4, 96\]"):
+            DatasetConfig(num_images=1, scale_range=(1.0, 2.0))
+        with pytest.raises(ConfigError, match="scale_range"):
+            DatasetConfig(num_images=1, scale_range=(MIN_OBJECT_SIDE - 0.5, 8.0))
+        DatasetConfig(num_images=1, scale_range=(MIN_OBJECT_SIDE, MIN_OBJECT_SIDE))
 
     def test_rejects_single_class(self):
         with pytest.raises(ConfigError):

@@ -212,6 +212,60 @@ class TestMultiTaskLoss:
             multi_task_loss(logits, deltas, [1], [None])
 
 
+def per_row_regression_loss(deltas: Tensor, labels, targets) -> Tensor:
+    """`regression_loss` as the package wrote it before it filled its
+    target and mask in one indexed assignment: one row at a time."""
+    n, classes = deltas.shape[0], deltas.shape[1] // 4
+    target = np.zeros(deltas.shape, dtype=deltas.data.dtype)
+    mask = np.zeros(deltas.shape, dtype=deltas.data.dtype)
+    for row, (u, v) in enumerate(zip(labels, targets)):
+        if u >= 1:
+            if u > classes:
+                raise ShapeError(f"foreground RoI at row {row} has label {u}, above the {classes} classes of its deltas")
+            if v is None:
+                raise ShapeError(f"foreground RoI at row {row} is missing a regression target")
+            lo = 4 * (u - 1)
+            target[row, lo : lo + 4] = v.as_array()
+            mask[row, lo : lo + 4] = 1.0
+    diff = ag.sub(deltas, Tensor(target))
+    masked = ag.mul(ag.smooth_l1(diff), Tensor(mask))
+    return ag.scale(ag.sum_all(masked), 1.0 / n)
+
+
+class TestRegressionLossFill:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_and_gradient_bits_match_the_per_row_fill(self, dtype):
+        r = np.random.default_rng(8)
+        for _ in range(60):
+            n, k = int(r.integers(1, 40)), int(r.integers(1, 5))
+            labels = r.integers(0, k + 1, size=n).tolist()
+            targets = [RegressionTarget(*r.normal(size=4)) if u else None for u in labels]
+            data = r.normal(size=(n, 4 * k)).astype(dtype)
+            got_in, want_in = Tensor(data.copy(), requires_grad=True), Tensor(data.copy(), requires_grad=True)
+            got, want = regression_loss(got_in, labels, targets), per_row_regression_loss(want_in, labels, targets)
+            got.backward()
+            want.backward()
+            assert got.data.tobytes() == want.data.tobytes()
+            assert got_in.grad.tobytes() == want_in.grad.tobytes()
+
+    @pytest.mark.parametrize(
+        "labels,targets",
+        [
+            ([1, 2, 3, 5], [True, False, True, True]),  # missing target first
+            ([1, 5, 2, 3], [True, True, False, True]),  # label above the classes first
+            ([0, 4, 1], [False, False, False]),  # both on one row: the label is named
+        ],
+    )
+    def test_the_first_bad_foreground_row_raises_the_same_error(self, labels, targets):
+        deltas = Tensor(np.zeros((len(labels), 12), dtype=np.float32))
+        targets = [RegressionTarget(0.1, 0.2, 0.3, 0.4) if t else None for t in targets]
+        with pytest.raises(ShapeError) as want:
+            per_row_regression_loss(deltas, labels, targets)
+        with pytest.raises(ShapeError) as got:
+            regression_loss(deltas, labels, targets)
+        assert str(got.value) == str(want.value)
+
+
 class TestBoxIou:
     def test_identical_boxes(self):
         b = RoI(x1=0, y1=0, x2=4, y2=4)

@@ -5,17 +5,27 @@ The scalar loops below are the reference they replaced: one `uniform`
 call per value, one clamp and one `box_iou` per pair.  On square images
 both must give the same boxes, labels and targets, bit for bit, and leave
 the generator in the same state.
+
+`build_step_batch` samples, labels and subsamples a step's proposals on
+arrays and makes objects only of the RoIs it keeps; the per-RoI sampler
+it replaced (`helpers.per_roi_build_step_batch`) is its reference, field
+by field and bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from helpers import per_roi_build_step_batch
 from sanlab.backbone import RoI
 from sanlab.data import Annotation, DatasetConfig, generate_dataset, make_proposals
+from sanlab.errors import RoiError
 from sanlab.losses import assign_roi_labels, box_iou, encode_regression
 from sanlab.rng import derive
+from sanlab.training import TrainingConfig, build_step_batch
 
 
 def scalar_make_proposals(gts, n_pos_jitter, n_neg, rng, image_size, jitter=0.25):
@@ -200,3 +210,68 @@ def test_non_square_proposals_stay_inside_their_image():
     props = [p for _ in range(200) for p in make_proposals(gts, 6, 30, rng, (width, height))]
     assert all(0.0 <= p.x1 < p.x2 <= width and 0.0 <= p.y1 < p.y2 <= height for p in props)
     assert max(p.x2 for p in props) > 2 * height, "negatives should span the wider axis"
+
+
+def batch_bits(batch):
+    """Every `StepBatch` field, floats as their bit patterns."""
+    targets = [None if t is None else np.float64(dataclasses.astuple(t)).tobytes() for t in batch.targets]
+    return {
+        "image_ids": [(img.id, id(img)) for img in batch.images],
+        "rois": bits(batch.rois),
+        "image_slot": batch.image_slot,
+        "labels": [(type(u), u) for u in batch.labels],
+        "targets": targets,
+        "san_indices": batch.san_indices,
+    }
+
+
+@pytest.fixture(scope="module")
+def step_datasets(images):
+    """The generated images; the same with every third image's objects
+    dropped from its annotations and each other object given an image id
+    of its own (a negative takes the first object's); and 96x96 and 64x64
+    images alternating."""
+    small = generate_dataset(DatasetConfig(num_images=40, image_size=64, scale_range=(8.0, 60.0), seed=6))
+
+    def own_ids(anns):
+        return [dataclasses.replace(a, box=dataclasses.replace(a.box, image_id=1000 + k)) for k, a in enumerate(anns)]
+
+    return {
+        "plain": images,
+        "object-free": [(img, [] if i % 3 == 0 else own_ids(anns)) for i, (img, anns) in enumerate(images)],
+        "mixed-size": [pair for pairs in zip(images[:40], small) for pair in pairs],
+    }
+
+
+STEP_CONFIGS = {
+    "default": ("plain", {}),
+    "object-free images": ("object-free", {}),
+    "no jittered copies": ("plain", {"n_pos_jitter": 0}),
+    "no negatives": ("plain", {"n_neg": 0}),
+    "no positives wanted": ("plain", {"pos_fraction": 0.0}),
+    "only positives wanted": ("plain", {"pos_fraction": 1.0}),
+    "no scale-aware subset": ("plain", {"san_samples": 0}),
+    "three mixed-size images": ("mixed-size", {"images_per_step": 3}),
+}
+
+
+@pytest.mark.parametrize("name", list(STEP_CONFIGS))
+def test_step_batches_match_the_per_roi_sampler(step_datasets, name):
+    """300 steps per config: every field of every step is the old sampler's."""
+    data, overrides = STEP_CONFIGS[name]
+    dataset = step_datasets[data]
+    cfg = TrainingConfig(seed=4, **overrides)
+    for step in range(300):
+        assert batch_bits(build_step_batch(dataset, cfg, step)) == batch_bits(
+            per_roi_build_step_batch(dataset, cfg, step)
+        ), f"step {step}"
+
+
+def test_a_step_without_rois_fails_as_the_per_roi_sampler_does(step_datasets):
+    bare = [(img, []) for img, _ in step_datasets["plain"][:4]]
+    cfg = TrainingConfig(n_neg=0)
+    with pytest.raises(RoiError) as got:
+        build_step_batch(bare, cfg, 3)
+    with pytest.raises(RoiError) as want:
+        per_roi_build_step_batch(bare, cfg, 3)
+    assert str(got.value) == str(want.value)
