@@ -46,7 +46,6 @@ from .training import (
     evaluate_detector,
     load_checkpoint,
     rmse_report,
-    sample_san_rois,
     save_checkpoint,
     train,
 )

@@ -119,8 +119,9 @@ class ApResult:
 def evaluate_ap(detections: list[Detection], gts) -> ApResult:
     """Continuous-interpolation average precision per class, VOC 2010 style.
 
-    Detections are ranked by score (ties keep input order); each matches
-    at most one unmatched ground truth of its class at IoU >= 0.5.
+    ``gts`` are the ground-truth annotations of every image.  Detections
+    are ranked by score (ties keep input order); each matches at most one
+    unmatched ground truth of its class and image at IoU >= 0.5.
     Classes absent from the ground truth are excluded from the mean.
     """
     gt_by_class: dict[int, list] = {}
@@ -137,7 +138,7 @@ def evaluate_ap(detections: list[Detection], gts) -> ApResult:
             d = dets[di]
             best_iou, best_gi = 0.0, -1
             for gi, g in enumerate(class_gts):
-                if g.box.image_id != d.image_id or gi in matched:
+                if g.image_id != d.image_id or gi in matched:
                     continue
                 iou = box_iou(d.box, g.box)
                 if iou > best_iou:

@@ -84,7 +84,6 @@ class RoI:
     y1: float
     x2: float
     y2: float
-    image_id: int = 0
 
     def __post_init__(self):
         if not (self.x2 > self.x1 and self.y2 > self.y1):

@@ -29,12 +29,14 @@ from .san import TOY_SCHEME
 PLACEMENT_RETRIES = 100
 MIN_GAP = 2.0  # pixels kept clear between placed boxes
 MIN_OBJECT_SIDE = 4  # pixels: the lower end of scale_range may not go below it
+PROPOSAL_JITTER = 0.25  # a jittered copy's center and size move by up to this share of its box
 
 
 @dataclass(frozen=True)
 class Annotation:
     box: RoI
     class_id: int
+    image_id: int = 0
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def _place_objects(cfg: DatasetConfig, rng: np.random.Generator, image_id: int) 
         x1, y1 = int(xy[k, 0]), int(xy[k, 1])
         _paint_object(px, x1, y1, side, class_id)
         box = (float(x1), float(y1), float(x1 + side), float(y1 + side))
-        anns.append(Annotation(box=RoI(*box, image_id=image_id), class_id=class_id))
+        anns.append(Annotation(box=RoI(*box), class_id=class_id, image_id=image_id))
         placed = np.vstack([placed, box])
     # the image is its 8-bit levels, as a PPM file holds them
     px *= 255.0
@@ -213,26 +215,17 @@ def make_proposals(
     n_neg: int,
     rng: np.random.Generator,
     image_size: int | tuple[int, int],
-    jitter: float = 0.25,
 ) -> list[RoI]:
     """Candidate boxes: jittered ground-truth copies plus random negatives.
 
     Each ground truth yields ``n_pos_jitter`` copies with center and size
-    perturbed by up to +/-``jitter`` (zero amplitude gives exact copies);
-    ``n_neg`` boxes are sampled uniformly.  ``image_size`` is the side of a
-    square image or its ``(width, height)``; every proposal is clamped
-    inside the image, each axis by its own extent.  The boxes are those
-    of `proposal_boxes`, the image ids those of `proposal_image_ids`.
+    perturbed by up to +/-PROPOSAL_JITTER; ``n_neg`` boxes are sampled
+    uniformly.  ``image_size`` is the side of a square image or its
+    ``(width, height)``; every proposal is clamped inside the image, each
+    axis by its own extent.  The boxes are those of `proposal_boxes`.
     """
-    boxes = proposal_boxes(box_array([a.box for a in gts]), n_pos_jitter, n_neg, rng, image_size, jitter)
-    return [RoI(*box, image_id=i) for box, i in zip(boxes.tolist(), proposal_image_ids(gts, n_pos_jitter, n_neg))]
-
-
-def proposal_image_ids(gts: list[Annotation], n_pos_jitter: int, n_neg: int) -> list[int]:
-    """Each proposal's image id: a copy takes its ground truth's, a
-    negative the first ground truth's (0 without one)."""
-    neg_id = gts[0].box.image_id if gts else 0
-    return [a.box.image_id for a in gts for _ in range(n_pos_jitter)] + [neg_id] * n_neg
+    boxes = proposal_boxes(box_array([a.box for a in gts]), n_pos_jitter, n_neg, rng, image_size)
+    return [RoI(*box) for box in boxes.tolist()]
 
 
 def proposal_boxes(
@@ -241,7 +234,6 @@ def proposal_boxes(
     n_neg: int,
     rng: np.random.Generator,
     image_size: int | tuple[int, int],
-    jitter: float = 0.25,
 ) -> np.ndarray:
     """The (P, 4) float64 x1, y1, x2, y2 of `make_proposals`, from the
     (G, 4) ground-truth boxes: the G * n_pos_jitter copies, each box's in
@@ -256,7 +248,7 @@ def proposal_boxes(
         raise ConfigError(f"proposal counts must be non-negative, got n_pos_jitter={n_pos_jitter}, n_neg={n_neg}")
     extent = np.array(image_size if isinstance(image_size, tuple) else (image_size, image_size), dtype=np.float64)
     g = np.repeat(gt_boxes, n_pos_jitter, axis=0)
-    u = rng.uniform(-jitter, jitter, size=(len(g), 4))
+    u = rng.uniform(-PROPOSAL_JITTER, PROPOSAL_JITTER, size=(len(g), 4))
     size = g[:, 2:] - g[:, :2]  # columns x, y: width, height
     center = g[:, :2] + size / 2 + u[:, :2] * size
     jittered = size * (1 + u[:, 2:])
@@ -423,12 +415,12 @@ def load_dataset(data_dir: Path) -> list[tuple[Image, list[Annotation]]]:
             if not all(map(math.isfinite, coords)):
                 raise SanlabError(f"{manifest}: box coordinates in {line!r} must be finite")
             try:
-                box = RoI(*coords, image_id=image_id)
+                box = RoI(*coords)
             except RoiError as exc:
                 raise SanlabError(f"{manifest}: box in {line!r}: {exc}") from exc
             if box.x2 <= 0 or box.y2 <= 0 or box.x1 >= image.width or box.y1 >= image.height:
                 raise SanlabError(f"{manifest}: box in {line!r} lies wholly outside its {image.width}x{image.height} image")
-            current.append(Annotation(box=box, class_id=class_id))
+            current.append(Annotation(box=box, class_id=class_id, image_id=image_id))
     return dataset
 
 

@@ -25,19 +25,19 @@ class RegressionTarget:
     tw: float
     th: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.tx, self.ty, self.tw, self.th], dtype=np.float32)
-
 
 @dataclass
 class DetectionHead:
-    """Two 1x1 conv heads pooled globally: class scores and per-class boxes."""
+    """Two 1x1 conv heads pooled globally: class scores and per-class boxes.
+
+    ``cls_w`` has a row per foreground class plus one for the background
+    (class 0), ``reg_w`` four rows per foreground class.
+    """
 
     cls_w: Parameter
     cls_b: Parameter
     reg_w: Parameter
     reg_b: Parameter
-    num_classes: int  # foreground classes; class 0 is background
 
     @classmethod
     def create(cls, c_feat: int, num_classes: int, seed: int) -> "DetectionHead":
@@ -51,7 +51,7 @@ class DetectionHead:
             rng.normal(0.0, HEAD_INIT_STD, size=(4 * num_classes, c_feat, 1, 1)).astype(np.float32), name="head.reg.w"
         )
         reg_b = Parameter(np.zeros(4 * num_classes, dtype=np.float32), name="head.reg.b")
-        return cls(cls_w=cls_w, cls_b=cls_b, reg_w=reg_w, reg_b=reg_b, num_classes=num_classes)
+        return cls(cls_w=cls_w, cls_b=cls_b, reg_w=reg_w, reg_b=reg_b)
 
     def named_parameters(self) -> list[Parameter]:
         return [self.cls_w, self.cls_b, self.reg_w, self.reg_b]
@@ -59,8 +59,8 @@ class DetectionHead:
     def forward(self, feats: Tensor) -> tuple[Tensor, Tensor]:
         """Score a batch of pooled RoI features: (N,K+1) logits, (N,4K) deltas."""
         n = feats.shape[0]
-        logits = ag.reshape(ag.global_avg_pool(ag.conv2d(feats, self.cls_w, self.cls_b)), (n, self.num_classes + 1))
-        deltas = ag.reshape(ag.global_avg_pool(ag.conv2d(feats, self.reg_w, self.reg_b)), (n, 4 * self.num_classes))
+        logits = ag.reshape(ag.global_avg_pool(ag.conv2d(feats, self.cls_w, self.cls_b)), (n, self.cls_w.shape[0]))
+        deltas = ag.reshape(ag.global_avg_pool(ag.conv2d(feats, self.reg_w, self.reg_b)), (n, self.reg_w.shape[0]))
         return logits, deltas
 
 
@@ -87,7 +87,7 @@ def decode_regression(t: RegressionTarget, roi: RoI) -> RoI:
     cy = roi.y1 + rh / 2 + t.ty * rh
     w = rw * math.exp(t.tw)
     h = rh * math.exp(t.th)
-    return RoI(x1=cx - w / 2, y1=cy - h / 2, x2=cx + w / 2, y2=cy + h / 2, image_id=roi.image_id)
+    return RoI(x1=cx - w / 2, y1=cy - h / 2, x2=cx + w / 2, y2=cy + h / 2)
 
 
 def box_iou(a: RoI, b: RoI) -> float:
@@ -161,7 +161,7 @@ def regression_loss(deltas: Tensor, labels: list[int], targets: list[RegressionT
     if fg:
         rows, us, vs = zip(*fg)
         at = np.array(rows)[:, None], 4 * (np.array(us) - 1)[:, None] + np.arange(4)  # own-class slices
-        target[at] = np.array([(v.tx, v.ty, v.tw, v.th) for v in vs], dtype=np.float32)  # as `as_array` rounds
+        target[at] = np.array([(v.tx, v.ty, v.tw, v.th) for v in vs], dtype=np.float32)
         mask[at] = 1.0
     diff = ag.sub(deltas, Tensor(target))
     masked = ag.mul(ag.smooth_l1(diff), Tensor(mask))

@@ -31,7 +31,6 @@ from .data import (
     check_proposal_source,
     make_proposals,
     proposal_boxes,
-    proposal_image_ids,
     proposal_rng,
     read_file,
 )
@@ -119,6 +118,9 @@ class TrainingConfig:
                 raise ConfigError(f"{name} must be positive")
         if not 0 < self.pos_iou < 1:
             raise ConfigError(f"pos_iou must lie in (0,1), got {self.pos_iou}")
+        if self.scheme.ref_scale < Backbone.total_stride:
+            # a reference patch that small has no cell on the backbone's map
+            raise ConfigError(f"ref_scale {self.scheme.ref_scale} is below the backbone stride {Backbone.total_stride}")
         if self.san_samples > self.images_per_step * self.rois_per_image:
             raise ConfigError(
                 f"san_samples={self.san_samples} exceeds the mini-batch RoI budget "
@@ -165,11 +167,6 @@ def build_model(cfg: TrainingConfig) -> DetectionModel:
 
 # ---------------------------------------------------------------------------
 # step construction
-
-
-def sample_san_rois(rois: list, n: int, rng: np.random.Generator) -> list:
-    """Uniform subsample without replacement, preserving original order."""
-    return [rois[i] for i in subsample_index(len(rois), n, rng).tolist()]
 
 
 def subsample_index(size: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -230,8 +227,7 @@ def build_step_batch(
         n_pos = min(pos.size, pos_cap)
         n_neg = min(neg.size, cfg.rois_per_image - n_pos)
         keep = np.concatenate([pos[subsample_index(pos.size, n_pos, rng)], neg[subsample_index(neg.size, n_neg, rng)]])
-        ids = proposal_image_ids(anns, cfg.n_pos_jitter, cfg.n_neg)
-        kept = [RoI(*box, image_id=ids[i]) for box, i in zip(boxes[keep].tolist(), keep.tolist())]
+        kept = [RoI(*box) for box in boxes[keep].tolist()]
         rois += kept
         slots += [slot] * len(kept)
         labels += classes[keep].tolist()
@@ -530,23 +526,23 @@ def predict_rois(model: DetectionModel, img: Image, rois: list[RoI]) -> tuple[np
     return _softmax(logits.data), deltas.data.copy()
 
 
-def nms(boxes: list[RoI], scores: list[float], iou_thresh: float) -> list[int]:
+# detect keeps a class's proposals scoring at least DETECT_SCORE_THRESH, and
+# nms drops a box overlapping a higher-scored kept one at IoU above NMS_IOU
+DETECT_SCORE_THRESH = 0.05
+NMS_IOU = 0.3
+
+
+def nms(boxes: list[RoI], scores: list[float]) -> list[int]:
     """Greedy non-maximum suppression; returns kept indices (score desc)."""
     order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
     keep: list[int] = []
     for i in order:
-        if all(box_iou(boxes[i], boxes[k]) <= iou_thresh for k in keep):
+        if all(box_iou(boxes[i], boxes[k]) <= NMS_IOU for k in keep):
             keep.append(i)
     return keep
 
 
-def detect(
-    model: DetectionModel,
-    img: Image,
-    proposals: list[RoI],
-    score_thresh: float = 0.05,
-    nms_iou: float = 0.3,
-) -> list[Detection]:
+def detect(model: DetectionModel, img: Image, proposals: list[RoI]) -> list[Detection]:
     """Score proposals and return per-class NMS'd detections."""
     if not proposals:
         return []
@@ -557,7 +553,7 @@ def detect(
         cand_scores: list[float] = []
         for j, roi in enumerate(proposals):
             score = float(probs[j, k])
-            if score < score_thresh:
+            if score < DETECT_SCORE_THRESH:
                 continue
             t = RegressionTarget(*deltas[j, 4 * (k - 1) : 4 * k].tolist())
             box = decode_regression(t, roi)
@@ -565,9 +561,9 @@ def detect(
             y1 = min(max(box.y1, 0.0), img.height - 1.0)
             x2 = max(min(box.x2, float(img.width)), x1 + 1.0)
             y2 = max(min(box.y2, float(img.height)), y1 + 1.0)
-            cand_boxes.append(RoI(x1=x1, y1=y1, x2=x2, y2=y2, image_id=img.id))
+            cand_boxes.append(RoI(x1=x1, y1=y1, x2=x2, y2=y2))
             cand_scores.append(score)
-        for i in nms(cand_boxes, cand_scores, nms_iou):
+        for i in nms(cand_boxes, cand_scores):
             out.append(Detection(image_id=img.id, class_id=k, score=cand_scores[i], box=cand_boxes[i]))
     out.sort(key=lambda d: -d.score)
     return out
@@ -645,7 +641,7 @@ def rendered_roi_feature(pixels: np.ndarray, box: RoI, scale: int, bb: Backbone)
         context = Tensor(pixels[:, :, wy1:wy2, wx1:wx2])
         feat = bb.forward(ag.bilinear_resize(context, out_h, out_w, window=(rows, cols)))
         # the crop starts on the stride grid, so the shift moves no cell boundary
-        mapped = RoI(x1=x1 - cols[0], y1=y1 - rows[0], x2=x2 - cols[0], y2=y2 - rows[0], image_id=box.image_id)
+        mapped = RoI(x1=x1 - cols[0], y1=y1 - rows[0], x2=x2 - cols[0], y2=y2 - rows[0])
         return ag.global_avg_pool(roi_pool([feat], [mapped], [0]))
 
 

@@ -1,7 +1,27 @@
-"""Session fixtures: the acceptance data and the 2000-step acceptance models."""
+"""Session fixtures: the acceptance data and the 2000-step acceptance models.
 
+BLAS is pinned to one thread first, before anything imports numpy, as
+perfbench pins it (`perfbench/environment.BLAS_THREAD_VARS`): the GEMMs
+here are tiny, and a second BLAS thread makes the suite slower, much
+slower beside another busy process.  A variable the environment already
+sets is left as it is.
+"""
+
+import os
 import time
 
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+for var in BLAS_THREAD_VARS:
+    os.environ.setdefault(var, "1")
+
+# numpy loads from here on
 import pytest
 
 from sanlab.data import DatasetConfig, generate_dataset

@@ -227,7 +227,7 @@ def per_image_step_losses(model, batch):
 
 
 def per_roi_sample(rois: list, n: int, rng: np.random.Generator) -> list:
-    """`sample_san_rois` as the package wrote it before its index core."""
+    """An ordered uniform subsample as the package drew it before `subsample_index`."""
     if n >= len(rois):
         return list(rois)
     if n <= 0:
@@ -290,7 +290,6 @@ def full_render_roi_feature(img, box, scale: int, bb) -> Tensor:
             y1=(box.y1 - wy1) * fy,
             x2=(box.x2 - wx1) * fx,
             y2=(box.y2 - wy1) * fy,
-            image_id=box.image_id,
         )
         return ag.global_avg_pool(roi_pool([feat], [mapped], [0]))
 
@@ -321,7 +320,7 @@ def cell_aligned_roi(roi: RoI, stride: int, width: int, height: int) -> RoI:
     y1 = max(0.0, math.floor(roi.y1 / stride) * stride)
     x2 = min(float(width), math.ceil(roi.x2 / stride) * stride)
     y2 = min(float(height), math.ceil(roi.y2 / stride) * stride)
-    return RoI(x1=x1, y1=y1, x2=x2, y2=y2, image_id=roi.image_id)
+    return RoI(x1=x1, y1=y1, x2=x2, y2=y2)
 
 
 # The dataset generator as the package ran it before it drew each object's
@@ -376,14 +375,12 @@ def scalar_place_objects(cfg: DatasetConfig, rng: np.random.Generator, image_id:
         for _attempt in range(PLACEMENT_RETRIES):
             x1 = int(rng.integers(0, size - side + 1))
             y1 = int(rng.integers(0, size - side + 1))
-            box = RoI(x1=float(x1), y1=float(y1), x2=float(x1 + side), y2=float(y1 + side), image_id=image_id)
-            grown = RoI(
-                x1=box.x1 - MIN_GAP, y1=box.y1 - MIN_GAP, x2=box.x2 + MIN_GAP, y2=box.y2 + MIN_GAP, image_id=image_id
-            )
+            box = RoI(x1=float(x1), y1=float(y1), x2=float(x1 + side), y2=float(y1 + side))
+            grown = RoI(x1=box.x1 - MIN_GAP, y1=box.y1 - MIN_GAP, x2=box.x2 + MIN_GAP, y2=box.y2 + MIN_GAP)
             if any(box_iou(grown, a.box) > 0 for a in anns):
                 continue
             full_grid_paint_object(px, x1, y1, side, class_id)
-            anns.append(Annotation(box=box, class_id=class_id))
+            anns.append(Annotation(box=box, class_id=class_id, image_id=image_id))
             placed = True
             break
         if not placed:

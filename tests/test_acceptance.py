@@ -435,13 +435,13 @@ class TestCriterion8Oracles:
             rmse_ok &= abs(got - expected) < 1e-9
 
         gts = [
-            Annotation(box=RoI(x1=0, y1=0, x2=10, y2=10, image_id=0), class_id=1),
-            Annotation(box=RoI(x1=30, y1=30, x2=40, y2=40, image_id=0), class_id=1),
+            Annotation(box=RoI(x1=0, y1=0, x2=10, y2=10), class_id=1),
+            Annotation(box=RoI(x1=30, y1=30, x2=40, y2=40), class_id=1),
         ]
         dets = [
-            Detection(image_id=0, class_id=1, score=0.9, box=RoI(x1=0, y1=0, x2=10, y2=10, image_id=0)),
-            Detection(image_id=0, class_id=1, score=0.8, box=RoI(x1=60, y1=60, x2=70, y2=70, image_id=0)),
-            Detection(image_id=0, class_id=1, score=0.7, box=RoI(x1=30, y1=30, x2=40, y2=40, image_id=0)),
+            Detection(image_id=0, class_id=1, score=0.9, box=RoI(x1=0, y1=0, x2=10, y2=10)),
+            Detection(image_id=0, class_id=1, score=0.8, box=RoI(x1=60, y1=60, x2=70, y2=70)),
+            Detection(image_id=0, class_id=1, score=0.7, box=RoI(x1=30, y1=30, x2=40, y2=40)),
         ]
         ap_ok = abs(evaluate_ap(dets, gts).per_class[1] - 5 / 6) < 1e-12
 

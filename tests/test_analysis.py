@@ -167,17 +167,17 @@ class TestRmse:
 
 
 def det(image_id, class_id, score, x1, y1, x2, y2):
-    return Detection(image_id=image_id, class_id=class_id, score=score, box=RoI(x1=x1, y1=y1, x2=x2, y2=y2, image_id=image_id))
+    return Detection(image_id=image_id, class_id=class_id, score=score, box=RoI(x1=x1, y1=y1, x2=x2, y2=y2))
 
 
 def gt(image_id, class_id, x1, y1, x2, y2):
-    return Annotation(box=RoI(x1=x1, y1=y1, x2=x2, y2=y2, image_id=image_id), class_id=class_id)
+    return Annotation(box=RoI(x1=x1, y1=y1, x2=x2, y2=y2), class_id=class_id, image_id=image_id)
 
 
 class TestEvaluateAp:
     def test_perfect_detections(self):
         gts = [gt(0, 1, 0, 0, 10, 10), gt(0, 2, 20, 20, 40, 40), gt(1, 1, 5, 5, 9, 9)]
-        dets = [det(g.box.image_id, g.class_id, 1.0, g.box.x1, g.box.y1, g.box.x2, g.box.y2) for g in gts]
+        dets = [det(g.image_id, g.class_id, 1.0, g.box.x1, g.box.y1, g.box.x2, g.box.y2) for g in gts]
         result = evaluate_ap(dets, gts)
         assert result.per_class == {1: 1.0, 2: 1.0}
         assert result.mean_ap == pytest.approx(1.0)
@@ -223,9 +223,13 @@ class TestEvaluateAp:
         assert a == pytest.approx(b)
 
     def test_image_ids_respected(self):
+        """A detection matches only a ground truth whose annotation carries its image id."""
         gts = [gt(0, 1, 0, 0, 10, 10)]
         dets = [det(1, 1, 0.9, 0, 0, 10, 10)]  # right box, wrong image
         assert evaluate_ap(dets, gts).per_class[1] == 0.0
+        gts = [gt(0, 1, 0, 0, 10, 10), gt(1, 1, 0, 0, 10, 10)]
+        dets = [det(1, 1, 0.9, 0, 0, 10, 10), det(1, 1, 0.8, 0, 0, 10, 10)]  # the second is a duplicate
+        assert evaluate_ap(dets, gts).per_class[1] == pytest.approx(0.5)
 
 
 class TestWriters:

@@ -19,7 +19,15 @@ from sanlab.analysis import compute_cam
 from sanlab.cli import SETTINGS, TRAIN_FIELDS, main, parse_config_file
 from sanlab.data import DatasetConfig, load_dataset
 from sanlab.san import ScalePartitionScheme
-from sanlab.training import TrainingConfig, evaluate_detector, load_checkpoint, save_checkpoint, train
+from sanlab.training import (
+    TrainingConfig,
+    evaluate_detector,
+    load_checkpoint,
+    read_checkpoint_entries,
+    save_checkpoint,
+    train,
+    write_checkpoint_entries,
+)
 
 
 def tree_digest(root: Path) -> dict:
@@ -333,6 +341,16 @@ class TestTrain:
         assert re.search(r"^error: san_pool 'max' has no effect", capsys.readouterr().err, re.M)
         assert not (out / "checkpoint.san").exists()
 
+    @pytest.mark.parametrize("san", ["off", "no-loss", "full"])
+    def test_ref_scale_below_the_backbone_stride_rejected(self, small_run, tmp_path, capsys, san):
+        """Such a checkpoint used to be written, and rmse and cam --normalize-rois then failed on it."""
+        data, _ = small_run
+        out = tmp_path / "x"
+        rc = main(["train", "--out-dir", str(out), "--data-dir", str(data), "--san", san, "--ref-scale", "4", "--iterations", "1"])
+        assert rc == 2
+        assert re.search(r"^error: ref_scale 4 is below the backbone stride 8$", capsys.readouterr().err, re.M)
+        assert not out.exists()
+
     def test_pos_fraction_above_one_rejected(self, small_run, tmp_path, capsys):
         data, _ = small_run
         rc = main(
@@ -637,6 +655,21 @@ class TestRmse:
         for line in (out / "rmse.csv").read_text().splitlines()[1:]:
             _, _, _, wo, wi = line.split(",")
             assert wo == wi
+
+    def test_stored_ref_scale_below_the_backbone_stride_is_an_error(self, small_run, tmp_path, capsys):
+        """rmse and cam --normalize-rois name the setting, not the 4x4 input it used to make."""
+        data, run = small_run
+        entries = read_checkpoint_entries(run / "checkpoint.san")
+        entries["meta.ref_scale"] = np.array([4.0], dtype=np.float32)
+        ckpt = tmp_path / "small_ref.san"
+        write_checkpoint_entries(ckpt, list(entries.items()))
+        for argv in (
+            ["rmse", "--out-dir", str(tmp_path / "r"), "--data-dir", str(data), "--checkpoint", str(ckpt)],
+            ["cam", "--out-dir", str(tmp_path / "c"), "--image", str(data / "img_00000.ppm"), "--checkpoint", str(ckpt), "--normalize-rois"],
+        ):
+            assert main(argv) == 2
+            assert re.search(r"^error: ref_scale 4 is below the backbone stride 8$", capsys.readouterr().err, re.M)
+            assert not Path(argv[2]).exists()
 
     @pytest.mark.parametrize("flag", ["--scheme=voc", "--ref-scale=64", "--boundaries=100"])
     def test_scheme_flags_not_accepted(self, small_run, tmp_path, flag):

@@ -159,20 +159,15 @@ class TestProposals:
         assert make_proposals([], 0, 0, rng, 96) == []
 
     def test_zero_counts_yield_nothing(self):
-        gt = Annotation(box=RoI(x1=10, y1=12, x2=40, y2=44, image_id=3), class_id=1)
+        gt = Annotation(box=RoI(x1=10, y1=12, x2=40, y2=44), class_id=1)
         props = make_proposals([gt], 0, 0, derive(1, 9), 96)
         assert props == []
-
-    def test_zero_jitter_amplitude_gives_exact_gt_copies(self):
-        gt = Annotation(box=RoI(x1=10, y1=12, x2=40, y2=44, image_id=3), class_id=1)
-        props = make_proposals([gt], 3, 0, derive(1, 9), 96, jitter=0.0)
-        assert props == [gt.box, gt.box, gt.box]
 
     def test_proposals_satisfy_roi_invariants(self):
         rng = derive(2, 9)
         gts = [
-            Annotation(box=RoI(x1=2, y1=2, x2=30, y2=28, image_id=0), class_id=1),
-            Annotation(box=RoI(x1=50, y1=50, x2=90, y2=94, image_id=0), class_id=2),
+            Annotation(box=RoI(x1=2, y1=2, x2=30, y2=28), class_id=1),
+            Annotation(box=RoI(x1=50, y1=50, x2=90, y2=94), class_id=2),
         ]
         for _ in range(50):
             for p in make_proposals(gts, 4, 6, rng, 96):
@@ -257,6 +252,16 @@ class TestDiskFormat:
                 assert a.class_id == b.class_id
                 assert a.box == b.box
 
+    def test_annotations_carry_their_image_id(self, tmp_path):
+        """Generated and loaded annotations hold the id of their image, not its list position."""
+        dataset = generate_dataset(DatasetConfig(num_images=6, seed=21))
+        write_dataset(tmp_path, dataset[3:])
+        for data in (dataset, load_dataset(tmp_path)):
+            assert sum(len(anns) for _, anns in data) > len(data)
+            for img, anns in data:
+                assert all(a.image_id == img.id for a in anns)
+        assert [img.id for img, _ in load_dataset(tmp_path)] == [3, 4, 5]
+
     def test_manifest_format(self, tmp_path):
         dataset = generate_dataset(DatasetConfig(num_images=2, seed=22))
         write_dataset(tmp_path, dataset)
@@ -334,7 +339,7 @@ class TestDiskFormat:
         write_dataset(tmp_path, generate_dataset(DatasetConfig(num_images=1, seed=26)))
         manifest = tmp_path / "manifest.txt"
         manifest.write_text(manifest.read_text() + "2 -5 90 4 120\n")
-        assert load_dataset(tmp_path)[0][1][-1].box == RoI(-5.0, 90.0, 4.0, 120.0, image_id=0)
+        assert load_dataset(tmp_path)[0][1][-1] == Annotation(box=RoI(-5.0, 90.0, 4.0, 120.0), class_id=2, image_id=0)
 
     def test_ppm_header_comments_are_skipped(self, tmp_path):
         """Comments after the magic, between width and height and before

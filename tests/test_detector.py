@@ -165,9 +165,9 @@ class TestFitPredict:
         assert len(result.log_rows) == 3
 
     def test_predict_yields_detections(self, tiny_dataset):
-        model = tiny_model(tiny_dataset)
+        model = tiny_model(tiny_dataset, iterations=1)  # one step leaves foreground scores above DETECT_SCORE_THRESH
         img, anns = tiny_dataset[0]
-        dets = detect(model, img, proposals_of(anns), score_thresh=0.0)
+        dets = detect(model, img, proposals_of(anns))
         assert dets
         for d in dets:
             assert d.image_id == img.id
@@ -197,13 +197,13 @@ class TestFitPredict:
 
 class TestPersistence:
     def test_save_load_preserves_behavior(self, tiny_dataset, tmp_path):
-        model = tiny_model(tiny_dataset)
+        model = tiny_model(tiny_dataset, iterations=1)  # one step leaves foreground scores above DETECT_SCORE_THRESH
         save_checkpoint(tmp_path / "det.san", model)
         loaded = load_checkpoint(tmp_path / "det.san")
         img, anns = tiny_dataset[2]
-        a = detect(model, img, proposals_of(anns), score_thresh=0.0)
-        b = detect(loaded, img, proposals_of(anns), score_thresh=0.0)
-        assert len(a) == len(b)
+        a = detect(model, img, proposals_of(anns))
+        b = detect(loaded, img, proposals_of(anns))
+        assert a and len(a) == len(b)
         for da, db in zip(a, b):
             assert da.score == db.score
             assert da.box == db.box

@@ -111,6 +111,13 @@ class TestDetectionHead:
         assert logits.shape == (5, 4)
         assert deltas.shape == (5, 12)
 
+    def test_output_shapes_for_no_rois(self):
+        """The class count is the row count of the weights, so an empty batch keeps its widths."""
+        head = DetectionHead.create(c_feat=16, num_classes=3, seed=0)
+        logits, deltas = head.forward(Tensor(np.zeros((0, 16, 7, 7), dtype=np.float32)))
+        assert logits.shape == (0, 4)
+        assert deltas.shape == (0, 12)
+
     def test_deterministic_creation(self):
         a = DetectionHead.create(16, 3, seed=4)
         b = DetectionHead.create(16, 3, seed=4)
@@ -225,7 +232,7 @@ def per_row_regression_loss(deltas: Tensor, labels, targets) -> Tensor:
             if v is None:
                 raise ShapeError(f"foreground RoI at row {row} is missing a regression target")
             lo = 4 * (u - 1)
-            target[row, lo : lo + 4] = v.as_array()
+            target[row, lo : lo + 4] = np.array([v.tx, v.ty, v.tw, v.th], dtype=np.float32)
             mask[row, lo : lo + 4] = 1.0
     diff = ag.sub(deltas, Tensor(target))
     masked = ag.mul(ag.smooth_l1(diff), Tensor(mask))

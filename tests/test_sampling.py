@@ -28,9 +28,9 @@ from sanlab.rng import derive
 from sanlab.training import TrainingConfig, build_step_batch
 
 
-def scalar_make_proposals(gts, n_pos_jitter, n_neg, rng, image_size, jitter=0.25):
+def scalar_make_proposals(gts, n_pos_jitter, n_neg, rng, image_size):
+    jitter = 0.25  # the package's PROPOSAL_JITTER
     out = []
-    image_id = gts[0].box.image_id if gts else 0
     for gt in gts:
         for _ in range(n_pos_jitter):
             w, h = gt.box.width, gt.box.height
@@ -38,17 +38,17 @@ def scalar_make_proposals(gts, n_pos_jitter, n_neg, rng, image_size, jitter=0.25
             cy = gt.box.y1 + h / 2 + rng.uniform(-jitter, jitter) * h
             nw = w * (1 + rng.uniform(-jitter, jitter))
             nh = h * (1 + rng.uniform(-jitter, jitter))
-            out.append(scalar_clamped_roi(cx, cy, nw, nh, image_size, gt.box.image_id))
+            out.append(scalar_clamped_roi(cx, cy, nw, nh, image_size))
     for _ in range(n_neg):
         w = rng.uniform(6.0, image_size / 2)
         h = rng.uniform(6.0, image_size / 2)
         cx = rng.uniform(w / 2, image_size - w / 2)
         cy = rng.uniform(h / 2, image_size - h / 2)
-        out.append(scalar_clamped_roi(cx, cy, w, h, image_size, image_id))
+        out.append(scalar_clamped_roi(cx, cy, w, h, image_size))
     return out
 
 
-def scalar_clamped_roi(cx, cy, w, h, image_size, image_id):
+def scalar_clamped_roi(cx, cy, w, h, image_size):
     x1 = max(0.0, cx - w / 2)
     y1 = max(0.0, cy - h / 2)
     x2 = min(float(image_size), cx + w / 2)
@@ -57,7 +57,7 @@ def scalar_clamped_roi(cx, cy, w, h, image_size, image_id):
         x1, x2 = max(0.0, min(x1, image_size - 2.0)), max(2.0, min(float(image_size), x1 + 2.0))
     if y2 - y1 < 2.0:
         y1, y2 = max(0.0, min(y1, image_size - 2.0)), max(2.0, min(float(image_size), y1 + 2.0))
-    return RoI(x1=x1, y1=y1, x2=x2, y2=y2, image_id=image_id)
+    return RoI(x1=x1, y1=y1, x2=x2, y2=y2)
 
 
 def scalar_assign_roi_labels(rois, gts, pos_iou=0.5):
@@ -79,13 +79,13 @@ def scalar_assign_roi_labels(rois, gts, pos_iou=0.5):
 
 def bits(rois):
     """Every coordinate as its float64 bit pattern, so -0.0 != 0.0."""
-    return [(np.float64([r.x1, r.y1, r.x2, r.y2]).tobytes(), r.image_id) for r in rois]
+    return [np.float64([r.x1, r.y1, r.x2, r.y2]).tobytes() for r in rois]
 
 
-def assert_same_sampling(gts, n_pos_jitter, n_neg, seed, size, jitter=0.25, pos_iou=0.5):
+def assert_same_sampling(gts, n_pos_jitter, n_neg, seed, size, pos_iou=0.5):
     rng_a, rng_b = derive(seed, 9), derive(seed, 9)
-    got = make_proposals(gts, n_pos_jitter, n_neg, rng_a, size, jitter=jitter)
-    want = scalar_make_proposals(gts, n_pos_jitter, n_neg, rng_b, size, jitter=jitter)
+    got = make_proposals(gts, n_pos_jitter, n_neg, rng_a, size)
+    want = scalar_make_proposals(gts, n_pos_jitter, n_neg, rng_b, size)
     assert bits(got) == bits(want)
     assert rng_a.random() == rng_b.random()
     assert assign_roi_labels(got, gts, pos_iou) == scalar_assign_roi_labels(want, gts, pos_iou)
@@ -104,23 +104,23 @@ def test_matches_scalar_loops_on_generated_images(images, n_pos_jitter, n_neg):
             assert_same_sampling(anns, n_pos_jitter, n_neg, seed * 1000 + img.id, img.width)
 
 
-GT_A = Annotation(box=RoI(x1=10.0, y1=12.0, x2=40.0, y2=44.0, image_id=3), class_id=1)
-GT_B = Annotation(box=RoI(x1=30.0, y1=8.0, x2=70.0, y2=50.0, image_id=3), class_id=2)
+GT_A = Annotation(box=RoI(x1=10.0, y1=12.0, x2=40.0, y2=44.0), class_id=1)
+GT_B = Annotation(box=RoI(x1=30.0, y1=8.0, x2=70.0, y2=50.0), class_id=2)
 
 
 @pytest.mark.parametrize(
-    "gts,n_pos_jitter,n_neg,jitter",
+    "gts,n_pos_jitter,n_neg",
     [
-        ([GT_A, GT_B], 4, 5, 0.0),
-        ([GT_A, GT_B], 0, 7, 0.25),
-        ([GT_A, GT_B], 5, 0, 0.25),
-        ([], 3, 9, 0.25),
-        ([], 0, 0, 0.25),
+        ([GT_A, GT_B], 4, 5),
+        ([GT_A, GT_B], 0, 7),
+        ([GT_A, GT_B], 5, 0),
+        ([], 3, 9),
+        ([], 0, 0),
     ],
 )
-def test_matches_scalar_loops_at_degenerate_counts(gts, n_pos_jitter, n_neg, jitter):
+def test_matches_scalar_loops_at_degenerate_counts(gts, n_pos_jitter, n_neg):
     for seed in range(10):
-        assert_same_sampling(gts, n_pos_jitter, n_neg, seed, 96, jitter=jitter)
+        assert_same_sampling(gts, n_pos_jitter, n_neg, seed, 96)
 
 
 @pytest.mark.parametrize(
@@ -137,7 +137,7 @@ def test_matches_scalar_loops_at_degenerate_counts(gts, n_pos_jitter, n_neg, jit
 def test_matches_scalar_loops_for_sub_two_pixel_boxes(box):
     gts = [Annotation(box=box, class_id=1)]
     for seed in range(20):
-        assert_same_sampling(gts, 6, 4, seed, 96, jitter=0.9)
+        assert_same_sampling(gts, 6, 4, seed, 96)
 
 
 def test_sub_two_pixel_boxes_reach_the_two_pixel_rule():
@@ -203,8 +203,8 @@ def test_non_square_proposals_stay_inside_their_image():
     """Each axis is sampled and clamped by its own extent."""
     width, height = 160, 48
     gts = [
-        Annotation(box=RoI(x1=120.0, y1=30.0, x2=158.0, y2=47.0, image_id=4), class_id=1),
-        Annotation(box=RoI(x1=2.0, y1=1.0, x2=20.0, y2=19.0, image_id=4), class_id=2),
+        Annotation(box=RoI(x1=120.0, y1=30.0, x2=158.0, y2=47.0), class_id=1),
+        Annotation(box=RoI(x1=2.0, y1=1.0, x2=20.0, y2=19.0), class_id=2),
     ]
     rng = derive(3, 9)
     props = [p for _ in range(200) for p in make_proposals(gts, 6, 30, rng, (width, height))]
@@ -228,17 +228,11 @@ def batch_bits(batch):
 @pytest.fixture(scope="module")
 def step_datasets(images):
     """The generated images; the same with every third image's objects
-    dropped from its annotations and each other object given an image id
-    of its own (a negative takes the first object's); and 96x96 and 64x64
-    images alternating."""
+    dropped from its annotations; and 96x96 and 64x64 images alternating."""
     small = generate_dataset(DatasetConfig(num_images=40, image_size=64, scale_range=(8.0, 60.0), seed=6))
-
-    def own_ids(anns):
-        return [dataclasses.replace(a, box=dataclasses.replace(a.box, image_id=1000 + k)) for k, a in enumerate(anns)]
-
     return {
         "plain": images,
-        "object-free": [(img, [] if i % 3 == 0 else own_ids(anns)) for i, (img, anns) in enumerate(images)],
+        "object-free": [(img, [] if i % 3 == 0 else anns) for i, (img, anns) in enumerate(images)],
         "mixed-size": [pair for pairs in zip(images[:40], small) for pair in pairs],
     }
 

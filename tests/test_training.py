@@ -45,9 +45,9 @@ from sanlab.training import (
     reference_feature_for_roi,
     rendered_roi_feature,
     rmse_report,
-    sample_san_rois,
     save_checkpoint,
     step_pixels,
+    subsample_index,
     train,
     write_checkpoint_entries,
     write_log_csv,
@@ -134,6 +134,16 @@ class TestConfigValidation:
         tiny_config(n_pos_jitter=0).validate()
         tiny_config(n_neg=0).validate()
 
+    @pytest.mark.parametrize("san_mode", ["off", "no-loss", "full"])
+    def test_ref_scale_below_the_backbone_stride_rejected(self, san_mode):
+        """A reference side below the stride has no cell on the backbone's
+        map: rmse and cam --normalize-rois would fail on the model later."""
+        stride = Backbone.total_stride
+        scheme = dataclasses.replace(TOY_SCHEME, ref_scale=stride - 1)
+        with pytest.raises(ConfigError, match=f"^ref_scale {stride - 1} is below the backbone stride {stride}$"):
+            TrainingConfig(san_mode=san_mode, scheme=scheme).validate()
+        TrainingConfig(san_mode=san_mode, scheme=dataclasses.replace(scheme, ref_scale=stride)).validate()
+
     def test_negative_gaussian_std_rejected(self):
         with pytest.raises(ConfigError, match="gaussian_std must be non-negative"):
             TrainingConfig(init_mode="gaussian", gaussian_std=-0.05).validate()
@@ -146,21 +156,23 @@ class TestConfigValidation:
 
 
 class TestSampleSanRois:
+    """`subsample_index` draws a step's scale-aware RoI subset (and its kept positives and negatives)."""
+
     def test_all_kept_in_order_when_n_large(self):
-        rois = ["a", "b", "c"]
         rng = np.random.default_rng(0)
-        assert sample_san_rois(rois, 5, rng) == ["a", "b", "c"]
+        state = rng.bit_generator.state
+        assert subsample_index(3, 5, rng).tolist() == [0, 1, 2]
+        assert rng.bit_generator.state == state, "keeping all draws nothing"
 
     def test_zero_disables(self):
-        assert sample_san_rois(["a"], 0, np.random.default_rng(0)) == []
+        assert subsample_index(1, 0, np.random.default_rng(0)).tolist() == []
 
     def test_subsample_preserves_relative_order_and_replays(self):
-        rois = list(range(30))
-        a = sample_san_rois(rois, 7, np.random.default_rng(42))
-        b = sample_san_rois(rois, 7, np.random.default_rng(42))
+        a = subsample_index(30, 7, np.random.default_rng(42)).tolist()
+        b = subsample_index(30, 7, np.random.default_rng(42)).tolist()
         assert a == b
-        assert a == sorted(a)
-        assert len(a) == 7
+        assert a == sorted(a) and len(set(a)) == 7
+        assert all(0 <= i < 30 for i in a)
 
 
 class TestStepBatch:
@@ -569,8 +581,8 @@ class TestTrainLoop:
             side = int(rng.integers(8, 40))
             x, y = int(rng.integers(0, 160 - side)), int(rng.integers(0, 48 - side))
             levels[0, :, y : y + side, x : x + side] = np.uint8([230, 51, 51])[:, None, None]
-            box = RoI(x1=x, y1=y, x2=x + side, y2=y + side, image_id=i)
-            dataset.append((Image(levels, id=i), [Annotation(box=box, class_id=1 + i % 3)]))
+            box = RoI(x1=x, y1=y, x2=x + side, y2=y + side)
+            dataset.append((Image(levels, id=i), [Annotation(box=box, class_id=1 + i % 3, image_id=i)]))
         write_dataset(tmp_path, dataset)
         dataset = load_dataset(tmp_path)
         cfg = TrainingConfig(iterations=30, san_mode="full", seed=1)
@@ -694,6 +706,12 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="head.cls.w"):
             load_checkpoint(path)
 
+    def test_stored_ref_scale_below_the_backbone_stride_rejected(self, tmp_path):
+        """The model is rebuilt through `build_model`, which validates its config."""
+        path = self._resaved(tmp_path, **{"meta.ref_scale": np.array([4.0], dtype=np.float32)})
+        with pytest.raises(ConfigError, match="^ref_scale 4 is below the backbone stride 8$"):
+            load_checkpoint(path)
+
     def test_unknown_entry_rejected(self, tmp_path):
         path = self._resaved(tmp_path, **{"head.extra": np.zeros(3, dtype=np.float32)})
         with pytest.raises(CheckpointError, match="head.extra"):
@@ -784,15 +802,15 @@ class TestInference:
             RoI(x1=1, y1=1, x2=11, y2=11),
             RoI(x1=50, y1=50, x2=60, y2=60),
         ]
-        keep = nms(boxes, [0.5, 0.9, 0.3], iou_thresh=0.3)
+        keep = nms(boxes, [0.5, 0.9, 0.3])
         assert keep == [1, 2]
 
     def test_detect_returns_clipped_sorted_detections(self, tiny_dataset):
-        result = train(tiny_dataset, tiny_config(iterations=3))
+        result = train(tiny_dataset, tiny_config(iterations=1))  # one step leaves foreground scores above DETECT_SCORE_THRESH
         img, anns = tiny_dataset[1]
         props = [a.box for a in anns] + [RoI(x1=4, y1=4, x2=30, y2=30)]
-        dets = detect(result.model, img, props, score_thresh=0.0)
-        assert dets == sorted(dets, key=lambda d: -d.score)
+        dets = detect(result.model, img, props)
+        assert dets and dets == sorted(dets, key=lambda d: -d.score)
         for d in dets:
             assert 0 <= d.box.x1 < d.box.x2 <= img.width
             assert 0 <= d.box.y1 < d.box.y2 <= img.height
