@@ -232,15 +232,15 @@ def roi_pool(maps: Sequence[Tensor], rois: Sequence[RoI], slots: Sequence[int], 
     index.  Cells: coordinates divided by the backbone stride, floor(x1) /
     ceil(x2), clamped to the map.  Bin b covers cells [floor(b*span/out),
     ceil((b+1)*span/out)), so bins are never empty.  Row n is bitwise
-    rois[n] pooled alone, and in the dtype the maps some RoI reads promote
-    to.  Max mode takes the maxima of each column bin, then of each row bin
-    over those; it has no backward, so it returns a constant tensor and
-    raises `GraphError` when a map some RoI reads takes a gradient.  Average
-    mode is rows @ cells @ cols.T with 0/1 bin matrices (exact on
-    integer-valued data) and spreads gradient uniformly over a bin.  It is
-    one tape node: its parents are the map tensors some RoI reads, in list
-    order, and its backward sums each image's RoI gradients, in RoI order,
-    into one buffer per map tensor.
+    rois[n] pooled alone, in the dtype of the maps some RoI reads, which
+    must all have one.  Max mode takes the maxima of each column bin, then
+    of each row bin over those; it has no backward, so it returns a
+    constant tensor and raises `GraphError` when a map some RoI reads takes
+    a gradient.  Average mode is rows @ cells @ cols.T with 0/1 bin
+    matrices (exact on integer-valued data) and spreads gradient uniformly
+    over a bin.  It is one tape node: its parents are the map tensors some
+    RoI reads, in list order, and its backward sums each image's RoI
+    gradients, in RoI order, into one buffer per map tensor.
 
     In average mode the forward stacks the RoIs of each cell width, so its
     column products are one GEMM per width, (G*C*out, w) @ cols.T; its row
@@ -272,8 +272,10 @@ def roi_pool(maps: Sequence[Tensor], rois: Sequence[RoI], slots: Sequence[int], 
         raise ShapeError(f"roi_pool maps differ in channel count: {sorted(channels)}")
     if mode == "max" and any(t.requires_grad for t in inputs.values()):
         raise GraphError("max-mode roi_pool has no backward: pool maps that take no gradient")
-    dtype = np.result_type(*(t.dtype for t in inputs.values()))
-    out_data = np.empty((len(rois), channels.pop(), ROI_OUT, ROI_OUT), dtype=dtype)
+    dtypes = {t.dtype for t in inputs.values()}
+    if len(dtypes) > 1:
+        raise ShapeError(f"roi_pool maps differ in dtype: {sorted(d.name for d in dtypes)}")
+    out_data = np.empty((len(rois), channels.pop(), ROI_OUT, ROI_OUT), dtype=dtypes.pop())
     cells = [maps[m].data[r, :, y0:y1, x0:x1] for m, r, y0, y1, x0, x1 in regions]
     if mode == "max":
         _max_pool(cells, out_data)
@@ -323,13 +325,7 @@ def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int,
                 _, _, y0, y1, x0, x1 = table[j[k]].tolist()
                 g[k] = 0
                 g[k, y0:y1, :, x0:x1] = np.matmul(rows[j[k]].T, np.matmul(scaled[k], cols[x1 - x0])).transpose(1, 0, 2)
-            if g.dtype == buf.dtype:  # sums in RoI order, as the loop below does
-                acc = np.add.reduce(g, axis=0, initial=0)
-            else:  # each sum rounded to the map's dtype
-                acc = np.zeros((fh, c, fw), dtype=buf.dtype)
-                for gk in g:
-                    acc += gk
-            buf[...] = acc.transpose(1, 0, 2)
+            buf[...] = np.add.reduce(g, axis=0, initial=0).transpose(1, 0, 2)  # in RoI order
         for m, t in inputs.items():
             if t.requires_grad:
                 t._accumulate(grads[m])

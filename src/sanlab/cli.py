@@ -3,8 +3,8 @@ two analysis instruments (channel-activation matrix, scale-space RMSE).
 
 Each command has one settings table, setting -> default (`SETTINGS`),
 filled from what the settings feed: DatasetConfig (gen-data),
-TrainingConfig (train), evaluate_detector's and compute_cam's defaults
-(eval, cam).  Every entry is both a --kebab-case flag and a key of
+TrainingConfig (train), evaluate_detector's seed (eval) and compute_cam's
+defaults (cam).  Every entry is both a --kebab-case flag and a key of
 flat `key = value` config files (# comments allowed); flags override the
 file, and for the commands that take a seed (gen-data, train, eval) it falls
 back to SANLAB_SEED.  `rmse` and `cam` take the checkpoint's own scheme.
@@ -45,8 +45,6 @@ from .data import (
 from .errors import ConfigError, SanlabError
 from .san import SCHEME_PRESETS, resolve_scheme
 from .training import (
-    EVAL_N_NEG,
-    EVAL_N_POS_JITTER,
     FIELD_CHOICES,
     TrainingConfig,
     default_rmse_scales,
@@ -73,7 +71,7 @@ TRAIN_FIELDS = {TRAIN_RENAMES.get(f.name, f.name): f for f in dataclasses.fields
 SETTINGS = {
     "gen-data": _DATASET_FIELDS | {"num_images": 200, "scale_min": _SCALE_MIN, "scale_max": _SCALE_MAX},
     "train": {name: f.default for name, f in TRAIN_FIELDS.items()} | {"scheme": "toy", "ref_scale": None, "boundaries": None},
-    "eval": {"seed": 0, "n_pos_jitter": EVAL_N_POS_JITTER, "n_neg": EVAL_N_NEG},
+    "eval": {"seed": 0},
     "cam": {"scales": "16,24,32,48,64,96", "cam_k": CAM_K, "normalize_rois": 0},
     "rmse": {"scales": ""},
 }
@@ -183,8 +181,7 @@ def cmd_train(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
 def cmd_eval(args: argparse.Namespace, settings: dict, out_dir: Path) -> dict:
     dataset = _load_images(args.data_dir)
     model = load_checkpoint(Path(args.checkpoint))
-    # the eval settings are evaluate_detector's keyword arguments
-    ap, detections = evaluate_detector(model, dataset, **{key: settings[key] for key in SETTINGS["eval"]})
+    ap, detections = evaluate_detector(model, dataset, settings["seed"])
     payload = {
         "map": ap.mean_ap,
         "per_class": {str(c): v for c, v in ap.per_class.items()},

@@ -194,13 +194,6 @@ def generate_dataset(cfg: DatasetConfig) -> list[tuple[Image, list[Annotation]]]
     return generate_dataset_with_stats(cfg)[0]
 
 
-def check_proposal_source(n_pos_jitter: int, n_neg: int) -> None:
-    """Reject counts that draw no proposal at all: a training step would have
-    nothing to sample and an evaluation nothing to score."""
-    if n_pos_jitter == 0 and n_neg == 0:
-        raise ConfigError("n_pos_jitter and n_neg are both 0, so no proposal is drawn; raise one of them")
-
-
 def check_class_ids(dataset: list[tuple[Image, list[Annotation]]], num_classes: int) -> None:
     """Reject an object class the model cannot score: classes run from 1 to
     num_classes, and 0 is the background label."""

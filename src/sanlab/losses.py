@@ -14,6 +14,8 @@ from .errors import RoiError, ShapeError
 from .rng import STREAM_WEIGHTS, derive
 
 HEAD_INIT_STD = 0.01
+# an RoI is foreground when its IoU with some ground truth reaches POS_IOU
+POS_IOU = 0.5
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ def box_iou(a: RoI, b: RoI) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def assign_roi_labels(rois, gts, pos_iou: float = 0.5) -> list[tuple[int, RegressionTarget | None]]:
+def assign_roi_labels(rois, gts, pos_iou: float = POS_IOU) -> list[tuple[int, RegressionTarget | None]]:
     """Label each RoI by its max-IoU ground truth (`match_boxes`).
 
     Returns (class, regression target) pairs; background RoIs get class 0

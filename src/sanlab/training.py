@@ -28,7 +28,6 @@ from .backbone import extract_reference_feature as reference_feature_for_roi
 from .data import (
     Annotation,
     check_class_ids,
-    check_proposal_source,
     make_proposals,
     proposal_boxes,
     proposal_rng,
@@ -36,6 +35,7 @@ from .data import (
 )
 from .errors import CheckpointError, ConfigError, RoiError, SanlabError
 from .losses import (
+    POS_IOU,
     DetectionHead,
     LossParts,
     RegressionTarget,
@@ -67,25 +67,30 @@ FIELD_CHOICES = {"san_mode": SAN_MODES, "init_mode": INIT_MODES, "san_pool": POO
 CHECKPOINT_MAGIC = b"SANLAB01"
 LOG_HEADER = "iter,l_cls,l_reg,l_san,lr"
 
+# the Fast R-CNN recipe every run trains with: SGD with momentum and weight
+# decay, the learning rate cut by LR_DECAY_FACTOR from step LR_DECAY_STEP on;
+# per image, N_POS_JITTER jittered copies of each object and N_NEG random
+# boxes as proposals, at most a POS_FRACTION share of its kept RoIs positive;
+# GAUSSIAN_STD is the spread of the gaussian sub-network init
+BASE_LR = 0.02
+LR_DECAY_STEP = 1500
+LR_DECAY_FACTOR = 0.1
+MOMENTUM = 0.9
+WEIGHT_DECAY = 0.0005
+N_POS_JITTER = 6
+N_NEG = 30
+POS_FRACTION = 0.25
+GAUSSIAN_STD = 0.05
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
     iterations: int = 2000
-    base_lr: float = 0.02
-    lr_decay_step: int = 1500
-    lr_decay_factor: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
     images_per_step: int = 2
     rois_per_image: int = 32
-    pos_fraction: float = 0.25
-    pos_iou: float = 0.5
-    n_pos_jitter: int = 6
-    n_neg: int = 30
     num_classes: int = 3
     san_mode: str = "full"
     init_mode: str = "identity"
-    gaussian_std: float = 0.05
     san_pool: str = "avg"
     san_samples: int = 16
     san_loss_weight: float = 1.0
@@ -104,20 +109,12 @@ class TrainingConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for name in (
-            "base_lr", "lr_decay_factor", "momentum", "weight_decay", "san_loss_weight", "gaussian_std",
-            "iterations", "san_samples", "n_pos_jitter", "n_neg",
-        ):
+        for name in ("san_loss_weight", "iterations", "san_samples"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        check_proposal_source(self.n_pos_jitter, self.n_neg)
-        if not 0 <= self.pos_fraction <= 1:
-            raise ConfigError(f"pos_fraction must lie in [0,1], got {self.pos_fraction}")
-        for name in ("images_per_step", "rois_per_image", "num_classes", "lr_decay_step"):
+        for name in ("images_per_step", "rois_per_image", "num_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if not 0 < self.pos_iou < 1:
-            raise ConfigError(f"pos_iou must lie in (0,1), got {self.pos_iou}")
         if self.scheme.ref_scale < Backbone.total_stride:
             # a reference patch that small has no cell on the backbone's map
             raise ConfigError(f"ref_scale {self.scheme.ref_scale} is below the backbone stride {Backbone.total_stride}")
@@ -159,7 +156,7 @@ def build_model(cfg: TrainingConfig) -> DetectionModel:
     if cfg.san_mode != "off":
         san = SanModule.create(cfg.scheme, bb.c_feat, zero_fusion=cfg.init_mode == "identity-zero-fusion")
         if cfg.init_mode == "gaussian":
-            init_gaussian(san, cfg.gaussian_std, cfg.seed)
+            init_gaussian(san, GAUSSIAN_STD, cfg.seed)
         else:
             init_identity(san)
     return DetectionModel(backbone=bb, head=head, san=san, config=cfg)
@@ -200,7 +197,7 @@ def build_step_batch(
     from its own stream.
 
     Per image, in pick order: the `proposal_boxes` draws, labels by
-    `match_boxes`, then up to ``rois_per_image`` RoIs, a ``pos_fraction``
+    `match_boxes`, then up to ``rois_per_image`` RoIs, a `POS_FRACTION`
     share of them positive: an ordered subsample of the positives, then of
     the negatives.  The kept RoIs are those `make_proposals` would give,
     with their `assign_roi_labels` labels and targets; only they become
@@ -214,13 +211,13 @@ def build_step_batch(
     slots: list[int] = []
     labels: list[int] = []
     targets: list[RegressionTarget | None] = []
-    pos_cap = int(round(cfg.rois_per_image * cfg.pos_fraction))
+    pos_cap = int(round(cfg.rois_per_image * POS_FRACTION))
     for slot, di in enumerate(picks.tolist()):
         img, anns = dataset[di]
         images.append(img)
         gt_boxes = box_array([a.box for a in anns])
-        boxes = proposal_boxes(gt_boxes, cfg.n_pos_jitter, cfg.n_neg, rng, (img.width, img.height))
-        best, positive = match_boxes(boxes, gt_boxes, cfg.pos_iou)
+        boxes = proposal_boxes(gt_boxes, N_POS_JITTER, N_NEG, rng, (img.width, img.height))
+        best, positive = match_boxes(boxes, gt_boxes, POS_IOU)
         classes = np.zeros(len(boxes), dtype=np.int64)
         classes[positive] = np.array([a.class_id for a in anns], dtype=np.int64)[best[positive]]
         pos, neg = np.flatnonzero(classes >= 1), np.flatnonzero(classes == 0)
@@ -342,8 +339,8 @@ class TrainResult:
     log_rows: list[tuple[int, float, float, float, float]]
 
 
-def learning_rate(cfg: TrainingConfig, step: int) -> float:
-    return cfg.base_lr * (cfg.lr_decay_factor if step >= cfg.lr_decay_step else 1.0)
+def learning_rate(step: int) -> float:
+    return BASE_LR * (LR_DECAY_FACTOR if step >= LR_DECAY_STEP else 1.0)
 
 
 def train(dataset: list[tuple[Image, list[Annotation]]], cfg: TrainingConfig) -> TrainResult:
@@ -365,13 +362,13 @@ def train(dataset: list[tuple[Image, list[Annotation]]], cfg: TrainingConfig) ->
     for step in range(cfg.iterations):
         batch = build_step_batch(dataset, cfg, step)
         parts = compute_step_losses(model, batch)
-        lr = learning_rate(cfg, step)
+        lr = learning_rate(step)
         if not all(math.isfinite(v) for v in (parts.l_cls, parts.l_reg, parts.l_san)):
             raise TrainingDiverged(step, parts, lr)
         parts.total.backward()
         fill_missing_grads(san_params)
-        ag.sgd_step(decayed, lr=lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-        ag.sgd_step(san_params, lr=lr, momentum=cfg.momentum, weight_decay=0.0)
+        ag.sgd_step(decayed, lr=lr, momentum=MOMENTUM, weight_decay=WEIGHT_DECAY)
+        ag.sgd_step(san_params, lr=lr, momentum=MOMENTUM, weight_decay=0.0)
         rows.append((step, parts.l_cls, parts.l_reg, parts.l_san, lr))
     return TrainResult(model=model, log_rows=rows)
 
@@ -569,26 +566,21 @@ def detect(model: DetectionModel, img: Image, proposals: list[RoI]) -> list[Dete
     return out
 
 
-# evaluate_detector's proposals per image, and the eval command's defaults
+# evaluate_detector's proposals per image: jittered copies of each object, random boxes
 EVAL_N_POS_JITTER = 8
 EVAL_N_NEG = 16
 
 
 def evaluate_detector(
-    model: DetectionModel,
-    dataset: list[tuple[Image, list[Annotation]]],
-    seed: int,
-    n_pos_jitter: int = EVAL_N_POS_JITTER,
-    n_neg: int = EVAL_N_NEG,
+    model: DetectionModel, dataset: list[tuple[Image, list[Annotation]]], seed: int
 ) -> tuple[ApResult, list[Detection]]:
     """Jittered-proposal evaluation over a dataset; returns (ApResult, detections)."""
-    check_proposal_source(n_pos_jitter, n_neg)
     check_class_ids(dataset, model.num_classes)
     detections: list[Detection] = []
     gts: list[Annotation] = []
     for img, anns in dataset:
         gts.extend(anns)
-        props = make_proposals(anns, n_pos_jitter, n_neg, proposal_rng(seed, img.id), (img.width, img.height))
+        props = make_proposals(anns, EVAL_N_POS_JITTER, EVAL_N_NEG, proposal_rng(seed, img.id), (img.width, img.height))
         detections.extend(detect(model, img, props))
     return evaluate_ap(detections, gts), detections
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from sanlab import autograd as ag
+from sanlab import losses, training
 from sanlab.autograd import Tensor
 from sanlab.backbone import (
     ROI_OUT,
@@ -250,11 +251,11 @@ def per_roi_build_step_batch(dataset, cfg, step: int) -> StepBatch:
     for slot, di in enumerate(picks.tolist()):
         img, anns = dataset[di]
         images.append(img)
-        props = make_proposals(anns, cfg.n_pos_jitter, cfg.n_neg, rng, (img.width, img.height))
-        assigned = assign_roi_labels(props, anns, cfg.pos_iou)
+        props = make_proposals(anns, training.N_POS_JITTER, training.N_NEG, rng, (img.width, img.height))
+        assigned = assign_roi_labels(props, anns, losses.POS_IOU)
         pos = [i for i, (u, _) in enumerate(assigned) if u >= 1]
         neg = [i for i, (u, _) in enumerate(assigned) if u == 0]
-        n_pos = min(len(pos), int(round(cfg.rois_per_image * cfg.pos_fraction)))
+        n_pos = min(len(pos), int(round(cfg.rois_per_image * training.POS_FRACTION)))
         n_neg = min(len(neg), cfg.rois_per_image - n_pos)
         for i in per_roi_sample(pos, n_pos, rng) + per_roi_sample(neg, n_neg, rng):
             rois.append(props[i])

@@ -371,20 +371,16 @@ class TestRoiPool:
             assert (g is None) == (w is None) == (s not in slots)
             assert g is None or np.array_equal(g, w)
 
-    def test_mixed_dtype_rows_are_the_upcast_maps_and_promote_only_read_maps(self):
-        """A float32 and a float64 map: rows are bitwise those of the
-        float32 map upcast to float64, and the output dtype is promoted over
-        the maps some RoI reads, not over every map passed."""
+    @pytest.mark.parametrize("mode", ["avg", "max"])
+    def test_maps_of_two_dtypes_that_rois_read_are_rejected(self, mode):
+        """The maps some RoI reads share one dtype, the output's; a map no
+        RoI reads may have another."""
         arrays, rois, slots, _ = self.every_cell_span(np.float64)
         arrays[0] = arrays[0].astype(np.float32)
-        for mode in ("avg", "max"):
-            got = roi_pool([Tensor(a) for a in arrays], rois, slots, mode=mode).data
-            upcast = roi_pool([Tensor(a.astype(np.float64)) for a in arrays], rois, slots, mode=mode)
-            assert got.dtype == np.float64
-            assert np.array_equal(got, upcast.data)
-            only_f32 = [roi for roi, s in zip(rois, slots) if s == 0]
-            alone = roi_pool([Tensor(a) for a in arrays], only_f32, [0] * len(only_f32), mode=mode)
-            assert alone.dtype == np.float32
+        with pytest.raises(ShapeError, match=r"^roi_pool maps differ in dtype: \['float32', 'float64'\]$"):
+            roi_pool([Tensor(a) for a in arrays], rois, slots, mode=mode)
+        only_f32 = [roi for roi, s in zip(rois, slots) if s == 0]
+        assert roi_pool([Tensor(a) for a in arrays], only_f32, [0] * len(only_f32), mode=mode).dtype == np.float32
 
     # (map, rows) of each one-row map in the batched maps [a, b] + [c] + [d, e, f]
     BATCHED = [(0, [0, 1]), (1, [2]), (2, [3, 4, 5])]

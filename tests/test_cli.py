@@ -86,8 +86,8 @@ def small_run(tmp_path_factory):
 class TestConfigFile:
     def test_parse_values_and_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\nseed = 9\nbase_lr = 0.5  # trailing\n\niterations=12\n")
-        assert parse_config_file(cfg) == {"seed": 9, "base_lr": 0.5, "iterations": 12}
+        cfg.write_text("# comment\nseed = 9\nsan_loss_weight = 0.5  # trailing\n\niterations=12\n")
+        assert parse_config_file(cfg) == {"seed": 9, "san_loss_weight": 0.5, "iterations": 12}
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -184,10 +184,38 @@ class TestSettingsTables:
         assert SETTINGS["gen-data"] == want
 
     def test_eval_and_cam_defaults_are_the_library_defaults(self):
-        evaluate = inspect.signature(evaluate_detector).parameters
-        for key in ("n_pos_jitter", "n_neg"):
-            assert SETTINGS["eval"][key] == evaluate[key].default
+        """eval sets only evaluate_detector's seed; its proposal counts are constants."""
+        assert list(inspect.signature(evaluate_detector).parameters) == ["model", "dataset", "seed"]
+        assert SETTINGS["eval"] == {"seed": 0}
         assert SETTINGS["cam"]["cam_k"] == inspect.signature(compute_cam).parameters["k"].default
+
+    # settings that became module constants: training's recipe and eval's proposal counts
+    REMOVED = {
+        "train": ["base_lr", "lr_decay_step", "lr_decay_factor", "momentum", "weight_decay",
+                  "pos_fraction", "pos_iou", "n_pos_jitter", "n_neg", "gaussian_std"],
+        "eval": ["n_pos_jitter", "n_neg"],
+    }
+
+    @pytest.mark.parametrize("command, key", [(c, k) for c, keys in REMOVED.items() for k in keys])
+    def test_a_removed_setting_is_a_usage_error(self, small_run, tmp_path, capsys, command, key):
+        data, run = small_run
+        paths = {"train": ["--data-dir", str(data)], "eval": ["--data-dir", str(data), "--checkpoint", str(run / "checkpoint.san")]}
+        out = tmp_path / "x"
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out-dir", str(out), *paths[command], flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", REMOVED["train"])
+    def test_a_removed_setting_in_a_config_file_is_an_error(self, small_run, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 0.1\n")
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out), "--data-dir", str(small_run[0])]) == 2
+        assert f"error: {cfg}:1: unknown configuration key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGenData:
@@ -247,8 +275,8 @@ class TestTrain:
         meta = json.loads((run / "run-meta.json").read_text())
         assert meta["command"] == "train"
 
-    SAMPLING = {"pos_iou": 0.4, "pos_fraction": 0.5, "images_per_step": 3, "n_pos_jitter": 4, "n_neg": 12}
-    BASE = {"iterations": 3, "seed": 4, "rois_per_image": 10, "san_samples": 4}
+    SAMPLING = {"images_per_step": 3, "rois_per_image": 10, "san_samples": 4}
+    BASE = {"iterations": 3, "seed": 4}
 
     def test_sampling_flags_match_library_training(self, small_run, tmp_path):
         data, _ = small_run
@@ -324,7 +352,7 @@ class TestTrain:
         """A non-finite loss ends the run with exit 2 and an error line (in a
         subprocess: divergence overflows, and the suite makes that an error)."""
         data, _ = small_run
-        argv = ["train", "--out-dir", str(tmp_path / "x"), "--data-dir", str(data), "--base-lr", "1e6", "--iterations", "20",
+        argv = ["train", "--out-dir", str(tmp_path / "x"), "--data-dir", str(data), "--san-loss-weight", "1e10", "--iterations", "20",
                 "--rois-per-image", "10", "--san-samples", "4"]
         env = dict(os.environ, PYTHONPATH=str(Path(sanlab.__file__).parent.parent))
         proc = subprocess.run([sys.executable, "-m", "sanlab", *argv], capture_output=True, text=True, env=env, timeout=300)
@@ -351,28 +379,13 @@ class TestTrain:
         assert re.search(r"^error: ref_scale 4 is below the backbone stride 8$", capsys.readouterr().err, re.M)
         assert not out.exists()
 
-    def test_pos_fraction_above_one_rejected(self, small_run, tmp_path, capsys):
-        data, _ = small_run
-        rc = main(
-            [
-                "train",
-                "--out-dir", str(tmp_path / "x"),
-                "--data-dir", str(data),
-                "--pos-fraction", "2",
-                "--rois-per-image", "4",
-                "--san-samples", "2",
-                "--iterations", "1",
-            ]
-        )
-        assert rc == 2
-        assert "pos_fraction" in capsys.readouterr().err
-
     def test_non_finite_learning_rate_rejected(self, small_run, tmp_path, capsys):
+        """A non-finite float setting ends the run before it trains."""
         data, _ = small_run
         out = tmp_path / "x"
-        rc = main(["train", "--out-dir", str(out), "--data-dir", str(data), "--base-lr", "nan", "--iterations", "1"])
+        rc = main(["train", "--out-dir", str(out), "--data-dir", str(data), "--san-loss-weight", "nan", "--iterations", "1"])
         assert rc == 2
-        assert "base_lr must be finite" in capsys.readouterr().err
+        assert "san_loss_weight must be finite" in capsys.readouterr().err
         assert not (out / "checkpoint.san").exists()
 
     @pytest.mark.parametrize("text", ["a,b", "1,,2"])
@@ -382,14 +395,6 @@ class TestTrain:
         rc = main(["train", "--out-dir", str(out), "--data-dir", str(data), "--boundaries", text, "--iterations", "1"])
         assert rc == 2
         assert f"error: bad boundaries: {text!r}" in capsys.readouterr().err
-        assert not (out / "checkpoint.san").exists()
-
-    def test_no_proposal_source_rejected(self, small_run, tmp_path, capsys):
-        data, _ = small_run
-        out = tmp_path / "x"
-        rc = main(["train", "--out-dir", str(out), "--data-dir", str(data), "--n-neg", "0", "--n-pos-jitter", "0"])
-        assert rc == 2
-        assert "error: n_pos_jitter and n_neg are both 0" in capsys.readouterr().err
         assert not (out / "checkpoint.san").exists()
 
     def test_negative_seed_is_an_error(self, small_run, tmp_path, capsys):
@@ -457,26 +462,6 @@ class TestEval:
         rc = main(["eval", "--out-dir", str(out), "--data-dir", str(data), "--checkpoint", str(run / "checkpoint.san"), "--seed", "-3"])
         assert rc == 2
         assert "error: seed must be a non-negative integer, got -3" in capsys.readouterr().err
-        assert not (out / "metrics.json").exists()
-
-    @pytest.mark.parametrize("flag, value", [("--n-neg", "-1"), ("--n-pos-jitter", "-2")])
-    def test_negative_proposal_count_is_an_error(self, small_run, tmp_path, capsys, flag, value):
-        data, run = small_run
-        out = tmp_path / "e"
-        rc = main(["eval", "--out-dir", str(out), "--data-dir", str(data), "--checkpoint", str(run / "checkpoint.san"), flag, value])
-        assert rc == 2
-        assert "error: proposal counts must be non-negative" in capsys.readouterr().err
-        assert not (out / "metrics.json").exists()
-
-    def test_no_proposal_source_is_an_error(self, small_run, tmp_path, capsys):
-        """The rule `train` applies: with neither jittered copies nor
-        negatives there is nothing to score, so no mAP is written."""
-        data, run = small_run
-        out = tmp_path / "e"
-        ckpt = str(run / "checkpoint.san")
-        rc = main(["eval", "--out-dir", str(out), "--data-dir", str(data), "--checkpoint", ckpt, "--n-neg", "0", "--n-pos-jitter", "0"])
-        assert rc == 2
-        assert "error: n_pos_jitter and n_neg are both 0" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
     @pytest.mark.parametrize("class_id", BAD_CLASS_IDS, ids=["background", "above-num-classes"])

@@ -94,6 +94,10 @@ class TestParams:
         assert "unknown configuration key 'learning_rate'" in err
 
     def test_params_cover_every_training_field(self, train_cli):
+        assert list(cli.SETTINGS["train"]) == [
+            "iterations", "images_per_step", "rois_per_image", "num_classes", "san", "init", "san_pool",
+            "san_samples", "san_loss_weight", "seed", "scheme", "ref_scale", "boundaries",
+        ]
         renamed = {cli.TRAIN_RENAMES.get(f.name, f.name): f.default for f in dataclasses.fields(TrainingConfig) if f.name != "scheme"}
         assert cli.SETTINGS["train"] == renamed | {"scheme": "toy", "ref_scale": None, "boundaries": None}
         rc, cfg, _ = train_cli()
@@ -112,9 +116,9 @@ class TestParams:
         assert again == cfg
 
     def test_sampling_params_reach_the_training_config(self, train_cli):
-        rc, cfg, _ = train_cli("--images-per-step", "3", "--pos-fraction", "0.5", "--pos-iou", "0.4", "--n-pos-jitter", "4", "--n-neg", "12")
+        rc, cfg, _ = train_cli("--images-per-step", "3", "--rois-per-image", "12", "--san-samples", "5")
         assert rc == 0
-        assert (cfg.images_per_step, cfg.pos_fraction, cfg.pos_iou, cfg.n_pos_jitter, cfg.n_neg) == (3, 0.5, 0.4, 4, 12)
+        assert (cfg.images_per_step, cfg.rois_per_image, cfg.san_samples) == (3, 12, 5)
 
     def test_constructor_rejects_unknown(self, train_cli):
         with pytest.raises(SystemExit) as exc:

@@ -25,6 +25,7 @@ from sanlab.data import Annotation, DatasetConfig, generate_dataset, make_propos
 from sanlab.errors import RoiError
 from sanlab.losses import assign_roi_labels, box_iou, encode_regression
 from sanlab.rng import derive
+from sanlab import training
 from sanlab.training import TrainingConfig, build_step_batch
 
 
@@ -237,22 +238,25 @@ def step_datasets(images):
     }
 
 
+# name -> dataset, TrainingConfig fields, `training` constants
 STEP_CONFIGS = {
-    "default": ("plain", {}),
-    "object-free images": ("object-free", {}),
-    "no jittered copies": ("plain", {"n_pos_jitter": 0}),
-    "no negatives": ("plain", {"n_neg": 0}),
-    "no positives wanted": ("plain", {"pos_fraction": 0.0}),
-    "only positives wanted": ("plain", {"pos_fraction": 1.0}),
-    "no scale-aware subset": ("plain", {"san_samples": 0}),
-    "three mixed-size images": ("mixed-size", {"images_per_step": 3}),
+    "default": ("plain", {}, {}),
+    "object-free images": ("object-free", {}, {}),
+    "no jittered copies": ("plain", {}, {"N_POS_JITTER": 0}),
+    "no negatives": ("plain", {}, {"N_NEG": 0}),
+    "no positives wanted": ("plain", {}, {"POS_FRACTION": 0.0}),
+    "only positives wanted": ("plain", {}, {"POS_FRACTION": 1.0}),
+    "no scale-aware subset": ("plain", {"san_samples": 0}, {}),
+    "three mixed-size images": ("mixed-size", {"images_per_step": 3}, {}),
 }
 
 
 @pytest.mark.parametrize("name", list(STEP_CONFIGS))
-def test_step_batches_match_the_per_roi_sampler(step_datasets, name):
+def test_step_batches_match_the_per_roi_sampler(step_datasets, monkeypatch, name):
     """300 steps per config: every field of every step is the old sampler's."""
-    data, overrides = STEP_CONFIGS[name]
+    data, overrides, constants = STEP_CONFIGS[name]
+    for constant, value in constants.items():
+        monkeypatch.setattr(training, constant, value)
     dataset = step_datasets[data]
     cfg = TrainingConfig(seed=4, **overrides)
     for step in range(300):
@@ -261,9 +265,10 @@ def test_step_batches_match_the_per_roi_sampler(step_datasets, name):
         ), f"step {step}"
 
 
-def test_a_step_without_rois_fails_as_the_per_roi_sampler_does(step_datasets):
+def test_a_step_without_rois_fails_as_the_per_roi_sampler_does(step_datasets, monkeypatch):
+    monkeypatch.setattr(training, "N_NEG", 0)
     bare = [(img, []) for img, _ in step_datasets["plain"][:4]]
-    cfg = TrainingConfig(n_neg=0)
+    cfg = TrainingConfig()
     with pytest.raises(RoiError) as got:
         build_step_batch(bare, cfg, 3)
     with pytest.raises(RoiError) as want:
