@@ -13,12 +13,14 @@ the reference scale, run the backbone, pool globally), which
 `sanlab.extract_reference_feature` is its one-RoI case, so it too crops
 the cell footprint rather than the RoI itself.
 
-Average RoI pooling stacks the RoIs of each cell width so that its forward
-column products are one GEMM per width; its backward runs on full-map bin
-matrices, two batched GEMMs per image.  A product one row or column wide
-would run as GEMV, whose rounding depends on its shape, so the backward of
-RoIs one cell wide or high stays per channel, and every bit is that of
-pooling each RoI alone.
+RoIs reach the pooling as an (N, 4) box array (`box_array` makes one of
+`RoI`s), and each call finds every box's map row, cell span, bin sizes and
+width group in whole-array passes.  Average RoI pooling stacks the RoIs of
+each cell width so that its forward column products are one GEMM per width;
+its backward runs on full-map bin matrices, two batched GEMMs per image.  A
+product one row or column wide would run as GEMV, whose rounding depends on
+its shape, so the backward of RoIs one cell wide or high stays per channel,
+and every bit is that of pooling each RoI alone.
 """
 
 from __future__ import annotations
@@ -107,6 +109,11 @@ def box_array(rois: Sequence[RoI]) -> np.ndarray:
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in rois], dtype=np.float64).reshape(-1, 4)
 
 
+def box_area(boxes: np.ndarray) -> np.ndarray:
+    """The pixel area of each of (N, 4) boxes: `RoI.area`'s float64 product."""
+    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+
+
 # Fixed miniature architecture: (out_channels, kernel, stride, pad) per block.
 # Three strided 3x3 blocks then a 1x1 feature-extraction layer, all ReLU.
 BACKBONE_BLOCKS: tuple[tuple[int, int, int, int], ...] = (
@@ -161,16 +168,22 @@ class Backbone:
         return size
 
     @classmethod
-    def cell_footprint(cls, lo: float, hi: float, size: int) -> tuple[int, int]:
+    def cell_footprint(cls, lo, hi, size) -> tuple[np.ndarray, np.ndarray]:
         """Input pixels [start, stop) of the cells that RoI pooling of
         [lo, hi) reads on the map of an axis of ``size`` pixels: the span
-        snapped out to the stride grid and clamped to the axis.  Raises
-        `RoiError` when the span reads no cell."""
-        c_lo, c_hi = _roi_cell_span(lo, hi, cls.map_size(size))
-        return c_lo * cls.total_stride, min(size, c_hi * cls.total_stride)
+        snapped out to the stride grid and clamped to the axis.  Scalars or
+        arrays of spans, elementwise in one pass (`_roi_cell_span`, whose
+        `RoiError` it raises)."""
+        # map sides in Python ints, once per distinct size: numpy's integer
+        # floor division is code the detection path never runs otherwise, and
+        # its first call pages it in (64 KiB resident)
+        flat = np.ravel(size).tolist()
+        cells = {s: cls.map_size(s) for s in set(flat)}
+        c_lo, c_hi = _roi_cell_span(lo, hi, np.reshape([cells[s] for s in flat], np.shape(size)))
+        return c_lo * cls.total_stride, np.minimum(size, c_hi * cls.total_stride)
 
     @classmethod
-    def roi_crop(cls, lo: float, hi: float, size: int) -> tuple[int, int]:
+    def roi_crop(cls, lo, hi, size) -> tuple[np.ndarray, np.ndarray]:
         """Input pixels [start, stop) of an axis of ``size`` whose forward
         pass gives, from cell start / total_stride on, the cells that RoI
         pooling of [lo, hi) reads on the whole input's map, bit for bit in
@@ -185,7 +198,7 @@ class Backbone:
         neighbours.
         """
         start, stop = cls.cell_footprint(lo, hi, size)
-        return max(0, start - cls.total_stride), stop
+        return np.maximum(0, start - cls.total_stride), stop
 
     @classmethod
     def split_scales(cls, scales: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -208,39 +221,46 @@ class Backbone:
         return x
 
 
-def _roi_cell_span(lo: float, hi: float, limit: int) -> tuple[int, int]:
-    """Cells [c_lo, c_hi) of an RoI span on a map axis of ``limit`` cells; `RoiError` if it reads none."""
+def _roi_cell_span(lo, hi, limit) -> tuple[np.ndarray, np.ndarray]:
+    """Cells [c_lo, c_hi) of RoI spans [lo, hi) on map axes of ``limit``
+    cells, elementwise over scalars or arrays (rows along the first axis):
+    floor(lo / stride) and ceil(hi / stride) clamped to the axis, as
+    integers.  Raises `RoiError` naming the first row whose span has a
+    non-finite bound or reads no cell."""
     stride = Backbone.total_stride
-    c_lo, c_hi = max(0, math.floor(lo / stride)), min(limit, math.ceil(hi / stride))
-    if c_hi <= c_lo:
-        raise RoiError(f"RoI span [{lo}, {hi}) reads no cell of a {limit}-cell map axis at stride {stride}")
-    return c_lo, c_hi
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    c_lo, c_hi = np.maximum(np.floor(lo / stride), 0), np.minimum(np.ceil(hi / stride), limit)
+    ok = (c_lo < c_hi) & np.isfinite(lo) & np.isfinite(hi)
+    if np.count_nonzero(ok) < ok.size:
+        at = np.unravel_index(np.argmin(ok), ok.shape)
+        span = f"RoI {at[0]} span" if at else "RoI span"
+        if not (np.isfinite(lo[at]) and np.isfinite(hi[at])):
+            raise RoiError(f"{span} [{lo[at]}, {hi[at]}) has a non-finite bound")
+        limit = np.broadcast_to(limit, ok.shape)[at]
+        raise RoiError(f"{span} [{lo[at]}, {hi[at]}) reads no cell of a {limit}-cell map axis at stride {stride}")
+    return c_lo.astype(np.intp), c_hi.astype(np.intp)
 
 
-def _roi_cells(feat: Tensor, roi: RoI) -> tuple[int, int, int, int]:
-    """(y_lo, y_hi, x_lo, x_hi): the cells an RoI reads on an NxCxhxw map."""
-    fh, fw = feat.shape[2:]
-    return _roi_cell_span(roi.y1, roi.y2, fh) + _roi_cell_span(roi.x1, roi.x2, fw)
+def roi_pool(maps: Sequence[Tensor], boxes: np.ndarray, slots, mode: str = "avg") -> Tensor:
+    """Pool box n on image slots[n] to an out x out grid, out = ROI_OUT: (N, C, out, out).
 
-
-def roi_pool(maps: Sequence[Tensor], rois: Sequence[RoI], slots: Sequence[int], mode: str = "avg") -> Tensor:
-    """Pool RoI n on image slots[n] to an out x out grid, out = ROI_OUT: (N, C, out, out).
-
-    Each map is an n_i x C x h x w tensor, one backbone pass over n_i
-    images of one size; image slots[n] is row slots[n] of the maps' batch
-    axes concatenated in list order, so with 1xCxhxw maps a slot is a map's
-    index.  Cells: coordinates divided by the backbone stride, floor(x1) /
-    ceil(x2), clamped to the map.  Bin b covers cells [floor(b*span/out),
-    ceil((b+1)*span/out)), so bins are never empty.  Row n is bitwise
-    rois[n] pooled alone, in the dtype of the maps some RoI reads, which
-    must all have one.  Max mode takes the maxima of each column bin, then
-    of each row bin over those; it has no backward, so it returns a
-    constant tensor and raises `GraphError` when a map some RoI reads takes
-    a gradient.  Average mode is rows @ cells @ cols.T with 0/1 bin
-    matrices (exact on integer-valued data) and spreads gradient uniformly
-    over a bin.  It is one tape node: its parents are the map tensors some
-    RoI reads, in list order, and its backward sums each image's RoI
-    gradients, in RoI order, into one buffer per map tensor.
+    ``boxes`` is an (N, 4) array of x1, y1, x2, y2 in input pixels
+    (`box_array` makes one of `RoI`s).  Each map is an n_i x C x h x w
+    tensor, one backbone pass over n_i images of one size; image slots[n]
+    is row slots[n] of the maps' batch axes concatenated in list order, so
+    with 1xCxhxw maps a slot is a map's index.  Cells: coordinates divided
+    by the backbone stride, floor(x1) / ceil(x2), clamped to the map
+    (`_roi_cell_span`, over every box at once).  Bin b covers cells
+    [floor(b*span/out), ceil((b+1)*span/out)), so bins are never empty.
+    Row n is bitwise box n pooled alone, in the dtype of the maps some box
+    reads, which must all have one.  Max mode takes the maxima of each
+    column bin, then of each row bin over those; it has no backward, so it
+    returns a constant tensor and raises `GraphError` when a map some box
+    reads takes a gradient.  Average mode is rows @ cells @ cols.T with 0/1
+    bin matrices (exact on integer-valued data) and spreads gradient
+    uniformly over a bin.  It is one tape node: its parents are the map
+    tensors some box reads, in list order, and its backward sums each
+    image's RoI gradients, in RoI order, into one buffer per map tensor.
 
     In average mode the forward stacks the RoIs of each cell width, so its
     column products are one GEMM per width, (G*C*out, w) @ cols.T; its row
@@ -257,16 +277,20 @@ def roi_pool(maps: Sequence[Tensor], rois: Sequence[RoI], slots: Sequence[int], 
     """
     if mode not in ("avg", "max"):
         raise ShapeError(f"roi_pool mode must be 'avg' or 'max', got {mode!r}")
-    if not rois:
-        raise RoiError("roi_pool needs at least one RoI")
     for t in maps:
         if t.data.ndim != 4:
             raise ShapeError(f"roi_pool expects NxCxhxw feature maps, got {t.shape}")
-    images = [(m, r) for m, t in enumerate(maps) for r in range(t.shape[0])]  # slot -> (map, row)
-    if len(slots) != len(rois) or not 0 <= min(slots) <= max(slots) < len(images):
-        raise ShapeError(f"roi_pool needs one slot in [0, {len(images)}) per RoI, got {list(slots)} for {len(rois)} RoIs")
-    regions = [(*images[s], *_roi_cells(maps[images[s][0]], roi)) for roi, s in zip(rois, slots)]
-    inputs = {m: maps[m] for m in sorted({region[0] for region in regions})}
+    if not (isinstance(boxes, np.ndarray) and boxes.ndim == 2 and boxes.shape[1] == 4):
+        raise ShapeError(f"roi_pool takes an (N, 4) box array (`box_array` makes one of RoIs), got {np.shape(boxes)}")
+    if not len(boxes):
+        raise RoiError("roi_pool needs at least one RoI")
+    images = [(m, r, *t.shape[:1:-1]) for m, t in enumerate(maps) for r in range(t.shape[0])]  # slot -> map, row, w, h
+    slots = np.asarray(slots)
+    if slots.shape != (len(boxes),) or slots.dtype.kind not in "iu" or not 0 <= min(slots.tolist()) <= max(slots.tolist()) < len(images):
+        raise ShapeError(f"roi_pool needs one slot in [0, {len(images)}) per RoI, got {slots.tolist()} for {len(boxes)} RoIs")
+    table = np.array(images)[slots]  # per RoI: its map tensor, its row there, the map's width and height
+    lo, hi = _roi_cell_span(boxes[:, :2], boxes[:, 2:], table[:, 2:])  # (N, 2): x, then y
+    inputs = {m: maps[m] for m in sorted(set(table[:, 0].tolist()))}
     channels = {t.shape[1] for t in inputs.values()}
     if len(channels) > 1:
         raise ShapeError(f"roi_pool maps differ in channel count: {sorted(channels)}")
@@ -275,56 +299,58 @@ def roi_pool(maps: Sequence[Tensor], rois: Sequence[RoI], slots: Sequence[int], 
     dtypes = {t.dtype for t in inputs.values()}
     if len(dtypes) > 1:
         raise ShapeError(f"roi_pool maps differ in dtype: {sorted(d.name for d in dtypes)}")
-    out_data = np.empty((len(rois), channels.pop(), ROI_OUT, ROI_OUT), dtype=dtypes.pop())
-    cells = [maps[m].data[r, :, y0:y1, x0:x1] for m, r, y0, y1, x0, x1 in regions]
+    out_data = np.empty((len(boxes), channels.pop(), ROI_OUT, ROI_OUT), dtype=dtypes.pop())
+    span = hi - lo
+    edges = _bin_edges(span)
+    regions = np.concatenate([table[:, :2], lo, hi], axis=1).tolist()  # per RoI: map, row, x_lo, y_lo, x_hi, y_hi
+    cells = [maps[m].data[r, :, y0:y1, x0:x1] for m, r, x0, y0, x1, y1 in regions]
     if mode == "max":
-        _max_pool(cells, out_data)
+        _max_pool(cells, out_data, edges)
         return Tensor(out_data)
-    return ag._result(out_data, tuple(inputs.values()), _avg_pool(cells, out_data, regions, inputs))
+    backward = _avg_pool(cells, out_data, edges, slots, lo, span, regions, inputs)
+    return ag._result(out_data, tuple(inputs.values()), backward)
 
 
-def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int, ...]], inputs: dict[int, Tensor]):
+def _avg_pool(cells, dst, edges, slots, lo, span, regions, inputs):
     """Average-pool each RoI's (C, h, w) cells into dst[n], column products
     grouped by width (see `roi_pool`); return the backward, which sums a
     (N, C, out, out) gradient into one buffer per map tensor, each image's
-    RoIs in order into its row."""
+    RoIs in order into its row.  ``lo``, ``span`` and ``edges`` are each
+    RoI's first cell, cell count and `_bin_edges`, x then y."""
     n, c, out, _ = dst.shape
-    rows = [_bin_matrix(x.shape[1], dst.dtype)[0] for x in cells]
-    widths: dict[int, list[int]] = {}  # cell width -> its RoIs, in RoI order
-    for i, x in enumerate(cells):
-        widths.setdefault(x.shape[2], []).append(i)
-    cols = {w: _bin_matrix(w, dst.dtype)[0] for w in widths}
-    counts = np.concatenate([_bin_counts(*x.shape[1:], dst.dtype) for x in cells])
-    for w, group in widths.items():
-        row_sums = np.empty((len(group), c, out, w), dtype=dst.dtype)
-        for k, i in enumerate(group):
-            np.matmul(rows[i], cells[i], out=row_sums[k])
-        dst[group] = (row_sums.reshape(-1, w) @ cols[w].T).reshape(len(group), c, out, out)
+    first, stop = edges
+    sizes = stop - first  # (N, 2, out): cells per bin
+    counts = (sizes[:, 1, :, None] * sizes[:, 0, None, :]).astype(dst.dtype)[:, None]  # (N, 1, out, out)
+    heights, widths = span[:, 1].tolist(), span[:, 0]
+    for w in sorted(set(widths.tolist())):
+        group = np.flatnonzero(widths == w)
+        row_sums = np.empty((group.size, c, out, w), dtype=dst.dtype)
+        for k, i in enumerate(group.tolist()):
+            np.matmul(_bin_matrix(heights[i], dst.dtype), cells[i], out=row_sums[k])
+        dst[group] = (row_sums.reshape(-1, w) @ _bin_matrix(w, dst.dtype).T).reshape(group.size, c, out, out)
     dst /= counts
 
     def backward(grad_out: np.ndarray):
         grads = {m: np.zeros_like(t.data) for m, t in inputs.items()}
-        table = np.array(regions)  # per RoI: map, row, y_lo, y_hi, x_lo, x_hi
-        images, lo, span = table[:, :2], table[:, 2::2], table[:, 3::2] - table[:, 2::2]  # (N, 2): rows, columns
-        ends = np.arange(out + 1) * span[..., None]
-        first, stop = lo[..., None] + ends[..., :-1] // out, lo[..., None] - (-ends[..., 1:] // out)  # (N, 2, out)
         extent = max(max(g.shape[2:]) for g in grads.values())
         below = np.tri(extent + 1, extent, -1, dst.dtype)  # row a: ones at the cells below a
-        bins = below[stop] - below[first]  # (N, 2, out, extent): full-map bin matrices
-        for m, r in sorted(set(map(tuple, images.tolist()))):
-            j = np.flatnonzero((images == (m, r)).all(axis=1))
+        bins = below[lo[..., None] + stop] - below[lo[..., None] + first]  # (N, 2, out, extent): full-map bin matrices
+        for s in sorted(set(slots.tolist())):
+            j = np.flatnonzero(slots == s)
+            m, r = regions[j[0]][:2]
             buf = grads[m][r]
             fh, fw = buf.shape[1:]
             scaled = grad_out[j] / counts[j]
             # (j, C, out, out) -> (j, out, C, out), moved in whole bin rows of out values
             bin_row = np.dtype((np.void, out * scaled.itemsize))
             g = np.ascontiguousarray(scaled.view(bin_row).transpose(0, 2, 1, 3)).view(scaled.dtype)
-            g = np.matmul(g.reshape(j.size, out * c, out), bins[j, 1, :, :fw]).reshape(j.size, out, c * fw)
-            g = np.matmul(bins[j, 0, :, :fh].transpose(0, 2, 1), g).reshape(j.size, fh, c, fw)
+            g = np.matmul(g.reshape(j.size, out * c, out), bins[j, 0, :, :fw]).reshape(j.size, out, c * fw)
+            g = np.matmul(bins[j, 1, :, :fh].transpose(0, 2, 1), g).reshape(j.size, fh, c, fw)
             for k in np.flatnonzero(span[j].min(axis=1) == 1).tolist():  # one call per channel
-                _, _, y0, y1, x0, x1 = table[j[k]].tolist()
+                _, _, x0, y0, x1, y1 = regions[j[k]]
+                rows, cols = _bin_matrix(y1 - y0, dst.dtype), _bin_matrix(x1 - x0, dst.dtype)
                 g[k] = 0
-                g[k, y0:y1, :, x0:x1] = np.matmul(rows[j[k]].T, np.matmul(scaled[k], cols[x1 - x0])).transpose(1, 0, 2)
+                g[k, y0:y1, :, x0:x1] = np.matmul(rows.T, np.matmul(scaled[k], cols)).transpose(1, 0, 2)
             buf[...] = np.add.reduce(g, axis=0, initial=0).transpose(1, 0, 2)  # in RoI order
         for m, t in inputs.items():
             if t.requires_grad:
@@ -333,46 +359,42 @@ def _avg_pool(cells: list[np.ndarray], dst: np.ndarray, regions: list[tuple[int,
     return backward
 
 
-def _max_pool(cells: list[np.ndarray], dst: np.ndarray):
+def _max_pool(cells: list[np.ndarray], dst: np.ndarray, edges: tuple[np.ndarray, np.ndarray]):
     """Max-pool each RoI's (C, h, w) cells into dst[n]: the maxima of each
-    column bin, then of each row bin over those."""
-    for x, d in zip(cells, dst):
-        cols = np.stack([x[:, :, lo:hi].max(axis=2) for lo, hi in _bin_spans(x.shape[2])], axis=2)
-        for b, (lo, hi) in enumerate(_bin_spans(x.shape[1])):
+    column bin, then of each row bin over those (each RoI's `_bin_edges`,
+    x then y)."""
+    for x, d, (x_first, y_first), (x_stop, y_stop) in zip(cells, dst, *(e.tolist() for e in edges)):
+        cols = np.stack([x[:, :, lo:hi].max(axis=2) for lo, hi in zip(x_first, x_stop)], axis=2)
+        for b, (lo, hi) in enumerate(zip(y_first, y_stop)):
             d[:, b] = cols[:, lo:hi].max(axis=1)
 
 
-def _bin_spans(span: int) -> list[tuple[int, int]]:
-    """The [lo, hi) cell range of each of ROI_OUT bins over span cells (see `roi_pool`)."""
-    return [(math.floor(b * span / ROI_OUT), math.ceil((b + 1) * span / ROI_OUT)) for b in range(ROI_OUT)]
+def _bin_edges(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ROI_OUT bins' first cell floor(b*span/out) and end
+    ceil((b+1)*span/out) over spans of ``span`` cells (see `roi_pool`):
+    two integer arrays of shape span.shape + (ROI_OUT,)."""
+    ends = span[..., None] * np.arange(ROI_OUT + 1) / ROI_OUT
+    return np.floor(ends[..., :-1]).astype(np.intp), np.ceil(ends[..., 1:]).astype(np.intp)
 
 
 @functools.lru_cache(maxsize=None)
-def _bin_matrix(span: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 matrix mapping span cells to ROI_OUT bins by fractional coverage,
-    and its row sums (cells per bin).  Cached, so both are read-only."""
+def _bin_matrix(span: int, dtype) -> np.ndarray:
+    """0/1 matrix mapping span cells to ROI_OUT bins by fractional coverage
+    (`_bin_edges`).  Cached, so read-only."""
+    first, stop = (e.tolist() for e in _bin_edges(np.asarray(span)))
     m = np.zeros((ROI_OUT, span), dtype=dtype)
-    for b, (lo, hi) in enumerate(_bin_spans(span)):
+    for b, (lo, hi) in enumerate(zip(first, stop)):
         m[b, lo:hi] = 1
-    sizes = m.sum(axis=1)
     m.flags.writeable = False
-    sizes.flags.writeable = False
-    return m, sizes
+    return m
 
 
-@functools.lru_cache(maxsize=None)
-def _bin_counts(h: int, w: int, dtype) -> np.ndarray:
-    """Cells per bin of an h x w region, shaped (1, 1, ROI_OUT, ROI_OUT).  Cached, so read-only."""
-    counts = (_bin_matrix(h, dtype)[1][:, None] * _bin_matrix(w, dtype)[1])[None, None]
-    counts.flags.writeable = False
-    return counts
-
-
-def batched_reference_features(pairs: Sequence[tuple[np.ndarray, RoI]], ref_scale: int, bb: Backbone) -> np.ndarray:
+def batched_reference_features(pairs: Sequence[tuple[np.ndarray, Sequence[float]]], ref_scale: int, bb: Backbone) -> np.ndarray:
     """Reference-scale channel features of many RoIs: an (N, C, 1, 1) array.
 
     Each pair is an image's 1x3xHxW pixels (`to_pixels` of its levels) and
-    an RoI on it.  The RoI's cell footprint (`Backbone.cell_footprint`) is
+    a box on it, its x1, y1, x2, y2 (a row of a box array).  The box's cell
+    footprint (`Backbone.cell_footprint`, one call for all the boxes) is
     cropped, so both siamese pathways see the pixels of the cells pooling
     reads (at stride 8 on small images the cell snap would otherwise
     dominate the scale effect being learned), and resized to ref_scale x
@@ -381,10 +403,11 @@ def batched_reference_features(pairs: Sequence[tuple[np.ndarray, RoI]], ref_scal
     batch axis never mixes into a reduction.
     """
     with ag.no_grad():
+        boxes = np.array([box for _, box in pairs], dtype=np.float64).reshape(-1, 4)
+        sides = np.array([pixels.shape[:1:-1] for pixels, _ in pairs])  # per box: image width, height
+        start, stop = bb.cell_footprint(boxes[:, :2], boxes[:, 2:], sides)  # (N, 2): x, then y
         patches = []
-        for pixels, roi in pairs:
-            y0, y1 = bb.cell_footprint(roi.y1, roi.y2, pixels.shape[2])
-            x0, x1 = bb.cell_footprint(roi.x1, roi.x2, pixels.shape[3])
+        for (pixels, _), (x0, y0), (x1, y1) in zip(pairs, start.tolist(), stop.tolist()):
             crop = Tensor(pixels[:, :, y0:y1, x0:x1])
             patches.append(ag.bilinear_resize(crop, ref_scale, ref_scale).data)
         return ag.global_avg_pool(bb.forward(Tensor(np.concatenate(patches, axis=0)))).data
@@ -397,7 +420,7 @@ def extract_reference_feature(img: Image, roi: RoI, ref_scale: int, bb: Backbone
     RoI's cell footprint, not the RoI itself.  Returns a
     (1, C, 1, 1) tensor that carries no gradient.
     """
-    return Tensor(batched_reference_features([(to_pixels(img.levels), roi)], ref_scale, bb))
+    return Tensor(batched_reference_features([(to_pixels(img.levels), box_array([roi])[0])], ref_scale, bb))
 
 
 def cam_scale_sweep(

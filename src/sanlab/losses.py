@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter, Tensor
-from .backbone import RoI, box_array
+from .backbone import RoI, box_area, box_array
 from .errors import RoiError, ShapeError
 from .rng import STREAM_WEIGHTS, derive
 
@@ -68,18 +68,26 @@ class DetectionHead:
 
 def encode_regression(roi: RoI, gt: RoI) -> RegressionTarget:
     """Offsets that map the RoI onto the ground-truth box."""
-    rw, rh = roi.width, roi.height
+    return RegressionTarget(*_box_offsets((roi.x1, roi.y1, roi.x2, roi.y2), (gt.x1, gt.y1, gt.x2, gt.y2)))
+
+
+def encode_boxes(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
+    """`encode_regression` of each of (N, 4) boxes onto the ground truth in
+    its row of ``gt_boxes``: (N, 4) float64 tx, ty, tw, th, each row in that
+    scalar arithmetic (`math.log`, which `np.log` may miss by an ulp)."""
+    rows = [_box_offsets(box, gt) for box, gt in zip(boxes.tolist(), gt_boxes.tolist())]
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
+def _box_offsets(box, gt) -> tuple[float, float, float, float]:
+    x1, y1, x2, y2 = box
+    rw, rh = x2 - x1, y2 - y1
     if rw <= 0 or rh <= 0:
-        raise RoiError(f"cannot encode against zero-size RoI ({roi.x1},{roi.y1},{roi.x2},{roi.y2})")
-    rx, ry = roi.x1 + rw / 2, roi.y1 + rh / 2
-    gw, gh = gt.width, gt.height
-    gx, gy = gt.x1 + gw / 2, gt.y1 + gh / 2
-    return RegressionTarget(
-        tx=(gx - rx) / rw,
-        ty=(gy - ry) / rh,
-        tw=math.log(gw / rw),
-        th=math.log(gh / rh),
-    )
+        raise RoiError(f"cannot encode against zero-size RoI ({x1},{y1},{x2},{y2})")
+    rx, ry = x1 + rw / 2, y1 + rh / 2
+    gw, gh = gt[2] - gt[0], gt[3] - gt[1]
+    gx, gy = gt[0] + gw / 2, gt[1] + gh / 2
+    return (gx - rx) / rw, (gy - ry) / rh, math.log(gw / rw), math.log(gh / rh)
 
 
 def decode_regression(t: RegressionTarget, roi: RoI) -> RoI:
@@ -129,8 +137,7 @@ def match_boxes(boxes: np.ndarray, gt_boxes: np.ndarray, pos_iou: float) -> tupl
     r, g = boxes[:, None], gt_boxes[None]
     side = np.maximum(0.0, np.minimum(r[..., 2:], g[..., 2:]) - np.maximum(r[..., :2], g[..., :2]))  # (P, G, 2)
     inter = side[..., 0] * side[..., 1]
-    area = (boxes[:, 2:] - boxes[:, :2]).prod(axis=1)[:, None], (gt_boxes[:, 2:] - gt_boxes[:, :2]).prod(axis=1)
-    iou = np.where(inter > 0, inter / (area[0] + area[1] - inter), 0.0)
+    iou = np.where(inter > 0, inter / (box_area(boxes)[:, None] + box_area(gt_boxes) - inter), 0.0)
     best = iou.argmax(axis=1)  # first maximum: the lowest index wins a tie
     return best, iou[np.arange(len(boxes)), best] >= pos_iou
 
@@ -145,26 +152,28 @@ class LossParts:
     l_san: float
 
 
-def regression_loss(deltas: Tensor, labels: list[int], targets: list[RegressionTarget | None]) -> Tensor:
+def regression_loss(deltas: Tensor, labels, targets: np.ndarray) -> Tensor:
     """Robust-L1 box loss, masked to foreground RoIs' own-class slice.
 
     Mean over all N rows of [u >= 1] * sum_coord smooth_l1(t^u - v), so
-    background rows contribute exactly zero; ``deltas`` is (N, 4K).
+    background rows contribute exactly zero; ``deltas`` is (N, 4K) and
+    ``targets`` holds each row's (tx, ty, tw, th), (N, 4), read on
+    foreground rows only and in float32 precision.
     """
     n, classes = deltas.shape[0], deltas.shape[1] // 4
+    labels, targets = np.asarray(labels, dtype=np.intp), np.asarray(targets)
+    if targets.shape != (n, 4):
+        raise ShapeError(f"regression_loss needs one (tx, ty, tw, th) target per row of its {n} deltas, got shape {targets.shape}")
+    fg = np.flatnonzero(labels >= 1)
+    above = labels[fg] > classes
+    if above.any():  # the first bad foreground row raises
+        row = fg[above.argmax()]
+        raise ShapeError(f"foreground RoI at row {row} has label {labels[row]}, above the {classes} classes of its deltas")
     target = np.zeros(deltas.shape, dtype=deltas.data.dtype)
     mask = np.zeros(deltas.shape, dtype=deltas.data.dtype)
-    fg = [(row, u, v) for row, (u, v) in enumerate(zip(labels, targets)) if u >= 1]
-    for row, u, v in fg:  # the first bad foreground row raises
-        if u > classes:
-            raise ShapeError(f"foreground RoI at row {row} has label {u}, above the {classes} classes of its deltas")
-        if v is None:
-            raise ShapeError(f"foreground RoI at row {row} is missing a regression target")
-    if fg:
-        rows, us, vs = zip(*fg)
-        at = np.array(rows)[:, None], 4 * (np.array(us) - 1)[:, None] + np.arange(4)  # own-class slices
-        target[at] = np.array([(v.tx, v.ty, v.tw, v.th) for v in vs], dtype=np.float32)
-        mask[at] = 1.0
+    at = fg[:, None], 4 * (labels[fg] - 1)[:, None] + np.arange(4)  # own-class slices
+    target[at] = targets[fg].astype(np.float32)
+    mask[at] = 1.0
     diff = ag.sub(deltas, Tensor(target))
     masked = ag.mul(ag.smooth_l1(diff), Tensor(mask))
     return ag.scale(ag.sum_all(masked), 1.0 / n)
@@ -173,12 +182,15 @@ def regression_loss(deltas: Tensor, labels: list[int], targets: list[RegressionT
 def multi_task_loss(
     logits: Tensor,
     deltas: Tensor,
-    labels: list[int],
-    targets: list[RegressionTarget | None],
+    labels,
+    targets: np.ndarray,
     san_terms: Tensor | None = None,
     san_loss_weight: float = 1.0,
 ) -> LossParts:
     """Classification + gated box regression + averaged scale-aware loss.
+
+    ``labels`` holds each row's class (0 for background) and ``targets``
+    its (N, 4) regression target (`regression_loss`).
 
     ``san_terms`` is the (N,) tensor of per-RoI branch losses in sampling
     order; the scale-aware component is their mean, summed left to right,

@@ -22,7 +22,7 @@ import numpy as np
 from . import autograd as ag
 from .analysis import ApResult, Detection, RmseRow, evaluate_ap, rmse_with_san, rmse_without_san
 from .autograd import Parameter, Tensor
-from .backbone import Backbone, Image, RoI, batched_reference_features, box_array, roi_pool, to_pixels
+from .backbone import Backbone, Image, RoI, batched_reference_features, box_area, box_array, roi_pool, to_pixels
 # nothing here calls the alias: perfbench's tracer looks the reference pathway up under both names
 from .backbone import extract_reference_feature as reference_feature_for_roi
 from .data import (
@@ -41,7 +41,7 @@ from .losses import (
     RegressionTarget,
     box_iou,
     decode_regression,
-    encode_regression,
+    encode_boxes,
     match_boxes,
     multi_task_loss,
 )
@@ -178,14 +178,15 @@ def subsample_index(size: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class StepBatch:
-    """Everything one optimization step consumes, fully sampled up front."""
+    """Everything one optimization step consumes, fully sampled up front:
+    per RoI, one row of each array."""
 
     images: list[Image]
-    rois: list[RoI]
-    image_slot: list[int]  # per RoI: index into images
-    labels: list[int]
-    targets: list[RegressionTarget | None]
-    san_indices: list[int]  # indices into rois for the scale-aware branch
+    boxes: np.ndarray  # (N, 4) float64: x1, y1, x2, y2
+    slots: np.ndarray  # (N,): index into images
+    labels: np.ndarray  # (N,): class, 0 for background
+    targets: np.ndarray  # (N, 4) float64: regression target, zero on background rows
+    san_indices: np.ndarray  # increasing indices into boxes for the scale-aware branch
 
 
 def build_step_batch(
@@ -200,42 +201,46 @@ def build_step_batch(
     `match_boxes`, then up to ``rois_per_image`` RoIs, a `POS_FRACTION`
     share of them positive: an ordered subsample of the positives, then of
     the negatives.  The kept RoIs are those `make_proposals` would give,
-    with their `assign_roi_labels` labels and targets; only they become
-    `RoI` and `RegressionTarget` objects.
+    with their `assign_roi_labels` labels and targets (`encode_boxes`), as
+    rows of arrays: a step makes no `RoI` or `RegressionTarget`.
     """
     rng = derive(cfg.seed, STREAM_STEP, step)
     n_img = min(cfg.images_per_step, len(dataset))
     picks = rng.choice(len(dataset), size=n_img, replace=False)
     images: list[Image] = []
-    rois: list[RoI] = []
-    slots: list[int] = []
-    labels: list[int] = []
-    targets: list[RegressionTarget | None] = []
+    boxes, slots, labels, targets = [], [], [], []  # per image: its kept RoIs' rows
     pos_cap = int(round(cfg.rois_per_image * POS_FRACTION))
     for slot, di in enumerate(picks.tolist()):
         img, anns = dataset[di]
         images.append(img)
         gt_boxes = box_array([a.box for a in anns])
-        boxes = proposal_boxes(gt_boxes, N_POS_JITTER, N_NEG, rng, (img.width, img.height))
-        best, positive = match_boxes(boxes, gt_boxes, POS_IOU)
-        classes = np.zeros(len(boxes), dtype=np.int64)
+        proposals = proposal_boxes(gt_boxes, N_POS_JITTER, N_NEG, rng, (img.width, img.height))
+        best, positive = match_boxes(proposals, gt_boxes, POS_IOU)
+        classes = np.zeros(len(proposals), dtype=np.int64)
         classes[positive] = np.array([a.class_id for a in anns], dtype=np.int64)[best[positive]]
         pos, neg = np.flatnonzero(classes >= 1), np.flatnonzero(classes == 0)
         n_pos = min(pos.size, pos_cap)
         n_neg = min(neg.size, cfg.rois_per_image - n_pos)
         keep = np.concatenate([pos[subsample_index(pos.size, n_pos, rng)], neg[subsample_index(neg.size, n_neg, rng)]])
-        kept = [RoI(*box) for box in boxes[keep].tolist()]
-        rois += kept
-        slots += [slot] * len(kept)
-        labels += classes[keep].tolist()
-        targets += [
-            encode_regression(roi, anns[k].box) if fg else None
-            for roi, k, fg in zip(kept, best[keep].tolist(), positive[keep].tolist())
-        ]
-    if not rois:
+        fg = positive[keep]
+        target = np.zeros((keep.size, 4))
+        target[fg] = encode_boxes(proposals[keep[fg]], gt_boxes[best[keep[fg]]])
+        boxes.append(proposals[keep])
+        slots.append(np.full(keep.size, slot))
+        labels.append(classes[keep])
+        targets.append(target)
+    n_rois = sum(len(b) for b in boxes)
+    if not n_rois:
         raise RoiError(f"step {step} sampled no RoI from dataset images {picks.tolist()}")
-    san_indices = subsample_index(len(rois), cfg.san_samples, rng).tolist()
-    return StepBatch(images=images, rois=rois, image_slot=slots, labels=labels, targets=targets, san_indices=san_indices)
+    san_indices = subsample_index(n_rois, cfg.san_samples, rng)
+    return StepBatch(
+        images=images,
+        boxes=np.concatenate(boxes),
+        slots=np.concatenate(slots),
+        labels=np.concatenate(labels),
+        targets=np.concatenate(targets),
+        san_indices=san_indices,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +248,19 @@ def build_step_batch(
 
 
 def forward_roi_features(
-    model: DetectionModel, feats: list[Tensor], batch_rois: list[RoI], slots: list[int]
+    model: DetectionModel, feats: list[Tensor], boxes: np.ndarray, slots: np.ndarray
 ) -> tuple[Tensor, Tensor]:
-    """Average-pool every RoI (one `roi_pool` node) and fuse in its correction (one `san_forward` node).
+    """Average-pool every box (one `roi_pool` node) and fuse in its correction
+    (one `san_forward` node), each routed to its partition by area.
 
     Returns the RoI features and the average-pooled batch they start from
     (the same tensor when the model has no correction module); the
     scale-aware loss branch takes its rows from the latter.
     """
-    batch = roi_pool(feats, batch_rois, slots)
+    batch = roi_pool(feats, boxes, slots)
     if model.san is None:
         return batch, batch
-    parts = [partition_index(r.area, model.scheme) for r in batch_rois]
+    parts = partition_index(box_area(boxes), model.scheme)
     return fuse(batch, san_forward(batch, parts, model.san), alpha=model.san.fusion_alpha), batch
 
 
@@ -293,15 +299,14 @@ def compute_step_losses(model: DetectionModel, batch: StepBatch) -> LossParts:
     bit is that of one backbone pass per image."""
     cfg = model.config
     inputs, pixels = step_pixels(batch.images)
-    scale_aware = cfg.san_mode == "full" and bool(batch.san_indices)
+    scale_aware = cfg.san_mode == "full" and len(batch.san_indices) > 0
     if scale_aware:
-        rois = [batch.rois[j] for j in batch.san_indices]
-        slots = [batch.image_slot[j] for j in batch.san_indices]
+        boxes, slots = batch.boxes[batch.san_indices], batch.slots[batch.san_indices]
         r_tilde = batched_reference_features(
-            [(pixels[s], roi) for roi, s in zip(rois, slots)], model.scheme.ref_scale, model.backbone
+            [(pixels[s], box) for s, box in zip(slots.tolist(), boxes)], model.scheme.ref_scale, model.backbone
         )
     feats = [model.backbone.forward(Tensor(x)) for x in inputs]
-    roi_feats, batch_pooled = forward_roi_features(model, feats, batch.rois, batch.image_slot)
+    roi_feats, batch_pooled = forward_roi_features(model, feats, batch.boxes, batch.slots)
     logits, deltas = model.head.forward(roi_feats)
     san_terms = None
     if scale_aware:
@@ -310,8 +315,8 @@ def compute_step_losses(model: DetectionModel, batch: StepBatch) -> LossParts:
             pooled = batch_pooled.data[batch.san_indices]
         else:
             maps = [ag.detach(f) for f in feats]
-            pooled = roi_pool(maps, rois, slots, mode="max").data
-        parts = [partition_index(r.area, model.scheme) for r in rois]
+            pooled = roi_pool(maps, boxes, slots, mode="max").data
+        parts = partition_index(box_area(boxes), model.scheme)
         san_terms = san_loss_branch(Tensor(pooled), parts, model.san, Tensor(r_tilde))
     return multi_task_loss(
         logits, deltas, batch.labels, batch.targets, san_terms=san_terms, san_loss_weight=cfg.san_loss_weight
@@ -514,11 +519,11 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def predict_rois(model: DetectionModel, img: Image, rois: list[RoI]) -> tuple[np.ndarray, np.ndarray]:
-    """Class probabilities (N, K+1) and box deltas (N, 4K) for proposals."""
+def predict_rois(model: DetectionModel, img: Image, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class probabilities (N, K+1) and box deltas (N, 4K) for (N, 4) proposal boxes."""
     with ag.no_grad():
         feat = model.backbone.forward(img.pixels)
-        roi_feats, _ = forward_roi_features(model, [feat], rois, [0] * len(rois))
+        roi_feats, _ = forward_roi_features(model, [feat], boxes, np.zeros(len(boxes), dtype=np.intp))
         logits, deltas = model.head.forward(roi_feats)
     return _softmax(logits.data), deltas.data.copy()
 
@@ -543,7 +548,7 @@ def detect(model: DetectionModel, img: Image, proposals: list[RoI]) -> list[Dete
     """Score proposals and return per-class NMS'd detections."""
     if not proposals:
         return []
-    probs, deltas = predict_rois(model, img, proposals)
+    probs, deltas = predict_rois(model, img, box_array(proposals))
     out: list[Detection] = []
     for k in range(1, model.num_classes + 1):
         cand_boxes: list[RoI] = []
@@ -595,46 +600,53 @@ def default_rmse_scales(ref_scale: int) -> list[int]:
     return out
 
 
-def rendered_roi_feature(pixels: np.ndarray, box: RoI, scale: int, bb: Backbone) -> Tensor:
-    """Pooled channel feature of the object rendered at the given side length.
+def rendered_roi_feature(pixels: np.ndarray, box: RoI, scales: list[int], bb: Backbone) -> Tensor:
+    """Pooled channel features of the object rendered at each of the given
+    side lengths: an (S, C, 1, 1) tensor, row s for scales[s].
 
     ``pixels`` is the image's 1x3xHxW float array (`to_pixels` of its
-    levels).  A context window around the box is resized so the box side
-    maps to ``scale``, the backbone runs on that rendering, and the mapped
-    box is RoI-pooled and globally averaged -- the same extraction the
-    detector applies to proposals.  The margin is sized in rendered units
-    (four stride cells) so the box cells' receptive fields see real image
-    context at every scale.
+    levels).  Per scale, a context window around the box is resized so the
+    box side maps to that scale, the backbone runs on that rendering, and
+    the mapped box is RoI-pooled and globally averaged -- the same
+    extraction the detector applies to proposals.  The margin is sized in
+    rendered units (four stride cells) so the box cells' receptive fields
+    see real image context at every scale.
 
-    Only the part of the rendering that reaches a pooled cell is made:
-    `Backbone.roi_crop` names the rows and columns whose forward pass
-    reproduces the cells the box reads on the whole rendering's map, the
-    resize renders just that window of it, and the box is pooled shifted
-    to the crop.  In exact arithmetic this is the whole rendering's
-    feature; in float32 a GEMM may round a cell differently inside a
-    smaller matrix (within about 1e-6 relative).
+    Only the part of each rendering that reaches a pooled cell is made:
+    `Backbone.roi_crop`, one call for every scale, names the rows and
+    columns whose forward pass reproduces the cells the box reads on the
+    whole rendering's map, the resize renders just that window of it, and
+    one `roi_pool` call pools each scale's box, shifted to its crop, on its
+    own rendering.  Each row is bitwise the scale rendered alone.  In exact
+    arithmetic this is the whole rendering's feature; in float32 a GEMM may
+    round a cell differently inside a smaller matrix (within about 1e-6
+    relative).
     """
     side = math.sqrt(box.area)
-    factor = scale / side
-    margin = 4 * bb.total_stride / factor
-    wx1 = max(0, math.floor(box.x1 - margin))
-    wy1 = max(0, math.floor(box.y1 - margin))
-    wx2 = min(pixels.shape[3], math.ceil(box.x2 + margin))
-    wy2 = min(pixels.shape[2], math.ceil(box.y2 + margin))
-    out_h = max(bb.total_stride, int(round((wy2 - wy1) * factor)))
-    out_w = max(bb.total_stride, int(round((wx2 - wx1) * factor)))
-    fy = out_h / (wy2 - wy1)
-    fx = out_w / (wx2 - wx1)
-    x1, x2 = (box.x1 - wx1) * fx, (box.x2 - wx1) * fx
-    y1, y2 = (box.y1 - wy1) * fy, (box.y2 - wy1) * fy
-    rows = bb.roi_crop(y1, y2, out_h)
-    cols = bb.roi_crop(x1, x2, out_w)
+    windows, mapped = [], []  # per scale: the context window and rendering size; the box on the rendering
+    for scale in scales:
+        factor = scale / side
+        margin = 4 * bb.total_stride / factor
+        wx1 = max(0, math.floor(box.x1 - margin))
+        wy1 = max(0, math.floor(box.y1 - margin))
+        wx2 = min(pixels.shape[3], math.ceil(box.x2 + margin))
+        wy2 = min(pixels.shape[2], math.ceil(box.y2 + margin))
+        out_h = max(bb.total_stride, int(round((wy2 - wy1) * factor)))
+        out_w = max(bb.total_stride, int(round((wx2 - wx1) * factor)))
+        fy = out_h / (wy2 - wy1)
+        fx = out_w / (wx2 - wx1)
+        windows.append((wx1, wy1, wx2, wy2, out_w, out_h))
+        mapped.append(((box.x1 - wx1) * fx, (box.y1 - wy1) * fy, (box.x2 - wx1) * fx, (box.y2 - wy1) * fy))
+    mapped = np.array(mapped).reshape(-1, 4)
+    start, stop = bb.roi_crop(mapped[:, :2], mapped[:, 2:], np.array([w[4:] for w in windows]))  # (S, 2): x, then y
     with ag.no_grad():
-        context = Tensor(pixels[:, :, wy1:wy2, wx1:wx2])
-        feat = bb.forward(ag.bilinear_resize(context, out_h, out_w, window=(rows, cols)))
-        # the crop starts on the stride grid, so the shift moves no cell boundary
-        mapped = RoI(x1=x1 - cols[0], y1=y1 - rows[0], x2=x2 - cols[0], y2=y2 - rows[0])
-        return ag.global_avg_pool(roi_pool([feat], [mapped], [0]))
+        feats = []
+        for (wx1, wy1, wx2, wy2, out_w, out_h), (c0, r0), (c1, r1) in zip(windows, start.tolist(), stop.tolist()):
+            context = Tensor(pixels[:, :, wy1:wy2, wx1:wx2])
+            feats.append(bb.forward(ag.bilinear_resize(context, out_h, out_w, window=((r0, r1), (c0, c1)))))
+        # each crop starts on the stride grid, so the shift moves no cell boundary
+        shifted = mapped - np.concatenate([start, start], axis=1)
+        return ag.global_avg_pool(roi_pool(feats, shifted, np.arange(len(feats))))
 
 
 def rmse_report(
@@ -657,16 +669,19 @@ def rmse_report(
         scales = default_rmse_scales(ref)
     measured, _ = bb.split_scales(scales)
     rows: list[RmseRow] = []
+    if not measured:
+        return rows
     sample_id = 0
     for img, anns in dataset:
         if not anns:
             continue
         pixels = to_pixels(img.levels)  # once per image: every reference crop and rendering reads it
-        refs = batched_reference_features([(pixels, ann.box) for ann in anns], ref, bb)
+        refs = batched_reference_features([(pixels, box) for box in box_array([a.box for a in anns])], ref, bb)
         for ann, r in zip(anns, refs):
             z0 = Tensor(r[None])
-            for s in measured:
-                z_s = rendered_roi_feature(pixels, ann.box, s, bb)
+            rendered = rendered_roi_feature(pixels, ann.box, measured, bb).data
+            for k, s in enumerate(measured):
+                z_s = Tensor(rendered[k : k + 1])
                 part = partition_index(float(s * s), model.scheme)
                 rows.append(
                     RmseRow(

@@ -17,11 +17,11 @@ from sanlab import losses, training
 from sanlab.autograd import Tensor
 from sanlab.backbone import (
     ROI_OUT,
+    Backbone,
     Image,
     RoI,
-    _bin_matrix,
-    _bin_spans,
-    _roi_cells,
+    box_area,
+    box_array,
     batched_reference_features,
     roi_pool,
 )
@@ -146,15 +146,41 @@ def per_partition_loss_branch(feat: np.ndarray, parts, m, r_tilde: np.ndarray) -
     return _merge(terms, inverse)
 
 
+def roi_cells(feat: Tensor, roi: RoI) -> tuple[int, int, int, int]:
+    """(y_lo, y_hi, x_lo, x_hi): the cells an RoI reads on an NxCxhxw map,
+    by the package's former scalar span rule."""
+    stride, (fh, fw) = Backbone.total_stride, feat.shape[2:]
+    y_lo, y_hi = max(0, math.floor(roi.y1 / stride)), min(fh, math.ceil(roi.y2 / stride))
+    x_lo, x_hi = max(0, math.floor(roi.x1 / stride)), min(fw, math.ceil(roi.x2 / stride))
+    if y_hi <= y_lo or x_hi <= x_lo:
+        raise RoiError(f"RoI ({roi.x1},{roi.y1},{roi.x2},{roi.y2}) reads no cell of a {fh}x{fw} map")
+    return y_lo, y_hi, x_lo, x_hi
+
+
+def bin_spans(span: int) -> list[tuple[int, int]]:
+    """The [lo, hi) cell range of each of ROI_OUT bins over span cells, by
+    the package's former scalar rule."""
+    return [(math.floor(b * span / ROI_OUT), math.ceil((b + 1) * span / ROI_OUT)) for b in range(ROI_OUT)]
+
+
+def bin_matrix(span: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 matrix mapping span cells to ROI_OUT bins (`bin_spans`), and its
+    row sums (cells per bin)."""
+    m = np.zeros((ROI_OUT, span), dtype=dtype)
+    for b, (lo, hi) in enumerate(bin_spans(span)):
+        m[b, lo:hi] = 1
+    return m, m.sum(axis=1)
+
+
 def per_image_roi_avg_pool(feat: Tensor, rois) -> Tensor:
     """The package's former one-map RoI average pooling node: each RoI's
     two 0/1 matmuls, and a backward that sums the RoIs' gradients, in RoI
     order, into one map-sized buffer."""
     plans = []
     for roi in rois:
-        y_lo, y_hi, x_lo, x_hi = _roi_cells(feat, roi)
-        rows, row_sizes = _bin_matrix(y_hi - y_lo, feat.dtype)
-        cols, col_sizes = _bin_matrix(x_hi - x_lo, feat.dtype)
+        y_lo, y_hi, x_lo, x_hi = roi_cells(feat, roi)
+        rows, row_sizes = bin_matrix(y_hi - y_lo, feat.dtype)
+        cols, col_sizes = bin_matrix(x_hi - x_lo, feat.dtype)
         plans.append((y_lo, y_hi, x_lo, x_hi, rows, cols, row_sizes[:, None] * col_sizes[None, :]))
     out_data = np.empty((len(rois), feat.shape[1], ROI_OUT, ROI_OUT), dtype=feat.dtype)
     for n, (y_lo, y_hi, x_lo, x_hi, rows, cols, counts) in enumerate(plans):
@@ -182,12 +208,12 @@ def per_image_pool_merge(maps: list[Tensor], rois, slots) -> Tensor:
 def single_roi_max_pool(feat: Tensor, roi) -> np.ndarray:
     """The package's former single-RoI max pooling, (1, C, ROI_OUT,
     ROI_OUT): each channel's first row-major maximum per bin."""
-    y_lo, y_hi, x_lo, x_hi = _roi_cells(feat, roi)
+    y_lo, y_hi, x_lo, x_hi = roi_cells(feat, roi)
     c = feat.shape[1]
     cells = feat.data[0, :, y_lo:y_hi, x_lo:x_hi]
-    col_spans = _bin_spans(x_hi - x_lo)
+    col_spans = bin_spans(x_hi - x_lo)
     out = np.empty((1, c, ROI_OUT, ROI_OUT), dtype=feat.dtype)
-    for by, (ys, ye) in enumerate(_bin_spans(y_hi - y_lo)):
+    for by, (ys, ye) in enumerate(bin_spans(y_hi - y_lo)):
         for bx, (xs, xe) in enumerate(col_spans):
             bin_cells = cells[:, ys:ye, xs:xe].reshape(c, -1)
             out[0, :, by, bx] = bin_cells[np.arange(c), bin_cells.argmax(axis=1)]
@@ -205,22 +231,21 @@ def per_image_step_losses(model, batch):
     backbone: one pass per image, each pooled as a 1xCxhxw map."""
     cfg = model.config
     feats = [model.backbone.forward(img.pixels) for img in batch.images]
-    roi_feats, batch_pooled = forward_roi_features(model, feats, batch.rois, batch.image_slot)
+    roi_feats, batch_pooled = forward_roi_features(model, feats, batch.boxes, batch.slots)
     logits, deltas = model.head.forward(roi_feats)
     san_terms = None
-    if cfg.san_mode == "full" and batch.san_indices:
-        rois = [batch.rois[j] for j in batch.san_indices]
-        slots = [batch.image_slot[j] for j in batch.san_indices]
+    if cfg.san_mode == "full" and len(batch.san_indices):
+        boxes, slots = batch.boxes[batch.san_indices], batch.slots[batch.san_indices]
         r_tilde = batched_reference_features(
-            [(batch.images[s].pixels.data, roi) for roi, s in zip(rois, slots)], model.scheme.ref_scale, model.backbone
+            [(batch.images[s].pixels.data, box) for box, s in zip(boxes, slots)], model.scheme.ref_scale, model.backbone
         )
         # plain arrays: the branch records no tape below its entry
         if cfg.san_pool == "avg":
             pooled = batch_pooled.data[batch.san_indices]
         else:
             maps = [ag.detach(f) for f in feats]
-            pooled = roi_pool(maps, rois, slots, mode="max").data
-        parts = [partition_index(r.area, model.scheme) for r in rois]
+            pooled = roi_pool(maps, boxes, slots, mode="max").data
+        parts = partition_index(box_area(boxes), model.scheme)
         san_terms = san_loss_branch(Tensor(pooled), parts, model.san, Tensor(r_tilde))
     return multi_task_loss(
         logits, deltas, batch.labels, batch.targets, san_terms=san_terms, san_loss_weight=cfg.san_loss_weight
@@ -239,7 +264,9 @@ def per_roi_sample(rois: list, n: int, rng: np.random.Generator) -> list:
 
 def per_roi_build_step_batch(dataset, cfg, step: int) -> StepBatch:
     """`build_step_batch` as the package ran it before it sampled on
-    arrays: every proposal an `RoI`, labelled by `assign_roi_labels`."""
+    arrays: every proposal an `RoI`, labelled by `assign_roi_labels`; its
+    RoIs, slots, labels, targets (zero rows for none) and subset end as the
+    arrays a `StepBatch` holds."""
     rng = derive(cfg.seed, STREAM_STEP, step)
     n_img = min(cfg.images_per_step, len(dataset))
     picks = rng.choice(len(dataset), size=n_img, replace=False)
@@ -265,7 +292,14 @@ def per_roi_build_step_batch(dataset, cfg, step: int) -> StepBatch:
     if not rois:
         raise RoiError(f"step {step} sampled no RoI from dataset images {picks.tolist()}")
     san_indices = per_roi_sample(list(range(len(rois))), cfg.san_samples, rng)
-    return StepBatch(images=images, rois=rois, image_slot=slots, labels=labels, targets=targets, san_indices=san_indices)
+    return StepBatch(
+        images=images,
+        boxes=box_array(rois),
+        slots=np.array(slots, dtype=np.int64),
+        labels=np.array(labels, dtype=np.int64),
+        targets=np.array([(0.0,) * 4 if t is None else dataclasses.astuple(t) for t in targets]).reshape(-1, 4),
+        san_indices=np.array(san_indices, dtype=np.int64),
+    )
 
 
 def full_render_roi_feature(img, box, scale: int, bb) -> Tensor:
@@ -292,7 +326,7 @@ def full_render_roi_feature(img, box, scale: int, bb) -> Tensor:
             x2=(box.x2 - wx1) * fx,
             y2=(box.y2 - wy1) * fy,
         )
-        return ag.global_avg_pool(roi_pool([feat], [mapped], [0]))
+        return ag.global_avg_pool(roi_pool([feat], box_array([mapped]), [0]))
 
 
 # The reference crop as the package made it before `Backbone.cell_footprint`:

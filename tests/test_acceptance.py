@@ -21,7 +21,7 @@ from helpers import check_op_gradients, no_loss_view
 from sanlab import autograd as ag
 from sanlab.analysis import Detection, cam_stability, compute_cam, evaluate_ap, rmse_with_san, rmse_without_san
 from sanlab.autograd import Tensor
-from sanlab.backbone import Backbone, RoI, cam_scale_sweep, roi_pool
+from sanlab.backbone import Backbone, RoI, box_array, cam_scale_sweep, roi_pool
 from sanlab.cli import main as cli_main
 from sanlab.data import Annotation, DatasetConfig, generate_dataset
 from sanlab.errors import GraphError
@@ -127,13 +127,13 @@ class TestCriterion1Gradients:
             roi = RoI(x1=r.uniform(0, 8), y1=r.uniform(0, 8), x2=r.uniform(64, 80), y2=r.uniform(64, 80))
             feat_vals = r.permutation(np.arange(200, dtype=np.float64) * 0.05 - 5.0).reshape(1, 2, 10, 10)
             check_op_gradients(
-                lambda t: ag.sum_all(ag.mul(roi_pool([t["f"]], [roi], [0]), roi_pool([t["f"]], [roi], [0]))),
+                lambda t: ag.sum_all(ag.mul(roi_pool([t["f"]], box_array([roi]), [0]), roi_pool([t["f"]], box_array([roi]), [0]))),
                 {"f": feat_vals},
                 context=f"roi_pool avg s{seed}",
             )
             # max mode has no backward: a map that takes a gradient is refused
             with pytest.raises(GraphError, match="max-mode roi_pool"):
-                roi_pool([Tensor(feat_vals, requires_grad=True)], [roi], [0], mode="max")
+                roi_pool([Tensor(feat_vals, requires_grad=True)], box_array([roi]), [0], mode="max")
 
             gather = [int(v) for v in r.integers(0, 3, size=4)]
             gather_weights = Tensor(r.normal(size=(28,)))
@@ -228,10 +228,10 @@ class TestCriterion2IdentityTransparency:
         feats = [model.backbone.forward(img.pixels) for img in batch.images]
         acc = None
         for j in batch.san_indices:
-            roi = batch.rois[j]
-            img = batch.images[batch.image_slot[j]]
+            roi = RoI(*batch.boxes[j].tolist())
+            img = batch.images[batch.slots[j]]
             r_tilde = reference_feature_for_roi(img, roi, model.scheme.ref_scale, model.backbone)
-            pooled = ag.global_avg_pool(roi_pool([feats[batch.image_slot[j]]], [roi], [0], mode=cfg.san_pool))
+            pooled = ag.global_avg_pool(roi_pool([feats[batch.slots[j]]], box_array([roi]), [0], mode=cfg.san_pool))
             term = ag.sum_all(ag.smooth_l1(ag.sub(pooled, r_tilde)))
             acc = term if acc is None else ag.add(acc, term)
         expected = ag.scale(acc, 1.0 / len(batch.san_indices)).item()
@@ -414,7 +414,7 @@ class TestCriterion8Oracles:
             x1, y1 = r.uniform(0, 90, 2)
             roi = RoI(x1=x1, y1=y1, x2=x1 + r.uniform(6, 100), y2=y1 + r.uniform(6, 100))
             for mode in ("avg", "max"):
-                got = roi_pool([Tensor(feat)], [roi], [0], mode=mode).data
+                got = roi_pool([Tensor(feat)], box_array([roi]), [0], mode=mode).data
                 pool_ok &= np.array_equal(got, naive_roi_pool(feat, roi, out=7, mode=mode, stride=8))
 
         cam_ok = True

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import cell_aligned_roi, check_op_gradients, crop_pixels, per_image_pool_merge, single_roi_max_pool
+from helpers import (
+    cell_aligned_roi,
+    check_op_gradients,
+    crop_pixels,
+    per_image_pool_merge,
+    per_image_roi_avg_pool,
+    single_roi_max_pool,
+)
+from hypothesis import given, settings, strategies as st
 
 from sanlab import autograd as ag
 from sanlab.autograd import Parameter, Tensor
@@ -15,6 +23,7 @@ from sanlab.backbone import (
     Backbone,
     Image,
     RoI,
+    box_array,
     cam_scale_sweep,
     extract_reference_feature,
     roi_pool,
@@ -216,13 +225,13 @@ class TestRoiPool:
         feat = Tensor(r.normal(size=(1, 4, 16, 16)).astype(np.float32))
         roi = RoI(x1=3 * 8, y1=2 * 8, x2=10 * 8, y2=9 * 8)  # exactly 7x7 cells
         for mode in ("avg", "max"):
-            out = roi_pool([feat], [roi], [0], mode=mode)
+            out = roi_pool([feat], box_array([roi]), [0], mode=mode)
             assert np.array_equal(out.data, feat.data[:, :, 2:9, 3:10])
 
     def test_constant_map_both_modes(self):
         feat = Tensor(np.full((1, 3, 12, 12), 0.73, dtype=np.float32))
         for mode in ("avg", "max"):
-            out = roi_pool([feat], [RoI(x1=5.0, y1=9.0, x2=55.0, y2=77.0)], [0], mode=mode)
+            out = roi_pool([feat], box_array([RoI(x1=5.0, y1=9.0, x2=55.0, y2=77.0)]), [0], mode=mode)
             assert np.allclose(out.data, 0.73, atol=1e-6)
 
     @pytest.mark.parametrize("mode", ["avg", "max"])
@@ -232,7 +241,7 @@ class TestRoiPool:
         feat_arr = r.integers(0, 256, size=(1, 5, 16, 16)).astype(np.float32)
         x1, y1 = r.uniform(0, 100, 2)
         roi = RoI(x1=x1, y1=y1, x2=x1 + r.uniform(4, 120), y2=y1 + r.uniform(4, 120))
-        got = roi_pool([Tensor(feat_arr)], [roi], [0], mode=mode).data
+        got = roi_pool([Tensor(feat_arr)], box_array([roi]), [0], mode=mode).data
         expected = naive_roi_pool(feat_arr, roi, out=7, mode=mode, stride=8)
         assert np.array_equal(got, expected)
 
@@ -242,7 +251,7 @@ class TestRoiPool:
         roi = RoI(x1=10.3, y1=4.7, x2=70.2, y2=60.1)
 
         def build(t):
-            pooled = roi_pool([t["feat"]], [roi], [0])
+            pooled = roi_pool([t["feat"]], box_array([roi]), [0])
             return ag.sum_all(ag.mul(pooled, pooled))
 
         feat = r.permutation(np.arange(200, dtype=np.float64) * 0.05 - 5.0).reshape(1, 2, 10, 10)
@@ -261,15 +270,15 @@ class TestRoiPool:
         rois.append(RoI(x1=-30.0, y1=100.0, x2=20.0, y2=400.0))  # clamped at two edges
         feat_arr = r.integers(0, 256, size=(1, 5, 16, 16)).astype(np.float32)
         slots = [0] * len(rois)
-        batched = roi_pool([Tensor(feat_arr)], rois, slots).data
+        batched = roi_pool([Tensor(feat_arr)], box_array(rois), slots).data
         assert batched.shape == (len(rois), 5, 7, 7)
         for n, roi in enumerate(rois):
             assert np.array_equal(batched[n : n + 1], naive_roi_pool(feat_arr, roi, out=7, mode="avg", stride=8))
         real = Tensor(r.normal(size=(1, 5, 16, 16)).astype(np.float32))
-        batched = roi_pool([real], rois, slots).data
+        batched = roi_pool([real], box_array(rois), slots).data
         for n, roi in enumerate(rois):
-            assert np.array_equal(batched[n : n + 1], roi_pool([real], [roi], [0]).data)
-            assert np.array_equal(batched[n : n + 1], roi_pool([real], [roi], [0], mode="avg").data)
+            assert np.array_equal(batched[n : n + 1], roi_pool([real], box_array([roi]), [0]).data)
+            assert np.array_equal(batched[n : n + 1], roi_pool([real], box_array([roi]), [0], mode="avg").data)
 
     def test_batched_avg_gradients_match_fd(self):
         r = np.random.default_rng(43)
@@ -281,7 +290,7 @@ class TestRoiPool:
         weights = Tensor(r.normal(size=(3, 2, ROI_OUT, ROI_OUT)))
 
         def build(t):
-            pooled = roi_pool([t["feat"]], rois, [0, 0, 0])
+            pooled = roi_pool([t["feat"]], box_array(rois), [0, 0, 0])
             return ag.sum_all(ag.mul(ag.mul(pooled, pooled), weights))
 
         check_op_gradients(build, {"feat": r.normal(size=(1, 2, 10, 10))}, context="roi_pool avg")
@@ -302,14 +311,14 @@ class TestRoiPool:
         weights = Tensor(r.normal(size=(len(self.MULTI_ROIS), 2, ROI_OUT, ROI_OUT)))
 
         def build(t):
-            pooled = roi_pool([t["a"], unread, t["b"]], self.MULTI_ROIS, self.MULTI_SLOTS)
+            pooled = roi_pool([t["a"], unread, t["b"]], box_array(self.MULTI_ROIS), self.MULTI_SLOTS)
             return ag.sum_all(ag.mul(ag.mul(pooled, pooled), weights))
 
         arrays = {"a": r.normal(size=(1, 2, 10, 10)), "b": r.normal(size=(1, 2, 7, 12))}
         check_op_gradients(build, arrays, context="multi-map roi_pool avg")
         assert unread.grad is None
         a, b = Tensor(arrays["a"], requires_grad=True), Tensor(arrays["b"], requires_grad=True)
-        node = roi_pool([a, unread, b], self.MULTI_ROIS, self.MULTI_SLOTS)
+        node = roi_pool([a, unread, b], box_array(self.MULTI_ROIS), self.MULTI_SLOTS)
         assert len(node._parents) == 2 and node._parents[0] is a and node._parents[1] is b
 
     @pytest.mark.parametrize(
@@ -360,9 +369,9 @@ class TestRoiPool:
     def assert_bitwise_per_image_merge(arrays, rois, slots, r):
         weights = Tensor(r.normal(size=(len(rois), arrays[0].shape[1], ROI_OUT, ROI_OUT)).astype(arrays[0].dtype))
         results = []
-        for pool in (roi_pool, per_image_pool_merge):
+        for pool in (lambda maps: roi_pool(maps, box_array(rois), slots), lambda maps: per_image_pool_merge(maps, rois, slots)):
             maps = [Tensor(a, requires_grad=True) for a in arrays]
-            pooled = pool(maps, rois, slots)
+            pooled = pool(maps)
             ag.sum_all(ag.mul(pooled, weights)).backward()
             results.append((pooled.data, [m.grad for m in maps]))
         (got, got_grads), (want, want_grads) = results
@@ -378,9 +387,9 @@ class TestRoiPool:
         arrays, rois, slots, _ = self.every_cell_span(np.float64)
         arrays[0] = arrays[0].astype(np.float32)
         with pytest.raises(ShapeError, match=r"^roi_pool maps differ in dtype: \['float32', 'float64'\]$"):
-            roi_pool([Tensor(a) for a in arrays], rois, slots, mode=mode)
+            roi_pool([Tensor(a) for a in arrays], box_array(rois), slots, mode=mode)
         only_f32 = [roi for roi, s in zip(rois, slots) if s == 0]
-        assert roi_pool([Tensor(a) for a in arrays], only_f32, [0] * len(only_f32), mode=mode).dtype == np.float32
+        assert roi_pool([Tensor(a) for a in arrays], box_array(only_f32), [0] * len(only_f32), mode=mode).dtype == np.float32
 
     # (map, rows) of each one-row map in the batched maps [a, b] + [c] + [d, e, f]
     BATCHED = [(0, [0, 1]), (1, [2]), (2, [3, 4, 5])]
@@ -401,15 +410,15 @@ class TestRoiPool:
             for x, y, w, h in r.uniform([-10, -10, 40, 40], [30, 30, 100, 100], size=(len(slots), 4))
         ]
         batched = [np.concatenate([arrays[i] for i in rows]) for _, rows in self.BATCHED]
-        want = roi_pool([Tensor(a) for a in arrays], rois, slots, mode=mode)
-        assert np.array_equal(roi_pool([Tensor(a) for a in batched], rois, slots, mode=mode).data, want.data)
+        want = roi_pool([Tensor(a) for a in arrays], box_array(rois), slots, mode=mode)
+        assert np.array_equal(roi_pool([Tensor(a) for a in batched], box_array(rois), slots, mode=mode).data, want.data)
         if mode == "max":
             return
         weights = Tensor(r.normal(size=(len(rois), 4, 7, 7)).astype(np.float32))
         one_row = [Tensor(a, requires_grad=True) for a in arrays]
-        ag.sum_all(ag.mul(roi_pool(one_row, rois, slots), weights)).backward()
+        ag.sum_all(ag.mul(roi_pool(one_row, box_array(rois), slots), weights)).backward()
         batched = [Tensor(a, requires_grad=True) for a in batched]
-        got = roi_pool(batched, rois, slots)
+        got = roi_pool(batched, box_array(rois), slots)
         assert got._parents == (batched[0], batched[2])
         ag.sum_all(ag.mul(got, weights)).backward()
         assert np.array_equal(got.data, want.data)
@@ -473,7 +482,7 @@ class TestRoiPool:
             RoI(x1=float(x), y1=float(y), x2=float(x + w), y2=float(y + h))
             for x, y, w, h in r.uniform([-10, -10, 50, 50], [30, 30, 100, 100], size=(len(slots), 4))
         ]
-        got = roi_pool([Tensor(a) for a in arrays], rois, slots, mode="max")
+        got = roi_pool([Tensor(a) for a in arrays], box_array(rois), slots, mode="max")
         assert got._parents == () and got._backward is None
         for n, (roi, s) in enumerate(zip(rois, slots)):
             assert np.array_equal(got.data[n : n + 1], single_roi_max_pool(Tensor(arrays[s]), roi))
@@ -481,9 +490,9 @@ class TestRoiPool:
             maps = [Tensor(a, requires_grad=j == k) for j, a in enumerate(arrays)]
             if k in slots:
                 with pytest.raises(GraphError, match="max-mode roi_pool has no backward"):
-                    roi_pool(maps, rois, slots, mode="max")
+                    roi_pool(maps, box_array(rois), slots, mode="max")
             else:
-                assert np.array_equal(roi_pool(maps, rois, slots, mode="max").data, got.data)
+                assert np.array_equal(roi_pool(maps, box_array(rois), slots, mode="max").data, got.data)
                 assert maps[k].grad is None
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
@@ -510,7 +519,7 @@ class TestRoiPool:
                 inset = r.uniform(0.0, 3.5, 4) - 8.0 * r.integers(0, 2, size=4)  # < 0: one cell more, or clamped
                 rois.append(RoI(x1=8.0 * x0 + inset[0], y1=8.0 * y0 + inset[1], x2=8.0 * x1 - inset[2], y2=8.0 * y1 - inset[3]))
                 slots.append(s)
-            got = roi_pool([Tensor(m.astype(dtype)) for m in maps], rois, slots, mode="max").data
+            got = roi_pool([Tensor(m.astype(dtype)) for m in maps], box_array(rois), slots, mode="max").data
             want = [single_roi_max_pool(Tensor(images[s].astype(dtype)), roi) for roi, s in zip(rois, slots)]
             assert got.dtype == dtype
             assert np.array_equal(got, np.concatenate(want))
@@ -534,8 +543,8 @@ class TestRoiPool:
         for grad_map in range(2):
             maps = [Tensor(x, requires_grad=k == grad_map) for k, x in enumerate((a, b))]
             with pytest.raises(GraphError, match="max-mode roi_pool has no backward"):
-                roi_pool([maps[0], unread, maps[1]], rois, slots, mode="max")
-        pooled = roi_pool([Tensor(a), unread, Tensor(b)], rois, slots, mode="max")
+                roi_pool([maps[0], unread, maps[1]], box_array(rois), slots, mode="max")
+        pooled = roi_pool([Tensor(a), unread, Tensor(b)], box_array(rois), slots, mode="max")
         assert not pooled.requires_grad and pooled._parents == () and pooled._backward is None
         for n in (0, 2):
             assert np.array_equal(pooled.data[n].max(axis=(1, 2)), a[0, :, 4, 4])
@@ -545,17 +554,17 @@ class TestRoiPool:
         roi = RoI(x1=0, y1=0, x2=16, y2=16)
         for slots in ([0], [0, 1, 0], [2, 0], [-1, 0]):
             with pytest.raises(ShapeError, match="slot"):
-                roi_pool(maps, [roi, roi], slots)
+                roi_pool(maps, box_array([roi, roi]), slots)
         with pytest.raises(ShapeError, match="channel"):
-            roi_pool(maps + [Tensor(np.zeros((1, 3, 8, 8)))], [roi, roi], [0, 2])
+            roi_pool(maps + [Tensor(np.zeros((1, 3, 8, 8)))], box_array([roi, roi]), [0, 2])
         with pytest.raises(RoiError):
-            roi_pool(maps, [], [])
+            roi_pool(maps, box_array([]), [])
         two = [Tensor(np.zeros((2, 2, 8, 8))), Tensor(np.zeros((1, 2, 6, 6)))]  # slots 0-2
-        roi_pool(two, [roi, roi], [1, 2])
+        roi_pool(two, box_array([roi, roi]), [1, 2])
         with pytest.raises(ShapeError, match=r"slot in \[0, 3\)"):
-            roi_pool(two, [roi, roi], [0, 3])
+            roi_pool(two, box_array([roi, roi]), [0, 3])
         with pytest.raises(ShapeError, match="NxCxhxw"):
-            roi_pool([Tensor(np.zeros((2, 8, 8)))], [roi], [0])
+            roi_pool([Tensor(np.zeros((2, 8, 8)))], box_array([roi]), [0])
 
     @pytest.mark.parametrize("geometry", [{"out": 0}, {"out": -1}, {"stride": 0}, {"stride": -8}])
     def test_bad_out_or_stride_rejected(self, geometry):
@@ -564,17 +573,80 @@ class TestRoiPool:
         feat = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))
         for mode in ("avg", "max"):
             with pytest.raises(TypeError, match="unexpected keyword argument"):
-                roi_pool([feat], [RoI(x1=0, y1=0, x2=16, y2=16)], [0], mode=mode, **geometry)
+                roi_pool([feat], box_array([RoI(x1=0, y1=0, x2=16, y2=16)]), [0], mode=mode, **geometry)
 
     def test_degenerate_roi_errors(self):
         feat = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))
         with pytest.raises(RoiError):
-            roi_pool([feat], [RoI(x1=900.0, y1=900.0, x2=950.0, y2=950.0)], [0])
+            roi_pool([feat], box_array([RoI(x1=900.0, y1=900.0, x2=950.0, y2=950.0)]), [0])
+
+    @pytest.mark.parametrize("mode", ["avg", "max"])
+    @pytest.mark.parametrize("bad", [(0.0, 0.0, math.inf, 10.0), (-math.inf, 0.0, 16.0, 16.0), (0.0, math.nan, 16.0, 16.0)])
+    def test_non_finite_box_is_an_roi_error_naming_its_row(self, mode, bad):
+        """An infinite or NaN coordinate is an `RoiError` naming the box, not
+        an `OverflowError` from the span rule's rounding."""
+        feat = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))
+        boxes = np.array([(0.0, 0.0, 16.0, 16.0), bad])
+        with pytest.raises(RoiError, match=r"^RoI 1 span \[.*\) has a non-finite bound$"):
+            roi_pool([feat], boxes, [0, 0], mode=mode)
+
+    def test_boxes_must_be_an_array_of_four_columns(self):
+        feat = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))
+        roi = RoI(x1=0, y1=0, x2=16, y2=16)
+        for boxes in ([roi], np.zeros(4), np.zeros((1, 5))):
+            with pytest.raises(ShapeError, match=r"\(N, 4\) box array \(`box_array` makes one of RoIs\)"):
+                roi_pool([feat], boxes, [0])
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_stacks_are_bitwise_the_per_roi_oracles(self, data):
+        """Random stacks of 1-3 map tensors of 1-3 rows, sides 1-14 cells,
+        float32 or float64, and random boxes inside them, many one cell
+        wide or high: the average rows and map gradients equal one pooling
+        node per image, and the max rows the single-RoI max pooling, bit
+        for bit."""
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        c = data.draw(st.integers(1, 4))
+        side = st.integers(1, 14)
+        shapes = data.draw(st.lists(st.tuples(st.integers(1, 3), side, side), min_size=1, max_size=3))
+        r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        arrays = [r.normal(size=(n, c, h, w)).astype(dtype) for n, h, w in shapes]
+        images = [(m, k) for m, a in enumerate(arrays) for k in range(len(a))]  # slot -> (map, row)
+        rois, slots = [], []
+        for _ in range(data.draw(st.integers(1, 12))):
+            slot = data.draw(st.integers(0, len(images) - 1))
+            m, k = images[slot]
+            cells = []
+            for size in arrays[m].shape[:1:-1]:  # x, then y
+                lo = data.draw(st.integers(0, size - 1))
+                cells.append((lo, data.draw(st.one_of(st.just(lo + 1), st.integers(lo + 1, size)))))
+            (x0, x1), (y0, y1) = cells
+            fx1, fy1, fx2, fy2 = r.uniform(0.0, 3.5, 4)  # inside the cells, positive extent
+            rois.append(RoI(x1=8.0 * x0 + fx1, y1=8.0 * y0 + fy1, x2=8.0 * x1 - fx2, y2=8.0 * y1 - fy2))
+            slots.append(slot)
+        weights = r.normal(size=(len(rois), c, ROI_OUT, ROI_OUT)).astype(dtype)
+        maps = [Tensor(a, requires_grad=True) for a in arrays]
+        pooled = roi_pool(maps, box_array(rois), slots)
+        ag.sum_all(ag.mul(pooled, Tensor(weights))).backward()
+        maxed = roi_pool([Tensor(a) for a in arrays], box_array(rois), slots, mode="max").data
+        assert pooled.dtype == maxed.dtype == dtype
+        for slot, (m, k) in enumerate(images):
+            rows = [n for n, s in enumerate(slots) if s == slot]
+            if not rows:
+                assert maps[m].grad is None or not maps[m].grad[k].any()
+                continue
+            image = Tensor(arrays[m][k : k + 1], requires_grad=True)
+            want = per_image_roi_avg_pool(image, [rois[n] for n in rows])
+            ag.sum_all(ag.mul(want, Tensor(weights[rows]))).backward()
+            assert np.array_equal(pooled.data[rows], want.data)
+            assert np.array_equal(maps[m].grad[k : k + 1], image.grad)
+            for n in rows:
+                assert np.array_equal(maxed[n : n + 1], single_roi_max_pool(Tensor(arrays[m][k : k + 1]), rois[n]))
 
     def test_bad_mode_rejected(self):
         feat = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))
         with pytest.raises(ShapeError, match="mode"):
-            roi_pool([feat], [RoI(x1=0, y1=0, x2=8, y2=8)], [0], mode="median")
+            roi_pool([feat], box_array([RoI(x1=0, y1=0, x2=8, y2=8)]), [0], mode="median")
 
 
 class TestReferenceFeature:
@@ -607,6 +679,11 @@ class TestReferenceFeature:
         img = make_image(seed=1)
         with pytest.raises(RoiError, match="reads no cell"):
             extract_reference_feature(img, RoI(x1=200.0, y1=200.0, x2=220.0, y2=210.0), 48, Backbone.small(seed=1))
+
+    @pytest.mark.parametrize("roi", [RoI(x1=0.0, y1=0.0, x2=math.inf, y2=10.0), RoI(x1=-math.inf, y1=0.0, x2=10.0, y2=10.0)])
+    def test_infinite_coordinate_is_an_roi_error(self, roi):
+        with pytest.raises(RoiError, match=r"^RoI 0 span \[.*\) has a non-finite bound$"):
+            extract_reference_feature(make_image(seed=1), roi, 48, Backbone.small(seed=1))
 
 
 class TestCellFootprint:
@@ -652,6 +729,28 @@ class TestCellFootprint:
                 assert (y0, y1, x0, x1) == (snapped.y1, snapped.y2, snapped.x1, snapped.x2), (roi, h, w)
                 assert np.array_equal(img.pixels.data[:, :, y0:y1, x0:x1], want)
         assert 0 < raised < 8 * 60
+
+    def test_non_finite_bound_is_an_roi_error_naming_its_row(self):
+        """A span with an infinite or NaN bound is an `RoiError`, not an
+        `OverflowError` from rounding it; in an array, it names the row."""
+        for lo, hi in ((0.0, math.inf), (-math.inf, 16.0), (math.nan, 16.0)):
+            with pytest.raises(RoiError, match=r"^RoI span \[.*\) has a non-finite bound$"):
+                Backbone.cell_footprint(lo, hi, 96)
+            with pytest.raises(RoiError, match=r"^RoI 2 span \[.*\) has a non-finite bound$"):
+                Backbone.cell_footprint(np.array([0.0, 8.0, lo]), np.array([16.0, 24.0, hi]), 96)
+
+    def test_arrays_of_spans_are_the_scalar_spans(self):
+        """One call over an array of spans and sizes gives each span's own
+        footprint; the first row that reads no cell is named."""
+        r = np.random.default_rng(7)
+        sizes = r.integers(16, 130, size=50)
+        lo = r.uniform(-20.0, sizes - 8.0)
+        hi = lo + r.uniform(20.5, 60.0, size=50)  # past the axis end for some
+        start, stop = Backbone.cell_footprint(lo, hi, sizes)
+        for n in range(50):
+            assert (start[n], stop[n]) == Backbone.cell_footprint(lo[n], hi[n], int(sizes[n]))
+        with pytest.raises(RoiError, match=r"^RoI 1 span \[200.0, 210.0\) reads no cell of a 12-cell map axis"):
+            Backbone.cell_footprint(np.array([0.0, 200.0, 300.0]), np.array([8.0, 210.0, 310.0]), 96)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_roi_crop_widens_the_footprint_by_one_stride(self, seed):

@@ -130,28 +130,28 @@ class TestDetectionHead:
 
 
 class TestMultiTaskLoss:
-    def _inputs(self, labels, targets, k=2, n=None, seed=0):
-        n = n or len(labels)
+    def _inputs(self, n, k=2, seed=0):
         r = np.random.default_rng(seed)
         logits = Tensor(r.normal(size=(n, k + 1)).astype(np.float32), requires_grad=True)
         deltas = Tensor(r.normal(size=(n, 4 * k)).astype(np.float32), requires_grad=True)
         return logits, deltas
 
     def test_background_contributes_no_regression(self):
-        logits, deltas = self._inputs([0, 0], [None, None])
-        parts = multi_task_loss(logits, deltas, [0, 0], [None, None], san_terms=None)
+        logits, deltas = self._inputs(2)
+        parts = multi_task_loss(logits, deltas, [0, 0], np.zeros((2, 4)), san_terms=None)
         assert parts.l_reg == 0.0
 
     def test_background_regression_zero_regardless_of_predictions(self):
+        """Background rows read neither their deltas nor their targets."""
         r = np.random.default_rng(1)
         deltas = Tensor((100 * r.normal(size=(3, 8))).astype(np.float32))
-        loss = regression_loss(deltas, [0, 0, 0], [None, None, None])
+        loss = regression_loss(deltas, [0, 0, 0], r.normal(size=(3, 4)))
         assert loss.item() == 0.0
 
     def test_san_disabled_total_is_cls_plus_reg(self):
-        logits, deltas = self._inputs([1, 0], [RegressionTarget(0.1, 0.2, 0.0, -0.1), None])
-        t = RegressionTarget(0.1, 0.2, 0.0, -0.1)
-        parts = multi_task_loss(logits, deltas, [1, 0], [t, None], san_terms=None)
+        logits, deltas = self._inputs(2)
+        targets = np.array([[0.1, 0.2, 0.0, -0.1], [0.0, 0.0, 0.0, 0.0]])
+        parts = multi_task_loss(logits, deltas, [1, 0], targets, san_terms=None)
         assert parts.l_san == 0.0
         assert parts.total.item() == pytest.approx(parts.l_cls + parts.l_reg, rel=1e-6)
 
@@ -159,25 +159,24 @@ class TestMultiTaskLoss:
         k = 2
         logits = np.full((1, k + 1), -40.0, dtype=np.float32)
         logits[0, 1] = 40.0
-        t = RegressionTarget(0.0, 0.0, 0.0, 0.0)
         deltas = np.zeros((1, 4 * k), dtype=np.float32)
         parts = multi_task_loss(
-            Tensor(logits), Tensor(deltas), [1], [t],
+            Tensor(logits), Tensor(deltas), [1], np.zeros((1, 4)),
             san_terms=Tensor(np.zeros(1, dtype=np.float32)),
         )
         assert parts.total.item() == pytest.approx(0.0, abs=1e-6)
 
     def test_san_terms_averaged(self):
-        logits, deltas = self._inputs([0], [None])
+        logits, deltas = self._inputs(1)
         terms = Tensor([1.0, 3.0])
-        parts = multi_task_loss(logits, deltas, [0], [None], san_terms=terms)
+        parts = multi_task_loss(logits, deltas, [0], np.zeros((1, 4)), san_terms=terms)
         assert parts.l_san == pytest.approx(2.0)
 
     def test_san_weight_scales_total_only(self):
-        logits, deltas = self._inputs([0], [None])
+        logits, deltas = self._inputs(1)
         terms = Tensor(np.array([2.0], dtype=np.float32))
         parts = multi_task_loss(
-            logits, deltas, [0], [None], san_terms=terms, san_loss_weight=0.5
+            logits, deltas, [0], np.zeros((1, 4)), san_terms=terms, san_loss_weight=0.5
         )
         assert parts.l_san == pytest.approx(2.0)
         assert parts.total.item() == pytest.approx(parts.l_cls + parts.l_reg + 1.0, rel=1e-6)
@@ -186,8 +185,7 @@ class TestMultiTaskLoss:
         """Gradient lands on the labeled class's 4 coordinates only."""
         k = 3
         deltas = Tensor(np.zeros((1, 4 * k), dtype=np.float32), requires_grad=True)
-        t = RegressionTarget(0.3, 0.0, 0.0, 0.0)
-        loss = regression_loss(deltas, [2], [t])
+        loss = regression_loss(deltas, [2], np.array([[0.3, 0.0, 0.0, 0.0]]))
         loss.backward()
         g = deltas.grad.reshape(k, 4)
         assert np.abs(g[1]).sum() > 0  # class 2 owns slice index 1
@@ -197,10 +195,9 @@ class TestMultiTaskLoss:
     def test_loss_nonnegative(self):
         r = np.random.default_rng(3)
         for seed in range(5):
-            logits, deltas = self._inputs([1, 2, 0], [RegressionTarget(*r.normal(size=4)), RegressionTarget(*r.normal(size=4)), None], k=2, seed=seed)
+            logits, deltas = self._inputs(3, k=2, seed=seed)
             parts = multi_task_loss(
-                logits, deltas, [1, 2, 0],
-                [RegressionTarget(*r.normal(size=4)), RegressionTarget(*r.normal(size=4)), None],
+                logits, deltas, [1, 2, 0], r.normal(size=(3, 4)),
                 san_terms=Tensor(np.array([abs(r.normal())], dtype=np.float32)),
             )
             assert parts.total.item() >= 0
@@ -209,14 +206,16 @@ class TestMultiTaskLoss:
         """Label 3 on deltas of two classes names the row and the label, not
         a numpy broadcast error."""
         deltas = Tensor(np.zeros((2, 8), dtype=np.float32))
-        t = RegressionTarget(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ShapeError, match="row 1 has label 3, above the 2 classes"):
-            regression_loss(deltas, [2, 3], [t, t])
+            regression_loss(deltas, [2, 3], np.zeros((2, 4)))
 
     def test_missing_target_for_foreground_errors(self):
-        logits, deltas = self._inputs([1], [None])
-        with pytest.raises(ShapeError):
-            multi_task_loss(logits, deltas, [1], [None])
+        """Every row needs its four target values: targets of any other
+        shape are an error, not a broadcast."""
+        logits, deltas = self._inputs(1)
+        for targets in (np.zeros((1, 3)), np.zeros((0, 4)), np.zeros(4), [None]):
+            with pytest.raises(ShapeError, match=r"one \(tx, ty, tw, th\) target per row of its 1 deltas"):
+                multi_task_loss(logits, deltas, [1], targets)
 
 
 def per_row_regression_loss(deltas: Tensor, labels, targets) -> Tensor:
@@ -229,10 +228,8 @@ def per_row_regression_loss(deltas: Tensor, labels, targets) -> Tensor:
         if u >= 1:
             if u > classes:
                 raise ShapeError(f"foreground RoI at row {row} has label {u}, above the {classes} classes of its deltas")
-            if v is None:
-                raise ShapeError(f"foreground RoI at row {row} is missing a regression target")
             lo = 4 * (u - 1)
-            target[row, lo : lo + 4] = np.array([v.tx, v.ty, v.tw, v.th], dtype=np.float32)
+            target[row, lo : lo + 4] = np.array(v, dtype=np.float32)
             mask[row, lo : lo + 4] = 1.0
     diff = ag.sub(deltas, Tensor(target))
     masked = ag.mul(ag.smooth_l1(diff), Tensor(mask))
@@ -246,7 +243,7 @@ class TestRegressionLossFill:
         for _ in range(60):
             n, k = int(r.integers(1, 40)), int(r.integers(1, 5))
             labels = r.integers(0, k + 1, size=n).tolist()
-            targets = [RegressionTarget(*r.normal(size=4)) if u else None for u in labels]
+            targets = r.normal(size=(n, 4))
             data = r.normal(size=(n, 4 * k)).astype(dtype)
             got_in, want_in = Tensor(data.copy(), requires_grad=True), Tensor(data.copy(), requires_grad=True)
             got, want = regression_loss(got_in, labels, targets), per_row_regression_loss(want_in, labels, targets)
@@ -258,14 +255,14 @@ class TestRegressionLossFill:
     @pytest.mark.parametrize(
         "labels,targets",
         [
-            ([1, 2, 3, 5], [True, False, True, True]),  # missing target first
+            ([1, 2, 3, 5], [True, False, True, True]),  # label above the classes last
             ([1, 5, 2, 3], [True, True, False, True]),  # label above the classes first
-            ([0, 4, 1], [False, False, False]),  # both on one row: the label is named
+            ([0, 4, 1], [False, False, False]),  # background first
         ],
     )
     def test_the_first_bad_foreground_row_raises_the_same_error(self, labels, targets):
         deltas = Tensor(np.zeros((len(labels), 12), dtype=np.float32))
-        targets = [RegressionTarget(0.1, 0.2, 0.3, 0.4) if t else None for t in targets]
+        targets = np.array([(0.1, 0.2, 0.3, 0.4) if t else (0.0,) * 4 for t in targets])
         with pytest.raises(ShapeError) as want:
             per_row_regression_loss(deltas, labels, targets)
         with pytest.raises(ShapeError) as got:

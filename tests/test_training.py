@@ -20,9 +20,10 @@ from sanlab import autograd as ag
 from sanlab import training
 from sanlab.analysis import RmseRow, rmse_with_san, rmse_without_san
 from sanlab.autograd import Tensor
-from sanlab.backbone import Backbone, Image, RoI, extract_reference_feature, roi_pool
+from sanlab.backbone import Backbone, Image, RoI, box_area, box_array, extract_reference_feature, roi_pool
 from sanlab.data import Annotation, DatasetConfig, generate_dataset, load_dataset, write_dataset
 from sanlab.errors import CheckpointError, ConfigError, RoiError
+from sanlab.losses import RegressionTarget
 from sanlab.san import TOY_SCHEME, ScalePartitionScheme, partition_index
 from sanlab.training import (
     BASE_LR,
@@ -161,9 +162,9 @@ class TestStepBatch:
         cfg = tiny_config()
         a = build_step_batch(tiny_dataset, cfg, step=2)
         b = build_step_batch(tiny_dataset, cfg, step=2)
-        assert a.rois == b.rois
-        assert a.labels == b.labels
-        assert a.san_indices == b.san_indices
+        assert np.array_equal(a.boxes, b.boxes)
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.san_indices, b.san_indices)
 
     def test_respects_roi_budget_and_positive_cap(self, tiny_dataset, monkeypatch):
         monkeypatch.setattr(training, "N_POS_JITTER", 12)
@@ -172,7 +173,7 @@ class TestStepBatch:
         for step in range(4):
             batch = build_step_batch(tiny_dataset, cfg, step)
             per_image = {}
-            for slot, u in zip(batch.image_slot, batch.labels):
+            for slot, u in zip(batch.slots.tolist(), batch.labels.tolist()):
                 per_image.setdefault(slot, []).append(u)
             for labels in per_image.values():
                 assert len(labels) <= 8
@@ -190,7 +191,30 @@ class TestStepBatch:
 
     def test_san_indices_point_at_rois(self, tiny_dataset):
         batch = build_step_batch(tiny_dataset, tiny_config(), step=0)
-        assert all(0 <= j < len(batch.rois) for j in batch.san_indices)
+        assert all(0 <= j < len(batch.boxes) for j in batch.san_indices)
+
+    @pytest.mark.parametrize("san_mode, san_pool", [("off", "avg"), ("no-loss", "avg"), ("full", "avg"), ("full", "max")])
+    def test_training_makes_no_roi_or_regression_target(self, tiny_dataset, monkeypatch, san_mode, san_pool):
+        """A step carries its RoIs as box, slot, label and target arrays from
+        sampling through pooling, routing, the reference crops and the
+        losses: training constructs no `RoI` and no `RegressionTarget`."""
+        made = []
+        post_init, init = RoI.__post_init__, RegressionTarget.__init__
+
+        def counted_roi(self):
+            made.append("RoI")
+            post_init(self)
+
+        def counted_target(self, *args, **kwargs):
+            made.append("RegressionTarget")
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RoI, "__post_init__", counted_roi)
+        monkeypatch.setattr(RegressionTarget, "__init__", counted_target)
+        train(tiny_dataset, tiny_config(iterations=3, san_mode=san_mode, san_pool=san_pool))
+        assert made == []
+        RoI(x1=0.0, y1=0.0, x2=1.0, y2=1.0), RegressionTarget(0.0, 0.0, 0.0, 0.0)
+        assert made == ["RoI", "RegressionTarget"]
 
 
 class TestCellAlignment:
@@ -208,7 +232,8 @@ class TestCellAlignment:
         for img, anns in tiny_dataset[:4]:
             for a in anns:
                 pairs.append((img, a.box))
-        batched = batched_reference_features([(img.pixels.data, roi) for img, roi in pairs], 48, model.backbone)
+        boxes = box_array([roi for _, roi in pairs])
+        batched = batched_reference_features([(img.pixels.data, box) for (img, _), box in zip(pairs, boxes)], 48, model.backbone)
         assert batched.shape == (len(pairs), model.backbone.c_feat, 1, 1)
         for n, (img, roi) in enumerate(pairs):
             single = reference_feature_for_roi(img, roi, 48, model.backbone)
@@ -235,10 +260,10 @@ class TestSplitCorrectMerge:
         model = build_model(cfg)
         batch = build_step_batch(tiny_dataset, cfg, step=1)
         feats = [model.backbone.forward(img.pixels) for img in batch.images]
-        merged, _ = forward_roi_features(model, feats, batch.rois, batch.image_slot)
-        for row, (roi, slot) in enumerate(zip(batch.rois, batch.image_slot)):
-            pooled = roi_pool([feats[slot]], [roi], [0], mode="avg")
-            part = partition_index(roi.area, model.scheme)
+        merged, _ = forward_roi_features(model, feats, batch.boxes, batch.slots)
+        for row, (roi, slot) in enumerate(zip(batch.boxes, batch.slots)):
+            pooled = roi_pool([feats[slot]], roi[None], [0], mode="avg")
+            part = partition_index(box_area(roi[None])[0], model.scheme)
             single = fuse(pooled, san_forward(pooled, part, model.san), alpha=model.san.fusion_alpha)
             assert np.array_equal(merged.data[row], single.data[0])
 
@@ -261,8 +286,8 @@ class TestSplitCorrectMerge:
             cfg = tiny_config(san_mode=san_mode)
             model = build_model(cfg)
             batch = build_step_batch(tiny_dataset, cfg, step=1)
-            assert len(set(batch.image_slot)) > 1
-            assert len({partition_index(r.area, model.scheme) for r in batch.rois}) > 1
+            assert len(set(batch.slots.tolist())) > 1
+            assert len(set(partition_index(box_area(batch.boxes), model.scheme).tolist())) > 1
             compute_step_losses(model, batch).total.backward()
         assert calls == []
 
@@ -277,7 +302,7 @@ class TestSplitCorrectMerge:
             RoI(x1=0.0, y1=0.0, x2=96.0, y2=96.0),
         ]
         slots = [1, 0, 1, 1, 0]
-        pooled = roi_pool([Tensor(m) for m in maps], rois, slots).data
+        pooled = roi_pool([Tensor(m) for m in maps], box_array(rois), slots).data
         for n, (roi, s) in enumerate(zip(rois, slots)):
             assert np.array_equal(pooled[n : n + 1], naive_roi_pool(maps[s], roi, out=7, mode="avg", stride=8))
 
@@ -286,9 +311,9 @@ class TestSplitCorrectMerge:
         model = build_model(cfg)
         batch = build_step_batch(tiny_dataset, cfg, step=0)
         feats = [model.backbone.forward(img.pixels) for img in batch.images]
-        merged, _ = forward_roi_features(model, feats, batch.rois, batch.image_slot)
-        for row, (roi, slot) in enumerate(zip(batch.rois, batch.image_slot)):
-            pooled = roi_pool([feats[slot]], [roi], [0], mode="avg")
+        merged, _ = forward_roi_features(model, feats, batch.boxes, batch.slots)
+        for row, (roi, slot) in enumerate(zip(batch.boxes, batch.slots)):
+            pooled = roi_pool([feats[slot]], roi[None], [0], mode="avg")
             assert np.array_equal(merged.data[row], pooled.data[0])
 
 
@@ -329,11 +354,11 @@ class TestGradientBlocking:
             feats = [model.backbone.forward(img.pixels) for img in batch.images]
             acc = None
             for j in batch.san_indices:
-                roi = batch.rois[j]
-                img = batch.images[batch.image_slot[j]]
+                roi = RoI(*batch.boxes[j].tolist())
+                img = batch.images[batch.slots[j]]
                 r_tilde = reference_feature_for_roi(img, roi, model.scheme.ref_scale, model.backbone)
                 pooled = ag.global_avg_pool(
-                    roi_pool([ag.detach(feats[batch.image_slot[j]])], [roi], [0], mode=cfg.san_pool)
+                    roi_pool([ag.detach(feats[batch.slots[j]])], box_array([roi]), [0], mode=cfg.san_pool)
                 )
                 term = ag.sum_all(ag.smooth_l1(ag.sub(pooled, r_tilde)))
                 acc = term if acc is None else ag.add(acc, term)
@@ -572,9 +597,9 @@ class TestTrainLoop:
         cfg = TrainingConfig(iterations=30, san_mode="full", seed=1)
         for step in range(cfg.iterations):
             batch = build_step_batch(dataset, cfg, step)
-            for roi, slot in zip(batch.rois, batch.image_slot):
+            for (x1, y1, x2, y2), slot in zip(batch.boxes.tolist(), batch.slots.tolist()):
                 img = batch.images[slot]
-                assert 0 <= roi.x1 < roi.x2 <= img.width and 0 <= roi.y1 < roi.y2 <= img.height
+                assert 0 <= x1 < x2 <= img.width and 0 <= y1 < y2 <= img.height
         result = train(dataset, cfg)
         ap, _ = evaluate_detector(result.model, dataset, seed=0)
         assert 0.0 <= ap.mean_ap <= 1.0
@@ -620,7 +645,7 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "m.san", result.model)
         loaded = load_checkpoint(tmp_path / "m.san")
         img, anns = tiny_dataset[0]
-        rois = [a.box for a in anns] or [RoI(x1=8, y1=8, x2=40, y2=40)]
+        rois = box_array([a.box for a in anns] or [RoI(x1=8, y1=8, x2=40, y2=40)])
         p_a, d_a = predict_rois(result.model, img, rois)
         p_b, d_b = predict_rois(loaded, img, rois)
         assert np.array_equal(p_a, p_b)
@@ -855,7 +880,7 @@ class TestInference:
         for sample_id, ann in enumerate(anns):
             z0 = extract_reference_feature(img, ann.box, scheme.ref_scale, bb)
             for s in scales:
-                z_s = rendered_roi_feature(img.pixels.data, ann.box, s, bb)
+                z_s = rendered_roi_feature(img.pixels.data, ann.box, [s], bb)
                 part = partition_index(float(s * s), scheme)
                 without, with_san = rmse_without_san(z_s, z0), rmse_with_san(z_s, z0, model.san, part)
                 want.append(RmseRow(sample_id, ann.class_id, s, without, with_san))
@@ -882,10 +907,23 @@ class TestRenderedRoiFeature:
     def test_matches_the_whole_window_rendering(self, h, w, box, scale):
         img = Image(np.random.default_rng(h + w).integers(0, 256, size=(1, 3, h, w), dtype=np.uint8))
         bb = Backbone.small(seed=3)
-        got = rendered_roi_feature(img.pixels.data, box, scale, bb).data
+        got = rendered_roi_feature(img.pixels.data, box, [scale], bb).data
         want = full_render_roi_feature(img, box, scale, bb).data
         assert got.shape == want.shape == (1, bb.c_feat, 1, 1)
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    @pytest.mark.parametrize("h, w, box", CASES)
+    def test_scales_rendered_together_are_bitwise_each_alone(self, h, w, box):
+        """One call renders every scale, crops every window with one
+        `roi_crop` and pools every rendering with one `roi_pool`: row s is,
+        bit for bit, scale s rendered alone."""
+        img = Image(np.random.default_rng(h + w).integers(0, 256, size=(1, 3, h, w), dtype=np.uint8))
+        bb = Backbone.small(seed=3)
+        scales = [8, 12, 16, 24, 32, 64, 96]
+        got = rendered_roi_feature(img.pixels.data, box, scales, bb).data
+        assert got.shape == (len(scales), bb.c_feat, 1, 1)
+        for k, scale in enumerate(scales):
+            assert np.array_equal(got[k : k + 1], rendered_roi_feature(img.pixels.data, box, [scale], bb).data)
 
     def test_one_cell_roi_pools_one_cell(self):
         """At scale 8 the 4x4 box renders at factor 2 in the 72-pixel window
@@ -894,6 +932,6 @@ class TestRenderedRoiFeature:
         img = Image(np.random.default_rng(0).integers(0, 256, size=(1, 3, 64, 64), dtype=np.uint8))
         bb = Backbone.small(seed=3)
         box = RoI(x1=20, y1=20, x2=24, y2=24)
-        got = rendered_roi_feature(img.pixels.data, box, 8, bb).data
+        got = rendered_roi_feature(img.pixels.data, box, [8], bb).data
         want = full_render_roi_feature(img, box, 8, bb).data
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
