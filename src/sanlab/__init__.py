@@ -22,7 +22,7 @@ from .autograd import Parameter, Tensor, no_grad, sgd_step
 from .backbone import Backbone, Image, RoI, box_array, cam_scale_sweep, extract_reference_feature, roi_pool
 from .data import Annotation, DatasetConfig, generate_dataset, load_dataset, make_proposals, scale_statistics
 from .errors import CheckpointError, ConfigError, GraphError, RoiError, SanlabError, ShapeError
-from .losses import DetectionHead, RegressionTarget, assign_roi_labels, box_iou, decode_regression, encode_regression
+from .losses import DetectionHead, assign_roi_labels, box_iou
 from .san import (
     COCO_SCHEME,
     SCHEME_PRESETS,

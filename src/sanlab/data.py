@@ -208,29 +208,15 @@ def make_proposals(
     n_neg: int,
     rng: np.random.Generator,
     image_size: int | tuple[int, int],
-) -> list[RoI]:
-    """Candidate boxes: jittered ground-truth copies plus random negatives.
-
-    Each ground truth yields ``n_pos_jitter`` copies with center and size
-    perturbed by up to +/-PROPOSAL_JITTER; ``n_neg`` boxes are sampled
-    uniformly.  ``image_size`` is the side of a square image or its
-    ``(width, height)``; every proposal is clamped inside the image, each
-    axis by its own extent.  The boxes are those of `proposal_boxes`.
-    """
-    boxes = proposal_boxes(box_array([a.box for a in gts]), n_pos_jitter, n_neg, rng, image_size)
-    return [RoI(*box) for box in boxes.tolist()]
-
-
-def proposal_boxes(
-    gt_boxes: np.ndarray,
-    n_pos_jitter: int,
-    n_neg: int,
-    rng: np.random.Generator,
-    image_size: int | tuple[int, int],
 ) -> np.ndarray:
-    """The (P, 4) float64 x1, y1, x2, y2 of `make_proposals`, from the
-    (G, 4) ground-truth boxes: the G * n_pos_jitter copies, each box's in
-    turn, then the n_neg negatives.
+    """Candidate boxes as (P, 4) float64 x1, y1, x2, y2: the
+    ``n_pos_jitter`` jittered copies of each ground truth in turn, then
+    ``n_neg`` random negatives.
+
+    A copy's center and size move by up to +/-PROPOSAL_JITTER of its box;
+    negatives are sampled uniformly.  ``image_size`` is the side of a
+    square image or its ``(width, height)``; every proposal is clamped
+    inside the image, each axis by its own extent.
 
     All draws for an image are taken as arrays, in the order of one
     scalar ``uniform`` call per value (per jittered copy: x shift, y shift,
@@ -240,7 +226,7 @@ def proposal_boxes(
     if n_pos_jitter < 0 or n_neg < 0:
         raise ConfigError(f"proposal counts must be non-negative, got n_pos_jitter={n_pos_jitter}, n_neg={n_neg}")
     extent = np.array(image_size if isinstance(image_size, tuple) else (image_size, image_size), dtype=np.float64)
-    g = np.repeat(gt_boxes, n_pos_jitter, axis=0)
+    g = np.repeat(box_array([a.box for a in gts]), n_pos_jitter, axis=0)
     u = rng.uniform(-PROPOSAL_JITTER, PROPOSAL_JITTER, size=(len(g), 4))
     size = g[:, 2:] - g[:, :2]  # columns x, y: width, height
     center = g[:, :2] + size / 2 + u[:, :2] * size
@@ -370,8 +356,9 @@ def write_dataset(out_dir: Path, dataset: list[tuple[Image, list[Annotation]]], 
 
 def load_dataset(data_dir: Path) -> list[tuple[Image, list[Annotation]]]:
     """Read a manifest + PPM tree back into memory.  An image listed twice,
-    or a box with no positive extent or wholly outside its image, is an
-    error naming the manifest and the line."""
+    or a box that is not finite (its coordinates or its float64 area), has
+    no positive extent or lies wholly outside its image, is an error naming
+    the manifest and the line."""
     data_dir = Path(data_dir)
     manifest = data_dir / "manifest.txt"
     dataset: list[tuple[Image, list[Annotation]]] = []
@@ -405,8 +392,9 @@ def load_dataset(data_dir: Path) -> list[tuple[Image, list[Annotation]]]:
                 raise SanlabError(f"{manifest}: bad annotation {line!r}: {exc}") from exc
             if class_id < 1:
                 raise SanlabError(f"{manifest}: class id in {line!r} must be at least 1; 0 is the background label")
-            if not all(map(math.isfinite, coords)):
-                raise SanlabError(f"{manifest}: box coordinates in {line!r} must be finite")
+            # any infinite or NaN coordinate makes the float64 area non-finite too
+            if not math.isfinite((coords[2] - coords[0]) * (coords[3] - coords[1])):
+                raise SanlabError(f"{manifest}: box coordinates in {line!r} must be finite, and so must their float64 area")
             try:
                 box = RoI(*coords)
             except RoiError as exc:

@@ -18,16 +18,6 @@ HEAD_INIT_STD = 0.01
 POS_IOU = 0.5
 
 
-@dataclass(frozen=True)
-class RegressionTarget:
-    """Center/size box offsets: tx, ty are relative shifts, tw, th log-ratios."""
-
-    tx: float
-    ty: float
-    tw: float
-    th: float
-
-
 @dataclass
 class DetectionHead:
     """Two 1x1 conv heads pooled globally: class scores and per-class boxes.
@@ -66,15 +56,11 @@ class DetectionHead:
         return logits, deltas
 
 
-def encode_regression(roi: RoI, gt: RoI) -> RegressionTarget:
-    """Offsets that map the RoI onto the ground-truth box."""
-    return RegressionTarget(*_box_offsets((roi.x1, roi.y1, roi.x2, roi.y2), (gt.x1, gt.y1, gt.x2, gt.y2)))
-
-
 def encode_boxes(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
-    """`encode_regression` of each of (N, 4) boxes onto the ground truth in
-    its row of ``gt_boxes``: (N, 4) float64 tx, ty, tw, th, each row in that
-    scalar arithmetic (`math.log`, which `np.log` may miss by an ulp)."""
+    """The offsets that map each of (N, 4) boxes onto the ground truth in its
+    row of ``gt_boxes``: (N, 4) float64 tx, ty (center shifts relative to
+    the box's size) and tw, th (log size ratios), each row in scalar
+    arithmetic (`math.log`, which `np.log` may miss by an ulp)."""
     rows = [_box_offsets(box, gt) for box, gt in zip(boxes.tolist(), gt_boxes.tolist())]
     return np.array(rows, dtype=np.float64).reshape(-1, 4)
 
@@ -90,14 +76,24 @@ def _box_offsets(box, gt) -> tuple[float, float, float, float]:
     return (gx - rx) / rw, (gy - ry) / rh, math.log(gw / rw), math.log(gh / rh)
 
 
-def decode_regression(t: RegressionTarget, roi: RoI) -> RoI:
-    """Exact inverse of encode_regression."""
-    rw, rh = roi.width, roi.height
-    cx = roi.x1 + rw / 2 + t.tx * rw
-    cy = roi.y1 + rh / 2 + t.ty * rh
-    w = rw * math.exp(t.tw)
-    h = rh * math.exp(t.th)
-    return RoI(x1=cx - w / 2, y1=cy - h / 2, x2=cx + w / 2, y2=cy + h / 2)
+def decode_box(t, box) -> tuple[float, float, float, float]:
+    """The x1, y1, x2, y2 that offsets ``t`` (tx, ty, tw, th) map ``box``
+    onto: the inverse of `_box_offsets`.  A log-size offset too large
+    for `math.exp` gives an infinite side, as an infinite offset does."""
+    x1, y1, x2, y2 = box
+    rw, rh = x2 - x1, y2 - y1
+    cx = x1 + rw / 2 + t[0] * rw
+    cy = y1 + rh / 2 + t[1] * rh
+    w = rw * _exp(t[2])
+    h = rh * _exp(t[3])
+    return cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def box_iou(a: RoI, b: RoI) -> float:
@@ -109,17 +105,18 @@ def box_iou(a: RoI, b: RoI) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def assign_roi_labels(rois, gts, pos_iou: float = POS_IOU) -> list[tuple[int, RegressionTarget | None]]:
-    """Label each RoI by its max-IoU ground truth (`match_boxes`).
-
-    Returns (class, regression target) pairs; background RoIs get class 0
-    and no target.
-    """
-    best, positive = match_boxes(box_array(rois), box_array([a.box for a in gts]), pos_iou)
-    return [
-        (gts[k].class_id, encode_regression(roi, gts[k].box)) if pos else (0, None)
-        for roi, k, pos in zip(rois, best.tolist(), positive.tolist())
-    ]
+def assign_roi_labels(boxes: np.ndarray, gts, pos_iou: float = POS_IOU) -> tuple[np.ndarray, np.ndarray]:
+    """Label each of the (P, 4) boxes by its max-IoU ground truth among the
+    annotations ``gts`` (`match_boxes`): (P,) int64 classes, 0 for
+    background, and (P, 4) float64 regression targets onto that ground
+    truth (`encode_boxes`), zero rows on background."""
+    gt_boxes = box_array([a.box for a in gts])
+    best, positive = match_boxes(boxes, gt_boxes, pos_iou)
+    classes = np.zeros(len(boxes), dtype=np.int64)
+    classes[positive] = np.array([a.class_id for a in gts], dtype=np.int64)[best[positive]]
+    targets = np.zeros((len(boxes), 4))
+    targets[positive] = encode_boxes(boxes[positive], gt_boxes[best[positive]])
+    return classes, targets
 
 
 def match_boxes(boxes: np.ndarray, gt_boxes: np.ndarray, pos_iou: float) -> tuple[np.ndarray, np.ndarray]:

@@ -29,22 +29,11 @@ from .data import (
     Annotation,
     check_class_ids,
     make_proposals,
-    proposal_boxes,
     proposal_rng,
     read_file,
 )
 from .errors import CheckpointError, ConfigError, RoiError, SanlabError
-from .losses import (
-    POS_IOU,
-    DetectionHead,
-    LossParts,
-    RegressionTarget,
-    box_iou,
-    decode_regression,
-    encode_boxes,
-    match_boxes,
-    multi_task_loss,
-)
+from .losses import DetectionHead, LossParts, assign_roi_labels, box_iou, decode_box, multi_task_loss
 from .rng import STREAM_STEP, derive
 from .san import (
     SanModule,
@@ -197,12 +186,11 @@ def build_step_batch(
     """Sample step ``step``'s images, RoIs, labels and scale-aware subset
     from its own stream.
 
-    Per image, in pick order: the `proposal_boxes` draws, labels by
-    `match_boxes`, then up to ``rois_per_image`` RoIs, a `POS_FRACTION`
-    share of them positive: an ordered subsample of the positives, then of
-    the negatives.  The kept RoIs are those `make_proposals` would give,
-    with their `assign_roi_labels` labels and targets (`encode_boxes`), as
-    rows of arrays: a step makes no `RoI` or `RegressionTarget`.
+    Per image, in pick order: the `make_proposals` draws, their
+    `assign_roi_labels` classes and targets, then up to ``rois_per_image``
+    RoIs, a `POS_FRACTION` share of them positive: an ordered subsample of
+    the positives, then of the negatives.  The kept RoIs are rows of
+    arrays: a step makes no `RoI`.
     """
     rng = derive(cfg.seed, STREAM_STEP, step)
     n_img = min(cfg.images_per_step, len(dataset))
@@ -213,22 +201,16 @@ def build_step_batch(
     for slot, di in enumerate(picks.tolist()):
         img, anns = dataset[di]
         images.append(img)
-        gt_boxes = box_array([a.box for a in anns])
-        proposals = proposal_boxes(gt_boxes, N_POS_JITTER, N_NEG, rng, (img.width, img.height))
-        best, positive = match_boxes(proposals, gt_boxes, POS_IOU)
-        classes = np.zeros(len(proposals), dtype=np.int64)
-        classes[positive] = np.array([a.class_id for a in anns], dtype=np.int64)[best[positive]]
+        proposals = make_proposals(anns, N_POS_JITTER, N_NEG, rng, (img.width, img.height))
+        classes, target = assign_roi_labels(proposals, anns)
         pos, neg = np.flatnonzero(classes >= 1), np.flatnonzero(classes == 0)
         n_pos = min(pos.size, pos_cap)
         n_neg = min(neg.size, cfg.rois_per_image - n_pos)
         keep = np.concatenate([pos[subsample_index(pos.size, n_pos, rng)], neg[subsample_index(neg.size, n_neg, rng)]])
-        fg = positive[keep]
-        target = np.zeros((keep.size, 4))
-        target[fg] = encode_boxes(proposals[keep[fg]], gt_boxes[best[keep[fg]]])
         boxes.append(proposals[keep])
         slots.append(np.full(keep.size, slot))
         labels.append(classes[keep])
-        targets.append(target)
+        targets.append(target[keep])
     n_rois = sum(len(b) for b in boxes)
     if not n_rois:
         raise RoiError(f"step {step} sampled no RoI from dataset images {picks.tolist()}")
@@ -544,25 +526,25 @@ def nms(boxes: list[RoI], scores: list[float]) -> list[int]:
     return keep
 
 
-def detect(model: DetectionModel, img: Image, proposals: list[RoI]) -> list[Detection]:
-    """Score proposals and return per-class NMS'd detections."""
-    if not proposals:
+def detect(model: DetectionModel, img: Image, proposals: np.ndarray) -> list[Detection]:
+    """Score the (P, 4) proposal boxes and return per-class NMS'd detections."""
+    if not len(proposals):
         return []
-    probs, deltas = predict_rois(model, img, box_array(proposals))
+    probs, deltas = predict_rois(model, img, proposals)
+    rows = proposals.tolist()
     out: list[Detection] = []
     for k in range(1, model.num_classes + 1):
         cand_boxes: list[RoI] = []
         cand_scores: list[float] = []
-        for j, roi in enumerate(proposals):
+        for j, box in enumerate(rows):
             score = float(probs[j, k])
             if score < DETECT_SCORE_THRESH:
                 continue
-            t = RegressionTarget(*deltas[j, 4 * (k - 1) : 4 * k].tolist())
-            box = decode_regression(t, roi)
-            x1 = min(max(box.x1, 0.0), img.width - 1.0)
-            y1 = min(max(box.y1, 0.0), img.height - 1.0)
-            x2 = max(min(box.x2, float(img.width)), x1 + 1.0)
-            y2 = max(min(box.y2, float(img.height)), y1 + 1.0)
+            x1, y1, x2, y2 = decode_box(deltas[j, 4 * (k - 1) : 4 * k].tolist(), box)
+            x1 = min(max(x1, 0.0), img.width - 1.0)
+            y1 = min(max(y1, 0.0), img.height - 1.0)
+            x2 = max(min(x2, float(img.width)), x1 + 1.0)
+            y2 = max(min(y2, float(img.height)), y1 + 1.0)
             cand_boxes.append(RoI(x1=x1, y1=y1, x2=x2, y2=y2))
             cand_scores.append(score)
         for i in nms(cand_boxes, cand_scores):

@@ -1,9 +1,11 @@
 """Shared test oracles: finite differences, the nine-slice im2col, the
 per-partition correction path, the per-image and single-RoI RoI pooling,
-the step graph with one backbone pass per image, the per-RoI step
-sampler, the whole-window rendering of the RMSE report, the reference
-crop as a snapped RoI, the dataset generator's scalar placement loop, and
-small numeric utilities; and a model's no-loss view."""
+the step graph with one backbone pass per image, the box-offset codec on
+`RoI` objects, the scalar proposal and labelling loops and the per-RoI
+step sampler built on them, the whole-window rendering of the RMSE
+report, the reference crop as a snapped RoI, the dataset generator's
+scalar placement loop, and small numeric utilities; and a model's no-loss
+view."""
 
 from __future__ import annotations
 
@@ -25,9 +27,9 @@ from sanlab.backbone import (
     batched_reference_features,
     roi_pool,
 )
-from sanlab.data import _COLORS, _SHAPES, MIN_GAP, PLACEMENT_RETRIES, Annotation, DatasetConfig, make_proposals
+from sanlab.data import _COLORS, _SHAPES, MIN_GAP, PLACEMENT_RETRIES, Annotation, DatasetConfig
 from sanlab.errors import RoiError
-from sanlab.losses import assign_roi_labels, box_iou, multi_task_loss
+from sanlab.losses import box_iou, multi_task_loss
 from sanlab.rng import STREAM_DATA, STREAM_STEP, derive
 from sanlab.san import partition_index, san_loss_branch
 from sanlab.training import StepBatch, forward_roi_features
@@ -252,6 +254,106 @@ def per_image_step_losses(model, batch):
     )
 
 
+# The box-offset codec and the proposal and labelling loops as the package
+# ran them on `RoI` objects before it sampled and decoded on arrays: one
+# `uniform` call per value, one clamp per box and one `box_iou` per pair.
+
+
+@dataclasses.dataclass(frozen=True)
+class RegressionTarget:
+    """Center/size box offsets: tx, ty are relative shifts, tw, th log-ratios."""
+
+    tx: float
+    ty: float
+    tw: float
+    th: float
+
+
+def encode_regression(roi: RoI, gt: RoI) -> RegressionTarget:
+    """Offsets that map the RoI onto the ground-truth box."""
+    rw, rh = roi.width, roi.height
+    if rw <= 0 or rh <= 0:
+        raise RoiError(f"cannot encode against zero-size RoI ({roi.x1},{roi.y1},{roi.x2},{roi.y2})")
+    rx, ry = roi.x1 + rw / 2, roi.y1 + rh / 2
+    gw, gh = gt.width, gt.height
+    gx, gy = gt.x1 + gw / 2, gt.y1 + gh / 2
+    return RegressionTarget(
+        tx=(gx - rx) / rw,
+        ty=(gy - ry) / rh,
+        tw=math.log(gw / rw),
+        th=math.log(gh / rh),
+    )
+
+
+def decode_regression(t: RegressionTarget, roi: RoI) -> RoI:
+    """Exact inverse of encode_regression."""
+    rw, rh = roi.width, roi.height
+    cx = roi.x1 + rw / 2 + t.tx * rw
+    cy = roi.y1 + rh / 2 + t.ty * rh
+    w = rw * math.exp(t.tw)
+    h = rh * math.exp(t.th)
+    return RoI(x1=cx - w / 2, y1=cy - h / 2, x2=cx + w / 2, y2=cy + h / 2)
+
+
+def scalar_make_proposals(gts, n_pos_jitter, n_neg, rng, image_size):
+    """`make_proposals` on a square image of side ``image_size``, as `RoI`s."""
+    jitter = 0.25  # the package's PROPOSAL_JITTER
+    out = []
+    for gt in gts:
+        for _ in range(n_pos_jitter):
+            w, h = gt.box.width, gt.box.height
+            cx = gt.box.x1 + w / 2 + rng.uniform(-jitter, jitter) * w
+            cy = gt.box.y1 + h / 2 + rng.uniform(-jitter, jitter) * h
+            nw = w * (1 + rng.uniform(-jitter, jitter))
+            nh = h * (1 + rng.uniform(-jitter, jitter))
+            out.append(scalar_clamped_roi(cx, cy, nw, nh, image_size))
+    for _ in range(n_neg):
+        w = rng.uniform(6.0, image_size / 2)
+        h = rng.uniform(6.0, image_size / 2)
+        cx = rng.uniform(w / 2, image_size - w / 2)
+        cy = rng.uniform(h / 2, image_size - h / 2)
+        out.append(scalar_clamped_roi(cx, cy, w, h, image_size))
+    return out
+
+
+def scalar_clamped_roi(cx, cy, w, h, image_size):
+    x1 = max(0.0, cx - w / 2)
+    y1 = max(0.0, cy - h / 2)
+    x2 = min(float(image_size), cx + w / 2)
+    y2 = min(float(image_size), cy + h / 2)
+    if x2 - x1 < 2.0:
+        x1, x2 = max(0.0, min(x1, image_size - 2.0)), max(2.0, min(float(image_size), x1 + 2.0))
+    if y2 - y1 < 2.0:
+        y1, y2 = max(0.0, min(y1, image_size - 2.0)), max(2.0, min(float(image_size), y1 + 2.0))
+    return RoI(x1=x1, y1=y1, x2=x2, y2=y2)
+
+
+def scalar_assign_roi_labels(rois, gts, pos_iou=0.5):
+    """(class, `RegressionTarget`) per RoI; (0, None) on background."""
+    out = []
+    for roi in rois:
+        best_iou = 0.0
+        best = None
+        for gt in gts:
+            iou = box_iou(roi, gt.box)
+            if iou > best_iou:
+                best_iou = iou
+                best = gt
+        if best is not None and best_iou >= pos_iou:
+            out.append((best.class_id, encode_regression(roi, best.box)))
+        else:
+            out.append((0, None))
+    return out
+
+
+def label_arrays(assigned) -> tuple[np.ndarray, np.ndarray]:
+    """`scalar_assign_roi_labels` pairs as `assign_roi_labels` returns them:
+    (P,) int64 classes and (P, 4) float64 targets, zero rows for none."""
+    classes = np.array([u for u, _ in assigned], dtype=np.int64)
+    targets = np.array([(0.0,) * 4 if t is None else dataclasses.astuple(t) for _, t in assigned]).reshape(-1, 4)
+    return classes, targets
+
+
 def per_roi_sample(rois: list, n: int, rng: np.random.Generator) -> list:
     """An ordered uniform subsample as the package drew it before `subsample_index`."""
     if n >= len(rois):
@@ -264,7 +366,8 @@ def per_roi_sample(rois: list, n: int, rng: np.random.Generator) -> list:
 
 def per_roi_build_step_batch(dataset, cfg, step: int) -> StepBatch:
     """`build_step_batch` as the package ran it before it sampled on
-    arrays: every proposal an `RoI`, labelled by `assign_roi_labels`; its
+    arrays, on square images: every proposal an `RoI` from
+    `scalar_make_proposals`, labelled by `scalar_assign_roi_labels`; its
     RoIs, slots, labels, targets (zero rows for none) and subset end as the
     arrays a `StepBatch` holds."""
     rng = derive(cfg.seed, STREAM_STEP, step)
@@ -273,13 +376,13 @@ def per_roi_build_step_batch(dataset, cfg, step: int) -> StepBatch:
     images = []
     rois = []
     slots = []
-    labels = []
-    targets = []
+    kept = []  # the (class, target) pair of each kept RoI
     for slot, di in enumerate(picks.tolist()):
         img, anns = dataset[di]
+        assert img.width == img.height, "the scalar proposal loop samples square images"
         images.append(img)
-        props = make_proposals(anns, training.N_POS_JITTER, training.N_NEG, rng, (img.width, img.height))
-        assigned = assign_roi_labels(props, anns, losses.POS_IOU)
+        props = scalar_make_proposals(anns, training.N_POS_JITTER, training.N_NEG, rng, img.width)
+        assigned = scalar_assign_roi_labels(props, anns, losses.POS_IOU)
         pos = [i for i, (u, _) in enumerate(assigned) if u >= 1]
         neg = [i for i, (u, _) in enumerate(assigned) if u == 0]
         n_pos = min(len(pos), int(round(cfg.rois_per_image * training.POS_FRACTION)))
@@ -287,17 +390,17 @@ def per_roi_build_step_batch(dataset, cfg, step: int) -> StepBatch:
         for i in per_roi_sample(pos, n_pos, rng) + per_roi_sample(neg, n_neg, rng):
             rois.append(props[i])
             slots.append(slot)
-            labels.append(assigned[i][0])
-            targets.append(assigned[i][1])
+            kept.append(assigned[i])
     if not rois:
         raise RoiError(f"step {step} sampled no RoI from dataset images {picks.tolist()}")
     san_indices = per_roi_sample(list(range(len(rois))), cfg.san_samples, rng)
+    labels, targets = label_arrays(kept)
     return StepBatch(
         images=images,
         boxes=box_array(rois),
         slots=np.array(slots, dtype=np.int64),
-        labels=np.array(labels, dtype=np.int64),
-        targets=np.array([(0.0,) * 4 if t is None else dataclasses.astuple(t) for t in targets]).reshape(-1, 4),
+        labels=labels,
+        targets=targets,
         san_indices=np.array(san_indices, dtype=np.int64),
     )
 

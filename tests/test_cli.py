@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import sanlab
+from sanlab import cli
 from sanlab.analysis import compute_cam
 from sanlab.cli import SETTINGS, TRAIN_FIELDS, main, parse_config_file
 from sanlab.data import DatasetConfig, load_dataset
@@ -523,6 +524,27 @@ class TestEval:
 
         assert "picture.ppm" in self._eval_mangled(small_run, tmp_path, capsys, mangle)
 
+    def test_log_size_offset_past_exp_clamps_every_box_to_its_image(self, small_run, tmp_path, monkeypatch):
+        """A finite log-size offset above about 709.78 used to make `math.exp`
+        raise `OverflowError`, and eval ended in a traceback.  It decodes as
+        an infinite side, so every detection box is the whole image."""
+        data, run = small_run
+        model = load_checkpoint(run / "checkpoint.san")
+        model.head.reg_b.data[:] = 1000.0
+        save_checkpoint(tmp_path / "wide.san", model)
+        found = []
+
+        def recording(*args):
+            ap, detections = evaluate_detector(*args)
+            found.extend(detections)
+            return ap, detections
+
+        monkeypatch.setattr(cli, "evaluate_detector", recording)
+        rc = main(["eval", "--out-dir", str(tmp_path / "e"), "--data-dir", str(data), "--checkpoint", str(tmp_path / "wide.san")])
+        assert rc == 0 and found
+        sides = {img.id: (img.width, img.height) for img, _ in load_dataset(data)}
+        assert {(d.box.x1, d.box.y1, d.box.x2, d.box.y2) == (0.0, 0.0, *sides[d.image_id]) for d in found} == {True}
+
 
 class TestCam:
     def test_single_scale_single_column(self, small_run, tmp_path):
@@ -786,13 +808,15 @@ class TestInputErrors:
             ("30 30 30 40", "must have positive extent"),
             ("200 200 230 230", "lies wholly outside its 96x96 image"),
             ("-20 10 0 40", "lies wholly outside its 96x96 image"),
+            ("10 10 1e200 1e200", "must be finite, and so must their float64 area"),
         ],
     )
     @pytest.mark.parametrize("command", ["train", "eval", "rmse"])
     def test_box_the_image_cannot_hold_is_an_error(self, small_run, tmp_path, capsys, command, box, message):
         """An inverted box used to fail without naming the file, and one
         outside the image was evaluated (exit 0) or failed in the RMSE
-        report's cell span."""
+        report's cell span.  A box whose area overflows float64 used to
+        load, and the RMSE report then died in a `ZeroDivisionError`."""
         data = tmp_path / "data"
         shutil.copytree(small_run[0], data)
         manifest = data / "manifest.txt"

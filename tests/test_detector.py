@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sanlab import cli
-from sanlab.backbone import RoI
+from sanlab.backbone import RoI, box_array
 from sanlab.data import DatasetConfig, generate_dataset, write_dataset
 from sanlab.errors import CheckpointError, ConfigError
 from sanlab.san import COCO_SCHEME, TOY_SCHEME, VOC_SCHEME, ScalePartitionScheme, resolve_scheme
@@ -36,8 +36,8 @@ def tiny_model(dataset, **kw):
     return train(dataset, tiny_config(**kw)).model
 
 
-def proposals_of(anns) -> list[RoI]:
-    return [a.box for a in anns] or [RoI(x1=8, y1=8, x2=40, y2=40)]
+def proposals_of(anns) -> np.ndarray:
+    return box_array([a.box for a in anns] or [RoI(x1=8, y1=8, x2=40, y2=40)])
 
 
 @pytest.fixture

@@ -1,4 +1,8 @@
-"""Regression codec, label assignment, detection head, multi-task loss."""
+"""Regression codec, label assignment, detection head, multi-task loss.
+
+The codec on `RoI` objects (`encode_regression`, `decode_regression`) is
+the test oracle in `helpers`; the package decodes one row of offsets with
+`losses.decode_box` and encodes rows with `losses.encode_boxes`."""
 
 import math
 
@@ -7,17 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sanlab import autograd as ag
+from helpers import RegressionTarget, decode_regression, encode_regression
 from sanlab.autograd import Tensor
-from sanlab.backbone import RoI
+from sanlab.backbone import RoI, box_array
 from sanlab.data import Annotation
 from sanlab.errors import RoiError, ShapeError
 from sanlab.losses import (
     DetectionHead,
-    RegressionTarget,
     assign_roi_labels,
     box_iou,
-    decode_regression,
-    encode_regression,
+    decode_box,
+    encode_boxes,
     multi_task_loss,
     regression_loss,
 )
@@ -31,51 +35,85 @@ def boxes_strategy():
     )
 
 
+def coords(roi: RoI) -> tuple[float, float, float, float]:
+    return roi.x1, roi.y1, roi.x2, roi.y2
+
+
+def encode(roi: RoI, gt: RoI) -> tuple[float, float, float, float]:
+    (t,) = encode_boxes(box_array([roi]), box_array([gt])).tolist()
+    return tuple(t)
+
+
 class TestRegressionCodec:
     def test_identical_boxes_zero_target(self):
         roi = RoI(x1=10, y1=20, x2=50, y2=60)
-        t = encode_regression(roi, roi)
-        assert (t.tx, t.ty, t.tw, t.th) == (0.0, 0.0, 0.0, 0.0)
+        assert encode(roi, roi) == (0.0, 0.0, 0.0, 0.0)
 
     def test_half_width_shift(self):
         roi = RoI(x1=0, y1=0, x2=40, y2=40)
         gt = RoI(x1=20, y1=0, x2=60, y2=40)
-        t = encode_regression(roi, gt)
-        assert t.tx == pytest.approx(0.5)
-        assert (t.ty, t.tw, t.th) == (0.0, 0.0, 0.0)
+        tx, ty, tw, th = encode(roi, gt)
+        assert tx == pytest.approx(0.5)
+        assert (ty, tw, th) == (0.0, 0.0, 0.0)
 
     def test_decode_zero_is_identity(self):
-        roi = RoI(x1=3, y1=4, x2=33, y2=24)
-        out = decode_regression(RegressionTarget(0, 0, 0, 0), roi)
-        assert (out.x1, out.y1, out.x2, out.y2) == (3, 4, 33, 24)
+        assert decode_box((0.0, 0.0, 0.0, 0.0), (3.0, 4.0, 33.0, 24.0)) == (3, 4, 33, 24)
 
     def test_log_two_doubles_width_about_center(self):
-        roi = RoI(x1=0, y1=0, x2=10, y2=10)
-        out = decode_regression(RegressionTarget(0, 0, math.log(2), 0), roi)
-        assert out.width == pytest.approx(20)
-        assert (out.x1 + out.x2) / 2 == pytest.approx(5)
+        x1, _, x2, _ = decode_box((0.0, 0.0, math.log(2), 0.0), (0.0, 0.0, 10.0, 10.0))
+        assert x2 - x1 == pytest.approx(20)
+        assert (x1 + x2) / 2 == pytest.approx(5)
 
     @given(roi=boxes_strategy(), gt=boxes_strategy())
     @settings(max_examples=200, deadline=None)
     def test_roundtrip(self, roi, gt):
-        decoded = decode_regression(encode_regression(roi, gt), roi)
-        assert decoded.x1 == pytest.approx(gt.x1, abs=1e-5)
-        assert decoded.y1 == pytest.approx(gt.y1, abs=1e-5)
-        assert decoded.x2 == pytest.approx(gt.x2, abs=1e-5)
-        assert decoded.y2 == pytest.approx(gt.y2, abs=1e-5)
+        decoded = decode_box(encode(roi, gt), coords(roi))
+        assert decoded == pytest.approx(coords(gt), abs=1e-5)
+
+
+def offsets_strategy():
+    return st.tuples(
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.floats(min_value=-20.0, max_value=20.0),
+        st.floats(min_value=-20.0, max_value=20.0),
+    )
+
+
+class TestDecodeBox:
+    """`decode_box` on one row is the oracle `decode_regression`, bit for bit."""
+
+    @given(roi=boxes_strategy(), t=offsets_strategy())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_oracle(self, roi, t):
+        got = np.float64(decode_box(t, coords(roi)))
+        assert got.tobytes() == np.float64(coords(decode_regression(RegressionTarget(*t), roi))).tobytes()
+
+    @given(roi=boxes_strategy(), gt=boxes_strategy())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_equals_the_oracle(self, roi, gt):
+        t = encode_regression(roi, gt)
+        got = np.float64(decode_box((t.tx, t.ty, t.tw, t.th), coords(roi)))
+        assert got.tobytes() == np.float64(coords(decode_regression(t, roi))).tobytes()
+
+    @pytest.mark.parametrize("tw", [709.8, 1000.0, 1e30, math.inf])
+    def test_log_size_offset_past_exp_is_an_infinite_side(self, tw):
+        """`math.exp` raises `OverflowError` above about 709.78; such an
+        offset decodes as an infinite one."""
+        assert decode_box((0.0, 0.0, tw, tw), (10.0, 20.0, 30.0, 60.0)) == (-math.inf, -math.inf, math.inf, math.inf)
 
 
 class TestAssignLabels:
     def test_exact_match_positive_with_zero_target(self):
         gt = Annotation(box=RoI(x1=5, y1=5, x2=25, y2=25), class_id=2)
-        (u, v), = assign_roi_labels([gt.box], [gt])
-        assert u == 2
-        assert (v.tx, v.ty, v.tw, v.th) == (0.0, 0.0, 0.0, 0.0)
+        classes, targets = assign_roi_labels(box_array([gt.box]), [gt])
+        assert classes.tolist() == [2]
+        assert targets.tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
     def test_disjoint_is_background(self):
         gt = Annotation(box=RoI(x1=0, y1=0, x2=10, y2=10), class_id=1)
-        (u, v), = assign_roi_labels([RoI(x1=50, y1=50, x2=60, y2=60)], [gt])
-        assert u == 0 and v is None
+        classes, targets = assign_roi_labels(np.array([[50.0, 50.0, 60.0, 60.0]]), [gt])
+        assert classes.tolist() == [0] and targets.tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
     def test_exact_half_iou_is_positive(self):
         # two 10x10 boxes overlapping on a 10x5 strip: IoU = 50/150 = 1/3;
@@ -86,8 +124,8 @@ class TestAssignLabels:
         union = 100 + 50 - inter
         assert inter / union == 0.5  # independent IoU computation
         assert box_iou(roi, gt_box) == pytest.approx(0.5)
-        (u, _), = assign_roi_labels([roi], [Annotation(box=gt_box, class_id=3)], pos_iou=0.5)
-        assert u == 3
+        classes, _ = assign_roi_labels(box_array([roi]), [Annotation(box=gt_box, class_id=3)], pos_iou=0.5)
+        assert classes.tolist() == [3]
 
     def test_tie_breaks_to_lowest_gt_index(self):
         roi = RoI(x1=0, y1=0, x2=10, y2=10)
@@ -95,12 +133,12 @@ class TestAssignLabels:
             Annotation(box=RoI(x1=0, y1=0, x2=10, y2=10), class_id=1),
             Annotation(box=RoI(x1=0, y1=0, x2=10, y2=10), class_id=2),
         ]
-        (u, _), = assign_roi_labels([roi], gts)
-        assert u == 1
+        classes, _ = assign_roi_labels(box_array([roi]), gts)
+        assert classes.tolist() == [1]
 
     def test_invalid_threshold(self):
         with pytest.raises(ShapeError):
-            assign_roi_labels([], [], pos_iou=1.5)
+            assign_roi_labels(np.zeros((0, 4)), [], pos_iou=1.5)
 
 
 class TestDetectionHead:

@@ -1,15 +1,15 @@
 """Array-form proposal sampling and labelling against their scalar loops.
 
 `make_proposals` and `assign_roi_labels` evaluate whole images at once.
-The scalar loops below are the reference they replaced: one `uniform`
-call per value, one clamp and one `box_iou` per pair.  On square images
-both must give the same boxes, labels and targets, bit for bit, and leave
-the generator in the same state.
+The scalar loops in `helpers` are the reference they replaced: one
+`uniform` call per value, one clamp and one `box_iou` per pair, on `RoI`
+objects.  On square images both must give the same boxes, labels and
+targets, bit for bit, and leave the generator in the same state.
 
 `build_step_batch` samples, labels and subsamples a step's proposals on
-arrays and makes objects only of the RoIs it keeps; the per-RoI sampler
-it replaced (`helpers.per_roi_build_step_batch`) is its reference, field
-by field and bit for bit.
+arrays through those two functions; the per-RoI sampler it replaced
+(`helpers.per_roi_build_step_batch`, on the scalar loops) is its
+reference, field by field and bit for bit.
 """
 
 from __future__ import annotations
@@ -19,77 +19,34 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import per_roi_build_step_batch
-from sanlab.backbone import RoI
+from helpers import label_arrays, per_roi_build_step_batch, scalar_assign_roi_labels, scalar_make_proposals
+from sanlab.backbone import RoI, box_array
 from sanlab.data import Annotation, DatasetConfig, generate_dataset, make_proposals
 from sanlab.errors import RoiError
-from sanlab.losses import assign_roi_labels, box_iou, encode_regression
+from sanlab.losses import assign_roi_labels, box_iou
 from sanlab.rng import derive
 from sanlab import training
 from sanlab.training import TrainingConfig, build_step_batch
 
 
-def scalar_make_proposals(gts, n_pos_jitter, n_neg, rng, image_size):
-    jitter = 0.25  # the package's PROPOSAL_JITTER
-    out = []
-    for gt in gts:
-        for _ in range(n_pos_jitter):
-            w, h = gt.box.width, gt.box.height
-            cx = gt.box.x1 + w / 2 + rng.uniform(-jitter, jitter) * w
-            cy = gt.box.y1 + h / 2 + rng.uniform(-jitter, jitter) * h
-            nw = w * (1 + rng.uniform(-jitter, jitter))
-            nh = h * (1 + rng.uniform(-jitter, jitter))
-            out.append(scalar_clamped_roi(cx, cy, nw, nh, image_size))
-    for _ in range(n_neg):
-        w = rng.uniform(6.0, image_size / 2)
-        h = rng.uniform(6.0, image_size / 2)
-        cx = rng.uniform(w / 2, image_size - w / 2)
-        cy = rng.uniform(h / 2, image_size - h / 2)
-        out.append(scalar_clamped_roi(cx, cy, w, h, image_size))
-    return out
-
-
-def scalar_clamped_roi(cx, cy, w, h, image_size):
-    x1 = max(0.0, cx - w / 2)
-    y1 = max(0.0, cy - h / 2)
-    x2 = min(float(image_size), cx + w / 2)
-    y2 = min(float(image_size), cy + h / 2)
-    if x2 - x1 < 2.0:
-        x1, x2 = max(0.0, min(x1, image_size - 2.0)), max(2.0, min(float(image_size), x1 + 2.0))
-    if y2 - y1 < 2.0:
-        y1, y2 = max(0.0, min(y1, image_size - 2.0)), max(2.0, min(float(image_size), y1 + 2.0))
-    return RoI(x1=x1, y1=y1, x2=x2, y2=y2)
-
-
-def scalar_assign_roi_labels(rois, gts, pos_iou=0.5):
-    out = []
-    for roi in rois:
-        best_iou = 0.0
-        best = None
-        for gt in gts:
-            iou = box_iou(roi, gt.box)
-            if iou > best_iou:
-                best_iou = iou
-                best = gt
-        if best is not None and best_iou >= pos_iou:
-            out.append((best.class_id, encode_regression(roi, best.box)))
-        else:
-            out.append((0, None))
-    return out
-
-
-def bits(rois):
-    """Every coordinate as its float64 bit pattern, so -0.0 != 0.0."""
-    return [np.float64([r.x1, r.y1, r.x2, r.y2]).tobytes() for r in rois]
+def assert_same_labels(boxes, gts, pos_iou):
+    """`assign_roi_labels` on the (P, 4) boxes gives the scalar loop's
+    classes and targets, bit for bit."""
+    classes, targets = assign_roi_labels(boxes, gts, pos_iou)
+    want_classes, want_targets = label_arrays(scalar_assign_roi_labels([RoI(*b) for b in boxes.tolist()], gts, pos_iou))
+    assert classes.dtype == np.int64 and classes.tobytes() == want_classes.tobytes()
+    assert targets.dtype == np.float64 and targets.shape == (len(boxes), 4)
+    assert targets.tobytes() == want_targets.tobytes()
 
 
 def assert_same_sampling(gts, n_pos_jitter, n_neg, seed, size, pos_iou=0.5):
     rng_a, rng_b = derive(seed, 9), derive(seed, 9)
     got = make_proposals(gts, n_pos_jitter, n_neg, rng_a, size)
     want = scalar_make_proposals(gts, n_pos_jitter, n_neg, rng_b, size)
-    assert bits(got) == bits(want)
+    assert got.dtype == np.float64 and got.shape == (len(want), 4)
+    assert got.tobytes() == box_array(want).tobytes()  # bit patterns, so -0.0 != 0.0
     assert rng_a.random() == rng_b.random()
-    assert assign_roi_labels(got, gts, pos_iou) == scalar_assign_roi_labels(want, gts, pos_iou)
+    assert_same_labels(got, gts, pos_iou)
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +102,8 @@ def test_sub_two_pixel_boxes_reach_the_two_pixel_rule():
     """The border cases above do take the narrow-box branch."""
     gts = [Annotation(box=RoI(x1=94.5, y1=0.0, x2=96.0, y2=1.5), class_id=1)]
     props = make_proposals(gts, 6, 0, derive(0, 9), 96)
-    assert all(p.x1 == 94.0 and p.x2 == 96.0 for p in props)
-    assert all(p.height == pytest.approx(2.0) for p in props)
+    assert (props[:, 0] == 94.0).all() and (props[:, 2] == 96.0).all()
+    assert props[:, 3] - props[:, 1] == pytest.approx(2.0)
 
 
 def test_labels_match_for_ties_and_zero_iou():
@@ -156,18 +113,21 @@ def test_labels_match_for_ties_and_zero_iou():
         Annotation(box=RoI(x1=20.0, y1=0.0, x2=30.0, y2=10.0), class_id=3),
         Annotation(box=RoI(x1=40.0, y1=0.0, x2=50.0, y2=10.0), class_id=1),
     ]
-    rois = [
-        RoI(x1=0.0, y1=0.0, x2=10.0, y2=10.0),  # tie between the twins
-        RoI(x1=1.0, y1=0.0, x2=11.0, y2=10.0),
-        RoI(x1=25.0, y1=0.0, x2=45.0, y2=10.0),  # tie between gts 2 and 3
-        RoI(x1=30.0, y1=0.0, x2=40.0, y2=10.0),  # touches two gts: zero IoU
-        RoI(x1=60.0, y1=60.0, x2=70.0, y2=70.0),  # far from all
-    ]
-    want = scalar_assign_roi_labels(rois, twin, 0.15)
-    assert assign_roi_labels(rois, twin, 0.15) == want
-    assert [u for u, _ in want] == [2, 2, 3, 0, 0]
-    assert assign_roi_labels(rois, [], 0.5) == [(0, None)] * len(rois)
-    assert assign_roi_labels([], twin, 0.5) == []
+    boxes = np.array(
+        [
+            (0.0, 0.0, 10.0, 10.0),  # tie between the twins
+            (1.0, 0.0, 11.0, 10.0),
+            (25.0, 0.0, 45.0, 10.0),  # tie between gts 2 and 3
+            (30.0, 0.0, 40.0, 10.0),  # touches two gts: zero IoU
+            (60.0, 60.0, 70.0, 70.0),  # far from all
+        ]
+    )
+    assert_same_labels(boxes, twin, 0.15)
+    assert assign_roi_labels(boxes, twin, 0.15)[0].tolist() == [2, 2, 3, 0, 0]
+    classes, targets = assign_roi_labels(boxes, [], 0.5)
+    assert classes.tolist() == [0] * len(boxes) and targets.tobytes() == np.zeros((len(boxes), 4)).tobytes()
+    classes, targets = assign_roi_labels(np.zeros((0, 4)), twin, 0.5)
+    assert classes.shape == (0,) and targets.shape == (0, 4)
 
 
 def test_labels_match_at_the_positive_threshold():
@@ -196,8 +156,7 @@ def test_labels_match_at_the_positive_threshold():
     assert ious[0] < 0.5
     assert min(ious) < 0.5 <= max(ious) and max(abs(v - 0.5) for v in ious) < 1e-15
     for roi, gt in pairs:
-        gts = [Annotation(box=gt, class_id=1)]
-        assert assign_roi_labels([roi], gts, 0.5) == scalar_assign_roi_labels([roi], gts, 0.5)
+        assert_same_labels(box_array([roi]), [Annotation(box=gt, class_id=1)], 0.5)
 
 
 def test_non_square_proposals_stay_inside_their_image():
@@ -208,9 +167,10 @@ def test_non_square_proposals_stay_inside_their_image():
         Annotation(box=RoI(x1=2.0, y1=1.0, x2=20.0, y2=19.0), class_id=2),
     ]
     rng = derive(3, 9)
-    props = [p for _ in range(200) for p in make_proposals(gts, 6, 30, rng, (width, height))]
-    assert all(0.0 <= p.x1 < p.x2 <= width and 0.0 <= p.y1 < p.y2 <= height for p in props)
-    assert max(p.x2 for p in props) > 2 * height, "negatives should span the wider axis"
+    x1, y1, x2, y2 = np.concatenate([make_proposals(gts, 6, 30, rng, (width, height)) for _ in range(200)]).T
+    assert (0.0 <= x1).all() and (x1 < x2).all() and (x2 <= width).all()
+    assert (0.0 <= y1).all() and (y1 < y2).all() and (y2 <= height).all()
+    assert x2.max() > 2 * height, "negatives should span the wider axis"
 
 
 def batch_bits(batch):

@@ -23,7 +23,6 @@ from sanlab.autograd import Tensor
 from sanlab.backbone import Backbone, Image, RoI, box_area, box_array, extract_reference_feature, roi_pool
 from sanlab.data import Annotation, DatasetConfig, generate_dataset, load_dataset, write_dataset
 from sanlab.errors import CheckpointError, ConfigError, RoiError
-from sanlab.losses import RegressionTarget
 from sanlab.san import TOY_SCHEME, ScalePartitionScheme, partition_index
 from sanlab.training import (
     BASE_LR,
@@ -197,24 +196,20 @@ class TestStepBatch:
     def test_training_makes_no_roi_or_regression_target(self, tiny_dataset, monkeypatch, san_mode, san_pool):
         """A step carries its RoIs as box, slot, label and target arrays from
         sampling through pooling, routing, the reference crops and the
-        losses: training constructs no `RoI` and no `RegressionTarget`."""
+        losses: training constructs no `RoI` (and the package has no
+        regression-target object left to construct)."""
         made = []
-        post_init, init = RoI.__post_init__, RegressionTarget.__init__
+        post_init = RoI.__post_init__
 
         def counted_roi(self):
             made.append("RoI")
             post_init(self)
 
-        def counted_target(self, *args, **kwargs):
-            made.append("RegressionTarget")
-            init(self, *args, **kwargs)
-
         monkeypatch.setattr(RoI, "__post_init__", counted_roi)
-        monkeypatch.setattr(RegressionTarget, "__init__", counted_target)
         train(tiny_dataset, tiny_config(iterations=3, san_mode=san_mode, san_pool=san_pool))
         assert made == []
-        RoI(x1=0.0, y1=0.0, x2=1.0, y2=1.0), RegressionTarget(0.0, 0.0, 0.0, 0.0)
-        assert made == ["RoI", "RegressionTarget"]
+        RoI(x1=0.0, y1=0.0, x2=1.0, y2=1.0)
+        assert made == ["RoI"]
 
 
 class TestCellAlignment:
@@ -817,7 +812,7 @@ class TestInference:
     def test_detect_returns_clipped_sorted_detections(self, tiny_dataset):
         result = train(tiny_dataset, tiny_config(iterations=1))  # one step leaves foreground scores above DETECT_SCORE_THRESH
         img, anns = tiny_dataset[1]
-        props = [a.box for a in anns] + [RoI(x1=4, y1=4, x2=30, y2=30)]
+        props = box_array([a.box for a in anns] + [RoI(x1=4, y1=4, x2=30, y2=30)])
         dets = detect(result.model, img, props)
         assert dets and dets == sorted(dets, key=lambda d: -d.score)
         for d in dets:
@@ -827,7 +822,7 @@ class TestInference:
 
     def test_detect_empty_proposals(self, tiny_dataset):
         result = train(tiny_dataset, tiny_config(iterations=1))
-        assert detect(result.model, tiny_dataset[0][0], []) == []
+        assert detect(result.model, tiny_dataset[0][0], np.zeros((0, 4))) == []
 
     def test_evaluate_detector_runs(self, tiny_dataset):
         result = train(tiny_dataset, tiny_config(iterations=3))
