@@ -211,17 +211,17 @@ def _edge_pad(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _edge_fold(gp: np.ndarray, p: int) -> np.ndarray:
-    """Gradient of `_edge_pad`: border rows, then border columns, folded
-    onto the edge they copy (one edge row serves both sides when h == 1)."""
+    """Gradient of `_edge_pad`, summed into gp in place: border rows, then
+    border columns, folded onto the edge they copy (one edge row serves
+    both sides when h == 1).  Returns the view of gp's interior."""
     h = gp.shape[2] - 2 * p
     w = gp.shape[3] - 2 * p
-    g = gp[:, :, p : p + h].copy()
-    g[:, :, 0] += gp[:, :, :p].sum(axis=2)
-    g[:, :, h - 1] += gp[:, :, p + h :].sum(axis=2)
-    gx = g[:, :, :, p : p + w].copy()
-    gx[:, :, :, 0] += g[:, :, :, :p].sum(axis=3)
-    gx[:, :, :, w - 1] += g[:, :, :, p + w :].sum(axis=3)
-    return gx
+    gp[:, :, p] += gp[:, :, :p].sum(axis=2)
+    gp[:, :, p + h - 1] += gp[:, :, p + h :].sum(axis=2)
+    g = gp[:, :, p : p + h]
+    g[:, :, :, p] += g[:, :, :, :p].sum(axis=3)
+    g[:, :, :, p + w - 1] += g[:, :, :, p + w :].sum(axis=3)
+    return g[:, :, :, p : p + w]
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
@@ -234,15 +234,35 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> 
     return view.copy().reshape(n, c * kh * kw, ho * wo)
 
 
-def _col2im(cols: np.ndarray, xp_shape, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Sum columns back onto a padded map of shape xp_shape."""
-    n, c = xp_shape[:2]
-    cols = cols.reshape(n, c, kh, kw, ho, wo)
-    xp = np.zeros(xp_shape, dtype=cols.dtype)
+def _padded_input_grad(g: np.ndarray, w: np.ndarray, xp_shape, s: int, ho: int, wo: int) -> np.ndarray:
+    """Input gradient on the padded map xp_shape from output gradient g
+    (n, k, ho*wo) and kernels w.  g is widened with zeros to hp x wp =
+    ho + (kh-1)//s by wo + (kw-1)//s, so its product with the kernel rows in
+    (i, j, c) order gives each tap of an image one contiguous run, added
+    into parity plane (i % s, j % s) at offset (i//s)*wp + j//s: a padded
+    element sums its taps in (i, j) order from +0, and zero columns add +-0.
+    A 1x1 output keeps numpy's one-column GEMV, whose sums are not GEMM's."""
+    n, (k, c, kh, kw) = g.shape[0], w.shape
+    gp = np.zeros(xp_shape, dtype=g.dtype)
+    if ho * wo == 1:
+        gp[:, :, :kh, :kw] += np.matmul(w.reshape(k, -1).T, g).reshape(n, c, kh, kw)
+        return gp
+    hp, wp = ho + (kh - 1) // s, wo + (kw - 1) // s
+    gz = np.zeros((n, k, hp, wp), dtype=g.dtype)
+    gz[:, :, :ho, :wo] = g.reshape(n, k, ho, wo)
+    size = c * hp * wp
+    wt = w.transpose(0, 2, 3, 1).reshape(k, kh * kw * c).T
+    dcols = np.matmul(wt, gz.reshape(n, k, hp * wp)).reshape(n, kh * kw, size)
+    planes = np.zeros((n, s, s, size), dtype=g.dtype)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
-    return xp
+            off = (i // s) * wp + j // s
+            planes[:, i % s, j % s, off:] += dcols[:, i * kw + j, : size - off]
+    for a in range(s):
+        for b in range(s):
+            dst = gp[:, :, a::s, b::s][:, :, :hp, :wp]
+            dst[...] = planes[:, a, b].reshape(n, c, hp, wp)[:, :, : dst.shape[2], : dst.shape[3]]
+    return gp
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, relu: bool = False) -> Tensor:
@@ -263,6 +283,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, relu:
     the backward masks its gradient by ``out > 0`` (true exactly where the
     pre-activation was) and adds 0, as `relu`'s hand-off through
     `Tensor._accumulate` does, so a masked -0.0 reaches the sums as +0.0.
+
+    The backward sums the input gradient by kernel-tap planes, one
+    contiguous add per tap (`_padded_input_grad`), then folds the border
+    (`_edge_fold`); a float64 BLAS may round the wider product differently.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
@@ -304,11 +328,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0, relu:
             dwm = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
             w._accumulate(dwm.reshape(w.shape))
         if dx is not None:
-            dcols = np.matmul(wm.T, g)
             if pointwise:
-                dx._accumulate(dcols.reshape(dx.shape))
+                dx._accumulate(np.matmul(wm.T, g).reshape(dx.shape))
             else:
-                gp = _col2im(dcols, xp_shape, kh, kw, stride, ho, wo)
+                gp = _padded_input_grad(g, w.data, xp_shape, stride, ho, wo)
                 dx._accumulate(_edge_fold(gp, pad) if pad else gp)
 
     return _result(out_data, (w, b) if dx is None else (x, w, b), backward)
@@ -485,7 +508,7 @@ def replicate_pad(x: Tensor, p: int) -> Tensor:
         return x
 
     def backward(grad_out: np.ndarray):
-        x._accumulate(_edge_fold(grad_out, p))
+        x._accumulate(_edge_fold(grad_out.copy(), p))
 
     return _result(_edge_pad(x.data, p), (x,), backward)
 

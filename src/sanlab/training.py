@@ -70,6 +70,7 @@ N_POS_JITTER = 6
 N_NEG = 30
 POS_FRACTION = 0.25
 GAUSSIAN_STD = 0.05
+BLOWUP_FACTOR = 100  # a step's l_cls above this times step 0's is divergence
 
 
 @dataclass(frozen=True)
@@ -314,10 +315,10 @@ def fill_missing_grads(params: list[Parameter]) -> None:
 
 
 class TrainingDiverged(SanlabError):
-    def __init__(self, step: int, parts: LossParts, lr: float):
+    def __init__(self, step: int, parts: LossParts, lr: float, what: str = "non-finite loss"):
         self.step = step
         self.diagnostics = {"iter": step, "l_cls": parts.l_cls, "l_reg": parts.l_reg, "l_san": parts.l_san, "lr": lr}
-        super().__init__(f"non-finite loss at iteration {step}: {self.diagnostics}")
+        super().__init__(f"{what} at iteration {step}: {self.diagnostics}")
 
 
 @dataclass
@@ -346,12 +347,16 @@ def train(dataset: list[tuple[Image, list[Annotation]]], cfg: TrainingConfig) ->
     san_params = model.san.named_parameters() if model.san is not None else []
     decayed = model.backbone.named_parameters() + model.head.named_parameters()
     rows: list[tuple[int, float, float, float, float]] = []
+    cls_limit = math.inf
     for step in range(cfg.iterations):
         batch = build_step_batch(dataset, cfg, step)
         parts = compute_step_losses(model, batch)
         lr = learning_rate(step)
         if not all(math.isfinite(v) for v in (parts.l_cls, parts.l_reg, parts.l_san)):
             raise TrainingDiverged(step, parts, lr)
+        if parts.l_cls > cls_limit:
+            raise TrainingDiverged(step, parts, lr, f"loss blew up (l_cls above {BLOWUP_FACTOR}x its first value)")
+        cls_limit = cls_limit if step else BLOWUP_FACTOR * parts.l_cls
         parts.total.backward()
         fill_missing_grads(san_params)
         ag.sgd_step(decayed, lr=lr, momentum=MOMENTUM, weight_decay=WEIGHT_DECAY)
@@ -443,6 +448,8 @@ def _entry(entries: dict[str, np.ndarray], key: str, shape: tuple[int, ...]) -> 
     arr = entries[key]
     if arr.shape != shape:
         raise CheckpointError(f"checkpoint entry {key} has shape {arr.shape}, expected {shape}")
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
+        raise CheckpointError(f"checkpoint entry {key} holds a non-finite value")
     return arr
 
 

@@ -1,11 +1,11 @@
-"""Shared test oracles: finite differences, the nine-slice im2col, the
-per-partition correction path, the per-image and single-RoI RoI pooling,
-the step graph with one backbone pass per image, the box-offset codec on
-`RoI` objects, the scalar proposal and labelling loops and the per-RoI
-step sampler built on them, the whole-window rendering of the RMSE
-report, the reference crop as a snapped RoI, the dataset generator's
-scalar placement loop, and small numeric utilities; and a model's no-loss
-view."""
+"""Shared test oracles: finite differences, the nine-slice im2col and
+col2im and the copying edge fold, the per-partition correction path, the
+per-image and single-RoI RoI pooling, the step graph with one backbone
+pass per image, the box-offset codec on `RoI` objects, the scalar proposal
+and labelling loops and the per-RoI step sampler built on them, the
+whole-window rendering of the RMSE report, the reference crop as a snapped
+RoI, the dataset generator's scalar placement loop, and small numeric
+utilities; and a model's no-loss view."""
 
 from __future__ import annotations
 
@@ -104,6 +104,34 @@ def nine_slice_im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
     return cols.reshape(n, c * kh * kw, ho * wo)
+
+
+def nine_slice_col2im(cols: np.ndarray, xp_shape, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """`autograd.conv2d`'s column sum as the package ran it before it added
+    by kernel-tap planes: one strided slice add per kernel offset onto a
+    zero padded map of shape xp_shape."""
+    n, c = xp_shape[:2]
+    cols = cols.reshape(n, c, kh, kw, ho, wo)
+    xp = np.zeros(xp_shape, dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols[:, :, i, j]
+    return xp
+
+
+def copying_edge_fold(gp: np.ndarray, p: int) -> np.ndarray:
+    """`autograd._edge_fold` as the package ran it before it folded in
+    place: the interior rows copied out, border rows folded onto them,
+    then the interior columns copied out and border columns folded."""
+    h = gp.shape[2] - 2 * p
+    w = gp.shape[3] - 2 * p
+    g = gp[:, :, p : p + h].copy()
+    g[:, :, 0] += gp[:, :, :p].sum(axis=2)
+    g[:, :, h - 1] += gp[:, :, p + h :].sum(axis=2)
+    gx = g[:, :, :, p : p + w].copy()
+    gx[:, :, :, 0] += g[:, :, :, :p].sum(axis=3)
+    gx[:, :, :, w - 1] += g[:, :, :, p + w :].sum(axis=3)
+    return gx
 
 
 def _row_groups(keys) -> tuple[list[tuple[int, list[int]]], np.ndarray | None]:

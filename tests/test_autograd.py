@@ -5,8 +5,16 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import assert_grad_close, check_op_gradients, nine_slice_im2col, numerical_gradient
+from helpers import (
+    assert_grad_close,
+    check_op_gradients,
+    copying_edge_fold,
+    nine_slice_col2im,
+    nine_slice_im2col,
+    numerical_gradient,
+)
 
 from sanlab import autograd as ag
 from sanlab.autograd import Parameter, Tensor
@@ -330,7 +338,7 @@ class TestConvKernelsBitwise:
         value = np.matmul(wm, cols).reshape(n, k, h, w) + b.reshape(1, k, 1, 1)
         g = upstream.reshape(n, k, h * w)
         gx = np.zeros_like(x)
-        gx += ag._col2im(np.matmul(wm.T, g), x.shape, 1, 1, 1, h, w)
+        gx += nine_slice_col2im(np.matmul(wm.T, g), x.shape, 1, 1, 1, h, w)
         gw = np.zeros_like(wt)
         gw += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wt.shape)
         gb = np.zeros_like(b)
@@ -363,6 +371,105 @@ class TestConvKernelsBitwise:
         wt = np.ones((1, 2, 3, 3), dtype=np.float32)
         out = ag.conv2d(Tensor(x), Tensor(wt), Tensor(np.zeros(1, dtype=np.float32)), stride=2, pad=2)
         assert np.all(out.data == 9.0)
+
+
+class TestEdgeFold:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 5), (4, 1), (6, 7)])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_in_place_fold_equals_the_copying_fold(self, p, h, w, dtype):
+        gp = rng_for(10 * p + h).normal(size=(2, 3, h + 2 * p, w + 2 * p)).astype(dtype)
+        want = copying_edge_fold(gp, p)
+        got = ag._edge_fold(gp.copy(), p)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def nine_slice_conv_grads(x, wt, upstream, stride, pad):
+    """x, w and b gradients of sum(conv2d(x, wt, b, stride, pad) * upstream)
+    as conv2d computed them before it summed columns by kernel-tap planes:
+    nine-slice im2col and col2im, then the copying edge fold; each stored as
+    `Tensor._accumulate` stores a first gradient.  Also the sums of
+    absolute terms behind the x gradient."""
+    n, c, h, w = x.shape
+    k, _, kh, kw = wt.shape
+    ho, wo = ag._conv_out_size(h, kh, stride, pad), ag._conv_out_size(w, kw, stride, pad)
+    xp = ag._edge_pad(x, pad) if pad else x
+    wm = wt.reshape(k, -1)
+    g = upstream.reshape(n, k, ho * wo)
+
+    def input_grad(a, b):
+        gp = nine_slice_col2im(np.matmul(a.T, b), xp.shape, kh, kw, stride, ho, wo)
+        return copying_edge_fold(gp, pad) if pad else gp
+
+    gw = np.matmul(g, nine_slice_im2col(xp, kh, kw, stride, ho, wo).transpose(0, 2, 1)).sum(axis=0)
+    grads = tuple(a + 0 for a in (input_grad(wm, g), gw.reshape(wt.shape), g.sum(axis=(0, 2))))
+    return grads, input_grad(np.abs(wm), np.abs(g))
+
+
+class TestConvInputGradient:
+    """conv2d's backward, which sums its input gradient by kernel-tap planes,
+    against the nine-slice column sum it replaced."""
+
+    @staticmethod
+    def check(x, wt, b, upstream, stride, pad):
+        got = conv_value_and_grads(lambda a, k, c: ag.conv2d(a, k, c, stride, pad), x, wt, b, upstream)[1:]
+        want, magnitude = nine_slice_conv_grads(x, wt, upstream, stride, pad)
+        assert_same_bits(got[1], want[1])
+        assert_same_bits(got[2], want[2])
+        if x.dtype == np.float32 or upstream.shape[2:] == (1, 1):
+            assert_same_bits(got[0], want[0])
+        else:
+            # float64 column products of another width can differ in the last
+            # bits: OpenBLAS's dgemm kernels for AVX-512 sum the columns and
+            # rows past the last full register block in another order
+            # (float32's do not); so the float64 input gradient is held to its
+            # rounding bound
+            k, _, kh, kw = wt.shape
+            bound = 2 * (k + kh * kw * (1 + pad) ** 2) * np.finfo(x.dtype).eps * magnitude
+            assert got[0].dtype == x.dtype and np.all(np.abs(got[0] - want[0]) <= bound)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_gradients_equal_the_nine_slice_path(self, data):
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        kernel = data.draw(st.sampled_from([1, 3, 5]))
+        stride, pad = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+        h, w = (data.draw(st.integers(max(1, kernel - 2 * pad), 40)) for _ in range(2))
+        n, c, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 16)), data.draw(st.integers(1, 70))
+        r = rng_for(data.draw(st.integers(0, 2**32 - 1)))
+        x = r.normal(size=(n, c, h, w)).astype(dtype)
+        wt = r.normal(size=(k, c, kernel, kernel)).astype(dtype)
+        b = r.normal(size=k).astype(dtype)
+        ho, wo = ag._conv_out_size(h, kernel, stride, pad), ag._conv_out_size(w, kernel, stride, pad)
+        upstream = r.normal(size=(n, k, ho, wo)).astype(dtype)
+        # zeros of both signs, as a ReLU mask passes them on
+        upstream[r.random(upstream.shape) < 0.2] = 0.0
+        upstream[r.random(upstream.shape) < 0.1] = -0.0
+        self.check(x, wt, b, upstream, stride, pad)
+
+    @pytest.mark.parametrize("c, side", [(16, 48), (32, 24)])
+    def test_training_shapes_equal_the_nine_slice_path(self, c, side):
+        """Backbone blocks 2 and 3 on a training step's two 96-px images."""
+        x, wt, b = conv_case(c + side, 2, c, 32, side, side, 3)
+        upstream = rng_for(side).normal(size=(2, 32, side // 2, side // 2)).astype(np.float32)
+        upstream[upstream < -0.5] = 0.0
+        self.check(x, wt, b, upstream, 2, 1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "kernel, stride, pad, h, w",
+        [(3, 1, 1, 1, 1), (3, 2, 1, 1, 2), (3, 3, 0, 4, 5), (5, 1, 2, 1, 1), (5, 3, 0, 5, 7), (1, 2, 0, 1, 2)],
+    )
+    def test_one_by_one_output_equals_the_nine_slice_path(self, kernel, stride, pad, h, w, dtype):
+        """A 1x1 output's column product is a GEMV, whose sums differ from a
+        GEMM's once there are more than about 50 output channels."""
+        r = rng_for(kernel * 10 + stride)
+        x = r.normal(size=(2, 5, h, w)).astype(dtype)
+        wt = r.normal(size=(64, 5, kernel, kernel)).astype(dtype)
+        b = r.normal(size=64).astype(dtype)
+        upstream = r.normal(size=(2, 64, 1, 1)).astype(dtype)
+        assert ag._conv_out_size(h, kernel, stride, pad) == ag._conv_out_size(w, kernel, stride, pad) == 1
+        self.check(x, wt, b, upstream, stride, pad)
 
 
 class TestPointwiseOps:

@@ -353,13 +353,27 @@ class TestTrain:
         """A non-finite loss ends the run with exit 2 and an error line (in a
         subprocess: divergence overflows, and the suite makes that an error)."""
         data, _ = small_run
-        argv = ["train", "--out-dir", str(tmp_path / "x"), "--data-dir", str(data), "--san-loss-weight", "1e10", "--iterations", "20",
+        # a weight beyond float32's range: a finite one stops on the blow-up check first
+        argv = ["train", "--out-dir", str(tmp_path / "x"), "--data-dir", str(data), "--san-loss-weight", "1e39", "--iterations", "20",
                 "--rois-per-image", "10", "--san-samples", "4"]
         env = dict(os.environ, PYTHONPATH=str(Path(sanlab.__file__).parent.parent))
         proc = subprocess.run([sys.executable, "-m", "sanlab", *argv], capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 2
         assert re.search(r"^error: non-finite loss at iteration", proc.stderr, re.M), proc.stderr
         assert not (tmp_path / "x" / "checkpoint.san").exists()
+
+    def test_finite_blow_up_is_an_error(self, tmp_path, capsys):
+        """A loss that grows by orders of magnitude but stays finite ends the
+        run with exit 2, an error line saying it blew up, and no checkpoint."""
+        data, out = tmp_path / "data", tmp_path / "x"
+        assert main(["gen-data", "--out-dir", str(data), "--num-images", "12", "--seed", "3"]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--out-dir", str(out), "--data-dir", str(data), "--iterations", "20", "--rois-per-image", "12",
+                   "--san-samples", "6", "--san-loss-weight", "1e6", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert re.search(r"^error: loss blew up .* at iteration 1: ", err, re.M) and "non-finite" not in err, err
+        assert not (out / "checkpoint.san").exists()
 
     @pytest.mark.parametrize("san", ["off", "no-loss"])
     def test_max_pool_without_the_scale_aware_loss_rejected(self, small_run, tmp_path, capsys, san):
@@ -481,6 +495,17 @@ class TestEval:
         bad.write_bytes(b"GARBAGE!")
         rc = main(["eval", "--out-dir", str(tmp_path / "e"), "--data-dir", str(data), "--checkpoint", str(bad)])
         assert rc == 2
+
+    def test_non_finite_checkpoint_entry_errors(self, small_run, tmp_path, capsys):
+        """A NaN parameter is an error naming its entry, not a failure deep in detection."""
+        data, run = small_run
+        entries = read_checkpoint_entries(run / "checkpoint.san")
+        entries["head.reg.b"][0] = np.nan
+        write_checkpoint_entries(tmp_path / "nan.san", list(entries.items()))
+        rc = main(["eval", "--out-dir", str(tmp_path / "e"), "--data-dir", str(data), "--checkpoint", str(tmp_path / "nan.san")])
+        assert rc == 2
+        assert re.search(r"^error: checkpoint entry head\.reg\.b holds a non-finite value$", capsys.readouterr().err, re.M)
+        assert not (tmp_path / "e").exists()
 
     @staticmethod
     def _eval_mangled(small_run, tmp_path, capsys, mangle) -> str:

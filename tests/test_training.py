@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -493,14 +494,29 @@ class TestTrainLoop:
         assert not any(p.name.startswith("san.") for p in result.model.named_parameters())
 
     def test_divergence_raises_with_its_diagnostics(self, tiny_dataset):
-        """A non-finite loss stops training at the step that produced it."""
+        """A non-finite loss stops training at the step that produced it.
+        The weight is beyond float32's range, so the first update is already
+        non-finite; a finite weight stops on the blow-up check first."""
         with np.errstate(over="ignore", invalid="ignore"):  # divergence overflows by design
             with pytest.raises(TrainingDiverged) as exc:
-                train(tiny_dataset, tiny_config(iterations=20, san_loss_weight=1e10))
+                train(tiny_dataset, tiny_config(iterations=20, san_loss_weight=1e39))
         diverged = exc.value
         assert diverged.step == diverged.diagnostics["iter"]
         assert not all(np.isfinite([diverged.diagnostics[k] for k in ("l_cls", "l_reg", "l_san")]))
         assert str(diverged).startswith(f"non-finite loss at iteration {diverged.step}")
+
+    def test_finite_blow_up_raises(self, tiny_dataset):
+        """A classification loss that grows past BLOWUP_FACTOR times its
+        step-0 value stops training, though every loss is still finite."""
+        cfg = tiny_config(iterations=20, san_loss_weight=1e6)
+        first = train(tiny_dataset, dataclasses.replace(cfg, iterations=1)).log_rows[0][1]
+        with pytest.raises(TrainingDiverged) as exc:
+            train(tiny_dataset, cfg)
+        diverged = exc.value
+        assert diverged.step == diverged.diagnostics["iter"] == 1
+        assert np.all(np.isfinite([diverged.diagnostics[k] for k in ("l_cls", "l_reg", "l_san")]))
+        assert diverged.diagnostics["l_cls"] > training.BLOWUP_FACTOR * first
+        assert str(diverged).startswith("loss blew up") and "non-finite" not in str(diverged)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
@@ -715,6 +731,16 @@ class TestCheckpoint:
         path = self._resaved(tmp_path, **{"meta.ref_scale": np.array([4.0], dtype=np.float32)})
         with pytest.raises(ConfigError, match="^ref_scale 4 is below the backbone stride 8$"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["head.reg.b", "backbone.block1.w", "san.part1.b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, name, value):
+        save_checkpoint(tmp_path / "m.san", build_model(tiny_config()))
+        entries = read_checkpoint_entries(tmp_path / "m.san")
+        entries[name].reshape(-1)[[0, -1]] = value
+        write_checkpoint_entries(tmp_path / "x.san", list(entries.items()))
+        with pytest.raises(CheckpointError, match=rf"^checkpoint entry {re.escape(name)} holds a non-finite value$"):
+            load_checkpoint(tmp_path / "x.san")
 
     def test_unknown_entry_rejected(self, tmp_path):
         path = self._resaved(tmp_path, **{"head.extra": np.zeros(3, dtype=np.float32)})
